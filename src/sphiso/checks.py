@@ -66,6 +66,7 @@ class CheckRecord:
     residuals: dict
     verdict: bool
     artifacts: dict = field(default_factory=dict, repr=False, compare=False)
+    decisions: dict = field(default_factory=dict, repr=False, compare=False)
 
     def to_json(self):
         return {
@@ -349,17 +350,21 @@ def _check_hartman_wintner(params, seed):
     grid = params["grid_size"]
     counterexamples = 0
     certified = 0
+    decisions = {"fine_size": [], "fine_clamped": [], "probes_certified": []}
     for i, phi in enumerate(symbols):
         rep = spectra.hartman_wintner_check(
             phi, grid_size=grid, probes=params["probes"], seed=[seed, 61, i]
         )
         counterexamples += len(rep.counterexamples)
         certified += rep.probes_certified
+        decisions["fine_size"].append(rep.fine_size)
+        decisions["fine_clamped"].append(rep.fine_clamped)
+        decisions["probes_certified"].append(rep.probes_certified)
     return {
         "symbols": len(symbols),
         "probes_certified": certified,
         "counterexamples": counterexamples,
-    }, counterexamples == 0
+    }, counterexamples == 0, {}, decisions
 
 
 def _check_convex_bound(params, seed):
@@ -368,16 +373,20 @@ def _check_convex_bound(params, seed):
     counterexamples = 0
     worst_tol = 0.0
     artifacts = {}
+    decisions = {"refined_size": [], "refined_clamped": [], "hull_points": []}
     for i, phi in enumerate(symbols):
         lams = spectra.lambda_grid(phi, params["lambda_points"], grid)
         rep = spectra.convex_bound_check(phi, lams, grid_size=grid)
         counterexamples += len(rep.counterexamples)
         worst_tol = max(worst_tol, rep.tol_on_curve)
+        decisions["refined_size"].append(rep.refined_size)
+        decisions["refined_clamped"].append(rep.refined_clamped)
+        decisions["hull_points"].append(rep.hull_points)
         if i == 0:
             full = spectra.SpectrumReport(
                 symbol_text=phi.to_text(),
                 grid_size=grid,
-                range_samples=spectra.eval_grid(phi, grid).samples,
+                range_samples=rep.range_samples,
                 lams=rep.lams,
                 statuses=rep.statuses,
                 hull_vertices=rep.hull_vertices,
@@ -391,7 +400,7 @@ def _check_convex_bound(params, seed):
         "lambda_points": params["lambda_points"] ** 2,
         "counterexamples": counterexamples,
         "tolerance_worst": worst_tol,
-    }, counterexamples == 0, artifacts
+    }, counterexamples == 0, artifacts, decisions
 
 
 def _check_numerical_range(params, seed):
@@ -401,24 +410,29 @@ def _check_numerical_range(params, seed):
     trunc = params["nr_truncation"]
     violations = 0
     margin = -math.inf
+    decisions = {"grid_size": [], "grid_clamped": []}
     for i, phi in enumerate(take):
         x = circle.ToeplitzElement(phi)
         rep = spectra.numerical_range_support(x, thetas, trunc)
         violations += len(rep.counterexamples)
         margin = max(margin, max(h - b for h, b in zip(rep.support_values, rep.bounds)))
+        decisions["grid_size"].append(rep.grid_size)
+        decisions["grid_clamped"].append(rep.grid_clamped)
     rng = _rng(seed, 62, 0)
     corrected = circle.ToeplitzElement(
         random_symbol(rng, 3), random_correction(rng, 3)
     )
     rep = spectra.numerical_range_support(corrected, thetas, trunc)
     violations += len(rep.counterexamples)
+    decisions["grid_size"].append(rep.grid_size)
+    decisions["grid_clamped"].append(rep.grid_clamped)
     return {
         "symbols": len(take) + 1,
         "thetas": params["nr_thetas"],
         "truncation": trunc,
         "violations": violations,
         "support_margin_worst": margin,
-    }, violations == 0
+    }, violations == 0, {}, decisions
 
 
 def _random_sphere_symbol(rng, n, max_band, max_terms=4):
@@ -435,12 +449,18 @@ def _random_sphere_symbol(rng, n, max_band, max_terms=4):
 
 
 def _check_szego(params, seed):
+    from scipy.special import ndtri
+
     d = params["sphere_degree"]
     tol_int = params["tolerances"]["interior"]
     tol_id = params["tolerances"]["identity"]
     interior_worst = top_dev = moment_z_worst = fixed_worst = ext_worst = 0.0
     support_ok = True
     planted_min = math.inf
+    # Bonferroni: all m moment tests pass together with probability >= 1 - 1e-3
+    # when the model holds; -ndtri(q) is norm.isf(q), about 4.06 at m = 20
+    moments = len(params["sphere_dims"]) * params["mc_alphas"]
+    z_limit = -ndtri(1e-3 / (2 * moments))
     mc_ok = True
     for n in params["sphere_dims"]:
         tup = szego.szego_tuple(n, d)
@@ -456,7 +476,7 @@ def _check_szego(params, seed):
             mean, stderr = szego.mc_sphere_moment(n, alpha, params["mc_samples"], rng)
             z = abs(mean - exact) / stderr if stderr > 0 else 0.0
             moment_z_worst = max(moment_z_worst, z)
-            mc_ok = mc_ok and z <= 3.0
+            mc_ok = mc_ok and z <= z_limit
 
         for t in range(params["sphere_symbols"]):
             rng = _rng(seed, 75 + n, t)
@@ -682,7 +702,10 @@ REGISTRY = {
             "Thm3.1(3)",
             6,
             ("spectra",),
-            "essential-range inclusion in the spectrum by winding certificates",
+            "essential-range inclusion in the spectrum by winding certificates: "
+            "integer crossing numbers of the sampled curve; probes near the "
+            "curve are certified on a fine grid (sag <= 1e-5, at most 65536 "
+            "points) and its doubling",
             "no OUTSIDE verdicts on range samples or on certified interior "
             "probes",
             _check_hartman_wintner,
@@ -692,7 +715,10 @@ REGISTRY = {
             "Thm3.1(3)",
             7,
             ("spectra",),
-            "spectrum inside the convex hull of the essential range",
+            "spectrum inside the convex hull of the essential range: crossing "
+            "numbers per grid row, hull of the refined grid (sag <= 2e-9) "
+            "evaluated only on arcs within twice the working sag of the "
+            "working hull's boundary, the only arcs that can reach the hull",
             "every non-OUTSIDE lambda on the covering grid passes hull "
             "membership at the certified tolerance; no counterexamples",
             _check_convex_bound,
@@ -714,8 +740,10 @@ REGISTRY = {
             ("szego",),
             "graded shifts on the sphere monomial basis with exact moments",
             "interior isometry defect and moment/extension cross-checks "
-            "within tolerance; Monte Carlo moments within 3 sigma; planted "
-            "perturbation leaves interior residual >= 0.4",
+            "within tolerance; every Monte Carlo moment z-score within the "
+            "Bonferroni bound norm.isf(1e-3 / 2m) over the m moments tested "
+            "(about 4.06 at m = 20); planted perturbation leaves interior "
+            "residual >= 0.4",
             _check_szego,
         ),
         CheckSpec(
@@ -816,8 +844,17 @@ def run_check(check_id, params, seed):
     out = spec.runner(params, seed)
     residuals, verdict = out[0], out[1]
     artifacts = out[2] if len(out) > 2 else {}
+    decisions = out[3] if len(out) > 3 else {}
     digest = _digest({"seed": int(seed), "check": check_id, "params": params})
-    return CheckRecord(check_id, spec.tag, digest, _plain(residuals), bool(verdict), artifacts)
+    return CheckRecord(
+        check_id,
+        spec.tag,
+        digest,
+        _plain(residuals),
+        bool(verdict),
+        artifacts,
+        _plain(decisions),
+    )
 
 
 def run_checks(suite, params, seed, scenario_echo=None):

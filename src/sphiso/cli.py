@@ -2,8 +2,9 @@
 
 Exit codes: 0 all checks pass, 1 at least one check failed, 2 usage error.
 A run writes runs/<name>-<timestamp>/ with manifest.json (timing, versions,
-paths), report.json (canonical bytes, a pure function of the scenario), and
-any CSV artifacts the checks produced.
+paths, and per check the numerical choices it made: grid sizes, whether a cap
+clamped them, probes certified), report.json (canonical bytes, a pure function
+of the scenario), and any CSV artifacts the checks produced.
 """
 
 from __future__ import annotations
@@ -171,6 +172,7 @@ def cmd_run(args):
         "started": started,
         "elapsed_seconds": elapsed,
         "timing": report.timing,
+        "decisions": {r.check_id: r.decisions for r in report.checks if r.decisions},
         "python": platform.python_version(),
         "numpy": numpy.__version__,
         "scipy": scipy.__version__,

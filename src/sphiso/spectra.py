@@ -8,11 +8,19 @@ nonnormal Toeplitz matrices are notoriously misleading, while the winding
 description is exact. Numerical-range slices are one-sided safe because
 compressions only shrink the numerical range.
 
+Winding numbers are integer crossing counts of the sampled polyline
+(`symbols._winding_numbers`): exact for every lambda off the polyline, so
+no accumulated angle can drift. A lambda within `curve_tolerance` of a sample
+is ON_CURVE, decided by the exact distance; on a covering grid a k-d tree
+settles every lambda but those whose tree distance is within a relative 1e-9
+of the tolerance, which are measured again exactly.
+
 Tolerance bookkeeping. A sampled curve misses the true curve by at most the
 chord sag (spacing^2 * B''/8 with B'' the l1 bound on the second derivative),
 and a sampled sup misses the true sup by the same amount. Hull grids and sup
 grids are sized from that bound so the slack handed to membership tests is an
-actual certificate, not a guess.
+actual certificate, not a guess. The same bound shows which arcs of the
+refined hull grid can reach the hull at all, so only those are evaluated.
 """
 
 from __future__ import annotations
@@ -25,7 +33,13 @@ import numpy as np
 from .circle_calculus import ToeplitzElement, adjoint, truncation
 from .errors import PreconditionError
 from .linalg import op_norm
-from .symbols import conv_hull, curve_tolerance, eval_grid
+from .symbols import (
+    _grid_winding_numbers,
+    _winding_numbers,
+    conv_hull,
+    curve_tolerance,
+    eval_grid,
+)
 
 __all__ = [
     "ON_CURVE",
@@ -57,34 +71,46 @@ _SAG_TARGET = 2e-9
 _GRID_CAP = 300_000
 
 
-def _status_codes(samples, tol, lams, chunk_entries=4_000_000):
-    """Status codes (0 on-curve, 1 winding nonzero, 2 outside) for many lams.
-
-    Vectorized accumulated-argument winding over row chunks; the drift guard
-    (total must sit within 1e-6 of a multiple of 2 pi) only applies to rows
-    that are not already on-curve.
-    """
-    lams = np.asarray(lams, dtype=complex).ravel()
-    out = np.empty(lams.size, dtype=np.int8)
+def _min_distance(samples, lams, chunk_entries=4_000_000):
+    """min |samples - lam| for each lam, by dense rows of np.abs."""
+    out = np.empty(lams.size)
     step = max(1, chunk_entries // max(1, samples.size))
     for lo in range(0, lams.size, step):
-        lam = lams[lo : lo + step]
-        rel = samples[None, :] - lam[:, None]
-        dist = np.abs(rel).min(axis=1)
-        # rows with a zero entry are on-curve; dodge the 0/0 in the winding
-        rel_safe = np.where(rel == 0, 1.0, rel)
-        steps = np.angle(np.roll(rel_safe, -1, axis=1) / rel_safe)
-        total = steps.sum(axis=1)
-        w = np.rint(total / (2.0 * np.pi))
-        on = dist <= tol
-        drift = np.abs(total - 2.0 * np.pi * w) > 1e-6
-        if np.any(drift & ~on):
-            bad = lam[np.flatnonzero(drift & ~on)[0]]
-            raise PreconditionError(
-                f"winding accumulation drifted off 2*pi*Z at lambda = {bad}"
-            )
-        out[lo : lo + step] = np.where(on, 0, np.where(w != 0, 1, 2)).astype(np.int8)
+        rel = samples[None, :] - lams[lo : lo + step, None]
+        out[lo : lo + step] = np.abs(rel).min(axis=1)
     return out
+
+
+def _on_curve_pruned(samples, tol, lams):
+    """min |samples - lam| <= tol for a large lambda set, pruned by a k-d tree.
+
+    Tree distances agree with np.abs to a few ulps, so only lambdas whose tree
+    distance lies within a relative 1e-9 of tol are measured again exactly.
+    Below 1e-100 the squared distances inside the tree could underflow, so a
+    tiny tol is measured exactly throughout.
+    """
+    if not tol > 1e-100:
+        return _min_distance(samples, lams) <= tol
+    from scipy.spatial import cKDTree
+
+    tree = cKDTree(np.column_stack([samples.real, samples.imag]))
+    reach = tol * (1.0 + 1e-9)
+    dist, _ = tree.query(np.column_stack([lams.real, lams.imag]), distance_upper_bound=reach)
+    on = dist <= tol
+    band = np.flatnonzero(np.abs(dist - tol) <= tol * 1e-9)
+    on[band] = _min_distance(samples, lams[band]) <= tol
+    return on
+
+
+def _codes(on_curve, windings):
+    """Status codes: 0 on-curve, 1 winding nonzero, 2 outside."""
+    return np.where(on_curve, 0, np.where(windings != 0, 1, 2)).astype(np.int8)
+
+
+def _classify(samples, tol, lams):
+    """Status codes for scattered lambdas: exact distances, crossing windings."""
+    lams = np.asarray(lams, dtype=complex).ravel()
+    return _codes(_min_distance(samples, lams) <= tol, _winding_numbers(samples, lams))
 
 
 def spectrum_membership(phi, lam, grid_size=2048):
@@ -95,7 +121,7 @@ def spectrum_membership(phi, lam, grid_size=2048):
     phi._require_univariate()
     samples = eval_grid(phi, grid_size).samples
     tol = curve_tolerance(phi, grid_size)
-    code = _status_codes(samples, tol, [lam])[0]
+    code = _classify(samples, tol, [lam])[0]
     return _STATUS_NAMES[code]
 
 
@@ -104,7 +130,7 @@ def membership_batch(phi, lams, grid_size=2048):
     phi._require_univariate()
     samples = eval_grid(phi, grid_size).samples
     tol = curve_tolerance(phi, grid_size)
-    codes = _status_codes(samples, tol, lams)
+    codes = _classify(samples, tol, lams)
     return np.array(_STATUS_NAMES, dtype=object)[codes]
 
 
@@ -145,16 +171,17 @@ def lambda_grid(phi, n=200, grid_size=512, inflate=1.2):
 
 
 def _refined_grid_size(phi, base):
-    """Grid size (a multiple of base) whose chord sag is below _SAG_TARGET."""
+    """(size, clamped): a multiple of base whose chord sag is below _SAG_TARGET,
+    or the largest multiple within _GRID_CAP, with clamped set."""
     b2 = phi.second_derivative_l1_bound()
     if b2 == 0.0:
-        return base
+        return base, False
     need = 2.0 * np.pi * math.sqrt(b2 / (8.0 * _SAG_TARGET))
     mult = max(1, math.ceil(need / base))
     size = base * mult
     if size > _GRID_CAP:
-        size = base * max(1, _GRID_CAP // base)
-    return size
+        return base * max(1, _GRID_CAP // base), True
+    return size, False
 
 
 def _sag_bound(phi, grid_size):
@@ -169,6 +196,11 @@ class HartmanWintnerReport:
     probe_pass: bool
     counterexamples: list
     verdict: bool
+    fine_size: int
+    fine_clamped: bool
+
+
+_FINE_CAP = 65536
 
 
 def hartman_wintner_check(phi, grid_size=512, probes=100, seed=11):
@@ -179,16 +211,18 @@ def hartman_wintner_check(phi, grid_size=512, probes=100, seed=11):
     random lambdas within 0.01 of the sampled curve and keeps those certified
     inside a winding-nonzero region: farther from the fine polyline than twice
     its sag bound (so the discrete winding equals the true one) and winding
-    nonzero on the fine grid and its doubling. Certified probes must not read
-    OUTSIDE on the working grid. Symbols whose spectrum has empty interior
-    (real-valued ones, say) certify no probes and pass vacuously.
+    nonzero, by crossing numbers, on the fine grid and its doubling. The fine
+    grid is sized for a sag of 1e-5 and clamped at 65536 points. Certified
+    probes must not read OUTSIDE on the working grid. Symbols whose spectrum
+    has empty interior (real-valued ones, say) certify no probes and pass
+    vacuously.
     """
     phi._require_univariate()
     rng = np.random.default_rng(seed)
     samples = eval_grid(phi, grid_size).samples
     tol = curve_tolerance(phi, grid_size)
 
-    codes = _status_codes(samples, tol, samples)
+    codes = _classify(samples, tol, samples)
     bad_range = samples[codes == 2]
     range_pass = bad_range.size == 0
 
@@ -197,7 +231,8 @@ def hartman_wintner_check(phi, grid_size=512, probes=100, seed=11):
     if b2 > 0.0:
         need = 2.0 * np.pi * math.sqrt(b2 / (8.0 * 1e-5))
         fine_size = max(fine_size, int(math.ceil(need)))
-    fine_size = min(fine_size, 65536)
+    fine_clamped = fine_size > _FINE_CAP
+    fine_size = min(fine_size, _FINE_CAP)
     fine = eval_grid(phi, fine_size).samples
     fine2 = eval_grid(phi, 2 * fine_size).samples
     clearance = max(2e-4, 4.0 * _sag_bound(phi, fine_size))
@@ -216,25 +251,31 @@ def hartman_wintner_check(phi, grid_size=512, probes=100, seed=11):
             2j * np.pi * rng.uniform(0.0, 1.0, take)
         )
         cand = anchors + steps
+        # the clearance keeps every candidate off both fine polylines
         cand = cand[_polyline_distance(fine, cand) > clearance]
         if cand.size:
-            c1 = _status_codes(fine, 0.0, cand)
-            c2 = _status_codes(fine2, 0.0, cand)
-            cand = cand[(c1 == 1) & (c2 == 1)]
-            certified.extend(cand.tolist())
+            keep = (_winding_numbers(fine, cand) != 0) & (_winding_numbers(fine2, cand) != 0)
+            certified.extend(cand[keep].tolist())
             certified = certified[:probes]
 
     counter = []
     probe_pass = True
     if certified:
-        work = _status_codes(samples, tol, certified)
+        work = _classify(samples, tol, certified)
         bad = np.asarray(certified)[work == 2]
         counter = [complex(b) for b in bad]
         probe_pass = not counter
     counter = [complex(b) for b in bad_range] + counter
     verdict = range_pass and probe_pass
     return HartmanWintnerReport(
-        range_pass, probes, len(certified), probe_pass, counter, verdict
+        range_pass,
+        probes,
+        len(certified),
+        probe_pass,
+        counter,
+        verdict,
+        fine_size,
+        fine_clamped,
     )
 
 
@@ -242,19 +283,61 @@ def hartman_wintner_check(phi, grid_size=512, probes=100, seed=11):
 class ConvexBoundReport:
     statuses: np.ndarray
     lams: np.ndarray
+    range_samples: np.ndarray
     hull_vertices: np.ndarray
     tol_on_curve: float
     tol_winding: float
     counterexamples: list
     verdict: bool
+    refined_size: int
+    refined_clamped: bool
+    hull_points: int
+
+
+def _boundary_depth(hull, points):
+    """Distance from each point to the boundary of a polygon hull, negative
+    outside: the least signed distance to the lines through its CCW edges."""
+    v = hull.vertices
+    e = np.roll(v, -1) - v
+    signed = (np.conj(e)[None, :] * (points[:, None] - v[None, :])).imag / np.abs(e)
+    return signed.min(axis=1)
+
+
+def _hull_arcs(phi, samples, refined_size):
+    """The refined-grid samples on arcs that can reach the hull.
+
+    Arc j runs between working samples j and j + 1, through refined_size /
+    samples.size refined steps. The true arc lies within the working sag of
+    its chord, and on a convex set the depth below the boundary is concave,
+    so a chord between two working samples deeper than twice the sag (1e-12
+    absorbs rounding) keeps its arc strictly inside the working hull, which
+    lies inside the refined one: such an arc supplies no hull vertex and is
+    skipped. The angles use eval_grid's expression, so every sample kept is
+    bit-identical to the full refined grid's.
+    """
+    g = samples.size
+    work = conv_hull(samples)
+    if work.kind != "polygon":
+        return eval_grid(phi, refined_size).samples
+    near = _boundary_depth(work, samples) <= 2.0 * _sag_bound(phi, g) + 1e-12
+    arcs = near | np.roll(near, -1)
+    m = refined_size // g
+    keep = np.repeat(arcs, m)
+    keep[::m] |= np.roll(arcs, 1)  # the end point of arc j - 1
+    idx = np.flatnonzero(keep)
+    theta = 2.0 * np.pi * idx / refined_size
+    return phi.eval_at(np.exp(1j * theta))
 
 
 def convex_bound_check(phi, lams, grid_size=512):
     """Every lambda not OUTSIDE must sit in the hull of the essential range.
 
-    The hull is built from a refined sample grid (a multiple of the working
-    grid, so every working sample is a hull member) sized so the sag bound
-    stays under 2e-9; winding-certified points are then tested at 1e-8, while
+    Statuses come from crossing numbers, one scanline per distinct imaginary
+    part of the covering grid, with ON_CURVE pruned by a k-d tree. The hull is
+    that of a refined sample grid (a multiple of the working grid) sized so
+    the sag bound stays under 2e-9, but only the arcs that can reach the
+    working hull's boundary are evaluated (`_hull_arcs`), which leaves the
+    hull unchanged. Winding-certified points are tested at 1e-8, while
     on-curve points carry the working curve tolerance on top since that is how
     far they may sit from their anchoring sample.
     """
@@ -274,10 +357,11 @@ def convex_bound_check(phi, lams, grid_size=512):
             "lambda grid does not cover the essential-range box inflated by 20%"
         )
 
-    codes = _status_codes(samples, tol, lams)
+    windings = _grid_winding_numbers(samples, lams)
+    codes = _codes(_on_curve_pruned(samples, tol, lams), windings)
 
-    refined_size = _refined_grid_size(phi, grid_size)
-    refined = eval_grid(phi, refined_size).samples
+    refined_size, clamped = _refined_grid_size(phi, grid_size)
+    refined = _hull_arcs(phi, samples, refined_size)
     hull = conv_hull(refined)
     sag = _sag_bound(phi, refined_size)
     tol_winding = max(1e-8, sag + 5e-9)
@@ -295,11 +379,15 @@ def convex_bound_check(phi, lams, grid_size=512):
     return ConvexBoundReport(
         statuses=np.array(_STATUS_NAMES, dtype=object)[codes],
         lams=lams,
+        range_samples=samples,
         hull_vertices=hull.vertices,
         tol_on_curve=tol_on_curve,
         tol_winding=tol_winding,
         counterexamples=counter,
         verdict=not counter,
+        refined_size=refined_size,
+        refined_clamped=clamped,
+        hull_points=refined.size,
     )
 
 
@@ -312,6 +400,8 @@ class NumericalRangeReport:
     trunc: int
     counterexamples: list
     verdict: bool
+    grid_size: int
+    grid_clamped: bool
 
 
 def numerical_range_support(x, thetas, trunc):
@@ -332,7 +422,7 @@ def numerical_range_support(x, thetas, trunc):
     xn = truncation(x, trunc)
     xn_adj = xn.conj().T
 
-    g = _refined_grid_size(x.symbol, max(4096, 4 * (1 + x.symbol.band())))
+    g, clamped = _refined_grid_size(x.symbol, max(4096, 4 * (1 + x.symbol.band())))
     samples = eval_grid(x.symbol, g).samples
     sag = _sag_bound(x.symbol, g)
     fnorm = op_norm(corr) if corr.size else 0.0
@@ -348,7 +438,9 @@ def numerical_range_support(x, thetas, trunc):
         bounds.append(bound)
         if h > bound + sag + 1e-8:
             counter.append(t)
-    return NumericalRangeReport(thetas, hs, bounds, sag, trunc, counter, not counter)
+    return NumericalRangeReport(
+        thetas, hs, bounds, sag, trunc, counter, not counter, g, clamped
+    )
 
 
 @dataclass(frozen=True)

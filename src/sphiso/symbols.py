@@ -462,30 +462,88 @@ def curve_tolerance(phi, grid_size):
 
 
 def winding(phi, lam, grid_size=512):
-    """Winding number of phi(e^{i theta}) - lam by accumulated argument.
+    """Winding number of phi(e^{i theta}) - lam, by crossing numbers.
 
-    Raises OnCurveError when lam is within `curve_tolerance` of the sampled
-    curve; the accumulated total is asserted to sit within 1e-6 of an
-    integer multiple of 2 pi.
+    The curve is sampled on the uniform grid and the winding number of the
+    closed polyline through the samples is counted exactly by
+    `_winding_numbers`. Raises OnCurveError when lam is within
+    `curve_tolerance` of a sample; farther away the polyline and the curve
+    wind alike, since consecutive samples are at most that far apart.
     """
     phi._require_univariate()
     samples = eval_grid(phi, grid_size).samples
-    return _winding_of_samples(samples, complex(lam), curve_tolerance(phi, grid_size))
-
-
-def _winding_of_samples(samples, lam, tol):
-    rel = samples - lam
-    dist = float(np.min(np.abs(rel)))
+    lam = complex(lam)
+    tol = curve_tolerance(phi, grid_size)
+    dist = float(np.min(np.abs(samples - lam)))
     if dist <= tol:
         raise OnCurveError(dist, tol)
-    steps = np.angle(np.roll(rel, -1) / rel)
-    total = float(np.sum(steps))
-    w = round(total / (2.0 * np.pi))
-    if abs(total - 2.0 * np.pi * w) > 1e-6:
-        raise PreconditionError(
-            f"winding accumulation drifted: total {total:.3e} not near a multiple of 2pi"
-        )
-    return int(w)
+    return int(_winding_numbers(samples, [lam])[0])
+
+
+def _crossings(samples, ys, chunk_entries=4_000_000):
+    """Edge crossings of the scanlines y = ys[k] by the closed polyline
+    through samples, as (k, abscissa, sign) arrays.
+
+    Crossing-number rule with the half-open convention (Hormann & Agathos,
+    Comput. Geom. 20, 2001): edge (a, b) crosses y upward, sign +1.0, when
+    a.imag <= y < b.imag and downward, sign -1.0, when b.imag <= y < a.imag.
+    A vertex on the scanline is crossed by exactly one of its two edges and a
+    horizontal edge by none, so the signs of the crossings right of lambda
+    add up to the winding number of the polyline about every lambda off it,
+    exactly. Lambdas on the polyline get some integer; callers classify them
+    by distance first.
+    """
+    ring = np.concatenate((samples, samples[:1]))
+    ring_y = ring.imag
+    step = max(1, chunk_entries // ring.size)
+    parts = []
+    for lo in range(0, max(ys.size, 1), step):
+        below = ring_y <= ys[lo : lo + step, None]
+        k, e = np.nonzero(below[:, :-1] != below[:, 1:])
+        a, b = ring[e], ring[e + 1]
+        y = ys[lo + k]
+        x = a.real + (y - a.imag) * (b.real - a.real) / (b.imag - a.imag)
+        parts.append((lo + k, x, np.where(below[k, e], 1.0, -1.0)))
+    if len(parts) == 1:
+        return parts[0]
+    return tuple(np.concatenate(col) for col in zip(*parts))
+
+
+def _finite_lambdas(lams):
+    lams = np.asarray(lams, dtype=complex).ravel()
+    if not np.isfinite(lams).all():
+        raise PreconditionError("winding numbers need finite lambdas")
+    return lams
+
+
+def _winding_numbers(samples, lams):
+    """Winding numbers of the closed polyline through samples about
+    scattered lambdas: each lambda is its own scanline (`_crossings`)."""
+    lams = _finite_lambdas(lams)
+    k, x, sign = _crossings(samples, lams.imag)
+    w = np.bincount(k, weights=sign * (x > lams.real[k]), minlength=lams.size)
+    return w.astype(np.int64)
+
+
+def _grid_winding_numbers(samples, lams):
+    """`_winding_numbers` for lambdas that share imaginary parts, such as the
+    rows of a covering grid: each distinct imaginary part is one scanline.
+
+    A scanline's crossings are found once and sorted, and each lambda adds up
+    those right of it by a binary search, so R rows cost O(R S + L log S) for
+    S samples and L lambdas.
+    """
+    lams = _finite_lambdas(lams)
+    ys, row = np.unique(lams.imag, return_inverse=True)
+    k, x, sign = _crossings(samples, ys)
+    # complex keys sort lexicographically: by scanline, then by abscissa
+    keys = k + 1j * x
+    order = np.argsort(keys)
+    keys = keys[order]
+    prefix = np.concatenate(([0], np.cumsum(sign[order].astype(np.int64))))
+    left = np.searchsorted(keys, row + 1j * lams.real, side="right")
+    end = np.searchsorted(keys.real, row, side="right")
+    return prefix[end] - prefix[left]
 
 
 def sup_norm(phi, grid_size=512):
@@ -574,31 +632,28 @@ def _monotone_chain(pts):
     return np.array(lower[:-1] + upper[:-1], dtype=complex)
 
 
-def conv_hull(points, dedupe_tol=0.0):
+def conv_hull(points):
     """Convex hull (CCW vertices) of complex points.
 
-    Small sets go through a monotone chain; large ones (> 50000) are handed
-    to qhull for speed, falling back to the chain on degeneracies.
+    qhull builds it; degenerate input that qhull rejects (collinear or
+    coincident points) is deduplicated and goes through a monotone chain.
     """
-    pts = np.unique(np.asarray(list(points) if not isinstance(points, np.ndarray) else points, dtype=complex))
+    from scipy.spatial import ConvexHull, QhullError
+
+    if not isinstance(points, np.ndarray):
+        points = list(points)
+    pts = np.asarray(points, dtype=complex).ravel()
     if pts.size == 0:
         raise PreconditionError("conv_hull of an empty point set")
+    if pts.size >= 3:
+        try:
+            q = ConvexHull(np.column_stack([pts.real, pts.imag]))
+            return Hull(pts[q.vertices])  # CCW per qhull 2-d convention
+        except QhullError:
+            pass
+    pts = np.unique(pts)
     if pts.size <= 2:
         return Hull(pts)
-    if pts.size > 50000:
-        try:
-            from scipy.spatial import ConvexHull as _QHull
-            from scipy.spatial import QhullError
-
-            xy = np.column_stack([pts.real, pts.imag])
-            try:
-                q = _QHull(xy)
-                verts = pts[q.vertices]  # CCW per qhull 2-d convention
-                return Hull(verts)
-            except QhullError:
-                pass
-        except ImportError:
-            pass
     verts = _monotone_chain(pts)
     if verts.size < 3:
         # collinear input: keep extreme endpoints

@@ -121,6 +121,56 @@ def test_run_seed_changes_report(tmp_path):
     assert (first / "report.json").read_bytes() != (second / "report.json").read_bytes()
 
 
+SPECTRA = {
+    "name": "small-spectra",
+    "seed": 3,
+    "suite": "spectra",
+    "parameters": {
+        "spectra_symbols": 3,
+        "lambda_points": 40,
+        "probes": 20,
+        "nr_thetas": 8,
+        "nr_truncation": 128,
+    },
+}
+
+# canonical records of this scenario's two winding checks, as written before
+# the manifest carried the numerical decisions
+SPECTRA_RECORDS = [
+    '{"id":"hartman_wintner","inputs_digest":"f50749b8151c989e","residuals":'
+    '{"counterexamples":0,"probes_certified":60,"symbols":3},"tag":"Thm3.1(3)",'
+    '"verdict":"pass"}',
+    '{"id":"convex_bound","inputs_digest":"282b22090d10b1a2","residuals":'
+    '{"counterexamples":0,"lambda_points":1600,"symbols":3,'
+    '"tolerance_worst":1.6612108175850935},"tag":"Thm3.1(3)","verdict":"pass"}',
+]
+
+
+def test_run_decisions_go_to_manifest_only(tmp_path):
+    scenario = write_scenario(tmp_path, SPECTRA)
+    assert cli.main(["run", scenario, "--out", str(tmp_path / "runs")]) == 0
+    (rundir,) = run_dirs(tmp_path)
+    raw = (rundir / "report.json").read_text()
+    report = json.loads(raw)
+    assert [checks.canonical_json(c) for c in report["checks"][:2]] == SPECTRA_RECORDS
+    assert "decisions" not in raw and "refined_size" not in raw
+
+    decisions = json.loads((rundir / "manifest.json").read_text())["decisions"]
+    assert set(decisions) == {"hartman_wintner", "convex_bound", "numerical_range"}
+    cb = decisions["convex_bound"]
+    assert len(cb["refined_size"]) == len(cb["refined_clamped"]) == len(cb["hull_points"]) == 3
+    for size, clamped, points in zip(cb["refined_size"], cb["refined_clamped"], cb["hull_points"]):
+        assert size % 512 == 0 and size <= 300_000
+        assert isinstance(clamped, bool)
+        assert 0 < points <= size
+    hw = decisions["hartman_wintner"]
+    assert len(hw["fine_size"]) == len(hw["fine_clamped"]) == 3
+    assert all(2048 <= n <= 65536 for n in hw["fine_size"])
+    assert hw["probes_certified"] == [20, 20, 20]
+    nr = decisions["numerical_range"]
+    assert len(nr["grid_size"]) == len(nr["grid_clamped"]) == 4
+
+
 def test_run_suite_override(tmp_path, capsys):
     obj = dict(SMALL)
     obj["parameters"] = dict(SMALL["parameters"], hardy_degrees=[16, 24], hardy_window=4)
@@ -181,6 +231,12 @@ def test_explain_every_registered_check(capsys):
     for cid in checks.suite_check_ids("all"):
         assert cli.main(["explain", cid]) == 0
         assert cid in capsys.readouterr().out
+
+
+def test_explain_szego_states_the_bonferroni_bound(capsys):
+    assert cli.main(["explain", "szego_model"]) == 0
+    out = capsys.readouterr().out
+    assert "Bonferroni" in out and "3 sigma" not in out
 
 
 def test_explain_unknown_check(capsys):

@@ -8,7 +8,7 @@ from sphiso import checks
 from sphiso import circle_calculus as cc
 from sphiso import spectra as sp
 from sphiso.errors import PreconditionError
-from sphiso.symbols import LaurentPoly, curve_tolerance, eval_grid
+from sphiso.symbols import Hull, LaurentPoly, conv_hull, curve_tolerance, eval_grid
 
 Z = LaurentPoly.variable(0, 1)
 ZBAR = Z.conjugate()
@@ -111,6 +111,62 @@ def test_convex_bound_random_suite():
     for phi in suite(3):
         rep = sp.convex_bound_check(phi, sp.lambda_grid(phi, 30))
         assert rep.verdict
+
+
+def full_scenario_symbols():
+    return checks._suite_symbols(dict(checks.DEFAULT_PARAMS), 20260815)
+
+
+def test_convex_bound_targeted_hull_covers_full_refined_grid():
+    # the hull of the arcs near the working hull holds every sample of the
+    # whole refined grid, and the arcs left out are most of it
+    kept = total = 0
+    for phi in full_scenario_symbols() + [Z, Z**3 + 0.5 * ZBAR]:
+        rep = sp.convex_bound_check(phi, sp.lambda_grid(phi, 8))
+        assert rep.refined_size == sp._refined_grid_size(phi, 512)[0]
+        full = eval_grid(phi, rep.refined_size).samples
+        assert np.max(Hull(rep.hull_vertices).outside_distance(full)) <= 1e-12
+        kept += rep.hull_points
+        total += rep.refined_size
+    assert kept < total / 2
+
+
+def test_convex_bound_targeted_samples_are_bit_identical():
+    phi = full_scenario_symbols()[0]
+    size = sp._refined_grid_size(phi, 512)[0]
+    samples = eval_grid(phi, 512).samples
+    arcs = sp._hull_arcs(phi, samples, size)
+    full = eval_grid(phi, size).samples
+    assert np.isin(arcs, full).all()
+
+
+def test_convex_bound_flags_a_shrunken_hull(monkeypatch):
+    def shrunk(points):
+        v = conv_hull(points).vertices
+        c = v.mean()
+        return Hull(c + 0.99 * (v - c))
+
+    monkeypatch.setattr(sp, "conv_hull", shrunk)
+    for phi in full_scenario_symbols()[:4]:
+        rep = sp.convex_bound_check(phi, sp.lambda_grid(phi, 200))
+        assert not rep.verdict
+        assert rep.counterexamples
+
+
+def test_hartman_wintner_flags_a_planted_outside(monkeypatch):
+    honest = sp._classify
+
+    def planted(samples, tol, lams):
+        codes = honest(samples, tol, lams)
+        if len(lams) != samples.size:  # the certified probes, not the range
+            codes[0] = 2
+        return codes
+
+    monkeypatch.setattr(sp, "_classify", planted)
+    rep = sp.hartman_wintner_check(Z**3 + 0.5 * ZBAR, grid_size=512)
+    assert rep.probes_certified > 0
+    assert rep.range_pass and not rep.probe_pass
+    assert not rep.verdict and len(rep.counterexamples) == 1
 
 
 def test_convex_bound_grid_coverage_guard():

@@ -1,9 +1,11 @@
+import json
 import math
 from fractions import Fraction
 
 import numpy as np
 import pytest
 
+from sphiso import checks
 from sphiso import szego as sz
 from sphiso.errors import PreconditionError, ResourceLimitError
 
@@ -218,3 +220,39 @@ def test_graded_json_round_trip():
     y = sz.graded_from_json(sz.graded_to_json(x))
     assert y.entries == x.entries
     assert (y.n, y.d, y.safe_degree) == (x.n, x.d, x.safe_degree)
+
+
+# ---------------------------------------------------------------------------
+# the szego_model check's Monte Carlo moment test
+
+
+def szego_params():
+    return json.loads(json.dumps(checks.DEFAULT_PARAMS))
+
+
+@pytest.mark.parametrize(
+    "seed, z_worst",
+    # z-scores of the worst of 20 moments; a 3-sigma test read FAIL on both
+    [(44, 3.060842399776779), (1337113213, 3.2073961101242783)],
+)
+def test_szego_check_bonferroni_seeds_pass(seed, z_worst):
+    rec = checks.run_check("szego_model", szego_params(), seed)
+    assert rec.verdict
+    assert rec.residuals["moment_z_worst"] == z_worst
+
+
+def test_szego_check_fails_on_a_biased_moment(monkeypatch):
+    calls = []
+    honest = sz.mc_sphere_moment
+
+    def biased(n, alpha, samples, rng):
+        mean, stderr = honest(n, alpha, samples, rng)
+        calls.append(1)
+        if len(calls) == 7:
+            mean = float(sz.sphere_moment(n, alpha)) + 6.0 * stderr
+        return mean, stderr
+
+    monkeypatch.setattr(sz, "mc_sphere_moment", biased)
+    rec = checks.run_check("szego_model", szego_params(), 5)
+    assert not rec.verdict
+    assert abs(rec.residuals["moment_z_worst"] - 6.0) <= 1e-9

@@ -1,0 +1,215 @@
+"""Crossing-number winding against the dense accumulated-argument oracle.
+
+The library counts winding numbers by crossing numbers (`_winding_numbers`
+for scattered lambdas, `_grid_winding_numbers` for covering grids) and
+decides ON_CURVE by distance, pruned by a k-d tree on grids. The oracle below
+is the earlier implementation: it sums the principal argument of each step
+of samples - lam, rounds the total to a multiple of 2 pi and refuses to
+answer when the total drifts. Off the sampled polyline both count the same
+integer, so every status and every winding number must agree exactly.
+"""
+
+import math
+
+import numpy as np
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from sphiso import checks
+from sphiso import spectra as sp
+from sphiso.errors import OnCurveError, PreconditionError
+from sphiso.symbols import (
+    LaurentPoly,
+    _grid_winding_numbers,
+    _winding_numbers,
+    curve_tolerance,
+    eval_grid,
+    winding,
+)
+
+FULL_SEED = 20260815  # the seed of scenarios/full.json
+
+
+def dense_winding(samples, lams, chunk_entries=4_000_000):
+    """(distance to the nearest sample, accumulated-argument winding)."""
+    lams = np.asarray(lams, dtype=complex).ravel()
+    dist = np.empty(lams.size)
+    total = np.empty(lams.size)
+    step = max(1, chunk_entries // max(1, samples.size))
+    for lo in range(0, lams.size, step):
+        rel = samples[None, :] - lams[lo : lo + step, None]
+        dist[lo : lo + step] = np.abs(rel).min(axis=1)
+        rel_safe = np.where(rel == 0, 1.0, rel)  # dodge 0/0 on a sample
+        total[lo : lo + step] = np.angle(np.roll(rel_safe, -1, axis=1) / rel_safe).sum(axis=1)
+    w = np.rint(total / (2.0 * np.pi))
+    drift = np.abs(total - 2.0 * np.pi * w) > 1e-6
+    return dist, w.astype(int), drift
+
+
+def status_codes(samples, tol, lams):
+    """Oracle status codes: 0 on-curve, 1 winding nonzero, 2 outside."""
+    dist, w, drift = dense_winding(samples, lams)
+    on = dist <= tol
+    assert not np.any(drift & ~on), "oracle winding drifted off 2 pi Z"
+    return np.where(on, 0, np.where(w != 0, 1, 2)).astype(np.int8)
+
+
+def grid_codes(samples, tol, lams):
+    return sp._codes(sp._on_curve_pruned(samples, tol, lams), _grid_winding_numbers(samples, lams))
+
+
+def full_symbols():
+    params = dict(checks.DEFAULT_PARAMS)
+    return checks._suite_symbols(params, FULL_SEED)
+
+
+def test_full_scenario_grids_match_oracle():
+    symbols = full_symbols()
+    assert len(symbols) == 20
+    for phi in symbols:
+        samples = eval_grid(phi, 512).samples
+        tol = curve_tolerance(phi, 512)
+        lams = sp.lambda_grid(phi, 200, 512)
+        want = status_codes(samples, tol, lams)
+        assert np.array_equal(grid_codes(samples, tol, lams), want)
+        rep = sp.convex_bound_check(phi, lams, 512)
+        names = np.array(sp._STATUS_NAMES, dtype=object)[want]
+        assert np.array_equal(rep.statuses, names)
+
+
+def scattered_lambdas(phi, grid_size, rng, count):
+    """Uniform lambdas over the range box and lambdas at 0.5 to 2 curve
+    tolerances from a sample, on both sides of the ON_CURVE threshold."""
+    samples = eval_grid(phi, grid_size).samples
+    tol = curve_tolerance(phi, grid_size)
+    lo = samples.real.min() - 0.5, samples.imag.min() - 0.5
+    hi = samples.real.max() + 0.5, samples.imag.max() + 0.5
+    box = rng.uniform(lo[0], hi[0], count) + 1j * rng.uniform(lo[1], hi[1], count)
+    anchors = samples[rng.integers(0, samples.size, count)]
+    near = anchors + tol * rng.uniform(0.5, 2.0, count) * np.exp(
+        2j * np.pi * rng.uniform(0.0, 1.0, count)
+    )
+    return np.concatenate([box, near])
+
+
+@pytest.mark.parametrize("grid_size", [512, 2048])
+def test_scattered_and_near_curve_match_oracle(grid_size):
+    rng = np.random.default_rng(grid_size)
+    for i in range(12):
+        phi = checks.random_symbol(checks._rng(77, grid_size, i), 6, min_terms=2)
+        samples = eval_grid(phi, grid_size).samples
+        tol = curve_tolerance(phi, grid_size)
+        lams = scattered_lambdas(phi, grid_size, rng, 300)
+        want = status_codes(samples, tol, lams)
+        assert np.array_equal(sp._classify(samples, tol, lams), want)
+        assert np.array_equal(grid_codes(samples, tol, lams), want)
+        names = sp.membership_batch(phi, lams, grid_size)
+        assert list(names) == [sp._STATUS_NAMES[c] for c in want]
+        assert sp.spectrum_membership(phi, lams[0], grid_size) == names[0]
+        # both sides of the ON_CURVE threshold occur among the near lambdas
+        near = want[300:]
+        assert (near == 0).any() and (near != 0).any()
+
+
+def test_ties_on_vertex_ordinates_and_horizontal_edges():
+    # a staircase polygon, every other edge horizontal, and a diamond; every
+    # lambda sits exactly on the ordinate of some vertex
+    stairs = np.array(
+        [0, 2, 2 + 1j, 3 + 1j, 3 + 3j, 1 + 3j, 1 + 2j, 0 + 2j], dtype=complex
+    )
+    diamond = np.array([1, 1j, -1, -1j], dtype=complex)
+    row = np.linspace(-0.5, 3.5, 41) + 2j  # crosses a horizontal edge
+    cases = [
+        (stairs, [1 + 1j, 0.5 + 1j, -1 + 1j, 4 + 1j, -1 + 3j, 5 + 0j, 1.5 + 2j]),
+        (stairs, row),
+        (diamond, [0j, -0.5 + 0j, 0.5 + 0j, 2 + 0j, -2 + 0j, 0.5j, 3 + 1j, -3 - 1j]),
+        (diamond[::-1], [0j, -0.5 + 0j, 2 + 0j, -2 + 0j]),
+    ]
+    seen = set()
+    for samples, lams in cases:
+        lams = np.asarray(lams, dtype=complex)
+        off = sp._polyline_distance(samples, lams) > 1e-9
+        _, w, _ = dense_winding(samples, lams[off])
+        assert np.array_equal(_winding_numbers(samples, lams[off]), w)
+        assert np.array_equal(_grid_winding_numbers(samples, lams[off]), w)
+        seen.update(w.tolist())
+    assert seen == {-1, 0, 1}
+
+
+def test_ties_on_symbol_sample_ordinates():
+    # lambdas at the exact imaginary part of a sample of the sampled curve
+    for text in ("z", "z^2 + 0.3*zbar", "(0.5+0.5j)*z^3 + zbar"):
+        phi = LaurentPoly.from_text(text)
+        samples = eval_grid(phi, 512).samples
+        tol = curve_tolerance(phi, 512)
+        xs = np.linspace(samples.real.min() - 1, samples.real.max() + 1, 57)
+        lams = (xs[None, :] + 1j * samples.imag[::8, None]).ravel()
+        want = status_codes(samples, tol, lams)
+        assert np.array_equal(sp._classify(samples, tol, lams), want)
+        assert np.array_equal(grid_codes(samples, tol, lams), want)
+
+
+@pytest.mark.parametrize(
+    "text, deep",
+    [
+        ("z^2 + 0.1*zbar", 2),
+        ("zbar^2 + 0.2*z", -2),
+        ("z^2 + 0.6*z", 2),
+        ("0.5*zbar + zbar^2 - 0.1*z^3", -2),
+    ],
+)
+def test_self_intersecting_windings(text, deep):
+    phi = LaurentPoly.from_text(text)
+    samples = eval_grid(phi, 512).samples
+    tol = curve_tolerance(phi, 512)
+    lams = sp.lambda_grid(phi, 60, 512)
+    dist, w, _ = dense_winding(samples, lams)
+    off = dist > tol
+    assert deep in set(w[off].tolist())
+    assert np.array_equal(_winding_numbers(samples, lams)[off], w[off])
+    assert np.array_equal(_grid_winding_numbers(samples, lams)[off], w[off])
+    for lam, want in zip(lams[off][::7], w[off][::7]):
+        assert winding(phi, lam) == want
+    for lam in lams[~off][::11]:
+        with pytest.raises(OnCurveError):
+            winding(phi, lam)
+
+
+def test_winding_rejects_non_finite_lambda():
+    phi = LaurentPoly.from_text("z")
+    for lam in (complex(math.nan, 0.0), complex(0.0, math.inf)):
+        with pytest.raises(PreconditionError):
+            sp.spectrum_membership(phi, lam)
+        with pytest.raises(PreconditionError):
+            sp.membership_batch(phi, [0.0, lam])
+
+
+# coefficients at least 0.05 keep rounding far below the curve tolerance
+coeff = st.complex_numbers(
+    min_magnitude=0.05, max_magnitude=2.0, allow_nan=False, allow_infinity=False
+)
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    coeffs=st.dictionaries(st.integers(-4, 4), coeff, min_size=1, max_size=5),
+    lams=st.lists(
+        st.complex_numbers(max_magnitude=6.0, allow_nan=False, allow_infinity=False),
+        min_size=1,
+        max_size=8,
+    ),
+    grid_size=st.sampled_from([64, 512]),
+)
+def test_crossing_matches_oracle_property(coeffs, lams, grid_size):
+    phi = LaurentPoly(1, {(k,): c for k, c in coeffs.items()})
+    lams = np.array(lams, dtype=complex)
+    samples = eval_grid(phi, grid_size).samples
+    tol = curve_tolerance(phi, grid_size)
+    want = status_codes(samples, tol, lams)
+    assert np.array_equal(sp._classify(samples, tol, lams), want)
+    assert np.array_equal(grid_codes(samples, tol, lams), want)
+    dist, w, _ = dense_winding(samples, lams)
+    for lam, d, wi in zip(lams, dist, w):
+        if d > tol:
+            assert winding(phi, lam, grid_size) == wi
