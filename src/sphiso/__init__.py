@@ -29,8 +29,8 @@ from .circle_calculus import (
 from .errors import (
     ConditioningError,
     OnCurveError,
+    InvariantError,
     PreconditionError,
-    RankDeficiencyError,
     ResourceLimitError,
     UsageError,
 )
@@ -48,9 +48,8 @@ from .spectra import (
     hartman_wintner_check,
     numerical_range_support,
     spectrum_membership,
-    spectrum_report,
 )
-from .symbols import LaurentPoly, SphericalMultifunction, conv_hull, sup_norm, winding
+from .symbols import LaurentPoly, conv_hull, sup_norm, winding
 from .szego import (
     SphereSymbol,
     defect_report,
@@ -82,8 +81,8 @@ __all__ = [
     "verify_averaging_identities",
     "ConditioningError",
     "OnCurveError",
+    "InvariantError",
     "PreconditionError",
-    "RankDeficiencyError",
     "ResourceLimitError",
     "UsageError",
     "CircleMeasure",
@@ -100,9 +99,7 @@ __all__ = [
     "hartman_wintner_check",
     "numerical_range_support",
     "spectrum_membership",
-    "spectrum_report",
     "LaurentPoly",
-    "SphericalMultifunction",
     "conv_hull",
     "sup_norm",
     "winding",

@@ -21,7 +21,7 @@ from . import hardy_measures as hardy
 from . import polydisc
 from . import spectra
 from . import szego
-from .errors import PreconditionError, UsageError
+from .errors import UsageError
 from .symbols import LaurentPoly
 
 __all__ = [
@@ -158,11 +158,6 @@ def _suite_symbols(params, seed):
     return extras + drawn
 
 
-def _sym_gap(a, b):
-    d = a - b
-    return max((abs(c) for c in d.coeffs.values()), default=0.0)
-
-
 # ---------------------------------------------------------------------------
 # check runners
 
@@ -180,11 +175,13 @@ def _check_algebra_closure(params, seed):
         z = circle.mul(x, y)
         worst_mult = max(
             worst_mult,
-            _sym_gap(circle.symbol_map(z), circle.symbol_map(x) * circle.symbol_map(y)),
+            circle.symbol_diff_max(
+                circle.symbol_map(z), circle.symbol_map(x) * circle.symbol_map(y)
+            ),
         )
         worst_star = max(
             worst_star,
-            _sym_gap(
+            circle.symbol_diff_max(
                 circle.symbol_map(circle.adjoint(x)), circle.symbol_map(x).conjugate()
             ),
         )
@@ -383,18 +380,7 @@ def _check_convex_bound(params, seed):
         decisions["refined_clamped"].append(rep.refined_clamped)
         decisions["hull_points"].append(rep.hull_points)
         if i == 0:
-            full = spectra.SpectrumReport(
-                symbol_text=phi.to_text(),
-                grid_size=grid,
-                range_samples=rep.range_samples,
-                lams=rep.lams,
-                statuses=rep.statuses,
-                hull_vertices=rep.hull_vertices,
-                hartman_wintner=True,
-                convex_bound=rep.verdict,
-                counterexamples=list(rep.counterexamples),
-            )
-            artifacts["spectrum_0.csv"] = spectra.report_csv_rows(full)
+            artifacts["spectrum_0.csv"] = spectra.report_csv_rows(rep)
     return {
         "symbols": len(symbols),
         "lambda_points": params["lambda_points"] ** 2,
@@ -586,7 +572,7 @@ def _check_weighted_hardy(params, seed):
     circle_diff = 0.0
     for text in ("z", "z + zbar", "(2+1j)*z^2 + zbar"):
         p = LaurentPoly.from_text(text)
-        a = hardy.truncated_toeplitz(p, leb, 24).array
+        a = hardy.truncated_toeplitz(p, leb, 24)
         b = circle.toeplitz_matrix(p, 25)
         circle_diff = max(circle_diff, float(np.max(np.abs(a - b))))
 

@@ -29,8 +29,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import PreconditionError
-from .linalg import CMatrix, op_norm
+from .errors import InvariantError, PreconditionError
+from .linalg import op_norm
 from .symbols import LaurentPoly, sup_norm
 
 __all__ = [
@@ -55,15 +55,12 @@ __all__ = [
     "ANALYTIC_TOEPLITZ",
     "cross_section_isometry",
     "CrossSectionReport",
-    "exact_sequence_report",
-    "ExactSequenceReport",
     "toeplitz_matrix",
     "truncation",
     "truncation_norm",
     "norm_bracket",
     "diff_max",
-    "element_to_json",
-    "element_from_json",
+    "symbol_diff_max",
 ]
 
 _FLUSH = 1e-14
@@ -100,16 +97,10 @@ class ToeplitzElement:
         self.symbol = symbol
         if correction is None:
             a = np.zeros((0, 0), dtype=complex)
-        elif isinstance(correction, CMatrix):
-            a = _canonical_correction(correction.array)
         else:
             a = _canonical_correction(correction)
         a.setflags(write=False)
         self._corr = a
-
-    @property
-    def correction(self):
-        return CMatrix(self._corr) if self._corr.size else CMatrix.zeros(0, 0)
 
     @property
     def corr_array(self):
@@ -271,11 +262,12 @@ def is_toeplitz(x, tol=0.0):
     """True when the correction block is empty.
 
     Cross-checked against the fixed-point criterion phi_map(X) == X; the two
-    are equivalent on this class and are asserted to agree.
+    are equivalent on this class, and InvariantError is raised if they differ.
     """
     structural = x.corr_array.size == 0
     dynamical = diff_max(phi_map(x), x) <= tol
-    assert structural == dynamical, "fixed-point and structural Toeplitz tests disagree"
+    if structural != dynamical:
+        raise InvariantError("fixed-point and structural Toeplitz tests disagree")
     return structural
 
 
@@ -283,18 +275,26 @@ def semicommutator(phi, psi):
     """T_phi T_psi - T_{phi psi}: zero symbol, block inside the degree box."""
     prod = mul(make_toeplitz(phi), make_toeplitz(psi))
     s = prod - make_toeplitz(phi * psi)
-    assert s.symbol.is_zero(), "semicommutator symbol failed to cancel"
+    if not s.symbol.is_zero():
+        raise InvariantError("semicommutator symbol failed to cancel")
     r, c = s.active_size
-    assert r <= phi.deg_pos() and c <= psi.deg_neg(), "semicommutator escaped its degree box"
+    if r > phi.deg_pos() or c > psi.deg_neg():
+        raise InvariantError("semicommutator escaped its degree box")
     return s
+
+
+def symbol_diff_max(a, b):
+    """Largest coefficient deviation between two symbols."""
+    d = 0.0
+    ca, cb = a.coeffs, b.coeffs
+    for e in set(ca) | set(cb):
+        d = max(d, abs(ca.get(e, 0j) - cb.get(e, 0j)))
+    return d
 
 
 def diff_max(x, y):
     """Largest deviation between two elements, over coefficients and blocks."""
-    d = 0.0
-    cs, co = x.symbol.coeffs, y.symbol.coeffs
-    for e in set(cs) | set(co):
-        d = max(d, abs(cs.get(e, 0j) - co.get(e, 0j)))
+    d = symbol_diff_max(x.symbol, y.symbol)
     diff = _padded_sum(x.corr_array, -y.corr_array)
     if diff.size:
         d = max(d, float(np.max(np.abs(diff))))
@@ -501,7 +501,7 @@ class CommutantReport:
 def commutant_character(x, trunc=1024, sup_grid=16384):
     """Decide membership of X in the commutant of the shift.
 
-    Two routes, asserted to agree: (a) X and X*X are both Toeplitz, (b) X
+    Two routes, required to agree: (a) X and X*X are both Toeplitz, (b) X
     commutes with T_z. Membership forces X = T_psi with psi analytic; the
     report then carries the lift evidence (the symbol acting by bilateral
     multiplication has norm sup|psi|, bracketed against the compression norm).
@@ -513,12 +513,14 @@ def commutant_character(x, trunc=1024, sup_grid=16384):
     # exact on this class: both products run the same convolution code path,
     # and a trimmed nonzero correction always leaves a nonzero commutator row
     commutes = diff_max(mul(x, shift), mul(shift, x)) == 0.0
-    assert both == commutes, "commutant criteria disagree"
+    if both != commutes:
+        raise InvariantError("commutant criteria disagree")
     if not is_t:
         cls = NOT_TOEPLITZ
     elif both:
         cls = ANALYTIC_TOEPLITZ
-        assert x.symbol.is_analytic(), "analytic classification with non-analytic symbol"
+        if not x.symbol.is_analytic():
+            raise InvariantError("analytic classification with non-analytic symbol")
     else:
         cls = TOEPLITZ_NOT_ANALYTIC
     lift = None
@@ -527,59 +529,3 @@ def commutant_character(x, trunc=1024, sup_grid=16384):
         tl = truncation_norm(x.symbol, trunc)
         lift = LiftEvidence(x.symbol, lo, up, tl, trunc, abs(tl - lo))
     return CommutantReport(cls, is_t, xstarx_t, commutes, lift)
-
-
-# ---------------------------------------------------------------------------
-# exact-sequence bookkeeping
-
-
-@dataclass(frozen=True)
-class ExactSequenceReport:
-    """One product, viewed through the symbol map and its kernel."""
-
-    product_symbol: LaurentPoly
-    multiplicative_residual: float
-    star_residual: float
-    correction_rank: int
-    kernel_member: bool
-
-
-def exact_sequence_report(x, y):
-    p = mul(x, y)
-    prod_sym = symbol_map(x) * symbol_map(y)
-    mult = _sym_diff(symbol_map(p), prod_sym)
-    star = _sym_diff(symbol_map(adjoint(x)), symbol_map(x).conjugate())
-    corr = p.corr_array
-    rank = int(np.linalg.matrix_rank(corr)) if corr.size else 0
-    kernel = (p - make_toeplitz(prod_sym)).symbol.is_zero()
-    return ExactSequenceReport(prod_sym, mult, star, rank, kernel)
-
-
-def _sym_diff(a, b):
-    d = 0.0
-    ca, cb = a.coeffs, b.coeffs
-    for e in set(ca) | set(cb):
-        d = max(d, abs(ca.get(e, 0j) - cb.get(e, 0j)))
-    return d
-
-
-# ---------------------------------------------------------------------------
-# serialization
-
-
-def element_to_json(x):
-    """JSON-ready dict; floats survive a json round trip bit for bit."""
-    r, c = x.active_size
-    entries = [[v.real, v.imag] for v in x.corr_array.ravel()]
-    sym = {str(e[0]): [v.real, v.imag] for e, v in sorted(x.symbol.terms())}
-    return {"symbol": sym, "correction": {"rows": r, "cols": c, "entries": entries}}
-
-
-def element_from_json(obj):
-    coeffs = {int(k): complex(v[0], v[1]) for k, v in obj["symbol"].items()}
-    corr = obj["correction"]
-    r, c = int(corr["rows"]), int(corr["cols"])
-    block = np.array(
-        [complex(a, b) for a, b in corr["entries"]], dtype=complex
-    ).reshape(r, c) if r * c else np.zeros((0, 0), dtype=complex)
-    return ToeplitzElement(LaurentPoly(1, coeffs), block)

@@ -12,6 +12,7 @@ from __future__ import annotations
 import argparse
 import csv
 import json
+import math
 import platform
 import sys
 import time
@@ -23,35 +24,14 @@ from .symbols import LaurentPoly, sup_norm, winding
 
 _SUITE_NAMES = checks.SUITES
 
-_COUNT_KEYS = (
-    "trials",
-    "max_degree",
-    "max_correction",
-    "elements",
-    "planted",
-    "commutant_symbols",
-    "commutant_truncation",
-    "cross_section_truncation",
-    "spectra_symbols",
-    "spectra_degree",
-    "lambda_points",
-    "grid_size",
-    "probes",
-    "nr_thetas",
-    "nr_truncation",
-    "sphere_degree",
-    "sphere_symbols",
-    "mc_samples",
-    "mc_alphas",
-    "tensor_trials",
-    "hardy_window",
-)
-
-_LIST_KEYS = ("sphere_dims", "hardy_degrees")
-
 
 def validate_scenario(obj, origin="scenario"):
-    """Return (name, seed, suite, params) or raise UsageError naming the field."""
+    """Return (name, seed, suite, params) or raise UsageError naming the field.
+
+    Each parameter's kind comes from its default in `checks.DEFAULT_PARAMS`:
+    an int is a count >= 1, a list of ints a nonempty list of counts;
+    `symbols` and `tolerances` have their own rules.
+    """
     if not isinstance(obj, dict):
         raise UsageError(f"{origin}: expected a JSON object")
     for key in obj:
@@ -76,6 +56,7 @@ def validate_scenario(obj, origin="scenario"):
         where = f"{origin}.parameters.{key}"
         if key not in params:
             raise UsageError(f"{where}: unknown parameter")
+        default = checks.DEFAULT_PARAMS[key]
         if key == "tolerances":
             if not isinstance(value, dict):
                 raise UsageError(f"{where}: expected a JSON object")
@@ -84,7 +65,13 @@ def validate_scenario(obj, origin="scenario"):
                     raise UsageError(f"{where}.{tk}: unknown tolerance")
                 if not isinstance(tv, (int, float)) or isinstance(tv, bool) or tv <= 0:
                     raise UsageError(f"{where}.{tk}: tolerances must be > 0")
-                params["tolerances"][tk] = float(tv)
+                try:
+                    tv = float(tv)
+                except OverflowError:  # an integer beyond the float range
+                    tv = math.inf
+                if not math.isfinite(tv):
+                    raise UsageError(f"{where}.{tk}: tolerances must be finite")
+                params["tolerances"][tk] = tv
         elif key == "symbols":
             if not isinstance(value, list) or not all(isinstance(s, str) for s in value):
                 raise UsageError(f"{where}: expected a list of symbol strings")
@@ -98,7 +85,7 @@ def validate_scenario(obj, origin="scenario"):
                 if phi.band() > params["nr_truncation"] // 8:
                     raise UsageError(f"{where}[{i}]: band too large for this run")
             params[key] = list(value)
-        elif key in _LIST_KEYS:
+        elif isinstance(default, list):
             if (
                 not isinstance(value, list)
                 or not value
@@ -106,7 +93,7 @@ def validate_scenario(obj, origin="scenario"):
             ):
                 raise UsageError(f"{where}: expected a nonempty list of integers >= 1")
             params[key] = list(value)
-        elif key in _COUNT_KEYS:
+        elif isinstance(default, int):
             if isinstance(value, bool) or not isinstance(value, int) or value < 1:
                 raise UsageError(f"{where}: expected an integer >= 1")
             params[key] = value

@@ -5,15 +5,6 @@ class PreconditionError(ValueError):
     """An operation was called outside its stated domain."""
 
 
-class RankDeficiencyError(ValueError):
-    """Least-squares system does not have full column rank."""
-
-    def __init__(self, rank, cols):
-        self.rank = rank
-        self.cols = cols
-        super().__init__(f"rank-deficient system: detected rank {rank} < {cols} columns")
-
-
 class OnCurveError(ValueError):
     """Winding number is undefined: the point sits too close to the sampled curve."""
 
@@ -37,6 +28,10 @@ class ConditioningError(ValueError):
 
 class ResourceLimitError(RuntimeError):
     """A structural size bound was exceeded (term counts, multi-index degrees)."""
+
+
+class InvariantError(RuntimeError):
+    """Two routes to the same answer disagree: a defect in the code, not in the input."""
 
 
 class UsageError(ValueError):

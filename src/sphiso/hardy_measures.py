@@ -14,7 +14,6 @@ import numpy as np
 from scipy.linalg import solve_triangular
 
 from .errors import ConditioningError, PreconditionError
-from .linalg import CMatrix
 
 __all__ = [
     "CircleMeasure",
@@ -78,21 +77,6 @@ class CircleMeasure:
     def lebesgue(cls):
         return cls({0: 1.0})
 
-    @classmethod
-    def from_config(cls, obj, min_density=1e-9):
-        dens = obj["density"]
-        coeffs = {}
-        for k, v in dens.items():
-            coeffs[int(k)] = complex(v[0], v[1]) if isinstance(v, (list, tuple)) else complex(v)
-        return cls(coeffs, min_density=min_density)
-
-    def to_config(self):
-        return {
-            "density": {
-                str(k): [c.real, c.imag] for k, c in sorted(self.coeffs.items())
-            }
-        }
-
     def __repr__(self):
         return f"CircleMeasure(degree={self.degree}, min={self._density_min:.3g})"
 
@@ -148,7 +132,10 @@ def onb(m, d):
 
 
 def truncated_toeplitz(phi, m, d):
-    """Matrix <phi p_j, p_i>_m on the orthonormal basis, exact convolutions."""
+    """Matrix <phi p_j, p_i>_m on the orthonormal basis, exact convolutions.
+
+    Returns a read-only array; PreconditionError if an entry is not finite.
+    """
     if phi.nvars != 1:
         raise PreconditionError("weighted truncations take one-variable symbols")
     band = phi.band()
@@ -170,14 +157,18 @@ def truncated_toeplitz(phi, m, d):
         val = m.w_hat(k)
         if val != 0:
             w[diff == k] = val
-    return CMatrix(c.conj() @ (w @ u))
+    out = c.conj() @ (w @ u)
+    if not np.isfinite(out).all():
+        raise PreconditionError("weighted truncation has non-finite entries")
+    out.setflags(write=False)
+    return out
 
 
 def shift_isometry_residual(m, d):
     """max |S* S - I| over columns 0..d-2, S the compressed multiplication by z."""
     from .symbols import LaurentPoly
 
-    s = truncated_toeplitz(LaurentPoly.variable(0, 1), m, d).array
+    s = truncated_toeplitz(LaurentPoly.variable(0, 1), m, d)
     g = s.conj().T @ s - np.eye(d + 1)
     return float(np.max(np.abs(g[: d - 1, : d - 1])))
 
@@ -197,8 +188,8 @@ def brown_halmos_residual(phi, m, window, degrees):
     out = []
     z = LaurentPoly.variable(0, 1)
     for d in degrees:
-        x = truncated_toeplitz(phi, m, d).array
-        s = truncated_toeplitz(z, m, d).array
+        x = truncated_toeplitz(phi, m, d)
+        s = truncated_toeplitz(z, m, d)
         r = s.conj().T @ x @ s - x
         out.append((int(d), float(np.max(np.abs(r[:window, :window])))))
     return out

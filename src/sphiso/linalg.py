@@ -1,168 +1,23 @@
-"""Dense complex linear-algebra kernel shared by the operator models.
+"""Operator norm of a dense complex matrix, shared by the operator models.
 
-Everything here is dense and hermitian-safe: eigenvalues are only ever
-computed for (numerically) hermitian matrices, operator norms go through
-singular values, and least squares refuses rank-deficient systems instead
-of silently regularizing. Intended sizes are a few thousand at most.
+The norm is the largest singular value from a dense SVD. Intended sizes are
+a few thousand at most.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from .errors import PreconditionError, RankDeficiencyError
+from .errors import PreconditionError
 
-__all__ = ["CMatrix", "herm_eigs", "herm_eig_pairs", "op_norm", "solve_lsq", "LsqSolution"]
-
-_RANK_TOL = 1e-10
+__all__ = ["op_norm"]
 
 
-class CMatrix:
-    """Immutable dense complex matrix (row-major), entries required finite."""
-
-    __slots__ = ("_a",)
-
-    def __init__(self, entries):
-        a = np.asarray(entries, dtype=complex)
-        if a.ndim != 2:
-            raise PreconditionError(f"CMatrix needs a 2-d array, got ndim={a.ndim}")
-        if a.size and not (np.all(np.isfinite(a.real)) and np.all(np.isfinite(a.imag))):
-            raise PreconditionError("CMatrix entries must be finite")
-        a = a.copy()
-        a.setflags(write=False)
-        self._a = a
-
-    @classmethod
-    def zeros(cls, rows, cols):
-        return cls(np.zeros((rows, cols), dtype=complex))
-
-    @classmethod
-    def identity(cls, n):
-        return cls(np.eye(n, dtype=complex))
-
-    @property
-    def rows(self):
-        return self._a.shape[0]
-
-    @property
-    def cols(self):
-        return self._a.shape[1]
-
-    @property
-    def array(self):
-        """Read-only ndarray view of the entries."""
-        return self._a
-
-    def entry(self, i, j):
-        return complex(self._a[i, j])
-
-    def adjoint(self):
-        return CMatrix(self._a.conj().T)
-
-    def __matmul__(self, other):
-        if isinstance(other, CMatrix):
-            return CMatrix(self._a @ other._a)
-        return NotImplemented
-
-    def __add__(self, other):
-        if isinstance(other, CMatrix):
-            return CMatrix(self._a + other._a)
-        return NotImplemented
-
-    def __sub__(self, other):
-        if isinstance(other, CMatrix):
-            return CMatrix(self._a - other._a)
-        return NotImplemented
-
-    def __repr__(self):
-        return f"CMatrix({self.rows}x{self.cols})"
-
-    def allclose(self, other, tol=0.0):
-        if self._a.shape != other._a.shape:
-            return False
-        if self._a.size == 0:
-            return True
-        return float(np.max(np.abs(self._a - other._a))) <= tol
-
-
-def _as_array(mat):
-    if isinstance(mat, CMatrix):
-        return mat.array
+def op_norm(mat):
+    """Largest singular value, sqrt(max eig of A*A); 0.0 for an empty matrix."""
     a = np.asarray(mat, dtype=complex)
     if a.ndim != 2:
         raise PreconditionError("expected a matrix")
-    return a
-
-
-def herm_eigs(mat, tol=1e-12):
-    """Eigenvalues of a hermitian matrix, ascending.
-
-    Raises PreconditionError when max|A - A*| > tol. The result carries the
-    usual LAPACK backward-error guarantee, far below any tol callers use here.
-    """
-    a = _as_array(mat)
-    if a.shape[0] != a.shape[1]:
-        raise PreconditionError("herm_eigs needs a square matrix")
-    if a.size == 0:
-        return []
-    dev = float(np.max(np.abs(a - a.conj().T)))
-    if dev > tol:
-        raise PreconditionError(f"matrix is not hermitian: max|A - A*| = {dev:.3e} > {tol:.3e}")
-    w = np.linalg.eigvalsh(a)
-    return [float(x) for x in w]
-
-
-def herm_eig_pairs(mat, tol=1e-12):
-    """(eigenvalues ascending, eigenvector columns) for a hermitian matrix."""
-    a = _as_array(mat)
-    if a.shape[0] != a.shape[1]:
-        raise PreconditionError("herm_eig_pairs needs a square matrix")
-    dev = float(np.max(np.abs(a - a.conj().T))) if a.size else 0.0
-    if dev > tol:
-        raise PreconditionError(f"matrix is not hermitian: max|A - A*| = {dev:.3e} > {tol:.3e}")
-    w, v = np.linalg.eigh(a)
-    return w, v
-
-
-def op_norm(mat, tol=1e-12):
-    """Largest singular value, sqrt(max eig of A*A). tol is accepted for
-    interface symmetry; dense SVD is accurate well past it."""
-    a = _as_array(mat)
     if a.size == 0:
         return 0.0
     return float(np.linalg.svd(a, compute_uv=False)[0])
-
-
-class LsqSolution:
-    """Solution vector plus the achieved residual norm."""
-
-    __slots__ = ("x", "residual")
-
-    def __init__(self, x, residual):
-        self.x = x
-        self.residual = float(residual)
-
-    def __iter__(self):
-        yield self.x
-        yield self.residual
-
-
-def solve_lsq(mat, rhs):
-    """Least-squares solve min ||Ax - b||_2 for full-column-rank A.
-
-    Rank is detected from singular values with relative threshold 1e-10;
-    deficiency raises RankDeficiencyError carrying the detected rank.
-    """
-    a = _as_array(mat)
-    b = np.asarray(rhs, dtype=complex).reshape(-1)
-    if b.shape[0] != a.shape[0]:
-        raise PreconditionError(f"rhs length {b.shape[0]} != rows {a.shape[0]}")
-    if a.shape[1] == 0:
-        raise PreconditionError("system has no columns")
-    sv = np.linalg.svd(a, compute_uv=False)
-    rank = int(np.sum(sv > _RANK_TOL * sv[0])) if sv.size else 0
-    if rank < a.shape[1]:
-        raise RankDeficiencyError(rank, a.shape[1])
-    x, _, _, _ = np.linalg.lstsq(a, b, rcond=None)
-    res = float(np.linalg.norm(a @ x - b))
-    return LsqSolution(x, res)

@@ -25,8 +25,6 @@ import numpy as np
 from .circle_calculus import (
     ToeplitzElement,
     adjoint,
-    element_from_json,
-    element_to_json,
     identity,
     mul,
     phi_map,
@@ -48,8 +46,6 @@ __all__ = [
     "IsometryReport",
     "gamma_equation_residual",
     "GammaReport",
-    "tensor_to_json",
-    "tensor_from_json",
 ]
 
 _TERM_CAP = 4096
@@ -236,20 +232,3 @@ def gamma_equation_residual(x, trunc=32):
     br = norm_bracket(r, trunc)
     verdict = "TOEPLITZ" if br[1] <= 1e-10 else "NOT_TOEPLITZ"
     return GammaReport(br, verdict, False, len(r.terms))
-
-
-def tensor_to_json(x):
-    return {
-        "terms": [
-            {"left": element_to_json(a), "right": element_to_json(b)} for a, b in x.terms
-        ]
-    }
-
-
-def tensor_from_json(obj):
-    return TensorElement(
-        [
-            (element_from_json(t["left"]), element_from_json(t["right"]))
-            for t in obj["terms"]
-        ]
-    )

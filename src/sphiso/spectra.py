@@ -26,11 +26,11 @@ refined hull grid can reach the hull at all, so only those are evaluated.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
-from .circle_calculus import ToeplitzElement, adjoint, truncation
+from .circle_calculus import ToeplitzElement, truncation
 from .errors import PreconditionError
 from .linalg import op_norm
 from .symbols import (
@@ -54,9 +54,6 @@ __all__ = [
     "convex_bound_check",
     "NumericalRangeReport",
     "numerical_range_support",
-    "SpectrumReport",
-    "spectrum_report",
-    "report_to_json",
     "report_csv_rows",
 ]
 
@@ -293,6 +290,10 @@ class ConvexBoundReport:
     refined_clamped: bool
     hull_points: int
 
+    def __post_init__(self):
+        if self.verdict != (not self.counterexamples):
+            raise PreconditionError("verdict inconsistent with counterexample list")
+
 
 def _boundary_depth(hull, points):
     """Distance from each point to the boundary of a polygon hull, negative
@@ -443,65 +444,8 @@ def numerical_range_support(x, thetas, trunc):
     )
 
 
-@dataclass(frozen=True)
-class SpectrumReport:
-    symbol_text: str
-    grid_size: int
-    range_samples: np.ndarray
-    lams: np.ndarray
-    statuses: np.ndarray
-    hull_vertices: np.ndarray
-    hartman_wintner: bool
-    convex_bound: bool
-    counterexamples: list = field(default_factory=list)
-
-    def __post_init__(self):
-        both = self.hartman_wintner and self.convex_bound
-        if both != (not self.counterexamples):
-            raise PreconditionError("verdicts inconsistent with counterexample list")
-
-
-def spectrum_report(phi, lams=None, grid_size=512, probes=100, seed=11):
-    """Full report: essential-range inclusion plus the convex-hull bound."""
-    if lams is None:
-        lams = lambda_grid(phi, 200, grid_size)
-    hw = hartman_wintner_check(phi, grid_size, probes, seed)
-    cb = convex_bound_check(phi, lams, grid_size)
-    return SpectrumReport(
-        symbol_text=phi.to_text(),
-        grid_size=grid_size,
-        range_samples=eval_grid(phi, grid_size).samples,
-        lams=cb.lams,
-        statuses=cb.statuses,
-        hull_vertices=cb.hull_vertices,
-        hartman_wintner=hw.verdict,
-        convex_bound=cb.verdict,
-        counterexamples=list(hw.counterexamples) + list(cb.counterexamples),
-    )
-
-
-def _clist(arr):
-    return [[float(v.real), float(v.imag)] for v in np.asarray(arr, dtype=complex)]
-
-
-def report_to_json(rep):
-    return {
-        "symbol": rep.symbol_text,
-        "grid_size": rep.grid_size,
-        "range_samples": _clist(rep.range_samples),
-        "lams": _clist(rep.lams),
-        "statuses": [str(s) for s in rep.statuses],
-        "hull_vertices": _clist(rep.hull_vertices),
-        "verdicts": {
-            "hartman_wintner": rep.hartman_wintner,
-            "convex_bound": rep.convex_bound,
-        },
-        "counterexamples": _clist(rep.counterexamples),
-    }
-
-
 def report_csv_rows(rep):
-    """(lambda_re, lambda_im, status) rows for plotting."""
+    """(lambda_re, lambda_im, status) rows of a ConvexBoundReport, for plotting."""
     rows = [("lambda_re", "lambda_im", "status")]
     for lam, st in zip(rep.lams, rep.statuses):
         rows.append((repr(float(lam.real)), repr(float(lam.imag)), str(st)))

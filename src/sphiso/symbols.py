@@ -30,10 +30,6 @@ __all__ = [
     "sup_norm",
     "conv_hull",
     "Hull",
-    "SphericalMultifunction",
-    "circle_coordinates",
-    "sphere_coordinates",
-    "torus_coordinates",
 ]
 
 
@@ -660,64 +656,3 @@ def conv_hull(points):
         idx = np.lexsort((pts.imag, pts.real))
         return Hull(np.array([pts[idx[0]], pts[idx[-1]]]))
     return Hull(verts)
-
-
-# ---------------------------------------------------------------------------
-# coordinate multifunctions
-
-
-class SphericalMultifunction:
-    """Tuple of symbols with sum_j |phi_j|^2 = 1 on its domain.
-
-    domain is "circle", "sphere", or "torus"; validation samples the domain
-    and enforces the identity within 1e-12.
-    """
-
-    def __init__(self, components, domain, gamma=1.0, rng_seed=7, validate=True):
-        self.components = tuple(components)
-        if not self.components:
-            raise PreconditionError("need at least one component")
-        self.domain = domain
-        self.n = self.components[0].nvars
-        self.gamma = float(gamma)
-        if any(c.nvars != self.n for c in self.components):
-            raise PreconditionError("components disagree on variable count")
-        if domain not in ("circle", "sphere", "torus"):
-            raise PreconditionError(f"unknown domain {domain!r}")
-        if validate:
-            dev = self.partition_defect(rng_seed=rng_seed)
-            if dev > 1e-12:
-                raise PreconditionError(f"sum |phi_j|^2 deviates from 1 by {dev:.3e}")
-
-    def partition_defect(self, rng_seed=7):
-        if self.domain in ("circle", "torus"):
-            g = 32 if self.n > 1 else 256
-            g = max(g, 4 * (1 + max(c.band() for c in self.components)))
-            acc = None
-            for c in self.components:
-                s = np.abs(eval_grid(c, g).samples) ** 2
-                acc = s if acc is None else acc + s
-        else:
-            rng = np.random.default_rng(rng_seed)
-            v = rng.standard_normal((512, self.n)) + 1j * rng.standard_normal((512, self.n))
-            v /= np.linalg.norm(v, axis=1, keepdims=True)
-            acc = None
-            for c in self.components:
-                s = np.abs(c.eval_at(v)) ** 2
-                acc = s if acc is None else acc + s
-        return float(np.max(np.abs(acc - 1.0)))
-
-
-def circle_coordinates():
-    return SphericalMultifunction([LaurentPoly.variable(0, 1)], "circle")
-
-
-def sphere_coordinates(n):
-    comps = [LaurentPoly.variable(j, n) for j in range(n)]
-    return SphericalMultifunction(comps, "sphere")
-
-
-def torus_coordinates(n):
-    g = float(np.sqrt(n))
-    comps = [LaurentPoly.variable(j, n) * (1.0 / g) for j in range(n)]
-    return SphericalMultifunction(comps, "torus", gamma=g)

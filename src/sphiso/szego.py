@@ -40,10 +40,7 @@ __all__ = [
     "defect_report",
     "DefectReport",
     "multiindices",
-    "to_dense",
     "normal_extension_defect",
-    "graded_to_json",
-    "graded_from_json",
 ]
 
 _MAX_TOTAL_DEGREE = 60
@@ -290,15 +287,6 @@ class GradedOperator:
         return f"GradedOperator(n={self.n}, d={self.d}, nnz={len(self.entries)})"
 
 
-def to_dense(x, order=None):
-    order = order or multiindices(x.n, x.d)
-    pos = {a: i for i, a in enumerate(order)}
-    out = np.zeros((len(order), len(order)), dtype=complex)
-    for (b, a), c in x.entries.items():
-        out[pos[b], pos[a]] = c
-    return out
-
-
 @dataclass(frozen=True)
 class SzegoTuple:
     n: int
@@ -432,25 +420,3 @@ def normal_extension_defect(n, degree):
             val = float(g) / math.sqrt(float(sphere_moment(n, a)) * float(g))
             worst = max(worst, abs(val - t.shifts[j].entry(b, a)))
     return worst
-
-
-# ---------------------------------------------------------------------------
-# serialization
-
-
-def graded_to_json(x):
-    ent = {
-        ",".join(map(str, b)) + "|" + ",".join(map(str, a)): [c.real, c.imag]
-        for (b, a), c in sorted(x.entries.items())
-    }
-    return {"n": x.n, "d": x.d, "safe_degree": x.safe_degree, "entries": ent}
-
-
-def graded_from_json(obj):
-    entries = {}
-    for key, (re, im) in obj["entries"].items():
-        bs, as_ = key.split("|")
-        b = tuple(int(v) for v in bs.split(","))
-        a = tuple(int(v) for v in as_.split(","))
-        entries[(b, a)] = complex(re, im)
-    return GradedOperator(obj["n"], obj["d"], entries, safe_degree=obj["safe_degree"])

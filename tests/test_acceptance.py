@@ -6,6 +6,8 @@ Each test drives the corresponding registered check with the default
 """
 
 import json
+import subprocess
+import sys
 import time
 from pathlib import Path
 
@@ -151,3 +153,56 @@ def test_criterion_10_deterministic_reports(tmp_path):
     bytes_b = (run_b / "report.json").read_bytes()
     assert bytes_a == bytes_b
     print("PASS criterion 10: rerun report.json byte-identical")
+
+
+# every check at small sizes, so two fresh interpreters finish in seconds
+REDUCED = {
+    "name": "reduced",
+    "seed": 31,
+    "suite": "all",
+    "parameters": {
+        "trials": 4,
+        "max_degree": 3,
+        "max_correction": 3,
+        "elements": 12,
+        "planted": 3,
+        "commutant_symbols": 3,
+        "commutant_truncation": 128,
+        "cross_section_truncation": 128,
+        "spectra_symbols": 2,
+        "spectra_degree": 3,
+        "lambda_points": 30,
+        "probes": 10,
+        "nr_thetas": 4,
+        "nr_truncation": 64,
+        "sphere_dims": [2],
+        "sphere_degree": 6,
+        "sphere_symbols": 2,
+        "mc_samples": 2000,
+        "mc_alphas": 2,
+        "tensor_trials": 3,
+        "hardy_degrees": [16, 32],
+        "hardy_window": 4,
+    },
+}
+
+
+def test_criterion_10_reports_identical_across_processes(tmp_path, child_env):
+    scenario = tmp_path / "reduced.json"
+    scenario.write_text(json.dumps(REDUCED))
+    reports = []
+    for hash_seed in ("0", "12345"):
+        out = tmp_path / f"hashseed-{hash_seed}"
+        done = subprocess.run(
+            [sys.executable, "-m", "sphiso", "run", str(scenario), "--out", str(out)],
+            env=dict(child_env, PYTHONHASHSEED=hash_seed),
+            capture_output=True,
+            text=True,
+            timeout=300,
+        )
+        assert done.returncode == 0, done.stdout + done.stderr
+        (run_dir,) = out.iterdir()
+        reports.append((run_dir / "report.json").read_bytes())
+    assert reports[0] == reports[1]
+    assert len(json.loads(reports[0])["checks"]) == len(checks.REGISTRY)
+    print("PASS criterion 10: report.json byte-identical across PYTHONHASHSEED 0 and 12345")

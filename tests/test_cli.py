@@ -42,7 +42,7 @@ def test_validate_defaults():
     assert params == checks.DEFAULT_PARAMS
 
 
-def test_validate_rejects():
+def test_validate_rejects(tmp_path, capsys):
     cases = [
         ({"seed": True}, ".seed"),
         ({"seed": -1}, ".seed"),
@@ -61,6 +61,9 @@ def test_validate_rejects():
         ({"parameters": {"symbols": ["z^40"]}}, "band too large"),
         ({"parameters": {"tolerances": {"identity": 0}}}, "tolerances must be > 0"),
         ({"parameters": {"tolerances": {"other": 1e-6}}}, "unknown tolerance"),
+        ({"parameters": {"tolerances": {"gap": float("inf")}}}, "gap: tolerances must be finite"),
+        ({"parameters": {"tolerances": {"gap": float("nan")}}}, "gap: tolerances must be finite"),
+        ({"parameters": {"tolerances": {"gap": 10**400}}}, "gap: tolerances must be finite"),
         # tolerances belong under parameters; a top-level key must not pass silently
         ({"tolerances": {"gap": 1e-9}}, ".tolerances: unknown key"),
         ({"extra": 1}, ".extra: unknown key"),
@@ -69,6 +72,34 @@ def test_validate_rejects():
         with pytest.raises(UsageError) as ei:
             cli.validate_scenario(obj)
         assert needle in str(ei.value), (obj, str(ei.value))
+    # json.loads reads the non-standard literals Infinity and NaN as floats
+    for literal in ("Infinity", "NaN"):
+        path = tmp_path / f"{literal}.json"
+        path.write_text('{"parameters": {"tolerances": {"identity": %s}}}' % literal)
+        assert cli.main(["run", str(path), "--out", str(tmp_path / "runs")]) == 2
+        err = capsys.readouterr().err
+        assert "parameters.tolerances.identity: tolerances must be finite" in err, err
+    assert not (tmp_path / "runs").exists()
+
+
+def test_validate_parameter_kinds():
+    # a parameter's kind follows the type of its default
+    counts = [k for k, v in checks.DEFAULT_PARAMS.items() if isinstance(v, int)]
+    lists = [
+        k for k, v in checks.DEFAULT_PARAMS.items() if isinstance(v, list) and k != "symbols"
+    ]
+    assert len(counts) == 21
+    assert lists == ["sphere_dims", "hardy_degrees"]
+    for key in counts:
+        for bad in (0, True, 2.0, [1]):
+            with pytest.raises(UsageError, match=f"{key}: expected an integer >= 1"):
+                cli.validate_scenario({"parameters": {key: bad}})
+    for key in lists:
+        for bad in ([], 3, [1, 0], [True], [1.0]):
+            with pytest.raises(UsageError, match=f"{key}: expected a nonempty list"):
+                cli.validate_scenario({"parameters": {key: bad}})
+        _, _, _, params = cli.validate_scenario({"parameters": {key: [2, 3]}})
+        assert params[key] == [2, 3]
 
 
 def test_validate_tolerance_override():

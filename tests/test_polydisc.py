@@ -1,4 +1,3 @@
-import json
 import math
 
 import numpy as np
@@ -222,19 +221,3 @@ def test_gamma_equation_corrected_tensor_detected():
     # the planted corner term alone is flagged
     alone = pd.gamma_equation_residual(elem(E00, E00))
     assert alone.verdict == "NOT_TOEPLITZ"
-
-
-# ---------------------------------------------------------------------------
-# serialization
-
-
-def test_tensor_json_round_trip():
-    rng = rng_for(7)
-    x = random_tensor(rng, 3)
-    wire = json.loads(json.dumps(pd.tensor_to_json(x)))
-    y = pd.tensor_from_json(wire)
-    assert len(y.terms) == len(x.terms)
-    for (a1, b1), (a2, b2) in zip(y.terms, x.terms):
-        assert a1.symbol == a2.symbol and np.array_equal(a1.corr_array, a2.corr_array)
-        assert b1.symbol == b2.symbol and np.array_equal(b1.corr_array, b2.corr_array)
-    assert pd.tensor_equals(x, y, tol=0.0)

@@ -1,4 +1,3 @@
-import json
 import math
 
 import numpy as np
@@ -238,38 +237,41 @@ def test_deep_spectrum_points_inside_numerical_range():
 
 
 def test_spectrum_report_shift():
-    rep = sp.spectrum_report(Z, grid_size=512)
-    assert rep.hartman_wintner and rep.convex_bound
-    assert rep.counterexamples == []
-    assert rep.lams.size == 200 * 200
+    # both certificates behind spectrum_0.csv hold for the shift
+    hw = sp.hartman_wintner_check(Z, grid_size=512)
+    cb = sp.convex_bound_check(Z, sp.lambda_grid(Z, 200, 512), grid_size=512)
+    assert hw.verdict and cb.verdict
+    assert hw.counterexamples == [] and cb.counterexamples == []
+    assert cb.lams.size == 200 * 200
 
 
 def test_spectrum_report_consistency_guard():
     arr = np.array([], dtype=complex)
     with pytest.raises(PreconditionError):
-        sp.SpectrumReport(
-            symbol_text="z",
-            grid_size=512,
-            range_samples=arr,
-            lams=arr,
+        sp.ConvexBoundReport(
             statuses=np.array([], dtype=object),
+            lams=arr,
+            range_samples=arr,
             hull_vertices=arr,
-            hartman_wintner=True,
-            convex_bound=True,
+            tol_on_curve=1e-9,
+            tol_winding=1e-9,
             counterexamples=[1j],
+            verdict=True,
+            refined_size=512,
+            refined_clamped=False,
+            hull_points=0,
         )
 
 
 def test_report_serialization():
-    rep = sp.spectrum_report(Z + ZBAR, lams=sp.lambda_grid(Z + ZBAR, 20), grid_size=512)
-    wire = json.loads(json.dumps(sp.report_to_json(rep)))
-    assert wire["verdicts"]["hartman_wintner"] is True
-    assert wire["verdicts"]["convex_bound"] is True
-    assert len(wire["lams"]) == 400
+    lams = sp.lambda_grid(Z + ZBAR, 20)
+    rep = sp.convex_bound_check(Z + ZBAR, lams, grid_size=512)
+    assert rep.verdict
     rows = sp.report_csv_rows(rep)
     assert rows[0] == ("lambda_re", "lambda_im", "status")
     assert len(rows) == 401
     assert all(r[2] in (sp.ON_CURVE, sp.WINDING_NONZERO, sp.OUTSIDE) for r in rows[1:])
+    assert [complex(float(r[0]), float(r[1])) for r in rows[1:]] == list(rep.lams)
 
 
 def test_curve_tolerance_scales_with_grid():

@@ -1,5 +1,3 @@
-import math
-
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -8,17 +6,12 @@ from scipy.optimize import linprog
 
 from sphiso.errors import OnCurveError, PreconditionError
 from sphiso.symbols import (
-    Hull,
     LaurentPoly,
-    SphericalMultifunction,
-    circle_coordinates,
     conv_hull,
     curve_tolerance,
     eval_grid,
     parse_terms,
-    sphere_coordinates,
     sup_norm,
-    torus_coordinates,
     winding,
 )
 
@@ -306,33 +299,3 @@ def test_text_round_trip(coeffs):
 def test_text_round_trip_two_vars(coeffs):
     p = LaurentPoly(2, coeffs)
     assert LaurentPoly.from_text(p.to_text(), nvars=2) == p
-
-
-# ---------------------------------------------------------------------------
-# coordinate multifunctions
-
-
-def test_circle_coordinates_partition():
-    f = circle_coordinates()
-    assert f.partition_defect() <= 1e-12
-
-
-def test_sphere_coordinates_partition():
-    f = sphere_coordinates(3)
-    assert f.domain == "sphere"
-    assert f.partition_defect() <= 1e-12
-
-
-def test_torus_coordinates_scaled():
-    f = torus_coordinates(2)
-    assert abs(f.gamma - math.sqrt(2)) <= 1e-15
-    assert f.partition_defect() <= 1e-12
-
-
-def test_multifunction_rejects_bad_partition():
-    with pytest.raises(PreconditionError):
-        SphericalMultifunction([Z * 2.0], "circle")
-    with pytest.raises(PreconditionError):
-        SphericalMultifunction([Z], "elsewhere")
-    with pytest.raises(PreconditionError):
-        SphericalMultifunction([], "circle")

@@ -212,17 +212,6 @@ def test_normal_extension_consistency():
 
 
 # ---------------------------------------------------------------------------
-# serialization
-
-
-def test_graded_json_round_trip():
-    x = sz.toeplitz_graded("z1*zbar2 + 0.25*z1^2", 2, 6)
-    y = sz.graded_from_json(sz.graded_to_json(x))
-    assert y.entries == x.entries
-    assert (y.n, y.d, y.safe_degree) == (x.n, x.d, x.safe_degree)
-
-
-# ---------------------------------------------------------------------------
 # the szego_model check's Monte Carlo moment test
 
 
