@@ -31,7 +31,7 @@ import numpy as np
 
 from .errors import InvariantError, PreconditionError
 from .linalg import op_norm
-from .symbols import LaurentPoly, sup_norm
+from .symbols import LaurentPoly, eval_grid, sup_norm
 
 __all__ = [
     "ToeplitzElement",
@@ -70,6 +70,8 @@ def _canonical_correction(arr):
     a = np.asarray(arr, dtype=complex)
     if a.ndim != 2:
         raise PreconditionError("correction must be a matrix")
+    if not np.isfinite(a).all():
+        raise PreconditionError("correction entries must be finite")
     if a.size:
         m = np.max(np.abs(a))
         if m > 0.0:
@@ -188,20 +190,18 @@ def _toeplitz_rect(phi, rows, cols):
     return out
 
 
+def _hankel(p, sign, rows, cols):
+    """H[i, j] = phat(sign * (i + j + 1)), a rows x cols Hankel block."""
+    c = np.array([p.coeff(sign * (s + 1)) for s in range(rows + cols - 1)], dtype=complex)
+    return c[np.add.outer(np.arange(rows), np.arange(cols))]
+
+
 def _semicommutator_block(phi, psi):
+    """C(phi, psi) by Widom's identity, -H(phi) H(psi~): with m = -k - 1 the
+    sum over k <= -1 is the product of H(phi)[i, m] = phihat(i + m + 1) and
+    H(psi~)[m, j] = psihat(-m - j - 1)."""
     rows, cols = phi.deg_pos(), psi.deg_neg()
-    out = np.zeros((rows, cols), dtype=complex)
-    for i in range(rows):
-        for j in range(cols):
-            s = 0j
-            for k in range(-psi.deg_neg(), 0):
-                a = phi.coeff(i - k)
-                if a:
-                    b = psi.coeff(k - j)
-                    if b:
-                        s += a * b
-            out[i, j] = -s
-    return out
+    return -(_hankel(phi, 1, rows, cols) @ _hankel(psi, -1, cols, cols))
 
 
 def mul(x, y):
@@ -411,12 +411,10 @@ class CrossSectionReport:
 def _block_grid_sup(block, grid_size):
     k = len(block)
     g = max(grid_size, max(4 * (1 + p.band()) for row in block for p in row))
-    theta = 2.0 * np.pi * np.arange(g) / g
-    ring = np.exp(1j * theta)
     vals = np.empty((g, k, k), dtype=complex)
     for a in range(k):
         for b in range(k):
-            vals[:, a, b] = block[a][b].eval_at(ring)
+            vals[:, a, b] = eval_grid(block[a][b], g)
     sv = np.linalg.svd(vals, compute_uv=False)
     lower = float(np.max(sv[:, 0]))
     upper = op_norm(np.array([[p.l1_norm() for p in row] for row in block]))

@@ -197,7 +197,8 @@ def cmd_symbol_eval(args):
         raise UsageError(f"--grid must be >= 4 * (1 + band) = {4 * (1 + phi.band())}")
     print(f"symbol:   {phi.to_text()}")
     print(f"nvars:    {phi.nvars}")
-    print(f"degrees:  [-{phi.deg_neg()}, {phi.deg_pos()}]")
+    if phi.nvars == 1:
+        print(f"degrees:  [{-phi.deg_neg()}, {phi.deg_pos()}]")
     print(f"l1 norm:  {phi.l1_norm()!r}")
     lo, up = sup_norm(phi, grid_size=grid)
     print(f"sup |phi|: in [{lo!r}, {up!r}] ({grid}-point grid)")

@@ -10,10 +10,13 @@ Gram matrix G[a, b] = what(a - b); a Cholesky factorization G = L L* turns
 
 from __future__ import annotations
 
+import cmath
+
 import numpy as np
 from scipy.linalg import solve_triangular
 
 from .errors import ConditioningError, PreconditionError
+from .symbols import LaurentPoly, eval_grid
 
 __all__ = [
     "CircleMeasure",
@@ -38,6 +41,8 @@ class CircleMeasure:
             if k < 0:
                 raise PreconditionError("give coefficients for k >= 0 only")
             c = complex(c)
+            if not cmath.isfinite(c):
+                raise PreconditionError("density coefficients must be finite")
             if c != 0 or k == 0:
                 store[k] = c
         if abs(store.get(0, 0j) - 1.0) > 1e-14:
@@ -47,11 +52,11 @@ class CircleMeasure:
         self.coeffs = store
         self.degree = max(store) if store else 0
         self.min_density = float(min_density)
-        dens = self.density_grid(_GRID)
-        lo = float(np.min(dens))
+        n = max(_GRID, 4 * (1 + self.degree))
+        lo = float(np.min(self.density_grid(n)))
         if lo < self.min_density:
             raise PreconditionError(
-                f"density dips to {lo:.3e} on the {_GRID}-point grid, below floor {self.min_density:.3e}"
+                f"density dips to {lo:.3e} on the {n}-point grid, below floor {self.min_density:.3e}"
             )
         self._density_min = lo
 
@@ -62,13 +67,10 @@ class CircleMeasure:
         return self.coeffs.get(-k, 0j).conjugate()
 
     def density_grid(self, n=_GRID):
-        theta = 2.0 * np.pi * np.arange(n) / n
-        vals = np.zeros(n, dtype=complex)
-        for k, c in self.coeffs.items():
-            if k == 0:
-                vals += c
-            else:
-                vals += c * np.exp(1j * k * theta) + c.conjugate() * np.exp(-1j * k * theta)
+        """w on the n-point grid of `symbols.eval_grid` (n >= 4 (1 + degree))."""
+        w = dict(self.coeffs)
+        w.update({-k: c.conjugate() for k, c in self.coeffs.items() if k})
+        vals = eval_grid(LaurentPoly(1, w), n)
         if float(np.max(np.abs(vals.imag))) > 1e-12:
             raise PreconditionError("density failed to be real on the grid")
         return vals.real
@@ -166,8 +168,6 @@ def truncated_toeplitz(phi, m, d):
 
 def shift_isometry_residual(m, d):
     """max |S* S - I| over columns 0..d-2, S the compressed multiplication by z."""
-    from .symbols import LaurentPoly
-
     s = truncated_toeplitz(LaurentPoly.variable(0, 1), m, d)
     g = s.conj().T @ s - np.eye(d + 1)
     return float(np.max(np.abs(g[: d - 1, : d - 1])))
@@ -183,8 +183,6 @@ def brown_halmos_residual(phi, m, window, degrees):
     """
     if window + phi.band() >= min(degrees):
         raise PreconditionError("window + band must stay below the smallest degree")
-    from .symbols import LaurentPoly
-
     out = []
     z = LaurentPoly.variable(0, 1)
     for d in degrees:

@@ -15,12 +15,17 @@ is ON_CURVE, decided by the exact distance; on a covering grid a k-d tree
 settles every lambda but those whose tree distance is within a relative 1e-9
 of the tolerance, which are measured again exactly.
 
+Every check reads the curve as `symbols.eval_grid` samples it: the read-only
+array of phi on a uniform grid, with `curve_tolerance` as its ON_CURVE
+distance and `_sag_bound` as its chord sag.
+
 Tolerance bookkeeping. A sampled curve misses the true curve by at most the
 chord sag (spacing^2 * B''/8 with B'' the l1 bound on the second derivative),
-and a sampled sup misses the true sup by the same amount. Hull grids and sup
-grids are sized from that bound so the slack handed to membership tests is an
-actual certificate, not a guess. The same bound shows which arcs of the
-refined hull grid can reach the hull at all, so only those are evaluated.
+and a sampled sup misses the true sup by the same amount. Hull, sup and probe
+grids are sized from that bound by one rule, `_sag_grid_size`, so the slack
+handed to membership tests is an actual certificate, not a guess; a cap that
+clamps the size is recorded. The same bound shows which arcs of the refined
+hull grid can reach the hull at all, so only those are evaluated.
 """
 
 from __future__ import annotations
@@ -62,6 +67,7 @@ WINDING_NONZERO = "WINDING_NONZERO"
 OUTSIDE = "OUTSIDE"
 
 _STATUS_NAMES = (ON_CURVE, WINDING_NONZERO, OUTSIDE)
+_NAMES = np.array(_STATUS_NAMES, dtype=object)
 
 # hull/sup grids are sized so the chord-sag bound stays below this
 _SAG_TARGET = 2e-9
@@ -110,25 +116,24 @@ def _classify(samples, tol, lams):
     return _codes(_min_distance(samples, lams) <= tol, _winding_numbers(samples, lams))
 
 
+def _statuses(phi, lams, grid_size):
+    """Status codes of lambdas against phi sampled on grid_size points."""
+    phi._require_univariate()
+    tol = curve_tolerance(phi, grid_size)
+    return _classify(eval_grid(phi, grid_size), tol, lams)
+
+
 def spectrum_membership(phi, lam, grid_size=2048):
     """ON_CURVE / WINDING_NONZERO / OUTSIDE for a single lambda.
 
     lam belongs to sigma(T_phi) exactly when the answer is not OUTSIDE.
     """
-    phi._require_univariate()
-    samples = eval_grid(phi, grid_size).samples
-    tol = curve_tolerance(phi, grid_size)
-    code = _classify(samples, tol, [lam])[0]
-    return _STATUS_NAMES[code]
+    return _STATUS_NAMES[_statuses(phi, [lam], grid_size)[0]]
 
 
 def membership_batch(phi, lams, grid_size=2048):
     """Status name array for a batch of lambdas on one shared sample grid."""
-    phi._require_univariate()
-    samples = eval_grid(phi, grid_size).samples
-    tol = curve_tolerance(phi, grid_size)
-    codes = _classify(samples, tol, lams)
-    return np.array(_STATUS_NAMES, dtype=object)[codes]
+    return _NAMES[_statuses(phi, lams, grid_size)]
 
 
 def _polyline_distance(samples, lams, chunk_entries=4_000_000):
@@ -157,7 +162,7 @@ def _range_box(samples):
 
 def lambda_grid(phi, n=200, grid_size=512, inflate=1.2):
     """n x n rectangular lambda grid covering the inflated range box."""
-    samples = eval_grid(phi, grid_size).samples
+    samples = eval_grid(phi, grid_size)
     cx, cy, hx, hy = _range_box(samples)
     pad = 0.2 * max(hx, hy, 0.5)
     hx = max(inflate * hx, pad)
@@ -167,17 +172,15 @@ def lambda_grid(phi, n=200, grid_size=512, inflate=1.2):
     return (xs[None, :] + 1j * ys[:, None]).ravel()
 
 
-def _refined_grid_size(phi, base):
-    """(size, clamped): a multiple of base whose chord sag is below _SAG_TARGET,
-    or the largest multiple within _GRID_CAP, with clamped set."""
+def _sag_grid_size(phi, target, floor, step, cap):
+    """(size, clamped): the least multiple of step, at least floor, whose chord
+    sag is below target; past cap, the largest multiple of step within it, with
+    clamped set."""
     b2 = phi.second_derivative_l1_bound()
-    if b2 == 0.0:
-        return base, False
-    need = 2.0 * np.pi * math.sqrt(b2 / (8.0 * _SAG_TARGET))
-    mult = max(1, math.ceil(need / base))
-    size = base * mult
-    if size > _GRID_CAP:
-        return base * max(1, _GRID_CAP // base), True
+    need = 2.0 * np.pi * math.sqrt(b2 / (8.0 * target))
+    size = max(floor, step * math.ceil(need / step))
+    if size > cap:
+        return step * max(1, cap // step), True
     return size, False
 
 
@@ -216,22 +219,16 @@ def hartman_wintner_check(phi, grid_size=512, probes=100, seed=11):
     """
     phi._require_univariate()
     rng = np.random.default_rng(seed)
-    samples = eval_grid(phi, grid_size).samples
+    samples = eval_grid(phi, grid_size)
     tol = curve_tolerance(phi, grid_size)
 
     codes = _classify(samples, tol, samples)
     bad_range = samples[codes == 2]
     range_pass = bad_range.size == 0
 
-    b2 = phi.second_derivative_l1_bound()
-    fine_size = 4 * grid_size
-    if b2 > 0.0:
-        need = 2.0 * np.pi * math.sqrt(b2 / (8.0 * 1e-5))
-        fine_size = max(fine_size, int(math.ceil(need)))
-    fine_clamped = fine_size > _FINE_CAP
-    fine_size = min(fine_size, _FINE_CAP)
-    fine = eval_grid(phi, fine_size).samples
-    fine2 = eval_grid(phi, 2 * fine_size).samples
+    fine_size, fine_clamped = _sag_grid_size(phi, 1e-5, 4 * grid_size, 1, _FINE_CAP)
+    fine = eval_grid(phi, fine_size)
+    fine2 = eval_grid(phi, 2 * fine_size)
     clearance = max(2e-4, 4.0 * _sag_bound(phi, fine_size))
 
     hi = min(0.01, tol / 2.0)
@@ -313,21 +310,20 @@ def _hull_arcs(phi, samples, refined_size):
     so a chord between two working samples deeper than twice the sag (1e-12
     absorbs rounding) keeps its arc strictly inside the working hull, which
     lies inside the refined one: such an arc supplies no hull vertex and is
-    skipped. The angles use eval_grid's expression, so every sample kept is
-    bit-identical to the full refined grid's.
+    skipped. The kept indices are sampled through eval_grid, so every sample
+    is bit-identical to the full refined grid's. They are not a closed curve:
+    the result feeds the hull only, never a winding count.
     """
     g = samples.size
     work = conv_hull(samples)
     if work.kind != "polygon":
-        return eval_grid(phi, refined_size).samples
+        return eval_grid(phi, refined_size)
     near = _boundary_depth(work, samples) <= 2.0 * _sag_bound(phi, g) + 1e-12
     arcs = near | np.roll(near, -1)
     m = refined_size // g
     keep = np.repeat(arcs, m)
     keep[::m] |= np.roll(arcs, 1)  # the end point of arc j - 1
-    idx = np.flatnonzero(keep)
-    theta = 2.0 * np.pi * idx / refined_size
-    return phi.eval_at(np.exp(1j * theta))
+    return eval_grid(phi, refined_size, np.flatnonzero(keep))
 
 
 def convex_bound_check(phi, lams, grid_size=512):
@@ -344,7 +340,7 @@ def convex_bound_check(phi, lams, grid_size=512):
     """
     phi._require_univariate()
     lams = np.asarray(lams, dtype=complex).ravel()
-    samples = eval_grid(phi, grid_size).samples
+    samples = eval_grid(phi, grid_size)
     tol = curve_tolerance(phi, grid_size)
     cx, cy, hx, hy = _range_box(samples)
     eps = 1e-12
@@ -361,7 +357,7 @@ def convex_bound_check(phi, lams, grid_size=512):
     windings = _grid_winding_numbers(samples, lams)
     codes = _codes(_on_curve_pruned(samples, tol, lams), windings)
 
-    refined_size, clamped = _refined_grid_size(phi, grid_size)
+    refined_size, clamped = _sag_grid_size(phi, _SAG_TARGET, grid_size, grid_size, _GRID_CAP)
     refined = _hull_arcs(phi, samples, refined_size)
     hull = conv_hull(refined)
     sag = _sag_bound(phi, refined_size)
@@ -378,7 +374,7 @@ def convex_bound_check(phi, lams, grid_size=512):
         ok = hull.membership_batch(oncurve, tol_on_curve)
         counter.extend(complex(v) for v in oncurve[~ok])
     return ConvexBoundReport(
-        statuses=np.array(_STATUS_NAMES, dtype=object)[codes],
+        statuses=_NAMES[codes],
         lams=lams,
         range_samples=samples,
         hull_vertices=hull.vertices,
@@ -423,8 +419,9 @@ def numerical_range_support(x, thetas, trunc):
     xn = truncation(x, trunc)
     xn_adj = xn.conj().T
 
-    g, clamped = _refined_grid_size(x.symbol, max(4096, 4 * (1 + x.symbol.band())))
-    samples = eval_grid(x.symbol, g).samples
+    base = max(4096, 4 * (1 + x.symbol.band()))
+    g, clamped = _sag_grid_size(x.symbol, _SAG_TARGET, base, base, _GRID_CAP)
+    samples = eval_grid(x.symbol, g)
     sag = _sag_bound(x.symbol, g)
     fnorm = op_norm(corr) if corr.size else 0.0
 

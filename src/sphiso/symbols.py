@@ -13,6 +13,7 @@ form that `from_text` parses back to the identical object, bit for bit.
 
 from __future__ import annotations
 
+import cmath
 import re
 from dataclasses import dataclass
 
@@ -23,7 +24,6 @@ from .errors import OnCurveError, PreconditionError
 __all__ = [
     "LaurentPoly",
     "parse_terms",
-    "EssRange",
     "eval_grid",
     "winding",
     "curve_tolerance",
@@ -66,6 +66,8 @@ class LaurentPoly:
                         del store[e]
                     else:
                         store[e] = acc
+        if not all(map(cmath.isfinite, store.values())):
+            raise PreconditionError("symbol coefficients must be finite")
         self._coeffs = store
 
     # ---- constructors -------------------------------------------------
@@ -423,29 +425,30 @@ def parse_terms(text):
 # grids, winding, sup norms
 
 
-@dataclass(frozen=True)
-class EssRange:
-    """Sampled essential range of a symbol over a torus grid."""
+def eval_grid(phi, grid_size, idx=None):
+    """Samples of phi on the uniform torus grid with grid_size points per
+    axis, as a read-only array (row-major over the axes).
 
-    samples: np.ndarray
-    grid_size: int
-    nvars: int
-
-
-def eval_grid(phi, grid_size):
-    """Sample phi over the uniform torus grid with grid_size points per axis."""
+    This is the one place the grid angles 2 pi idx / grid_size are formed, so
+    every caller that samples a curve gets the same bits. idx selects grid
+    indices along each axis (default: all of them); `spectra._hull_arcs`
+    evaluates only the arcs of a refined grid that can reach the hull this way.
+    """
     need = 4 * (1 + phi.band())
     if grid_size < need:
         raise PreconditionError(f"grid_size {grid_size} < 4*(1+band) = {need}")
-    theta = 2.0 * np.pi * np.arange(grid_size) / grid_size
-    ring = np.exp(1j * theta)
+    if idx is None:
+        idx = np.arange(grid_size)
+    ring = np.exp(1j * (2.0 * np.pi * idx / grid_size))
     if phi.nvars == 1:
         samples = phi.eval_at(ring)
     else:
         mesh = np.meshgrid(*([ring] * phi.nvars), indexing="ij")
         pts = np.stack([m.ravel() for m in mesh], axis=-1)
         samples = phi.eval_at(pts)
-    return EssRange(np.ascontiguousarray(samples.ravel()), grid_size, phi.nvars)
+    samples = np.ascontiguousarray(samples.ravel())
+    samples.setflags(write=False)
+    return samples
 
 
 def curve_tolerance(phi, grid_size):
@@ -467,7 +470,7 @@ def winding(phi, lam, grid_size=512):
     wind alike, since consecutive samples are at most that far apart.
     """
     phi._require_univariate()
-    samples = eval_grid(phi, grid_size).samples
+    samples = eval_grid(phi, grid_size)
     lam = complex(lam)
     tol = curve_tolerance(phi, grid_size)
     dist = float(np.min(np.abs(samples - lam)))
@@ -544,7 +547,7 @@ def _grid_winding_numbers(samples, lams):
 
 def sup_norm(phi, grid_size=512):
     """(lower, upper) bracket for sup |phi| on the torus: grid max and l1 sum."""
-    lower = float(np.max(np.abs(eval_grid(phi, grid_size).samples)))
+    lower = float(np.max(np.abs(eval_grid(phi, grid_size))))
     upper = phi.l1_norm()
     if lower > upper + 1e-12:
         raise PreconditionError("sup bracket inverted; coefficients are inconsistent")

@@ -18,6 +18,7 @@ Symbols on the sphere keep analytic and conjugate exponents separate
 
 from __future__ import annotations
 
+import cmath
 import math
 from dataclasses import dataclass
 from fractions import Fraction
@@ -106,6 +107,8 @@ class SphereSymbol:
                     store.pop(key, None)
                 else:
                     store[key] = acc
+        if not all(map(cmath.isfinite, store.values())):
+            raise PreconditionError("sphere symbol coefficients must be finite")
         self._terms = store
 
     @classmethod
@@ -146,12 +149,6 @@ class SphereSymbol:
         return SphereSymbol(
             self.nvars, {(d, g): c.conjugate() for (g, d), c in self._terms.items()}
         )
-
-    def is_hermitian(self):
-        for (g, d), c in self._terms.items():
-            if abs(self._terms.get((d, g), 0j) - c.conjugate()) > 1e-14:
-                return False
-        return True
 
     def band(self):
         """Largest total degree shift |gamma| - |delta| in absolute value."""

@@ -191,10 +191,11 @@ def test_criterion_10_reports_identical_across_processes(tmp_path, child_env):
     scenario = tmp_path / "reduced.json"
     scenario.write_text(json.dumps(REDUCED))
     reports = []
-    for hash_seed in ("0", "12345"):
-        out = tmp_path / f"hashseed-{hash_seed}"
+    # the last run is optimized: no check may lean on an assert
+    for flags, hash_seed in (([], "0"), ([], "12345"), (["-O"], "0")):
+        out = tmp_path / f"run-{len(reports)}"
         done = subprocess.run(
-            [sys.executable, "-m", "sphiso", "run", str(scenario), "--out", str(out)],
+            [sys.executable, *flags, "-m", "sphiso", "run", str(scenario), "--out", str(out)],
             env=dict(child_env, PYTHONHASHSEED=hash_seed),
             capture_output=True,
             text=True,
@@ -203,6 +204,6 @@ def test_criterion_10_reports_identical_across_processes(tmp_path, child_env):
         assert done.returncode == 0, done.stdout + done.stderr
         (run_dir,) = out.iterdir()
         reports.append((run_dir / "report.json").read_bytes())
-    assert reports[0] == reports[1]
+    assert reports[0] == reports[1] == reports[2]
     assert len(json.loads(reports[0])["checks"]) == len(checks.REGISTRY)
-    print("PASS criterion 10: report.json byte-identical across PYTHONHASHSEED 0 and 12345")
+    print("PASS criterion 10: report.json byte-identical across PYTHONHASHSEED 0 and 12345 and -O")

@@ -55,6 +55,12 @@ def test_correction_trimmed():
     assert y.active_size == (2, 1)
 
 
+@pytest.mark.parametrize("bad", [math.inf, math.nan, complex(0.0, math.inf)])
+def test_correction_rejects_non_finite(bad):
+    with pytest.raises(PreconditionError, match="finite"):
+        cc.ToeplitzElement(Z, np.array([[1.0, bad]]))
+
+
 def test_symbol_requires_one_variable():
     with pytest.raises(PreconditionError):
         cc.make_toeplitz(LaurentPoly.variable(0, 2))
@@ -254,6 +260,25 @@ def test_semicommutator_examples():
     got = cc.semicommutator(Z**2, ZBAR**2)
     want = rank_one(0, 0, -1.0) + rank_one(1, 1, -1.0)
     assert cc.diff_max(got, want) == 0.0
+
+
+def semicommutator_loop(phi, psi):
+    """C(phi, psi)[i, j] = -sum_{k <= -1} phihat(i - k) psihat(k - j), term by term."""
+    out = np.zeros((phi.deg_pos(), psi.deg_neg()), dtype=complex)
+    for i, j in np.ndindex(out.shape):
+        out[i, j] = -sum(phi.coeff(i - k) * psi.coeff(k - j) for k in range(-psi.deg_neg(), 0))
+    return out
+
+
+def test_semicommutator_block_matches_defining_sum():
+    rng = rng_for(21)
+    pairs = [(Z, ONE), (ONE, ZBAR), (ZBAR, Z)]
+    pairs += [(random_symbol(rng, 6), random_symbol(rng, 6)) for _ in range(20)]
+    for phi, psi in pairs:
+        got = cc._semicommutator_block(phi, psi)
+        want = semicommutator_loop(phi, psi)
+        assert got.shape == want.shape
+        assert np.max(np.abs(got - want), initial=0.0) <= 1e-14
 
 
 def test_semicommutator_support_box():

@@ -294,8 +294,23 @@ def test_symbol_eval_on_curve_winding(capsys):
     assert "winding about 0: undefined" in out
 
 
+def test_symbol_eval_analytic_degrees(capsys):
+    assert cli.main(["symbol-eval", "z"]) == 0
+    assert "degrees:  [0, 1]" in capsys.readouterr().out
+
+
+def test_symbol_eval_two_variables(capsys):
+    assert cli.main(["symbol-eval", "z1*zbar2 + 0.5"]) == 0
+    out = capsys.readouterr().out
+    assert "sup |phi|: in [1.5, 1.5] (512-point grid)" in out
+    assert "degrees" not in out
+    assert "winding" not in out
+
+
 def test_symbol_eval_errors(capsys):
     assert cli.main(["symbol-eval", "z +"]) == 2
     assert "cannot parse" in capsys.readouterr().err
+    assert cli.main(["symbol-eval", "1e400*z"]) == 2
+    assert "coefficients must be finite" in capsys.readouterr().err
     assert cli.main(["symbol-eval", "z^3", "--grid", "8"]) == 2
     assert "--grid must be >=" in capsys.readouterr().err

@@ -33,6 +33,20 @@ def test_measure_density_grid_mean():
     assert float(np.min(dens)) > 0.19
 
 
+def test_measure_density_grid_values():
+    theta = 2.0 * math.pi * np.arange(64) / 64
+    assert np.max(np.abs(COSINE.density_grid(64) - (1.0 + 0.8 * np.cos(theta)))) <= 1e-15
+    # a degree past the default grid's reach is sampled on a finer grid
+    high = hm.CircleMeasure({0: 1.0, 300: 0.25})
+    assert 0.5 - 1e-12 <= high._density_min < 0.51
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf, complex(0.0, math.nan)])
+def test_measure_rejects_non_finite(bad):
+    with pytest.raises(PreconditionError, match="finite"):
+        hm.CircleMeasure({0: 1.0, 1: bad})
+
+
 def test_measure_guards():
     with pytest.raises(PreconditionError):
         hm.CircleMeasure({0: 0.9})

@@ -7,7 +7,7 @@ from sphiso import checks
 from sphiso import circle_calculus as cc
 from sphiso import spectra as sp
 from sphiso.errors import PreconditionError
-from sphiso.symbols import Hull, LaurentPoly, conv_hull, curve_tolerance, eval_grid
+from sphiso.symbols import Hull, LaurentPoly, conv_hull, eval_grid
 
 Z = LaurentPoly.variable(0, 1)
 ZBAR = Z.conjugate()
@@ -122,8 +122,8 @@ def test_convex_bound_targeted_hull_covers_full_refined_grid():
     kept = total = 0
     for phi in full_scenario_symbols() + [Z, Z**3 + 0.5 * ZBAR]:
         rep = sp.convex_bound_check(phi, sp.lambda_grid(phi, 8))
-        assert rep.refined_size == sp._refined_grid_size(phi, 512)[0]
-        full = eval_grid(phi, rep.refined_size).samples
+        assert rep.refined_size == sp._sag_grid_size(phi, sp._SAG_TARGET, 512, 512, sp._GRID_CAP)[0]
+        full = eval_grid(phi, rep.refined_size)
         assert np.max(Hull(rep.hull_vertices).outside_distance(full)) <= 1e-12
         kept += rep.hull_points
         total += rep.refined_size
@@ -132,10 +132,10 @@ def test_convex_bound_targeted_hull_covers_full_refined_grid():
 
 def test_convex_bound_targeted_samples_are_bit_identical():
     phi = full_scenario_symbols()[0]
-    size = sp._refined_grid_size(phi, 512)[0]
-    samples = eval_grid(phi, 512).samples
+    size = sp._sag_grid_size(phi, sp._SAG_TARGET, 512, 512, sp._GRID_CAP)[0]
+    samples = eval_grid(phi, 512)
     arcs = sp._hull_arcs(phi, samples, size)
-    full = eval_grid(phi, size).samples
+    full = eval_grid(phi, size)
     assert np.isin(arcs, full).all()
 
 
@@ -214,7 +214,7 @@ def test_deep_spectrum_points_inside_numerical_range():
     for i in range(2):
         phi = checks.random_symbol(checks._rng(404, 9, i), 3, min_terms=2)
         rep = sp.numerical_range_support(cc.make_toeplitz(phi), thetas, 512)
-        samples = eval_grid(phi, 8192).samples
+        samples = eval_grid(phi, 8192)
         sup_dir = np.array(
             [float(np.max((np.exp(1j * t) * samples).real)) for t in thetas]
         )
@@ -272,8 +272,3 @@ def test_report_serialization():
     assert len(rows) == 401
     assert all(r[2] in (sp.ON_CURVE, sp.WINDING_NONZERO, sp.OUTSIDE) for r in rows[1:])
     assert [complex(float(r[0]), float(r[1])) for r in rows[1:]] == list(rep.lams)
-
-
-def test_curve_tolerance_scales_with_grid():
-    phi = Z**2 + 0.5 * ZBAR
-    assert curve_tolerance(phi, 2048) == 2.0 * curve_tolerance(phi, 4096)

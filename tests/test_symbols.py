@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -102,17 +104,17 @@ def random_poly(rng, max_degree=4):
 
 def test_eval_grid_fourth_roots():
     # smallest legal grid for z is 8; the fourth roots sit at alternate samples
-    s = eval_grid(Z, 8).samples
+    s = eval_grid(Z, 8)
     assert np.allclose(s[::2], [1.0, 1j, -1.0, -1j], atol=1e-15)
 
 
 def test_eval_grid_constant():
-    s = eval_grid(LaurentPoly.constant(2.5 - 1j), 8).samples
+    s = eval_grid(LaurentPoly.constant(2.5 - 1j), 8)
     assert np.all(s == 2.5 - 1j)
 
 
 def test_eval_grid_cosine_extremes():
-    s = eval_grid(Z + ZBAR, 360).samples
+    s = eval_grid(Z + ZBAR, 360)
     assert np.max(np.abs(s.imag)) <= 1e-12
     assert abs(np.max(s.real) - 2.0) <= 1e-3
     assert abs(np.min(s.real) + 2.0) <= 1e-3
@@ -121,6 +123,34 @@ def test_eval_grid_cosine_extremes():
 def test_eval_grid_too_coarse():
     with pytest.raises(PreconditionError):
         eval_grid(Z ** 3, 8)  # needs 4*(1+3)
+
+
+def test_eval_grid_returns_read_only_samples():
+    s = eval_grid(Z + 0.5 * ZBAR, 16)
+    assert isinstance(s, np.ndarray) and s.shape == (16,)
+    with pytest.raises(ValueError):
+        s[0] = 0.0
+
+
+def test_eval_grid_index_subset_is_bit_identical():
+    phi = Z**3 + (0.25 - 0.5j) * ZBAR**2
+    idx = np.array([0, 3, 17, 250, 511])
+    assert np.array_equal(eval_grid(phi, 512, idx), eval_grid(phi, 512)[idx])
+
+
+@pytest.mark.parametrize("bad", [math.inf, -math.inf, math.nan, complex(0.0, math.nan)])
+def test_laurent_poly_rejects_non_finite(bad):
+    with pytest.raises(PreconditionError, match="finite"):
+        LaurentPoly(1, {-1: bad})
+    with pytest.raises(PreconditionError, match="finite"):
+        Z * bad
+
+
+def test_laurent_poly_rejects_overflow():
+    with pytest.raises(PreconditionError, match="finite"):
+        LaurentPoly.from_text("1e400*z")
+    with pytest.raises(PreconditionError, match="finite"):
+        Z * 1e308 + Z * 1e308
 
 
 def test_winding_oracles():
@@ -148,7 +178,8 @@ def test_winding_additive_under_products():
 
 
 def test_curve_tolerance_scales_with_grid():
-    assert curve_tolerance(Z, 1024) == curve_tolerance(Z, 512) / 2.0
+    for phi in (Z, Z**2 + 0.5 * ZBAR):
+        assert curve_tolerance(phi, 1024) == curve_tolerance(phi, 512) / 2.0
 
 
 # ---------------------------------------------------------------------------

@@ -17,6 +17,16 @@ def defect_operator(tup):
     return acc - sz.GradedOperator.identity_op(tup.n, tup.d)
 
 
+def test_sphere_symbol_rejects_non_finite():
+    key = ((1, 0), (0, 0))
+    for bad in (math.inf, math.nan, complex(math.nan, 0.0)):
+        with pytest.raises(PreconditionError, match="finite"):
+            sz.SphereSymbol(2, {key: bad})
+    big = sz.SphereSymbol(2, {key: 1e308})
+    with pytest.raises(PreconditionError, match="finite"):
+        big + big
+
+
 # ---------------------------------------------------------------------------
 # moments
 

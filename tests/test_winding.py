@@ -68,7 +68,7 @@ def test_full_scenario_grids_match_oracle():
     symbols = full_symbols()
     assert len(symbols) == 20
     for phi in symbols:
-        samples = eval_grid(phi, 512).samples
+        samples = eval_grid(phi, 512)
         tol = curve_tolerance(phi, 512)
         lams = sp.lambda_grid(phi, 200, 512)
         want = status_codes(samples, tol, lams)
@@ -81,7 +81,7 @@ def test_full_scenario_grids_match_oracle():
 def scattered_lambdas(phi, grid_size, rng, count):
     """Uniform lambdas over the range box and lambdas at 0.5 to 2 curve
     tolerances from a sample, on both sides of the ON_CURVE threshold."""
-    samples = eval_grid(phi, grid_size).samples
+    samples = eval_grid(phi, grid_size)
     tol = curve_tolerance(phi, grid_size)
     lo = samples.real.min() - 0.5, samples.imag.min() - 0.5
     hi = samples.real.max() + 0.5, samples.imag.max() + 0.5
@@ -98,7 +98,7 @@ def test_scattered_and_near_curve_match_oracle(grid_size):
     rng = np.random.default_rng(grid_size)
     for i in range(12):
         phi = checks.random_symbol(checks._rng(77, grid_size, i), 6, min_terms=2)
-        samples = eval_grid(phi, grid_size).samples
+        samples = eval_grid(phi, grid_size)
         tol = curve_tolerance(phi, grid_size)
         lams = scattered_lambdas(phi, grid_size, rng, 300)
         want = status_codes(samples, tol, lams)
@@ -141,7 +141,7 @@ def test_ties_on_symbol_sample_ordinates():
     # lambdas at the exact imaginary part of a sample of the sampled curve
     for text in ("z", "z^2 + 0.3*zbar", "(0.5+0.5j)*z^3 + zbar"):
         phi = LaurentPoly.from_text(text)
-        samples = eval_grid(phi, 512).samples
+        samples = eval_grid(phi, 512)
         tol = curve_tolerance(phi, 512)
         xs = np.linspace(samples.real.min() - 1, samples.real.max() + 1, 57)
         lams = (xs[None, :] + 1j * samples.imag[::8, None]).ravel()
@@ -161,7 +161,7 @@ def test_ties_on_symbol_sample_ordinates():
 )
 def test_self_intersecting_windings(text, deep):
     phi = LaurentPoly.from_text(text)
-    samples = eval_grid(phi, 512).samples
+    samples = eval_grid(phi, 512)
     tol = curve_tolerance(phi, 512)
     lams = sp.lambda_grid(phi, 60, 512)
     dist, w, _ = dense_winding(samples, lams)
@@ -204,7 +204,7 @@ coeff = st.complex_numbers(
 def test_crossing_matches_oracle_property(coeffs, lams, grid_size):
     phi = LaurentPoly(1, {(k,): c for k, c in coeffs.items()})
     lams = np.array(lams, dtype=complex)
-    samples = eval_grid(phi, grid_size).samples
+    samples = eval_grid(phi, grid_size)
     tol = curve_tolerance(phi, grid_size)
     want = status_codes(samples, tol, lams)
     assert np.array_equal(sp._classify(samples, tol, lams), want)
