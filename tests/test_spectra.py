@@ -7,7 +7,7 @@ from sphiso import checks
 from sphiso import circle_calculus as cc
 from sphiso import spectra as sp
 from sphiso.errors import PreconditionError
-from sphiso.symbols import Hull, LaurentPoly, conv_hull, eval_grid
+from sphiso.symbols import Hull, LaurentPoly, conv_hull, curve_tolerance, eval_grid
 
 Z = LaurentPoly.variable(0, 1)
 ZBAR = Z.conjugate()
@@ -272,3 +272,8 @@ def test_report_serialization():
     assert len(rows) == 401
     assert all(r[2] in (sp.ON_CURVE, sp.WINDING_NONZERO, sp.OUTSIDE) for r in rows[1:])
     assert [complex(float(r[0]), float(r[1])) for r in rows[1:]] == list(rep.lams)
+
+
+def test_curve_tolerance_scales_with_grid():
+    phi = Z**2 + 0.5 * ZBAR
+    assert curve_tolerance(phi, 2048) == 2.0 * curve_tolerance(phi, 4096)
