@@ -396,7 +396,7 @@ def _check_numerical_range(params, seed):
     trunc = params["nr_truncation"]
     violations = 0
     margin = -math.inf
-    decisions = {"grid_size": [], "grid_clamped": []}
+    decisions = {"grid_size": [], "grid_clamped": [], "band": []}
     for i, phi in enumerate(take):
         x = circle.ToeplitzElement(phi)
         rep = spectra.numerical_range_support(x, thetas, trunc)
@@ -404,6 +404,7 @@ def _check_numerical_range(params, seed):
         margin = max(margin, max(h - b for h, b in zip(rep.support_values, rep.bounds)))
         decisions["grid_size"].append(rep.grid_size)
         decisions["grid_clamped"].append(rep.grid_clamped)
+        decisions["band"].append(rep.band)
     rng = _rng(seed, 62, 0)
     corrected = circle.ToeplitzElement(
         random_symbol(rng, 3), random_correction(rng, 3)
@@ -412,6 +413,7 @@ def _check_numerical_range(params, seed):
     violations += len(rep.counterexamples)
     decisions["grid_size"].append(rep.grid_size)
     decisions["grid_clamped"].append(rep.grid_clamped)
+    decisions["band"].append(rep.band)
     return {
         "symbols": len(take) + 1,
         "thetas": params["nr_thetas"],
@@ -714,7 +716,11 @@ REGISTRY = {
             "Thm3.1(3)",
             8,
             ("spectra",),
-            "support function of the truncated numerical range",
+            "support function of the truncated numerical range: the top "
+            "eigenvalue of each hermitian part, a band matrix (the symbol's "
+            "band, widened to k - 1 by a k x k correction), by bisection "
+            "with one banded Cholesky factorization per step, reading the "
+            "upper end of the final bracket (a shift that factored)",
             "h(theta) stays below the symbol sup plus correction norm within "
             "sag + 1e-8 for all sampled directions",
             _check_numerical_range,

@@ -12,7 +12,8 @@ Elements here are finite sums sum_i A_i (x) B_i with circle factors; the
 gamma^2 residual is computed term by term inside the exact circle calculus,
 so a pure-Toeplitz input cancels to the empty sum and the residual is zero
 with no truncation involved. Norm brackets, when a residual survives, come
-from matricized truncations below and factor-norm products above.
+from truncations below (the factors' truncation norms for a single term,
+the matricized sum otherwise) and factor-norm products above.
 """
 
 from __future__ import annotations
@@ -150,10 +151,19 @@ def tensor_equals(x, y, n=32, tol=1e-12):
 
 
 def norm_bracket(x, n=32):
-    """[compression norm, sum of factor-norm products]; contains the norm."""
+    """[compression norm, sum of factor-norm products]; contains the norm.
+
+    For a single term A (x) B the compression is A_n (x) B_n, whose singular
+    values are the products of the factors' singular values, so the lower
+    end is ||A_n|| ||B_n||, from two n x n SVDs instead of one n^2 x n^2.
+    """
     if x.is_zero_sum():
         return 0.0, 0.0
-    lower = op_norm(matricize(x, n))
+    if len(x.terms) == 1:
+        a, b = x.terms[0]
+        lower = op_norm(truncation(a, n)) * op_norm(truncation(b, n))
+    else:
+        lower = op_norm(matricize(x, n))
     upper = 0.0
     for a, b in x.terms:
         upper += _factor_upper(a) * _factor_upper(b)

@@ -5,6 +5,7 @@ import sys
 import numpy as np
 import pytest
 
+from sphiso import checks
 from sphiso import circle_calculus as cc
 from sphiso.checks import random_element, random_symbol
 from sphiso.errors import PreconditionError
@@ -428,6 +429,16 @@ def test_truncation_norm_banded_matches_dense():
     assert abs(cc.truncation_norm(phi, n) - dense) <= 1e-10
 
 
+def test_truncation_norm_band_wider_than_truncation():
+    # terms at |k| >= N leave no entry in the N x N compression
+    assert cc.truncation_norm(Z**5, 3) == 0.0
+    assert cc.truncation_norm(Z**5 + 0.5 * ZBAR**4, 4) == 0.0
+    phi = Z**5 + 2.0 * Z - 0.5 * ZBAR**3
+    for n in (1, 2, 3, 4, 6):
+        dense = op_norm(cc.toeplitz_matrix(phi, n))
+        assert abs(cc.truncation_norm(phi, n) - dense) <= 1e-12
+
+
 def test_truncation_norm_constant():
     assert cc.truncation_norm(LaurentPoly.constant(3.0 - 4.0j), 300) == 5.0
 
@@ -480,6 +491,30 @@ def test_cross_section_inconclusive_on_tight_budget():
 def test_cross_section_rejects_ragged_block():
     with pytest.raises(PreconditionError):
         cc.cross_section_isometry([[Z], [Z, Z]])
+
+
+def test_cross_section_rejects_two_variable_symbols():
+    z1 = LaurentPoly.variable(0, 2)
+    zero = LaurentPoly.zero(2)
+    for block in ([[z1]], [[z1, zero], [zero, z1]]):
+        with pytest.raises(PreconditionError, match="one-variable"):
+            cc.cross_section_isometry(block, truncations=[8])
+    with pytest.raises(PreconditionError, match="one-variable"):
+        cc.truncation_norm(z1, 300)
+
+
+def test_commutant_check_fails_on_an_inflated_truncation_norm(monkeypatch):
+    # a top eigenvalue of A*A 1e-6 too large pushes the compression norm
+    # above the symbol's sup where the two met: symbol 4 of seed 7 is a
+    # monomial, whose compressions attain the sup exactly
+    params = dict(checks.DEFAULT_PARAMS, commutant_symbols=5)
+    honest = checks.run_check("commutant_lifting", params, 7)
+    assert honest.verdict and honest.residuals["bracket_contained"]
+    inflated = cc.band_max_eig
+    monkeypatch.setattr(cc, "band_max_eig", lambda ab: inflated(ab) + 1e-6)
+    rec = checks.run_check("commutant_lifting", params, 7)
+    assert not rec.verdict
+    assert rec.residuals["bracket_contained"] is False
 
 
 # ---------------------------------------------------------------------------

@@ -184,7 +184,7 @@ def test_run_decisions_go_to_manifest_only(tmp_path):
     raw = (rundir / "report.json").read_text()
     report = json.loads(raw)
     assert [checks.canonical_json(c) for c in report["checks"][:2]] == SPECTRA_RECORDS
-    assert "decisions" not in raw and "refined_size" not in raw
+    assert "decisions" not in raw and "refined_size" not in raw and "band" not in raw
 
     decisions = json.loads((rundir / "manifest.json").read_text())["decisions"]
     assert set(decisions) == {"hartman_wintner", "convex_bound", "numerical_range"}
@@ -199,7 +199,15 @@ def test_run_decisions_go_to_manifest_only(tmp_path):
     assert all(2048 <= n <= 65536 for n in hw["fine_size"])
     assert hw["probes_certified"] == [20, 20, 20]
     nr = decisions["numerical_range"]
-    assert len(nr["grid_size"]) == len(nr["grid_clamped"]) == 4
+    assert len(nr["grid_size"]) == len(nr["grid_clamped"]) == len(nr["band"]) == 4
+    # the pure symbols' own bands, then the corrected element's symbol band
+    # widened to k - 1 by its k x k corner
+    seed, degree = SPECTRA["seed"], checks.DEFAULT_PARAMS["spectra_degree"]
+    drawn = checks.spectra_suite_symbols(seed, 3, degree)
+    rng = checks._rng(seed, 62, 0)
+    symbol, corner = checks.random_symbol(rng, 3), checks.random_correction(rng, 3)
+    widened = max(symbol.band(), max(corner.shape) - 1)
+    assert nr["band"] == [phi.band() for phi in drawn] + [widened]
 
 
 def test_run_suite_override(tmp_path, capsys):

@@ -1,9 +1,10 @@
 import numpy as np
 import pytest
+import scipy.linalg.lapack as lapack
 
 from sphiso import hardy_measures as hm
-from sphiso.errors import PreconditionError
-from sphiso.linalg import op_norm
+from sphiso.errors import InvariantError, PreconditionError
+from sphiso.linalg import band_max_eig, op_norm
 from sphiso.symbols import LaurentPoly
 
 Z = LaurentPoly.variable(0, 1)
@@ -64,3 +65,101 @@ class TestOpNorm:
         for _ in range(25):
             a = random_complex(rng, (6, 3))
             assert abs(op_norm(a) - op_norm(a.conj().T)) <= 1e-12
+
+
+def hermitian_band(rng, n, kd):
+    """A random Hermitian n x n matrix of half-bandwidth kd, dense."""
+    a = np.zeros((n, n), dtype=complex)
+    for d in range(min(kd, n - 1) + 1):
+        v = random_complex(rng, n - d)
+        if d == 0:
+            a += np.diag(v.real)
+        else:
+            a += np.diag(v, d) + np.diag(v.conj(), -d)
+    return a
+
+
+def upper_band(a, kd):
+    """LAPACK upper band storage: ab[kd + i - j, j] = a[i, j]."""
+    n = a.shape[0]
+    ab = np.zeros((kd + 1, n), dtype=complex)
+    for d in range(min(kd, n - 1) + 1):
+        ab[kd - d, d:] = np.diagonal(a, d)
+    return ab
+
+
+def factors(ab, sigma):
+    m = -ab
+    m[-1] += sigma
+    return lapack.zpbtrf(m, lower=0)[1] == 0
+
+
+class TestBandMaxEig:
+    """Against the dense solver: within 8 (kd + 1) eps ||A||_1, and the value
+    returned is a sigma at which sigma*I - A factors."""
+
+    @staticmethod
+    def assert_top(a, kd):
+        ab = upper_band(a, kd)
+        got = band_max_eig(ab)
+        want = np.linalg.eigvalsh(a)[-1]
+        tol = 8 * (kd + 1) * np.finfo(float).eps * np.max(np.abs(a).sum(axis=0))
+        assert abs(got - want) <= tol
+        assert factors(ab, got)
+        return got
+
+    def test_random_bands(self):
+        rng = np.random.default_rng(29)
+        for trial in range(120):
+            n = int(rng.integers(1, 301))
+            kd = int(rng.integers(0, 13))
+            a = hermitian_band(rng, n, kd)
+            if trial % 3 == 0:
+                # negative definite: the whole spectrum below zero
+                a -= (np.abs(a).sum(axis=0).max() + 1.0) * np.eye(n)
+                assert np.linalg.eigvalsh(a)[-1] < 0.0
+            self.assert_top(a, kd)
+
+    def test_band_wider_than_matrix(self):
+        rng = np.random.default_rng(31)
+        for n in (1, 2, 5):
+            self.assert_top(hermitian_band(rng, n, 12), 12)
+
+    def test_one_by_one_and_scalar_diagonal(self):
+        # sigma = ||A||_1 leaves sigma*I - A singular here, so the upper end
+        # must widen once
+        for c in (3.0, -2.5, 1e-300):
+            assert band_max_eig(np.array([[c]])) >= c
+            self.assert_top(np.array([[c]], dtype=complex), 0)
+            self.assert_top(c * np.eye(7, dtype=complex), 2)
+
+    def test_zero_matrix(self):
+        # the only case returned without a factorization: exactly 0
+        assert band_max_eig(np.zeros((1, 1))) == 0.0
+        assert band_max_eig(np.zeros((4, 50))) == 0.0
+
+    def test_clustered_top_of_z_plus_zbar(self):
+        # T_N(z + zbar) has eigenvalues 2 cos(pi k / (N + 1)); its top ones
+        # are 3e-5 apart at N = 1024
+        n = 1024
+        ab = np.zeros((2, n), dtype=complex)
+        ab[0, 1:] = 1.0
+        got = band_max_eig(ab)
+        want = 2.0 * np.cos(np.pi / (n + 1))
+        assert abs(got - want) <= 8 * 2 * np.finfo(float).eps * 2.0
+        assert factors(ab, got)
+
+    def test_rejects_bad_bands(self):
+        for bad in (np.zeros((0, 4)), np.zeros((2, 0)), np.zeros(5)):
+            with pytest.raises(PreconditionError):
+                band_max_eig(bad)
+        for v in (np.nan, np.inf):
+            ab = np.ones((2, 6), dtype=complex)
+            ab[1, 3] = v
+            with pytest.raises(PreconditionError, match="finite"):
+                band_max_eig(ab)
+
+    def test_raises_when_no_shift_factors(self, monkeypatch):
+        monkeypatch.setattr(lapack, "zpbtrf", lambda ab, lower, overwrite_ab: (ab, 1))
+        with pytest.raises(InvariantError, match="did not factor"):
+            band_max_eig(np.ones((2, 6), dtype=complex))

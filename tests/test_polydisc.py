@@ -3,10 +3,12 @@ import math
 import numpy as np
 import pytest
 
+from sphiso import checks
 from sphiso import circle_calculus as cc
 from sphiso import polydisc as pd
 from sphiso.checks import random_element, random_symbol
 from sphiso.errors import PreconditionError, ResourceLimitError
+from sphiso.linalg import op_norm
 from sphiso.symbols import LaurentPoly
 
 Z = LaurentPoly.variable(0, 1)
@@ -126,6 +128,50 @@ def test_norm_bracket_cases():
     lo, up = pd.norm_bracket(elem(T_Z, T_Z))
     assert lo <= up + 1e-12
     assert abs(lo - 1.0) <= 1e-12
+
+
+def test_norm_bracket_single_term_is_the_factor_product():
+    # singular values of A_n (x) B_n are products of the factors' ones, so
+    # the factor route must agree with the SVD of the matricized term
+    rng = rng_for(41)
+    pairs = [(random_element(rng, 3, 3), random_element(rng, 3, 2)) for _ in range(4)]
+    pairs += [(E00 * (-1.0), I), (T_Z + E00, T_ZBAR)]
+    for a, b in pairs:
+        x = elem(a, b)
+        assert len(x.terms) == 1
+        lo, up = pd.norm_bracket(x)
+        assert abs(lo - op_norm(pd.matricize(x))) <= 1e-12
+        assert lo <= up + 1e-12
+
+
+def test_norm_bracket_sum_keeps_the_matricized_svd():
+    x = random_tensor(rng_for(43), 2)
+    assert len(x.terms) == 2
+    assert pd.norm_bracket(x, 12)[0] == op_norm(pd.matricize(x, 12))
+
+
+def inflate_op_norm(monkeypatch):
+    honest = pd.op_norm
+    monkeypatch.setattr(pd, "op_norm", lambda m: honest(m) + 1e-6)
+
+
+def test_gamma_equation_check_fails_on_an_inflated_factor_norm(monkeypatch):
+    params = dict(checks.DEFAULT_PARAMS, tensor_trials=2)
+    assert checks.run_check("gamma_equation", params, 7).verdict
+    inflate_op_norm(monkeypatch)
+    rec = checks.run_check("gamma_equation", params, 7)
+    assert not rec.verdict
+    lo, up = rec.residuals["probe_bracket"]
+    assert not lo <= 1.0 <= up
+
+
+def test_scaled_isometry_check_fails_on_an_inflated_factor_norm(monkeypatch):
+    params = dict(checks.DEFAULT_PARAMS)
+    assert checks.run_check("scaled_isometry", params, 7).verdict
+    inflate_op_norm(monkeypatch)
+    rec = checks.run_check("scaled_isometry", params, 7)
+    assert not rec.verdict
+    assert rec.residuals["unscaled_bracket"][0] > 1.0 + 1e-12
 
 
 # ---------------------------------------------------------------------------

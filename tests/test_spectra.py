@@ -207,6 +207,54 @@ def test_numerical_range_trunc_guard():
         sp.numerical_range_support(x, [0.0], 4)
 
 
+def test_numerical_range_band_solve_matches_dense():
+    # the band handed to the kernel is the hermitian part of e^{i theta} X_N
+    # entry for entry: the symbol's band, widened to k - 1 by a k x k corner
+    rng = checks._rng(404, 10, 0)
+    corner = rng.standard_normal((5, 3)) + 1j * rng.standard_normal((5, 3))
+    cases = [
+        (cc.make_toeplitz(checks.random_symbol(rng, 5, min_terms=2)), 5),
+        (cc.ToeplitzElement(Z + 0.3 * ZBAR, corner), 4),
+        (cc.ToeplitzElement(Z**4 - 0.5j * ZBAR**2, corner[:2, :2]), 4),
+    ]
+    thetas = [0.0, 0.9, 2.0, 4.4]
+    eps = np.finfo(float).eps
+    for x, band in cases:
+        rep = sp.numerical_range_support(x, thetas, 64)
+        assert rep.band == band
+        xn = cc.truncation(x, 64)
+        for t, h in zip(thetas, rep.support_values):
+            ph = complex(math.cos(t), math.sin(t))
+            herm = (ph * xn + np.conj(ph) * xn.conj().T) / 2.0
+            tol = 8 * (band + 1) * eps * np.max(np.abs(herm).sum(axis=0))
+            assert abs(h - np.linalg.eigvalsh(herm)[-1]) <= tol
+
+
+# 1 - (1 - cos t)^3: its maximum 1 at t = 0 is flat to sixth order, so the
+# compressions' support at theta = 0 sits within 1e-9 of the bound
+FLAT_TOP = (
+    "-1.5 + 1.875*z + 1.875*zbar - 0.75*z^2 - 0.75*zbar^2 + 0.125*z^3 + 0.125*zbar^3"
+)
+
+
+def test_numerical_range_check_fails_on_an_inflated_support(monkeypatch):
+    params = dict(
+        checks.DEFAULT_PARAMS,
+        symbols=[FLAT_TOP],
+        spectra_symbols=1,
+        nr_thetas=8,
+        nr_truncation=128,
+    )
+    honest = checks.run_check("numerical_range", params, 7)
+    assert honest.verdict and honest.residuals["violations"] == 0
+    assert honest.residuals["support_margin_worst"] > -1e-9
+    inflated = sp.band_max_eig
+    monkeypatch.setattr(sp, "band_max_eig", lambda ab: inflated(ab) + 1e-6)
+    rec = checks.run_check("numerical_range", params, 7)
+    assert not rec.verdict
+    assert rec.residuals["violations"] > 0
+
+
 def test_deep_spectrum_points_inside_numerical_range():
     # winding-certified lambdas well inside the range hull must lie in the
     # truncated numerical range: support gaps stay above -1e-6 at trunc 512
