@@ -347,7 +347,12 @@ def _check_hartman_wintner(params, seed):
     grid = params["grid_size"]
     counterexamples = 0
     certified = 0
-    decisions = {"fine_size": [], "fine_clamped": [], "probes_certified": []}
+    decisions = {
+        "fine_size": [],
+        "fine_clamped": [],
+        "probes_certified": [],
+        "clearance_fallbacks": [],
+    }
     for i, phi in enumerate(symbols):
         rep = spectra.hartman_wintner_check(
             phi, grid_size=grid, probes=params["probes"], seed=[seed, 61, i]
@@ -357,6 +362,7 @@ def _check_hartman_wintner(params, seed):
         decisions["fine_size"].append(rep.fine_size)
         decisions["fine_clamped"].append(rep.fine_clamped)
         decisions["probes_certified"].append(rep.probes_certified)
+        decisions["clearance_fallbacks"].append(rep.clearance_fallbacks)
     return {
         "symbols": len(symbols),
         "probes_certified": certified,
@@ -370,7 +376,12 @@ def _check_convex_bound(params, seed):
     counterexamples = 0
     worst_tol = 0.0
     artifacts = {}
-    decisions = {"refined_size": [], "refined_clamped": [], "hull_points": []}
+    decisions = {
+        "refined_size": [],
+        "refined_clamped": [],
+        "hull_points": [],
+        "hull_escalations": [],
+    }
     for i, phi in enumerate(symbols):
         lams = spectra.lambda_grid(phi, params["lambda_points"], grid)
         rep = spectra.convex_bound_check(phi, lams, grid_size=grid)
@@ -379,6 +390,7 @@ def _check_convex_bound(params, seed):
         decisions["refined_size"].append(rep.refined_size)
         decisions["refined_clamped"].append(rep.refined_clamped)
         decisions["hull_points"].append(rep.hull_points)
+        decisions["hull_escalations"].append(rep.hull_escalations)
         if i == 0:
             artifacts["spectrum_0.csv"] = spectra.report_csv_rows(rep)
     return {
@@ -693,7 +705,8 @@ REGISTRY = {
             "essential-range inclusion in the spectrum by winding certificates: "
             "integer crossing numbers of the sampled curve; probes near the "
             "curve are certified on a fine grid (sag <= 1e-5, at most 65536 "
-            "points) and its doubling",
+            "points) and its doubling, clear of the fine polyline by a k-d tree "
+            "over its vertices with an exact scan where the tree cannot decide",
             "no OUTSIDE verdicts on range samples or on certified interior "
             "probes",
             _check_hartman_wintner,
@@ -704,9 +717,11 @@ REGISTRY = {
             7,
             ("spectra",),
             "spectrum inside the convex hull of the essential range: crossing "
-            "numbers per grid row, hull of the refined grid (sag <= 2e-9) "
-            "evaluated only on arcs within twice the working sag of the "
-            "working hull's boundary, the only arcs that can reach the hull",
+            "numbers per grid row; each lambda is accepted on an upper bound of "
+            "its distance to the hull of every m-th refined sample (sag <= "
+            "2e-9), which lies inside the refined hull; only lambdas it leaves "
+            "go to the refined hull, evaluated on arcs within twice the working "
+            "sag of the working hull's boundary, the only arcs that can reach it",
             "every non-OUTSIDE lambda on the covering grid passes hull "
             "membership at the certified tolerance; no counterexamples",
             _check_convex_bound,

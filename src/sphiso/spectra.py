@@ -11,9 +11,12 @@ compressions only shrink the numerical range.
 Winding numbers are integer crossing counts of the sampled polyline
 (`symbols._winding_numbers`): exact for every lambda off the polyline, so
 no accumulated angle can drift. A lambda within `curve_tolerance` of a sample
-is ON_CURVE, decided by the exact distance; on a covering grid a k-d tree
-settles every lambda but those whose tree distance is within a relative 1e-9
-of the tolerance, which are measured again exactly.
+is ON_CURVE, decided by the exact distance. Distances have one exact scan,
+`_distance`, to the samples or to the polyline through them, and one pruned
+front, `_within`: a k-d tree picks the few samples or edges that can decide
+each lambda and hands the rest, and every lambda within a relative 1e-9 of
+its threshold, to the exact scan. It settles ON_CURVE on covering grids and
+the clearance of the near-range probes.
 
 Every check reads the curve as `symbols.eval_grid` samples it: the read-only
 array of phi on a uniform grid, with `curve_tolerance` as its ON_CURVE
@@ -24,8 +27,11 @@ chord sag (spacing^2 * B''/8 with B'' the l1 bound on the second derivative),
 and a sampled sup misses the true sup by the same amount. Hull, sup and probe
 grids are sized from that bound by one rule, `_sag_grid_size`, so the slack
 handed to membership tests is an actual certificate, not a guess; a cap that
-clamps the size is recorded. The same bound shows which arcs of the refined
-hull grid can reach the hull at all, so only those are evaluated.
+clamps the size is recorded. The convex bound first tests each lambda
+against the hull of every m-th refined sample, which lies inside the refined
+hull, and builds the refined hull only for the lambdas that test leaves. The
+same sag bound then shows which arcs of the refined grid can reach the hull at
+all, so only those are evaluated.
 """
 
 from __future__ import annotations
@@ -40,6 +46,7 @@ from .errors import PreconditionError
 from .linalg import band_max_eig, op_norm
 from .symbols import (
     _grid_winding_numbers,
+    _segment_distance,
     _winding_numbers,
     conv_hull,
     curve_tolerance,
@@ -74,35 +81,69 @@ _SAG_TARGET = 2e-9
 _GRID_CAP = 300_000
 
 
-def _min_distance(samples, lams, chunk_entries=4_000_000):
-    """min |samples - lam| for each lam, by dense rows of np.abs."""
+def _distance(samples, lams, edges=False, chunk_entries=1_000_000):
+    """Distance from each lam to the samples, or with edges to the closed
+    polyline through them, by dense rows."""
+    lams = np.asarray(lams, dtype=complex).ravel()
+    e = np.roll(samples, -1) - samples if edges else None
     out = np.empty(lams.size)
     step = max(1, chunk_entries // max(1, samples.size))
     for lo in range(0, lams.size, step):
-        rel = samples[None, :] - lams[lo : lo + step, None]
-        out[lo : lo + step] = np.abs(rel).min(axis=1)
+        lam = lams[lo : lo + step, None]
+        d = np.abs(samples - lam) if e is None else _segment_distance(lam, samples, e)
+        out[lo : lo + step] = d.min(axis=1)
     return out
 
 
-def _on_curve_pruned(samples, tol, lams):
-    """min |samples - lam| <= tol for a large lambda set, pruned by a k-d tree.
+def _within(samples, lams, reach, edges=False, k=16):
+    """(near, rescanned): whether each lam lies within reach of the samples,
+    or with edges of the closed polyline through them, pruned by a k-d tree;
+    rescanned counts the lambdas measured again by the exact scan `_distance`.
 
-    Tree distances agree with np.abs to a few ulps, so only lambdas whose tree
-    distance lies within a relative 1e-9 of tol are measured again exactly.
-    Below 1e-100 the squared distances inside the tree could underflow, so a
-    tiny tol is measured exactly throughout.
+    A point within reach of an edge lies within reach + |edge| / 2 of one of
+    the edge's end points, so the tree returns the k nearest vertices within
+    that radius (widened by a relative 1e-9: tree distances agree with np.abs
+    to a few ulps) and only the two edges at each are measured, by the exact
+    scan's formula. A lambda whose k-th neighbour is still inside the radius
+    may have more and is scanned exactly. Without edges the nearest vertex
+    settles it (k = 1). The tree may rank vertices that tie to within ulps
+    either way, so lambdas whose measured distance lies within a relative 1e-9
+    of reach are scanned exactly too. Below 1e-100 the squared distances inside
+    the tree could underflow, so a tiny reach is scanned exactly throughout.
     """
-    if not tol > 1e-100:
-        return _min_distance(samples, lams) <= tol
+    lams = np.asarray(lams, dtype=complex).ravel()
+    if not reach > 1e-100:
+        return _distance(samples, lams, edges) <= reach, lams.size
     from scipy.spatial import cKDTree
 
+    n = samples.size
+    if edges:
+        e = np.roll(samples, -1) - samples
+        radius = (reach + np.abs(e).max() / 2.0) * (1.0 + 1e-9)
+    else:
+        k, radius = 1, reach * (1.0 + 1e-9)
     tree = cKDTree(np.column_stack([samples.real, samples.imag]))
-    reach = tol * (1.0 + 1e-9)
-    dist, _ = tree.query(np.column_stack([lams.real, lams.imag]), distance_upper_bound=reach)
-    on = dist <= tol
-    band = np.flatnonzero(np.abs(dist - tol) <= tol * 1e-9)
-    on[band] = _min_distance(samples, lams[band]) <= tol
-    return on
+    _, idx = tree.query(
+        np.column_stack([lams.real, lams.imag]), k=k, distance_upper_bound=radius
+    )
+    idx = idx.reshape(lams.size, k)
+    found = idx < n  # missing neighbours come back as index n
+    idx = np.where(found, idx, 0)
+    lam = lams[:, None]
+    if edges:
+        # the edge out of and the edge into each vertex found
+        ends = np.concatenate([idx, (idx - 1) % n], axis=1)
+        d = _segment_distance(lam, samples[ends], e[ends])
+        d[~np.concatenate([found, found], axis=1)] = np.inf
+    else:
+        d = np.where(found, np.abs(samples[idx] - lam), np.inf)
+    dist = d.min(axis=1)
+    rescan = np.abs(dist - reach) <= reach * 1e-9
+    if edges:
+        rescan |= found[:, -1]
+    rescan = np.flatnonzero(rescan)
+    dist[rescan] = _distance(samples, lams[rescan], edges)
+    return dist <= reach, rescan.size
 
 
 def _codes(on_curve, windings):
@@ -113,7 +154,7 @@ def _codes(on_curve, windings):
 def _classify(samples, tol, lams):
     """Status codes for scattered lambdas: exact distances, crossing windings."""
     lams = np.asarray(lams, dtype=complex).ravel()
-    return _codes(_min_distance(samples, lams) <= tol, _winding_numbers(samples, lams))
+    return _codes(_distance(samples, lams) <= tol, _winding_numbers(samples, lams))
 
 
 def _statuses(phi, lams, grid_size):
@@ -134,23 +175,6 @@ def spectrum_membership(phi, lam, grid_size=2048):
 def membership_batch(phi, lams, grid_size=2048):
     """Status name array for a batch of lambdas on one shared sample grid."""
     return _NAMES[_statuses(phi, lams, grid_size)]
-
-
-def _polyline_distance(samples, lams, chunk_entries=4_000_000):
-    """Distance from each lam to the closed polyline through the samples."""
-    lams = np.asarray(lams, dtype=complex).ravel()
-    a = samples
-    e = np.roll(samples, -1) - a
-    ee = np.abs(e) ** 2
-    ee_safe = np.where(ee == 0, 1.0, ee)
-    out = np.empty(lams.size)
-    step = max(1, chunk_entries // max(1, samples.size))
-    for lo in range(0, lams.size, step):
-        lam = lams[lo : lo + step, None]
-        t = ((lam - a[None, :]) * np.conj(e[None, :])).real / ee_safe[None, :]
-        np.clip(t, 0.0, 1.0, out=t)
-        out[lo : lo + step] = np.abs(lam - (a[None, :] + t * e[None, :])).min(axis=1)
-    return out
 
 
 def _range_box(samples):
@@ -198,6 +222,7 @@ class HartmanWintnerReport:
     verdict: bool
     fine_size: int
     fine_clamped: bool
+    clearance_fallbacks: int
 
 
 _FINE_CAP = 65536
@@ -212,7 +237,10 @@ def hartman_wintner_check(phi, grid_size=512, probes=100, seed=11):
     inside a winding-nonzero region: farther from the fine polyline than twice
     its sag bound (so the discrete winding equals the true one) and winding
     nonzero, by crossing numbers, on the fine grid and its doubling. The fine
-    grid is sized for a sag of 1e-5 and clamped at 65536 points. Certified
+    grid is sized for a sag of 1e-5 and clamped at 65536 points. Clearance is
+    tested against the fine vertices a k-d tree finds near each candidate
+    (`_within`); clearance_fallbacks counts the candidates that needed the
+    exact scan of every fine edge. Certified
     probes must not read OUTSIDE on the working grid. Symbols whose spectrum
     has empty interior (real-valued ones, say) certify no probes and pass
     vacuously.
@@ -234,6 +262,7 @@ def hartman_wintner_check(phi, grid_size=512, probes=100, seed=11):
     hi = min(0.01, tol / 2.0)
     lo_step = min(1e-3, hi / 2.0)
     certified = []
+    fallbacks = 0
     attempts = 0
     cap = 40 * probes
     batch = max(4 * probes, 64)
@@ -246,7 +275,9 @@ def hartman_wintner_check(phi, grid_size=512, probes=100, seed=11):
         )
         cand = anchors + steps
         # the clearance keeps every candidate off both fine polylines
-        cand = cand[_polyline_distance(fine, cand) > clearance]
+        near, rescanned = _within(fine, cand, clearance, edges=True)
+        fallbacks += rescanned
+        cand = cand[~near]
         if cand.size:
             keep = (_winding_numbers(fine, cand) != 0) & (_winding_numbers(fine2, cand) != 0)
             certified.extend(cand[keep].tolist())
@@ -270,6 +301,7 @@ def hartman_wintner_check(phi, grid_size=512, probes=100, seed=11):
         verdict,
         fine_size,
         fine_clamped,
+        fallbacks,
     )
 
 
@@ -286,6 +318,7 @@ class ConvexBoundReport:
     refined_size: int
     refined_clamped: bool
     hull_points: int
+    hull_escalations: int
 
     def __post_init__(self):
         if self.verdict != (not self.counterexamples):
@@ -307,12 +340,17 @@ def _hull_arcs(phi, samples, refined_size):
     Arc j runs between working samples j and j + 1, through refined_size /
     samples.size refined steps. The true arc lies within the working sag of
     its chord, and on a convex set the depth below the boundary is concave,
-    so a chord between two working samples deeper than twice the sag (1e-12
-    absorbs rounding) keeps its arc strictly inside the working hull, which
-    lies inside the refined one: such an arc supplies no hull vertex and is
-    skipped. The kept indices are sampled through eval_grid, so every sample
-    is bit-identical to the full refined grid's. They are not a closed curve:
-    the result feeds the hull only, never a winding count.
+    so a chord between two working samples deeper than twice the sag keeps
+    its arc strictly inside the working hull: such an arc supplies no hull
+    vertex and is skipped. Every working hull vertex starts a kept arc, and the
+    refined sample at its index is kept; the two differ by rounding only
+    (2 pi j / g and 2 pi jm / (gm) round apart), and the 1e-12 absorbs that
+    and the rest of the rounding. The kept indices are sampled through
+    eval_grid at the refined grid's own angles, so every sample is the full
+    refined grid's up to the rounding of the products (numpy orders the
+    operands of a complex product by array size, and with FMA the order sets
+    the last bits). They are not a closed curve: the result feeds the hull
+    only, never a winding count.
     """
     g = samples.size
     work = conv_hull(samples)
@@ -331,12 +369,20 @@ def convex_bound_check(phi, lams, grid_size=512):
 
     Statuses come from crossing numbers, one scanline per distinct imaginary
     part of the covering grid, with ON_CURVE pruned by a k-d tree. The hull is
-    that of a refined sample grid (a multiple of the working grid) sized so
-    the sag bound stays under 2e-9, but only the arcs that can reach the
-    working hull's boundary are evaluated (`_hull_arcs`), which leaves the
-    hull unchanged. Winding-certified points are tested at 1e-8, while
-    on-curve points carry the working curve tolerance on top since that is how
-    far they may sit from their anchoring sample.
+    that of a refined sample grid (a multiple m of the working grid) sized so
+    the sag bound stays under 2e-9. Winding-certified points are tested at
+    1e-8, while on-curve points carry the working curve tolerance on top since
+    that is how far they may sit from their anchoring sample.
+
+    Every m-th refined sample, taken through eval_grid at the refined grid's
+    own angles, spans a coarse hull that lies inside the refined one up to the
+    rounding of the products (see `_hull_arcs`; under 1e-15 on full.json). A
+    lambda is accepted on an upper bound of its distance to the coarse hull
+    (`Hull.distance_bound`, then the exact distance to its boundary) that
+    stays 1e-12 below its tolerance, which absorbs that rounding: then the
+    refined hull, and its lower-bound membership test, accept it too. Only the
+    lambdas this leaves (hull_escalations) go to the refined hull, evaluated
+    on the arcs that can reach it (`_hull_arcs`).
     """
     phi._require_univariate()
     lams = np.asarray(lams, dtype=complex).ravel()
@@ -355,24 +401,31 @@ def convex_bound_check(phi, lams, grid_size=512):
         )
 
     windings = _grid_winding_numbers(samples, lams)
-    codes = _codes(_on_curve_pruned(samples, tol, lams), windings)
+    codes = _codes(_within(samples, lams, tol)[0], windings)
 
     refined_size, clamped = _sag_grid_size(phi, _SAG_TARGET, grid_size, grid_size, _GRID_CAP)
-    refined = _hull_arcs(phi, samples, refined_size)
-    hull = conv_hull(refined)
     sag = _sag_bound(phi, refined_size)
     tol_winding = max(1e-8, sag + 5e-9)
     tol_on_curve = tol + tol_winding
 
-    counter = []
-    inside = lams[codes == 1]
-    if inside.size:
-        ok = hull.membership_batch(inside, tol_winding)
-        counter.extend(complex(v) for v in inside[~ok])
-    oncurve = lams[codes == 0]
-    if oncurve.size:
-        ok = hull.membership_batch(oncurve, tol_on_curve)
-        counter.extend(complex(v) for v in oncurve[~ok])
+    tested = codes != 2
+    pts, pcodes = lams[tested], codes[tested]
+    reach = np.where(pcodes == 1, tol_winding, tol_on_curve)
+    m = refined_size // grid_size
+    hull = conv_hull(eval_grid(phi, refined_size, m * np.arange(grid_size)))
+    hull_points = grid_size
+    limit = reach - 1e-12
+    ok = hull.distance_bound(pts) <= limit
+    rest = np.flatnonzero(~ok)
+    ok[rest] = _distance(hull.vertices, pts[rest], edges=True) <= limit[rest]
+    escalate = np.flatnonzero(~ok)
+    if escalate.size:
+        refined = _hull_arcs(phi, samples, refined_size)
+        hull, hull_points = conv_hull(refined), refined.size
+        ok[escalate] = hull.membership_batch(pts[escalate], reach[escalate])
+
+    counter = [complex(v) for v in pts[~ok & (pcodes == 1)]]
+    counter.extend(complex(v) for v in pts[~ok & (pcodes == 0)])
     return ConvexBoundReport(
         statuses=_NAMES[codes],
         lams=lams,
@@ -384,7 +437,8 @@ def convex_bound_check(phi, lams, grid_size=512):
         verdict=not counter,
         refined_size=refined_size,
         refined_clamped=clamped,
-        hull_points=refined.size,
+        hull_points=hull_points,
+        hull_escalations=escalate.size,
     )
 
 

@@ -231,7 +231,8 @@ class LaurentPoly:
             raise PreconditionError(f"points need last axis {self.nvars}")
         out = np.zeros(pts.shape[:-1], dtype=complex)
         for e, c in self._coeffs.items():
-            term = np.full(pts.shape[:-1], c, dtype=complex)
+            # the scalar c times the first power gives the bits of a filled array
+            term = c
             for j, k in enumerate(e):
                 if k:
                     term = term * pts[..., j] ** k
@@ -559,6 +560,14 @@ def sup_norm(phi, grid_size=512):
 # convex hulls
 
 
+def _segment_distance(q, a, e):
+    """Distance from q to the segment a -> a + e, elementwise with broadcasting;
+    a zero e gives |q - a|."""
+    ee = np.abs(e) ** 2
+    t = ((q - a) * np.conj(e)).real / np.where(ee == 0, 1.0, ee)
+    return np.abs(q - (a + np.clip(t, 0.0, 1.0) * e))
+
+
 class Hull:
     """Convex hull of a finite point set in C, with tolerant membership.
 
@@ -585,6 +594,17 @@ class Hull:
             self._va = v[order]
             self._aa = ang[order]
 
+    def _sector_edge(self, q):
+        """(a, e, signed) for a polygon: the edge a -> a + e of the sector about
+        the vertex mean that holds each q, and q's signed distance to its line,
+        positive on the inner side."""
+        va, aa, m = self._va, self._aa, self._va.size
+        idx = np.searchsorted(aa, np.angle(q - self._c), side="right") - 1
+        idx %= m
+        a = va[idx]
+        e = va[(idx + 1) % m] - a
+        return a, e, (np.conj(e) * (q - a)).imag / np.abs(e)
+
     def outside_distance(self, lams):
         """Distance-like defect: 0 inside, else a lower bound on the distance
         to the hull (exact for point/segment hulls and polygon edge regions)."""
@@ -593,16 +613,19 @@ class Hull:
             return np.abs(q - self.vertices[0])
         if self.kind == "segment":
             a, b = self.vertices
-            e = b - a
-            t = np.clip(((q - a) * np.conj(e)).real / abs(e) ** 2, 0.0, 1.0)
-            return np.abs(q - (a + t * e))
-        va, aa, m = self._va, self._aa, self._va.size
-        idx = np.searchsorted(aa, np.angle(q - self._c), side="right") - 1
-        idx %= m
-        a = va[idx]
-        e = va[(idx + 1) % m] - a
-        signed = (np.conj(e) * (q - a)).imag / np.abs(e)
+            return _segment_distance(q, a, b - a)
+        _, _, signed = self._sector_edge(q)
         return np.maximum(0.0, -signed)
+
+    def distance_bound(self, lams):
+        """An upper bound on the distance to the hull, up to rounding: 0 where
+        q lies inside its sector's triangle, else the distance to the sector
+        edge, a segment of the hull (exact for point/segment hulls)."""
+        q = np.atleast_1d(np.asarray(lams, dtype=complex))
+        if self.kind != "polygon":
+            return self.outside_distance(q)
+        a, e, signed = self._sector_edge(q)
+        return np.where(signed >= 0.0, 0.0, _segment_distance(q, a, e))
 
     def membership(self, lam, tol):
         return bool(self.outside_distance(lam)[0] <= tol)

@@ -184,18 +184,26 @@ def test_run_decisions_go_to_manifest_only(tmp_path):
     raw = (rundir / "report.json").read_text()
     report = json.loads(raw)
     assert [checks.canonical_json(c) for c in report["checks"][:2]] == SPECTRA_RECORDS
-    assert "decisions" not in raw and "refined_size" not in raw and "band" not in raw
+    for key in ("decisions", "refined_size", "band", "hull_points", "hull_escalations",
+                "clearance_fallbacks"):
+        assert key not in raw
 
     decisions = json.loads((rundir / "manifest.json").read_text())["decisions"]
     assert set(decisions) == {"hartman_wintner", "convex_bound", "numerical_range"}
     cb = decisions["convex_bound"]
-    assert len(cb["refined_size"]) == len(cb["refined_clamped"]) == len(cb["hull_points"]) == 3
+    assert set(cb) == {"refined_size", "refined_clamped", "hull_points", "hull_escalations"}
+    assert all(len(v) == 3 for v in cb.values())
     for size, clamped, points in zip(cb["refined_size"], cb["refined_clamped"], cb["hull_points"]):
         assert size % 512 == 0 and size <= 300_000
         assert isinstance(clamped, bool)
         assert 0 < points <= size
+    # the coarse hull of 512 refined samples decides every lambda
+    assert cb["hull_escalations"] == [0, 0, 0] and cb["hull_points"] == [512] * 3
     hw = decisions["hartman_wintner"]
+    assert set(hw) == {"fine_size", "fine_clamped", "probes_certified", "clearance_fallbacks"}
     assert len(hw["fine_size"]) == len(hw["fine_clamped"]) == 3
+    assert len(hw["clearance_fallbacks"]) == 3
+    assert all(isinstance(n, int) and n >= 0 for n in hw["clearance_fallbacks"])
     assert all(2048 <= n <= 65536 for n in hw["fine_size"])
     assert hw["probes_certified"] == [20, 20, 20]
     nr = decisions["numerical_range"]

@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from sphiso import checks
 from sphiso import circle_calculus as cc
@@ -90,6 +92,73 @@ def test_hartman_wintner_random_suite():
 
 
 # ---------------------------------------------------------------------------
+# pruned distances
+
+
+def polyline_distance(samples, lams):
+    """The earlier dense scan: distance from each lam to the closed polyline."""
+    a = samples
+    e = np.roll(samples, -1) - a
+    ee = np.abs(e) ** 2
+    ee_safe = np.where(ee == 0, 1.0, ee)
+    lam = np.asarray(lams, dtype=complex)[:, None]
+    t = ((lam - a[None, :]) * np.conj(e[None, :])).real / ee_safe[None, :]
+    np.clip(t, 0.0, 1.0, out=t)
+    return np.abs(lam - (a[None, :] + t * e[None, :])).min(axis=1)
+
+
+coeff = st.complex_numbers(
+    min_magnitude=0.05, max_magnitude=2.0, allow_nan=False, allow_infinity=False
+)
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    coeffs=st.dictionaries(st.integers(-4, 4), coeff, min_size=1, max_size=4),
+    grid_size=st.sampled_from([64, 512]),
+    offsets=st.lists(
+        st.complex_numbers(max_magnitude=0.1, allow_nan=False, allow_infinity=False),
+        min_size=1,
+        max_size=12,
+    ),
+    start=st.integers(0, 511),
+    at=st.integers(0, 11),
+    widen=st.sampled_from([1.0, 0.5, 2.0]),
+)
+def test_pruned_distance_matches_dense_scan(coeffs, grid_size, offsets, start, at, widen):
+    # k = 2 sends lambdas with a third vertex in reach to the exact scan, and
+    # widen = 1 puts one lambda on the threshold, inside the recheck band
+    phi = LaurentPoly(1, {(k,): c for k, c in coeffs.items()})
+    samples = eval_grid(phi, grid_size)
+    picks = (start + 37 * np.arange(len(offsets))) % grid_size
+    lams = samples[picks] + np.array(offsets, dtype=complex)
+    exact = polyline_distance(samples, lams)
+    reach = widen * exact[at % lams.size]
+    near, rescanned = sp._within(samples, lams, reach, edges=True, k=2)
+    assert np.array_equal(near, ~(exact > reach))
+    assert 0 <= rescanned <= lams.size
+    points = np.abs(samples[None, :] - lams[:, None]).min(axis=1)
+    near, _ = sp._within(samples, lams, widen * points[at % lams.size])
+    assert np.array_equal(near, points <= widen * points[at % lams.size])
+
+
+def test_pruned_distance_falls_back_and_rechecks():
+    circle = eval_grid(Z, 64)  # unit circle, edges about 0.098 long
+    # every vertex is within reach of the centre: the k-th neighbour is inside
+    # the radius, so the exact scan decides
+    near, rescanned = sp._within(circle, [0j], 1.5, edges=True, k=2)
+    assert near.tolist() == [True] and rescanned == 1
+    # 3 is exactly 2 from the vertex 1: on the threshold, inside the band
+    near, rescanned = sp._within(circle, [3 + 0j], 2.0, edges=True)
+    assert near.tolist() == [True] and rescanned == 1
+    # no vertex within 1.9 + half an edge: decided by the tree alone
+    near, rescanned = sp._within(circle, [3 + 0j], 1.9, edges=True)
+    assert near.tolist() == [False] and rescanned == 0
+    near, rescanned = sp._within(circle, [0.5 + 0j, 3 + 0j], 0.6)
+    assert near.tolist() == [True, False] and rescanned == 0
+
+
+# ---------------------------------------------------------------------------
 # convex bound
 
 
@@ -121,13 +190,43 @@ def test_convex_bound_targeted_hull_covers_full_refined_grid():
     # whole refined grid, and the arcs left out are most of it
     kept = total = 0
     for phi in full_scenario_symbols() + [Z, Z**3 + 0.5 * ZBAR]:
-        rep = sp.convex_bound_check(phi, sp.lambda_grid(phi, 8))
-        assert rep.refined_size == sp._sag_grid_size(phi, sp._SAG_TARGET, 512, 512, sp._GRID_CAP)[0]
-        full = eval_grid(phi, rep.refined_size)
-        assert np.max(Hull(rep.hull_vertices).outside_distance(full)) <= 1e-12
-        kept += rep.hull_points
-        total += rep.refined_size
+        size = sp._sag_grid_size(phi, sp._SAG_TARGET, 512, 512, sp._GRID_CAP)[0]
+        assert sp.convex_bound_check(phi, sp.lambda_grid(phi, 8)).refined_size == size
+        arcs = sp._hull_arcs(phi, eval_grid(phi, 512), size)
+        full = eval_grid(phi, size)
+        assert np.max(conv_hull(arcs).outside_distance(full)) <= 1e-12
+        kept += arcs.size
+        total += size
     assert kept < total / 2
+
+
+def test_convex_bound_coarse_hull_lies_inside_the_refined_hull(monkeypatch):
+    # the coarse hull is fed every m-th refined sample at the refined grid's
+    # own angles: each matches the refined sample to the rounding of the
+    # products, so the coarse hull lies inside the refined hull the escalation
+    # path builds, far within the 1e-12 margin of the coarse test. The working
+    # samples round apart (2 pi j / g against 2 pi jm / (gm)).
+    fed = []
+
+    def spy(points):
+        fed.append(np.array(points))
+        return conv_hull(points)
+
+    monkeypatch.setattr(sp, "conv_hull", spy)
+    working_differs = 0
+    for phi in full_scenario_symbols():
+        fed.clear()
+        rep = sp.convex_bound_check(phi, sp.lambda_grid(phi, 8))
+        assert rep.hull_escalations == 0 and rep.hull_points == 512
+        (coarse,) = fed
+        m = rep.refined_size // 512
+        full = eval_grid(phi, rep.refined_size)
+        assert coarse.size == 512
+        assert np.max(np.abs(coarse - full[::m])) <= 4 * np.finfo(float).eps * phi.l1_norm()
+        refined = conv_hull(sp._hull_arcs(phi, eval_grid(phi, 512), rep.refined_size))
+        assert np.max(refined.distance_bound(coarse)) <= 1e-13
+        working_differs += np.any(eval_grid(phi, 512) != coarse)
+    assert working_differs > 0
 
 
 def test_convex_bound_targeted_samples_are_bit_identical():
@@ -150,6 +249,30 @@ def test_convex_bound_flags_a_shrunken_hull(monkeypatch):
         rep = sp.convex_bound_check(phi, sp.lambda_grid(phi, 200))
         assert not rep.verdict
         assert rep.counterexamples
+
+
+def test_convex_bound_escalates_past_a_shrunken_coarse_hull(monkeypatch):
+    # only the first hull, the coarse one, shrinks: the lambdas it leaves go
+    # to the refined hull, which accepts them
+    calls = []
+
+    def shrunk_first(points):
+        calls.append(np.size(points))
+        v = conv_hull(points).vertices
+        if len(calls) > 1:
+            return Hull(v)
+        c = v.mean()
+        return Hull(c + 0.99 * (v - c))
+
+    monkeypatch.setattr(sp, "conv_hull", shrunk_first)
+    for phi in full_scenario_symbols()[:4]:
+        calls.clear()
+        rep = sp.convex_bound_check(phi, sp.lambda_grid(phi, 200))
+        assert rep.verdict and rep.counterexamples == []
+        assert rep.hull_escalations > 0
+        # coarse, working (inside _hull_arcs), then the refined arcs
+        assert calls[:2] == [512, 512] and len(calls) == 3
+        assert rep.hull_points == calls[2] > 512
 
 
 def test_hartman_wintner_flags_a_planted_outside(monkeypatch):
@@ -308,6 +431,7 @@ def test_spectrum_report_consistency_guard():
             refined_size=512,
             refined_clamped=False,
             hull_points=0,
+            hull_escalations=0,
         )
 
 

@@ -6,6 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.optimize import linprog
 
+from sphiso import checks
 from sphiso.errors import OnCurveError, PreconditionError
 from sphiso.symbols import (
     LaurentPoly,
@@ -138,6 +139,35 @@ def test_eval_grid_index_subset_is_bit_identical():
     assert np.array_equal(eval_grid(phi, 512, idx), eval_grid(phi, 512)[idx])
 
 
+def filled_eval(phi, pts):
+    """The earlier LaurentPoly.eval_at: each term starts from a filled array."""
+    out = np.zeros(pts.shape[:-1], dtype=complex)
+    for e, c in phi.terms():
+        term = np.full(pts.shape[:-1], c, dtype=complex)
+        for j, k in enumerate(e):
+            if k:
+                term = term * pts[..., j] ** k
+        out += term
+    return out
+
+
+def test_eval_at_scalar_coefficient_keeps_the_bits():
+    # starting a term from the scalar coefficient gives the filled array's
+    # bits, at sizes on both sides of numpy's temporary reuse (256 KiB)
+    symbols = checks._suite_symbols(dict(checks.DEFAULT_PARAMS), 20260815)
+    assert len(symbols) == 20
+    for g in (512, 2048, 65536):
+        ring = np.exp(1j * (2.0 * np.pi * np.arange(g) / g))
+        for phi in symbols:
+            assert phi.eval_at(ring).tobytes() == filled_eval(phi, ring[:, None]).tobytes()
+    two = LaurentPoly.from_text("(0.3-0.7j)*z1^2*zbar2 + 1.5*z2^3 - (0.25+0.5j)*zbar1 + 0.125")
+    for g in (64, 512):
+        ring = np.exp(1j * (2.0 * np.pi * np.arange(g) / g))
+        mesh = np.meshgrid(ring, ring, indexing="ij")
+        pts = np.stack([m.ravel() for m in mesh], axis=-1)
+        assert two.eval_at(pts).tobytes() == filled_eval(two, pts).tobytes()
+
+
 @pytest.mark.parametrize("bad", [math.inf, -math.inf, math.nan, complex(0.0, math.nan)])
 def test_laurent_poly_rejects_non_finite(bad):
     with pytest.raises(PreconditionError, match="finite"):
@@ -266,6 +296,32 @@ def test_hull_membership_one_sided_safety():
     for t in np.linspace(0.0, 1.0, 11):
         edge_point = (1 - t) * 1.0 + t * 1j
         assert h.membership(edge_point, 1e-9)
+
+
+def test_hull_distance_bound_brackets_the_distance():
+    # the exact distance to a convex polygon: 0 inside, else the distance to
+    # its boundary; distance_bound never falls below it, outside_distance never
+    # rises above it
+    rng = np.random.default_rng(61)
+    pts = rng.uniform(-1, 1, 40) + 1j * rng.uniform(-1, 1, 40)
+    h = conv_hull(pts)
+    v = h.vertices
+    e = np.roll(v, -1) - v
+    q = rng.uniform(-2, 2, 400) + 1j * rng.uniform(-2, 2, 400)
+    rel = (np.conj(e)[None, :] * (q[:, None] - v[None, :])).imag
+    inside = (rel >= 0).all(axis=1)
+    t = np.clip(((q[:, None] - v) * np.conj(e)).real / np.abs(e) ** 2, 0.0, 1.0)
+    boundary = np.abs(q[:, None] - (v + t * e)).min(axis=1)
+    exact = np.where(inside, 0.0, boundary)
+    assert inside.any() and (~inside).any()
+    upper = h.distance_bound(q)
+    assert np.all(upper >= exact - 1e-15)
+    assert np.all(h.outside_distance(q) <= exact + 1e-15)
+    assert np.all(upper[inside] == 0.0)
+    # point and segment hulls are exact both ways
+    for small in ([2.0 + 1j], [0.0, 1.0, 0.5]):
+        hs = conv_hull(small)
+        assert np.array_equal(hs.distance_bound(q), hs.outside_distance(q))
 
 
 def test_hull_large_set_qhull_path():

@@ -56,7 +56,7 @@ def status_codes(samples, tol, lams):
 
 
 def grid_codes(samples, tol, lams):
-    return sp._codes(sp._on_curve_pruned(samples, tol, lams), _grid_winding_numbers(samples, lams))
+    return sp._codes(sp._within(samples, lams, tol)[0], _grid_winding_numbers(samples, lams))
 
 
 def full_symbols():
@@ -129,7 +129,7 @@ def test_ties_on_vertex_ordinates_and_horizontal_edges():
     seen = set()
     for samples, lams in cases:
         lams = np.asarray(lams, dtype=complex)
-        off = sp._polyline_distance(samples, lams) > 1e-9
+        off = sp._distance(samples, lams, edges=True) > 1e-9
         _, w, _ = dense_winding(samples, lams[off])
         assert np.array_equal(_winding_numbers(samples, lams[off]), w)
         assert np.array_equal(_grid_winding_numbers(samples, lams[off]), w)
