@@ -354,11 +354,15 @@ def truncation(x, n):
 def _pure_truncation_norm(phi, n):
     """Norm of the N x N compression A of a pure Toeplitz operator.
 
-    sqrt of the largest eigenvalue of A*A, whose band is twice the symbol's,
-    by `linalg.band_max_eig`: bisection with one banded Cholesky factorization
-    per step, O(N * band^2) each, with no dense SVD and no band reduction.
-    The eigenvalue is the upper end of the bisection bracket, so the norm
-    errs upward but for the factorization's rounding.
+    sqrt of the largest eigenvalue of A*A by `linalg.band_max_eig`:
+    bisection with one banded Cholesky factorization per step, O(N * kd^2)
+    each, with no dense SVD and no band reduction. A holds the diagonals
+    lo..hi, the least and greatest exponents kept (|k| < N), so A*A has
+    bandwidth kd = hi - lo (at most N - 1), not twice the band: the band
+    itself for an analytic or co-analytic symbol, 0 for a monomial. Zero
+    diagonals stored past kd would only add exact zeros to the factorization
+    while raising its cost. The eigenvalue is the upper end of the bisection
+    bracket, so the norm errs upward but for the factorization's rounding.
     """
     phi._require_univariate()
     if n < 1:
@@ -377,7 +381,7 @@ def _pure_truncation_norm(phi, n):
         return 0.0
     a = sp.diags(vals, offsets, shape=(n, n), format="csc", dtype=complex)
     b = (a.getH() @ a).tocsc()
-    u = min(2 * w, n - 1)
+    u = min(max(offsets) - min(offsets), n - 1)
     band = np.zeros((u + 1, n), dtype=complex)
     for d in range(u + 1):
         band[u - d, d:] = b.diagonal(d)

@@ -15,8 +15,9 @@ is ON_CURVE, decided by the exact distance. Distances have one exact scan,
 `_distance`, to the samples or to the polyline through them, and one pruned
 front, `_within`: a k-d tree picks the few samples or edges that can decide
 each lambda and hands the rest, and every lambda within a relative 1e-9 of
-its threshold, to the exact scan. It settles ON_CURVE on covering grids and
-the clearance of the near-range probes.
+its threshold, to the exact scan. It settles ON_CURVE on covering grids,
+the clearance of the near-range probes and the convex-bound lambdas near a
+hull vertex.
 
 Every check reads the curve as `symbols.eval_grid` samples it: the read-only
 array of phi on a uniform grid, with `curve_tolerance` as its ON_CURVE
@@ -96,9 +97,10 @@ def _distance(samples, lams, edges=False, chunk_entries=1_000_000):
 
 
 def _within(samples, lams, reach, edges=False, k=16):
-    """(near, rescanned): whether each lam lies within reach of the samples,
-    or with edges of the closed polyline through them, pruned by a k-d tree;
-    rescanned counts the lambdas measured again by the exact scan `_distance`.
+    """(near, rescanned): whether each lam lies within reach (one float, or
+    one per lam) of the samples, or with edges of the closed polyline through
+    them, pruned by a k-d tree; rescanned counts the lambdas measured again by
+    the exact scan `_distance`.
 
     A point within reach of an edge lies within reach + |edge| / 2 of one of
     the edge's end points, so the tree returns the k nearest vertices within
@@ -110,18 +112,20 @@ def _within(samples, lams, reach, edges=False, k=16):
     either way, so lambdas whose measured distance lies within a relative 1e-9
     of reach are scanned exactly too. Below 1e-100 the squared distances inside
     the tree could underflow, so a tiny reach is scanned exactly throughout.
+    The tree searches out to the largest reach.
     """
     lams = np.asarray(lams, dtype=complex).ravel()
-    if not reach > 1e-100:
+    reach = np.broadcast_to(np.asarray(reach, dtype=float), lams.shape)
+    if lams.size == 0 or not reach.min() > 1e-100:
         return _distance(samples, lams, edges) <= reach, lams.size
     from scipy.spatial import cKDTree
 
     n = samples.size
     if edges:
         e = np.roll(samples, -1) - samples
-        radius = (reach + np.abs(e).max() / 2.0) * (1.0 + 1e-9)
+        radius = (reach.max() + np.abs(e).max() / 2.0) * (1.0 + 1e-9)
     else:
-        k, radius = 1, reach * (1.0 + 1e-9)
+        k, radius = 1, reach.max() * (1.0 + 1e-9)
     tree = cKDTree(np.column_stack([samples.real, samples.imag]))
     _, idx = tree.query(
         np.column_stack([lams.real, lams.imag]), k=k, distance_upper_bound=radius
@@ -378,11 +382,12 @@ def convex_bound_check(phi, lams, grid_size=512):
     own angles, spans a coarse hull that lies inside the refined one up to the
     rounding of the products (see `_hull_arcs`; under 1e-15 on full.json). A
     lambda is accepted on an upper bound of its distance to the coarse hull
-    (`Hull.distance_bound`, then the exact distance to its boundary) that
-    stays 1e-12 below its tolerance, which absorbs that rounding: then the
-    refined hull, and its lower-bound membership test, accept it too. Only the
-    lambdas this leaves (hull_escalations) go to the refined hull, evaluated
-    on the arcs that can reach it (`_hull_arcs`).
+    that stays 1e-12 below its tolerance, which absorbs that rounding: then
+    the refined hull, and its lower-bound membership test, accept it too. The
+    bounds are tried cheapest first: `Hull.distance_bound`, the distance to
+    the nearest hull vertex by `_within`, and the exact distance to the hull's
+    boundary. Only the lambdas this leaves (hull_escalations) go to the
+    refined hull, evaluated on the arcs that can reach it (`_hull_arcs`).
     """
     phi._require_univariate()
     lams = np.asarray(lams, dtype=complex).ravel()
@@ -417,6 +422,8 @@ def convex_bound_check(phi, lams, grid_size=512):
     limit = reach - 1e-12
     ok = hull.distance_bound(pts) <= limit
     rest = np.flatnonzero(~ok)
+    ok[rest] = _within(hull.vertices, pts[rest], limit[rest])[0]
+    rest = rest[~ok[rest]]
     ok[rest] = _distance(hull.vertices, pts[rest], edges=True) <= limit[rest]
     escalate = np.flatnonzero(~ok)
     if escalate.size:

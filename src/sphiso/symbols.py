@@ -480,9 +480,16 @@ def winding(phi, lam, grid_size=512):
     return int(_winding_numbers(samples, [lam])[0])
 
 
+# The dense crossing table is cheapest up to this many entries L * (S + 1).
+_DENSE_ENTRIES = 1 << 15
+# Past that, runs replace it when there are at most S / _RUN_SHARE of them: a
+# binary search costs about five table entries (measured on x86-64).
+_RUN_SHARE = 16
+
+
 def _crossings(samples, ys, chunk_entries=4_000_000):
     """Edge crossings of the scanlines y = ys[k] by the closed polyline
-    through samples, as (k, abscissa, sign) arrays.
+    through samples, as (k, abscissa, sign) arrays in (k, edge) order.
 
     Crossing-number rule with the half-open convention (Hormann & Agathos,
     Comput. Geom. 20, 2001): edge (a, b) crosses y upward, sign +1.0, when
@@ -492,21 +499,91 @@ def _crossings(samples, ys, chunk_entries=4_000_000):
     add up to the winding number of the polyline about every lambda off it,
     exactly. Lambdas on the polyline get some integer; callers classify them
     by distance first.
+
+    The crossed edges are found one of two ways, with the same result, and
+    the abscissae by one formula. The dense table (`_table_edges`) tests
+    every edge against every scanline, O(L S) for L scanlines and S samples;
+    it is kept up to _DENSE_ENTRIES entries, where it is cheapest. Past that,
+    the edges are split into R y-monotone runs (`_monotone_runs`), each
+    crossed at most once by a scanline, at the edge a binary search finds
+    (`_run_edges`): O(S + L R log S). Rounding noise can cut a flat stretch
+    of the curve into many runs (z + zbar at 65,536 samples has over 35,000),
+    so the table stays when R exceeds S / _RUN_SHARE. Memory stays within
+    O(S) plus about chunk_entries table entries, or chunk_entries / 16
+    binary searches, at once.
     """
     ring = np.concatenate((samples, samples[:1]))
-    ring_y = ring.imag
-    step = max(1, chunk_entries // ring.size)
+    runs = None
+    if ys.size * ring.size > _DENSE_ENTRIES:
+        runs = _monotone_runs(ring.imag, samples.size / _RUN_SHARE)
+    width = ring.size if runs is None else 16 * max(runs[0].size, 1)
+    step = max(1, chunk_entries // width)
     parts = []
     for lo in range(0, max(ys.size, 1), step):
-        below = ring_y <= ys[lo : lo + step, None]
-        k, e = np.nonzero(below[:, :-1] != below[:, 1:])
+        y = ys[lo : lo + step]
+        k, e, sign = _table_edges(ring.imag, y) if runs is None else _run_edges(runs, y)
         a, b = ring[e], ring[e + 1]
-        y = ys[lo + k]
+        y = y[k]
         x = a.real + (y - a.imag) * (b.real - a.real) / (b.imag - a.imag)
-        parts.append((lo + k, x, np.where(below[k, e], 1.0, -1.0)))
+        parts.append((lo + k, x, sign))
     if len(parts) == 1:
         return parts[0]
     return tuple(np.concatenate(col) for col in zip(*parts))
+
+
+def _table_edges(ring_y, ys):
+    """(k, edge, sign) of every crossing, from the table of ring vertices on
+    or below each scanline."""
+    below = ring_y <= ys[:, None]
+    k, e = np.nonzero(below[:, :-1] != below[:, 1:])
+    return k, e, np.where(below[k, e], 1.0, -1.0)
+
+
+def _monotone_runs(ring_y, most):
+    """(first, size, rising, keys, start): the maximal runs of consecutive
+    edges of the ring whose ordinates strictly rise or strictly fall, or None
+    when there are more than most of them.
+
+    Run r holds edges first[r] .. first[r] + size[r] - 1. Flat edges belong
+    to no run, and no run continues through index 0, so the runs come in
+    edge order. keys holds, run after run, r + 1j * u over the run's
+    vertices, with u the ordinate in a rising run and its negation in a
+    falling one, so keys is sorted and run r's keys begin at start[r].
+    """
+    up = ring_y[1:] > ring_y[:-1]
+    d = up.astype(np.int8) - (ring_y[1:] < ring_y[:-1])
+    bounds = np.concatenate(([0], np.flatnonzero(d[1:] != d[:-1]) + 1, [d.size]))
+    first = bounds[:-1]
+    keep = d[first] != 0
+    first, size = first[keep], np.diff(bounds)[keep]
+    if first.size > most:
+        return None
+    rising = up[first]
+    verts = size + 1
+    start = np.concatenate(([0], np.cumsum(verts)[:-1]))
+    run = np.repeat(np.arange(first.size), verts)
+    vidx = np.arange(verts.sum()) + np.repeat(first - start, verts)
+    u = np.where(rising[run], ring_y[vidx], -ring_y[vidx])
+    return first, size, rising, run + 1j * u, start
+
+
+def _run_edges(runs, ys):
+    """(k, edge, sign) of every crossing, by one binary search per scanline
+    and run, in (k, edge) order since runs come in edge order.
+
+    In a rising run the edge crossed by y is the one with u[j] <= y <
+    u[j + 1], and the count of keys u <= y, that is u < nextafter(y, inf),
+    gives j + 1. In a falling run it is the one with u[j] < -y <= u[j + 1],
+    and the count of u < -y gives j + 1. One searchsorted on the complex keys
+    answers both, since complex keys sort by run first. A count of 0 or of
+    more than the run's edges means no crossing.
+    """
+    first, size, rising, keys, start = runs
+    u = np.where(rising, np.nextafter(ys[:, None], np.inf), -ys[:, None])
+    found = np.searchsorted(keys, (np.arange(first.size) + 1j * u).ravel())
+    found = found.reshape(u.shape) - start
+    k, r = np.nonzero((found >= 1) & (found <= size))
+    return k, first[r] + found[k, r] - 1, np.where(rising[r], 1.0, -1.0)
 
 
 def _finite_lambdas(lams):
@@ -530,8 +607,10 @@ def _grid_winding_numbers(samples, lams):
     rows of a covering grid: each distinct imaginary part is one scanline.
 
     A scanline's crossings are found once and sorted, and each lambda adds up
-    those right of it by a binary search, so R rows cost O(R S + L log S) for
-    S samples and L lambdas.
+    those right of it by a binary search, so Y rows cost one `_crossings`
+    call on Y scanlines, O(S + Y R log S) for S samples in R y-monotone runs
+    (O(Y S) when the dense table is cheaper), plus one binary search per
+    lambda.
     """
     lams = _finite_lambdas(lams)
     ys, row = np.unique(lams.imag, return_inverse=True)

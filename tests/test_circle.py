@@ -439,6 +439,38 @@ def test_truncation_norm_band_wider_than_truncation():
         assert abs(cc.truncation_norm(phi, n) - dense) <= 1e-12
 
 
+def norm_on_doubled_band(phi, n):
+    """The truncation norm from A*A stored with 2 * band diagonals, most of
+    them zero when the exponents lie on one side or are few."""
+    import scipy.sparse
+
+    a = scipy.sparse.csc_matrix(cc.toeplitz_matrix(phi, n))
+    b = (a.getH() @ a).tocsc()
+    u = min(2 * phi.band(), n - 1)
+    band = np.zeros((u + 1, n), dtype=complex)
+    for d in range(u + 1):
+        band[u - d, d:] = b.diagonal(d)
+    return float(np.sqrt(max(cc.band_max_eig(band), 0.0)))
+
+
+@pytest.mark.parametrize(
+    "text",
+    [
+        "z^3 - 0.5*z + (0.25+0.5j)",  # analytic: A*A has the symbol's band
+        "zbar^3 + zbar",  # co-analytic
+        "z^3 + z^6",  # gapped: bandwidth 3 of the doubled 12
+        "(0.3-0.4j)*z^4",  # monomial: A*A is diagonal
+        "z^2 + 0.5*zbar^3 - 0.25",
+    ],
+)
+@pytest.mark.parametrize("n", [2, 4, 5, 64, 300])
+def test_truncation_norm_stores_only_the_true_band(text, n):
+    # the trimmed band must give the doubled band's norm bit for bit; at
+    # n = 2, 4 and 5 some exponents have |k| >= N and drop out
+    phi = LaurentPoly.from_text(text)
+    assert cc.truncation_norm(phi, n) == norm_on_doubled_band(phi, n)
+
+
 def test_truncation_norm_constant():
     assert cc.truncation_norm(LaurentPoly.constant(3.0 - 4.0j), 300) == 5.0
 

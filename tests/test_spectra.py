@@ -140,6 +140,10 @@ def test_pruned_distance_matches_dense_scan(coeffs, grid_size, offsets, start, a
     points = np.abs(samples[None, :] - lams[:, None]).min(axis=1)
     near, _ = sp._within(samples, lams, widen * points[at % lams.size])
     assert np.array_equal(near, points <= widen * points[at % lams.size])
+    # one reach per lambda
+    each = widen * exact[(at + np.arange(lams.size)) % lams.size]
+    near, _ = sp._within(samples, lams, each, edges=True, k=2)
+    assert np.array_equal(near, ~(exact > each))
 
 
 def test_pruned_distance_falls_back_and_rechecks():
@@ -156,6 +160,11 @@ def test_pruned_distance_falls_back_and_rechecks():
     assert near.tolist() == [False] and rescanned == 0
     near, rescanned = sp._within(circle, [0.5 + 0j, 3 + 0j], 0.6)
     assert near.tolist() == [True, False] and rescanned == 0
+    # one reach per lambda: the tree searches out to the largest
+    near, rescanned = sp._within(circle, [0.5 + 0j, 3 + 0j, 3 + 0j], [0.6, 2.1, 1.9])
+    assert near.tolist() == [True, True, False] and rescanned == 0
+    near, rescanned = sp._within(circle, [], [])
+    assert near.size == 0 and rescanned == 0
 
 
 # ---------------------------------------------------------------------------
@@ -249,6 +258,36 @@ def test_convex_bound_flags_a_shrunken_hull(monkeypatch):
         rep = sp.convex_bound_check(phi, sp.lambda_grid(phi, 200))
         assert not rep.verdict
         assert rep.counterexamples
+
+
+def test_convex_bound_settles_leftovers_at_hull_vertices(monkeypatch):
+    # ON_CURVE lambdas carry a wide tolerance, so many lie outside the sector
+    # triangles; the nearest hull vertex settles them, and the boundary scan
+    # sees the rest, which the vertex bound may not accept
+    phi = LaurentPoly.from_text("z^3 + (0.4-0.3j)*zbar^3")
+    lams = sp.lambda_grid(phi, 200)
+    scanned, accepted = [], []
+    within, distance = sp._within, sp._distance
+
+    def spy_within(samples, pts, reach, edges=False, k=16):
+        near, rescanned = within(samples, pts, reach, edges, k)
+        if not edges and np.ndim(reach):
+            exact = distance(samples, pts, edges=True) <= reach
+            accepted.append((near.sum(), (near & ~exact).sum()))
+        return near, rescanned
+
+    def spy_distance(samples, pts, edges=False, **kw):
+        if edges:
+            scanned.append(np.size(pts))
+        return distance(samples, pts, edges, **kw)
+
+    monkeypatch.setattr(sp, "_within", spy_within)
+    monkeypatch.setattr(sp, "_distance", spy_distance)
+    rep = sp.convex_bound_check(phi, lams)
+    assert rep.verdict and rep.hull_escalations == 0
+    [(settled, unsound)] = accepted
+    assert unsound == 0
+    assert settled > 10 * scanned[-1]
 
 
 def test_convex_bound_escalates_past_a_shrunken_coarse_hull(monkeypatch):

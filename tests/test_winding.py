@@ -7,9 +7,14 @@ is the earlier implementation: it sums the principal argument of each step
 of samples - lam, rounds the total to a multiple of 2 pi and refuses to
 answer when the total drifts. Off the sampled polyline both count the same
 integer, so every status and every winding number must agree exactly.
+
+`_crossings` finds the crossings by a dense edge-by-scanline table on small
+inputs and by binary search in y-monotone runs on large ones; the two paths
+are called directly here and must return the same arrays bit for bit.
 """
 
 import math
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -18,6 +23,7 @@ from hypothesis import strategies as st
 
 from sphiso import checks
 from sphiso import spectra as sp
+from sphiso import symbols as sy
 from sphiso.errors import OnCurveError, PreconditionError
 from sphiso.symbols import (
     LaurentPoly,
@@ -213,3 +219,93 @@ def test_crossing_matches_oracle_property(coeffs, lams, grid_size):
     for lam, d, wi in zip(lams, dist, w):
         if d > tol:
             assert winding(phi, lam, grid_size) == wi
+
+
+def both_crossings(samples, ys, chunk_entries=4_000_000):
+    """`_crossings` by the dense table and by runs, whatever the sizes."""
+    with mock.patch.object(sy, "_DENSE_ENTRIES", math.inf):
+        dense = sy._crossings(samples, ys, chunk_entries)
+    # a ring of S edges has at most S runs
+    with mock.patch.object(sy, "_DENSE_ENTRIES", -1), mock.patch.object(sy, "_RUN_SHARE", 1):
+        runs = sy._crossings(samples, ys, chunk_entries)
+    return dense, runs
+
+
+def assert_same_bits(dense, runs):
+    for a, b in zip(dense, runs):
+        assert a.dtype == b.dtype and a.shape == b.shape
+        assert a.tobytes() == b.tobytes()
+
+
+@settings(max_examples=120, deadline=None)
+@given(
+    coeffs=st.dictionaries(st.integers(-6, 6), coeff, min_size=1, max_size=5),
+    grid_size=st.sampled_from([64, 512, 8192, 65536]),
+    shift=st.integers(0, 1 << 20),
+    lattice=st.sampled_from([0.0, 0.25, 1e-3]),
+    picks=st.lists(st.integers(0, 1 << 20), max_size=12),
+    free=st.lists(st.floats(-8.0, 8.0), max_size=6),
+    chunk_entries=st.sampled_from([4_000_000, 64]),
+)
+def test_run_crossings_match_dense_bitwise(
+    coeffs, grid_size, shift, lattice, picks, free, chunk_entries
+):
+    phi = LaurentPoly(1, {(k,): c for k, c in coeffs.items()})
+    samples = np.array(eval_grid(phi, grid_size))
+    if lattice:
+        # snap to a lattice: flat edges, and many vertices on one scanline
+        samples = np.round(samples / lattice) * lattice
+    # start the ring anywhere, so the wrap at index 0 may cut through a run
+    samples = np.roll(samples, shift % grid_size)
+    ys = np.concatenate([samples.imag[[i % grid_size for i in picks]], free])
+    dense, runs = both_crossings(samples, ys, chunk_entries)
+    assert_same_bits(dense, runs)
+    assert np.all(np.diff(dense[0]) >= 0)  # (k, edge) order
+
+
+def test_run_crossings_on_flat_edges_wrap_and_no_scanlines():
+    # the staircase of the ties test, rotated so index 0 falls inside a run,
+    # has flat edges on four ordinates, and every ordinate is a vertex's
+    stairs = np.array(
+        [0, 2, 2 + 1j, 3 + 1j, 3 + 3j, 1 + 3j, 1 + 2j, 0 + 2j], dtype=complex
+    )
+    for shift in range(stairs.size):
+        samples = np.roll(stairs, shift)
+        ys = np.array([-1.0, 0.0, 0.5, 1.0, 1.5, 2.0, 2.5, 3.0, 4.0])
+        dense, runs = both_crossings(samples, ys)
+        assert_same_bits(dense, runs)
+        assert dense[0].size
+        for empty in both_crossings(samples, np.empty(0)):
+            assert all(col.size == 0 for col in empty)
+    # a constant ring has no runs at all
+    dense, runs = both_crossings(np.full(8, 1 + 1j), np.array([0.0, 1.0, 2.0]))
+    assert_same_bits(dense, runs)
+    assert dense[0].size == 0
+
+
+def refuse(*args):
+    raise AssertionError("path not expected here")
+
+
+def test_crossings_pick_runs_on_large_inputs(monkeypatch):
+    phi = LaurentPoly.from_text("z^2 + 0.3*zbar")
+    samples = eval_grid(phi, 65536)
+    ys = np.linspace(-1.5, 1.5, 400)
+    want = both_crossings(samples, ys)[0]
+    monkeypatch.setattr(sy, "_table_edges", refuse)
+    assert_same_bits(want, sy._crossings(samples, ys))
+
+
+def test_real_valued_symbol_keeps_the_dense_table(monkeypatch):
+    # rounding noise in the imaginary part of z + zbar cuts the ring into
+    # tens of thousands of runs; the binary searches would cost more than
+    # the table and hold L x R queries, so the table must be taken
+    samples = eval_grid(LaurentPoly.from_text("z + zbar"), 65536)
+    ring = np.concatenate((samples, samples[:1]))
+    assert sy._monotone_runs(ring.imag, samples.size)[0].size > samples.size / 16
+    assert sy._monotone_runs(ring.imag, samples.size / sy._RUN_SHARE) is None
+    ys = samples.imag[::164][:400]
+    with mock.patch.object(sy, "_DENSE_ENTRIES", math.inf):
+        want = sy._crossings(samples, ys)
+    monkeypatch.setattr(sy, "_run_edges", refuse)
+    assert_same_bits(want, sy._crossings(samples, ys))
