@@ -4,7 +4,9 @@ Each check exercises one theorem-level claim on seeded random inputs and
 returns a record with residual magnitudes, never a bare boolean. Randomness
 is split per (seed, check ordinal, trial) so records are independent of
 execution order and thread count; reports built from them serialize to
-canonical JSON, byte-stable for a fixed seed.
+canonical JSON, byte-stable for a fixed seed. A runner returns (residuals,
+verdict); the choices its kernels note and the CSV tables it writes reach
+the record through `record.collect`.
 """
 
 from __future__ import annotations
@@ -19,6 +21,7 @@ import numpy as np
 from . import circle_calculus as circle
 from . import hardy_measures as hardy
 from . import polydisc
+from . import record
 from . import spectra
 from . import szego
 from .errors import UsageError
@@ -332,6 +335,7 @@ def _check_cross_section(params, seed):
     )
     rows = [("truncation", "norm")]
     rows += [(str(n), repr(v)) for n, v in zip(sizes, norms)]
+    record.artifact("cross_section.csv", rows)
     return {
         "closed_form_worst": worst_closed,
         "final_gap": final_gap,
@@ -339,7 +343,7 @@ def _check_cross_section(params, seed):
         "block_lower": block_low,
         "block_sup": block_sup,
         "truncations": sizes,
-    }, verdict, {"cross_section.csv": rows}
+    }, verdict
 
 
 def _check_hartman_wintner(params, seed):
@@ -347,27 +351,17 @@ def _check_hartman_wintner(params, seed):
     grid = params["grid_size"]
     counterexamples = 0
     certified = 0
-    decisions = {
-        "fine_size": [],
-        "fine_clamped": [],
-        "probes_certified": [],
-        "clearance_fallbacks": [],
-    }
     for i, phi in enumerate(symbols):
         rep = spectra.hartman_wintner_check(
             phi, grid_size=grid, probes=params["probes"], seed=[seed, 61, i]
         )
         counterexamples += len(rep.counterexamples)
         certified += rep.probes_certified
-        decisions["fine_size"].append(rep.fine_size)
-        decisions["fine_clamped"].append(rep.fine_clamped)
-        decisions["probes_certified"].append(rep.probes_certified)
-        decisions["clearance_fallbacks"].append(rep.clearance_fallbacks)
     return {
         "symbols": len(symbols),
         "probes_certified": certified,
         "counterexamples": counterexamples,
-    }, counterexamples == 0, {}, decisions
+    }, counterexamples == 0
 
 
 def _check_convex_bound(params, seed):
@@ -375,30 +369,19 @@ def _check_convex_bound(params, seed):
     grid = params["grid_size"]
     counterexamples = 0
     worst_tol = 0.0
-    artifacts = {}
-    decisions = {
-        "refined_size": [],
-        "refined_clamped": [],
-        "hull_points": [],
-        "hull_escalations": [],
-    }
     for i, phi in enumerate(symbols):
         lams = spectra.lambda_grid(phi, params["lambda_points"], grid)
         rep = spectra.convex_bound_check(phi, lams, grid_size=grid)
         counterexamples += len(rep.counterexamples)
         worst_tol = max(worst_tol, rep.tol_on_curve)
-        decisions["refined_size"].append(rep.refined_size)
-        decisions["refined_clamped"].append(rep.refined_clamped)
-        decisions["hull_points"].append(rep.hull_points)
-        decisions["hull_escalations"].append(rep.hull_escalations)
         if i == 0:
-            artifacts["spectrum_0.csv"] = spectra.report_csv_rows(rep)
+            record.artifact("spectrum_0.csv", spectra.report_csv_rows(rep))
     return {
         "symbols": len(symbols),
         "lambda_points": params["lambda_points"] ** 2,
         "counterexamples": counterexamples,
         "tolerance_worst": worst_tol,
-    }, counterexamples == 0, artifacts, decisions
+    }, counterexamples == 0
 
 
 def _check_numerical_range(params, seed):
@@ -408,31 +391,23 @@ def _check_numerical_range(params, seed):
     trunc = params["nr_truncation"]
     violations = 0
     margin = -math.inf
-    decisions = {"grid_size": [], "grid_clamped": [], "band": []}
-    for i, phi in enumerate(take):
-        x = circle.ToeplitzElement(phi)
-        rep = spectra.numerical_range_support(x, thetas, trunc)
+    for phi in take:
+        rep = spectra.numerical_range_support(circle.ToeplitzElement(phi), thetas, trunc)
         violations += len(rep.counterexamples)
         margin = max(margin, max(h - b for h, b in zip(rep.support_values, rep.bounds)))
-        decisions["grid_size"].append(rep.grid_size)
-        decisions["grid_clamped"].append(rep.grid_clamped)
-        decisions["band"].append(rep.band)
     rng = _rng(seed, 62, 0)
     corrected = circle.ToeplitzElement(
         random_symbol(rng, 3), random_correction(rng, 3)
     )
     rep = spectra.numerical_range_support(corrected, thetas, trunc)
     violations += len(rep.counterexamples)
-    decisions["grid_size"].append(rep.grid_size)
-    decisions["grid_clamped"].append(rep.grid_clamped)
-    decisions["band"].append(rep.band)
     return {
         "symbols": len(take) + 1,
         "thetas": params["nr_thetas"],
         "truncation": trunc,
         "violations": violations,
         "support_margin_worst": margin,
-    }, violations == 0, {}, decisions
+    }, violations == 0
 
 
 def _random_sphere_symbol(rng, n, max_band, max_terms=4):
@@ -546,16 +521,7 @@ def _check_gamma_equation(params, seed):
 
 def _check_scaled_isometry(params, seed):
     rep = polydisc.scaled_isometry_check(2)
-    z = circle.make_toeplitz(LaurentPoly.variable(0, 1))
-    coords = [
-        polydisc.TensorElement.elementary(z, circle.identity()),
-        polydisc.TensorElement.elementary(circle.identity(), z),
-    ]
-    acc = polydisc.TensorElement.zero()
-    for t in coords:
-        acc = acc + polydisc.tensor_mul(polydisc.tensor_adjoint(t), t)
-    unscaled = acc - polydisc.identity_tensor()
-    lo, up = polydisc.norm_bracket(unscaled)
+    lo, up = rep.unscaled_bracket
     verdict = (
         rep.exact_zero
         and rep.residual == 0.0
@@ -849,10 +815,8 @@ def run_check(check_id, params, seed):
     spec = REGISTRY.get(check_id)
     if spec is None:
         raise UsageError(f"unknown check id {check_id!r}")
-    out = spec.runner(params, seed)
-    residuals, verdict = out[0], out[1]
-    artifacts = out[2] if len(out) > 2 else {}
-    decisions = out[3] if len(out) > 3 else {}
+    with record.collect() as (notes, artifacts):
+        residuals, verdict = spec.runner(params, seed)
     digest = _digest({"seed": int(seed), "check": check_id, "params": params})
     return CheckRecord(
         check_id,
@@ -861,7 +825,7 @@ def run_check(check_id, params, seed):
         _plain(residuals),
         bool(verdict),
         artifacts,
-        _plain(decisions),
+        _plain(notes),
     )
 
 

@@ -399,11 +399,15 @@ def truncation_norm(x, n):
 
 def norm_bracket(x, n=256):
     """[compression norm at N, l1(symbol) + ||correction||]; contains ||X||."""
-    lower = truncation_norm(x, n)
+    return truncation_norm(x, n), _upper_norm(x)
+
+
+def _upper_norm(x):
+    """l1(symbol) + ||correction||, an upper bound on ||X||."""
     upper = x.symbol.l1_norm()
     if x.corr_array.size:
         upper += op_norm(x.corr_array)
-    return lower, upper
+    return upper
 
 
 @dataclass(frozen=True)

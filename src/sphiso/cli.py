@@ -2,9 +2,9 @@
 
 Exit codes: 0 all checks pass, 1 at least one check failed, 2 usage error.
 A run writes runs/<name>-<timestamp>/ with manifest.json (timing, versions,
-paths, and per check the numerical choices it made: grid sizes, whether a cap
-clamped them, probes certified), report.json (canonical bytes, a pure function
-of the scenario), and any CSV artifacts the checks produced.
+paths, and per check the numerical choices its kernels noted: grid sizes,
+whether a cap clamped them, probes certified), report.json (canonical bytes, a
+pure function of the scenario), and the CSV artifacts the checks wrote.
 """
 
 from __future__ import annotations

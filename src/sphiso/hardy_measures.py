@@ -83,14 +83,19 @@ class CircleMeasure:
         return f"CircleMeasure(degree={self.degree}, min={self._density_min:.3g})"
 
 
+def _density_matrix(m, rows, cols):
+    """what(row - col) for each row and col, filled one diagonal at a time."""
+    diff = rows[:, None] - cols[None, :]
+    out = np.zeros(diff.shape, dtype=complex)
+    for k in range(-m.degree, m.degree + 1):
+        out[diff == k] = m.w_hat(k)
+    return out
+
+
 def moment_matrix(m, d):
     """Gram matrix of 1, z, ..., z^d: G[a, b] = what(a - b)."""
     idx = np.arange(d + 1)
-    diff = idx[:, None] - idx[None, :]
-    out = np.empty((d + 1, d + 1), dtype=complex)
-    for k in range(-d, d + 1):
-        out[diff == k] = m.w_hat(k)
-    return out
+    return _density_matrix(m, idx, idx)
 
 
 class HardyBasis:
@@ -153,12 +158,7 @@ def truncated_toeplitz(phi, m, d):
         for j in range(d + 1):
             u[(np.arange(j + 1) + k) - lo_e, j] += cv * c[j, : j + 1]
     # W[b, e] = what(b - e), b = 0..d
-    w = np.zeros((d + 1, exps.size), dtype=complex)
-    diff = np.arange(d + 1)[:, None] - exps[None, :]
-    for k in range(-m.degree, m.degree + 1):
-        val = m.w_hat(k)
-        if val != 0:
-            w[diff == k] = val
+    w = _density_matrix(m, np.arange(d + 1), exps)
     out = c.conj() @ (w @ u)
     if not np.isfinite(out).all():
         raise PreconditionError("weighted truncation has non-finite entries")

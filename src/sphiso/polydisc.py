@@ -25,6 +25,7 @@ import numpy as np
 
 from .circle_calculus import (
     ToeplitzElement,
+    _upper_norm,
     adjoint,
     identity,
     mul,
@@ -166,15 +167,8 @@ def norm_bracket(x, n=32):
         lower = op_norm(matricize(x, n))
     upper = 0.0
     for a, b in x.terms:
-        upper += _factor_upper(a) * _factor_upper(b)
+        upper += _upper_norm(a) * _upper_norm(b)
     return lower, upper
-
-
-def _factor_upper(e):
-    u = e.symbol.l1_norm()
-    if e.corr_array.size:
-        u += op_norm(e.corr_array)
-    return u
 
 
 def gamma(n):
@@ -189,13 +183,16 @@ class IsometryReport:
     gamma_value: float
     residual: float
     exact_zero: bool
+    unscaled_bracket: tuple
 
 
 def scaled_isometry_check(n=2):
     """Verify sum_j (T_{z_j}/gamma)* (T_{z_j}/gamma) = 1 in the tensor algebra.
 
     Each factor product T_z* T_z collapses to the identity with no correction,
-    so the check is exact cancellation, not a numerical comparison.
+    so the check is exact cancellation, not a numerical comparison. The
+    unscaled control sum_j T_{z_j}* T_{z_j} - 1 is the identity tensor; its
+    norm bracket is unscaled_bracket.
     """
     if n != 2:
         raise PreconditionError("the tensor model carries two factors")
@@ -209,10 +206,11 @@ def scaled_isometry_check(n=2):
     acc = TensorElement.zero()
     for t in coords:
         acc = acc + tensor_mul(tensor_adjoint(t), t)
+    control = norm_bracket(acc - identity_tensor())
     resid = acc.scale(1.0 / n) - identity_tensor()
     exact = resid.is_zero_sum()
     upper = 0.0 if exact else norm_bracket(resid)[1]
-    return IsometryReport(gamma(n), upper, exact)
+    return IsometryReport(gamma(n), upper, exact, control)
 
 
 @dataclass(frozen=True)

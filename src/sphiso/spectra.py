@@ -28,7 +28,7 @@ chord sag (spacing^2 * B''/8 with B'' the l1 bound on the second derivative),
 and a sampled sup misses the true sup by the same amount. Hull, sup and probe
 grids are sized from that bound by one rule, `_sag_grid_size`, so the slack
 handed to membership tests is an actual certificate, not a guess; a cap that
-clamps the size is recorded. The convex bound first tests each lambda
+clamps the size is noted. The convex bound first tests each lambda
 against the hull of every m-th refined sample, which lies inside the refined
 hull, and builds the refined hull only for the lambdas that test leaves. The
 same sag bound then shows which arcs of the refined grid can reach the hull at
@@ -45,6 +45,7 @@ import numpy as np
 from .circle_calculus import ToeplitzElement, truncation
 from .errors import PreconditionError
 from .linalg import band_max_eig, op_norm
+from .record import note
 from .symbols import (
     _grid_winding_numbers,
     _segment_distance,
@@ -224,9 +225,6 @@ class HartmanWintnerReport:
     probe_pass: bool
     counterexamples: list
     verdict: bool
-    fine_size: int
-    fine_clamped: bool
-    clearance_fallbacks: int
 
 
 _FINE_CAP = 65536
@@ -243,11 +241,11 @@ def hartman_wintner_check(phi, grid_size=512, probes=100, seed=11):
     nonzero, by crossing numbers, on the fine grid and its doubling. The fine
     grid is sized for a sag of 1e-5 and clamped at 65536 points. Clearance is
     tested against the fine vertices a k-d tree finds near each candidate
-    (`_within`); clearance_fallbacks counts the candidates that needed the
-    exact scan of every fine edge. Certified
-    probes must not read OUTSIDE on the working grid. Symbols whose spectrum
-    has empty interior (real-valued ones, say) certify no probes and pass
-    vacuously.
+    (`_within`); the candidates that needed the exact scan of every fine edge
+    are noted as clearance_fallbacks, with the fine grid's size and clamp and
+    the probes certified. Certified probes must not read OUTSIDE on the
+    working grid. Symbols whose spectrum has empty interior (real-valued
+    ones, say) certify no probes and pass vacuously.
     """
     phi._require_univariate()
     rng = np.random.default_rng(seed)
@@ -296,16 +294,14 @@ def hartman_wintner_check(phi, grid_size=512, probes=100, seed=11):
         probe_pass = not counter
     counter = [complex(b) for b in bad_range] + counter
     verdict = range_pass and probe_pass
+    note(
+        fine_size=fine_size,
+        fine_clamped=fine_clamped,
+        probes_certified=len(certified),
+        clearance_fallbacks=fallbacks,
+    )
     return HartmanWintnerReport(
-        range_pass,
-        probes,
-        len(certified),
-        probe_pass,
-        counter,
-        verdict,
-        fine_size,
-        fine_clamped,
-        fallbacks,
+        range_pass, probes, len(certified), probe_pass, counter, verdict
     )
 
 
@@ -313,16 +309,9 @@ def hartman_wintner_check(phi, grid_size=512, probes=100, seed=11):
 class ConvexBoundReport:
     statuses: np.ndarray
     lams: np.ndarray
-    range_samples: np.ndarray
-    hull_vertices: np.ndarray
     tol_on_curve: float
-    tol_winding: float
     counterexamples: list
     verdict: bool
-    refined_size: int
-    refined_clamped: bool
-    hull_points: int
-    hull_escalations: int
 
     def __post_init__(self):
         if self.verdict != (not self.counterexamples):
@@ -386,8 +375,10 @@ def convex_bound_check(phi, lams, grid_size=512):
     the refined hull, and its lower-bound membership test, accept it too. The
     bounds are tried cheapest first: `Hull.distance_bound`, the distance to
     the nearest hull vertex by `_within`, and the exact distance to the hull's
-    boundary. Only the lambdas this leaves (hull_escalations) go to the
-    refined hull, evaluated on the arcs that can reach it (`_hull_arcs`).
+    boundary. Only the lambdas this leaves go to the refined hull, evaluated
+    on the arcs that can reach it (`_hull_arcs`). Their count is noted as
+    hull_escalations, with the refined grid's size and clamp and the points
+    of the last hull built.
     """
     phi._require_univariate()
     lams = np.asarray(lams, dtype=complex).ravel()
@@ -433,20 +424,13 @@ def convex_bound_check(phi, lams, grid_size=512):
 
     counter = [complex(v) for v in pts[~ok & (pcodes == 1)]]
     counter.extend(complex(v) for v in pts[~ok & (pcodes == 0)])
-    return ConvexBoundReport(
-        statuses=_NAMES[codes],
-        lams=lams,
-        range_samples=samples,
-        hull_vertices=hull.vertices,
-        tol_on_curve=tol_on_curve,
-        tol_winding=tol_winding,
-        counterexamples=counter,
-        verdict=not counter,
+    note(
         refined_size=refined_size,
         refined_clamped=clamped,
         hull_points=hull_points,
         hull_escalations=escalate.size,
     )
+    return ConvexBoundReport(_NAMES[codes], lams, tol_on_curve, counter, not counter)
 
 
 @dataclass(frozen=True)
@@ -454,13 +438,8 @@ class NumericalRangeReport:
     thetas: list
     support_values: list
     bounds: list
-    sag_bound: float
-    trunc: int
     counterexamples: list
     verdict: bool
-    grid_size: int
-    grid_clamped: bool
-    band: int
 
 
 def numerical_range_support(x, thetas, trunc):
@@ -507,9 +486,8 @@ def numerical_range_support(x, thetas, trunc):
         bounds.append(bound)
         if h > bound + sag + 1e-8:
             counter.append(t)
-    return NumericalRangeReport(
-        thetas, hs, bounds, sag, trunc, counter, not counter, g, clamped, kd
-    )
+    note(grid_size=g, grid_clamped=clamped, band=kd)
+    return NumericalRangeReport(thetas, hs, bounds, counter, not counter)
 
 
 def report_csv_rows(rep):

@@ -184,11 +184,14 @@ def test_run_decisions_go_to_manifest_only(tmp_path):
     raw = (rundir / "report.json").read_text()
     report = json.loads(raw)
     assert [checks.canonical_json(c) for c in report["checks"][:2]] == SPECTRA_RECORDS
-    for key in ("decisions", "refined_size", "band", "hull_points", "hull_escalations",
-                "clearance_fallbacks"):
+    decisions = json.loads((rundir / "manifest.json").read_text())["decisions"]
+    # a noted key reaches the report only as a parameter or a residual's name
+    named = set(report["scenario"]["parameters"])
+    named.update(key for check in report["checks"] for key in check["residuals"])
+    noted = {key for check in decisions.values() for key in check}
+    for key in {"decisions"} | noted - named:
         assert key not in raw
 
-    decisions = json.loads((rundir / "manifest.json").read_text())["decisions"]
     assert set(decisions) == {"hartman_wintner", "convex_bound", "numerical_range"}
     cb = decisions["convex_bound"]
     assert set(cb) == {"refined_size", "refined_clamped", "hull_points", "hull_escalations"}

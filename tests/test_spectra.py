@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 
 from sphiso import checks
 from sphiso import circle_calculus as cc
+from sphiso import record
 from sphiso import spectra as sp
 from sphiso.errors import PreconditionError
 from sphiso.symbols import Hull, LaurentPoly, conv_hull, curve_tolerance, eval_grid
@@ -17,6 +18,13 @@ ZBAR = Z.conjugate()
 
 def suite(count, max_degree=5):
     return checks.spectra_suite_symbols(404, count, max_degree)
+
+
+def noted(kernel, *args, **kwargs):
+    """(report, notes) of one kernel call."""
+    with record.collect() as (notes, _):
+        rep = kernel(*args, **kwargs)
+    return rep, notes
 
 
 # ---------------------------------------------------------------------------
@@ -200,7 +208,8 @@ def test_convex_bound_targeted_hull_covers_full_refined_grid():
     kept = total = 0
     for phi in full_scenario_symbols() + [Z, Z**3 + 0.5 * ZBAR]:
         size = sp._sag_grid_size(phi, sp._SAG_TARGET, 512, 512, sp._GRID_CAP)[0]
-        assert sp.convex_bound_check(phi, sp.lambda_grid(phi, 8)).refined_size == size
+        _, notes = noted(sp.convex_bound_check, phi, sp.lambda_grid(phi, 8))
+        assert notes["refined_size"] == [size]
         arcs = sp._hull_arcs(phi, eval_grid(phi, 512), size)
         full = eval_grid(phi, size)
         assert np.max(conv_hull(arcs).outside_distance(full)) <= 1e-12
@@ -225,14 +234,15 @@ def test_convex_bound_coarse_hull_lies_inside_the_refined_hull(monkeypatch):
     working_differs = 0
     for phi in full_scenario_symbols():
         fed.clear()
-        rep = sp.convex_bound_check(phi, sp.lambda_grid(phi, 8))
-        assert rep.hull_escalations == 0 and rep.hull_points == 512
+        _, notes = noted(sp.convex_bound_check, phi, sp.lambda_grid(phi, 8))
+        assert notes["hull_escalations"] == [0] and notes["hull_points"] == [512]
         (coarse,) = fed
-        m = rep.refined_size // 512
-        full = eval_grid(phi, rep.refined_size)
+        (size,) = notes["refined_size"]
+        m = size // 512
+        full = eval_grid(phi, size)
         assert coarse.size == 512
         assert np.max(np.abs(coarse - full[::m])) <= 4 * np.finfo(float).eps * phi.l1_norm()
-        refined = conv_hull(sp._hull_arcs(phi, eval_grid(phi, 512), rep.refined_size))
+        refined = conv_hull(sp._hull_arcs(phi, eval_grid(phi, 512), size))
         assert np.max(refined.distance_bound(coarse)) <= 1e-13
         working_differs += np.any(eval_grid(phi, 512) != coarse)
     assert working_differs > 0
@@ -283,8 +293,8 @@ def test_convex_bound_settles_leftovers_at_hull_vertices(monkeypatch):
 
     monkeypatch.setattr(sp, "_within", spy_within)
     monkeypatch.setattr(sp, "_distance", spy_distance)
-    rep = sp.convex_bound_check(phi, lams)
-    assert rep.verdict and rep.hull_escalations == 0
+    rep, notes = noted(sp.convex_bound_check, phi, lams)
+    assert rep.verdict and notes["hull_escalations"] == [0]
     [(settled, unsound)] = accepted
     assert unsound == 0
     assert settled > 10 * scanned[-1]
@@ -306,12 +316,12 @@ def test_convex_bound_escalates_past_a_shrunken_coarse_hull(monkeypatch):
     monkeypatch.setattr(sp, "conv_hull", shrunk_first)
     for phi in full_scenario_symbols()[:4]:
         calls.clear()
-        rep = sp.convex_bound_check(phi, sp.lambda_grid(phi, 200))
+        rep, notes = noted(sp.convex_bound_check, phi, sp.lambda_grid(phi, 200))
         assert rep.verdict and rep.counterexamples == []
-        assert rep.hull_escalations > 0
+        assert notes["hull_escalations"][0] > 0
         # coarse, working (inside _hull_arcs), then the refined arcs
         assert calls[:2] == [512, 512] and len(calls) == 3
-        assert rep.hull_points == calls[2] > 512
+        assert notes["hull_points"] == [calls[2]] and calls[2] > 512
 
 
 def test_hartman_wintner_flags_a_planted_outside(monkeypatch):
@@ -382,8 +392,8 @@ def test_numerical_range_band_solve_matches_dense():
     thetas = [0.0, 0.9, 2.0, 4.4]
     eps = np.finfo(float).eps
     for x, band in cases:
-        rep = sp.numerical_range_support(x, thetas, 64)
-        assert rep.band == band
+        rep, notes = noted(sp.numerical_range_support, x, thetas, 64)
+        assert notes["band"] == [band]
         xn = cc.truncation(x, 64)
         for t, h in zip(thetas, rep.support_values):
             ph = complex(math.cos(t), math.sin(t))
@@ -461,16 +471,9 @@ def test_spectrum_report_consistency_guard():
         sp.ConvexBoundReport(
             statuses=np.array([], dtype=object),
             lams=arr,
-            range_samples=arr,
-            hull_vertices=arr,
             tol_on_curve=1e-9,
-            tol_winding=1e-9,
             counterexamples=[1j],
             verdict=True,
-            refined_size=512,
-            refined_clamped=False,
-            hull_points=0,
-            hull_escalations=0,
         )
 
 
