@@ -578,6 +578,7 @@ def _check_weighted_hardy(params, seed):
 def _check_determinism(params, seed):
     sub = dict(params)
     sub["trials"] = min(5, params["trials"])
+    record.note(rerun_trials=sub["trials"])
     first = [
         run_check("algebra_closure", sub, seed).to_json(),
         run_check("thm2_1_identities", sub, seed).to_json(),

@@ -2,9 +2,10 @@
 
 Exit codes: 0 all checks pass, 1 at least one check failed, 2 usage error.
 A run writes runs/<name>-<timestamp>/ with manifest.json (timing, versions,
-paths, and per check the numerical choices its kernels noted: grid sizes,
-whether a cap clamped them, probes certified), report.json (canonical bytes, a
-pure function of the scenario), and the CSV artifacts the checks wrote.
+paths, and per check the numerical choices it and its kernels noted: grid
+sizes, whether a cap clamped them, probes kept, rerun trials), report.json
+(canonical bytes, a pure function of the scenario), and the CSV artifacts
+the checks wrote.
 """
 
 from __future__ import annotations

@@ -21,7 +21,12 @@ hull vertex.
 
 Every check reads the curve as `symbols.eval_grid` samples it: the read-only
 array of phi on a uniform grid, with `curve_tolerance` as its ON_CURVE
-distance and `_sag_bound` as its chord sag.
+distance and `_sag_bound` as its chord sag. Grids of up to 2048 points (the
+512- and 2048-point working grids of every query here) are summed from a
+bounded cache of unit-root power tables, which depend on the grid and the
+exponent only. Larger grids and index subsets (most fine grids, the refined
+hull samples, the sup grids) are evaluated afresh, which keeps the cache
+within 2 MiB and every sample's bits those of `LaurentPoly.eval_at`.
 
 Tolerance bookkeeping. A sampled curve misses the true curve by at most the
 chord sag (spacing^2 * B''/8 with B'' the l1 bound on the second derivative),
@@ -243,9 +248,9 @@ def hartman_wintner_check(phi, grid_size=512, probes=100, seed=11):
     tested against the fine vertices a k-d tree finds near each candidate
     (`_within`); the candidates that needed the exact scan of every fine edge
     are noted as clearance_fallbacks, with the fine grid's size and clamp and
-    the probes certified. Certified probes must not read OUTSIDE on the
-    working grid. Symbols whose spectrum has empty interior (real-valued
-    ones, say) certify no probes and pass vacuously.
+    the probes certified (as probes_kept). Certified probes must not read
+    OUTSIDE on the working grid. Symbols whose spectrum has empty interior
+    (real-valued ones, say) certify no probes and pass vacuously.
     """
     phi._require_univariate()
     rng = np.random.default_rng(seed)
@@ -297,7 +302,7 @@ def hartman_wintner_check(phi, grid_size=512, probes=100, seed=11):
     note(
         fine_size=fine_size,
         fine_clamped=fine_clamped,
-        probes_certified=len(certified),
+        probes_kept=len(certified),
         clearance_fallbacks=fallbacks,
     )
     return HartmanWintnerReport(
@@ -486,13 +491,13 @@ def numerical_range_support(x, thetas, trunc):
         bounds.append(bound)
         if h > bound + sag + 1e-8:
             counter.append(t)
-    note(grid_size=g, grid_clamped=clamped, band=kd)
+    note(sup_grid_size=g, sup_grid_clamped=clamped, band=kd)
     return NumericalRangeReport(thetas, hs, bounds, counter, not counter)
 
 
 def report_csv_rows(rep):
     """(lambda_re, lambda_im, status) rows of a ConvexBoundReport, for plotting."""
     rows = [("lambda_re", "lambda_im", "status")]
-    for lam, st in zip(rep.lams, rep.statuses):
-        rows.append((repr(float(lam.real)), repr(float(lam.imag)), str(st)))
+    for lam, st in zip(rep.lams.tolist(), rep.statuses.tolist()):
+        rows.append((repr(lam.real), repr(lam.imag), st))
     return rows

@@ -16,6 +16,7 @@ from __future__ import annotations
 import cmath
 import re
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
@@ -426,6 +427,25 @@ def parse_terms(text):
 # grids, winding, sup norms
 
 
+# Unit-root power tables are cached for grids up to this many points: 32 KiB
+# a table, 2 MiB for the 64 the cache holds. Larger grids keep eval_at, and
+# from 16,384 points on they must: there its temporary ring ** k (256 KiB or
+# more) is one numpy reuses in place, which multiplies as ring ** k * c, not
+# c * ring ** k, and with FMA the two orders round apart. A cached table is
+# never a temporary, so it would move the bits.
+_TABLE_POINTS = 2048
+
+
+@lru_cache(maxsize=64)
+def _unit_powers(grid_size, k):
+    """ring ** k on the uniform grid of grid_size angles, read-only; ring is
+    formed by the expression `eval_grid` uses, so the table holds its bits."""
+    ring = np.exp(1j * (2.0 * np.pi * np.arange(grid_size) / grid_size))
+    table = ring**k
+    table.setflags(write=False)
+    return table
+
+
 def eval_grid(phi, grid_size, idx=None):
     """Samples of phi on the uniform torus grid with grid_size points per
     axis, as a read-only array (row-major over the axes).
@@ -434,20 +454,34 @@ def eval_grid(phi, grid_size, idx=None):
     every caller that samples a curve gets the same bits. idx selects grid
     indices along each axis (default: all of them); `spectra._hull_arcs`
     evaluates only the arcs of a refined grid that can reach the hull this way.
+
+    A one-variable symbol on a full grid of at most _TABLE_POINTS = 2048
+    points is summed from cached tables of the unit roots' powers
+    (`_unit_powers`, which depend on the grid and the exponent only), term
+    by term in the order `LaurentPoly.eval_at` takes: the same products in
+    the same order, so the same bits. Larger grids, idx subsets and several
+    variables go through `eval_at`. The cut bounds the cache at 2 MiB and
+    keeps it clear of the sizes where numpy reorders eval_at's products
+    (see _TABLE_POINTS).
     """
     need = 4 * (1 + phi.band())
     if grid_size < need:
         raise PreconditionError(f"grid_size {grid_size} < 4*(1+band) = {need}")
-    if idx is None:
-        idx = np.arange(grid_size)
-    ring = np.exp(1j * (2.0 * np.pi * idx / grid_size))
-    if phi.nvars == 1:
-        samples = phi.eval_at(ring)
+    if idx is None and phi.nvars == 1 and grid_size <= _TABLE_POINTS:
+        samples = np.zeros(grid_size, dtype=complex)
+        for (k,), c in phi._coeffs.items():
+            samples += c * _unit_powers(grid_size, k) if k else c
     else:
-        mesh = np.meshgrid(*([ring] * phi.nvars), indexing="ij")
-        pts = np.stack([m.ravel() for m in mesh], axis=-1)
-        samples = phi.eval_at(pts)
-    samples = np.ascontiguousarray(samples.ravel())
+        if idx is None:
+            idx = np.arange(grid_size)
+        ring = np.exp(1j * (2.0 * np.pi * idx / grid_size))
+        if phi.nvars == 1:
+            samples = phi.eval_at(ring)
+        else:
+            mesh = np.meshgrid(*([ring] * phi.nvars), indexing="ij")
+            pts = np.stack([m.ravel() for m in mesh], axis=-1)
+            samples = phi.eval_at(pts)
+        samples = np.ascontiguousarray(samples.ravel())
     samples.setflags(write=False)
     return samples
 

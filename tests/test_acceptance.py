@@ -11,7 +11,7 @@ import sys
 import time
 from pathlib import Path
 
-from sphiso import checks, circle_calculus, cli
+from sphiso import checks, circle_calculus, cli, symbols
 
 SEED = 20260815
 PARAMS = json.loads(json.dumps(checks.DEFAULT_PARAMS))
@@ -207,3 +207,20 @@ def test_criterion_10_reports_identical_across_processes(tmp_path, child_env):
     assert reports[0] == reports[1] == reports[2]
     assert len(json.loads(reports[0])["checks"]) == len(checks.REGISTRY)
     print("PASS criterion 10: report.json byte-identical across PYTHONHASHSEED 0 and 12345 and -O")
+
+
+def test_reports_do_not_depend_on_the_table_cache(tmp_path):
+    # a warm cache of unit-root power tables and a cleared one give the same
+    # report bytes: the cached samples carry eval_at's bits
+    scenario = tmp_path / "reduced.json"
+    scenario.write_text(json.dumps(REDUCED))
+    reports = []
+    for label in ("first", "warm", "cleared"):
+        if label == "cleared":
+            symbols._unit_powers.cache_clear()
+        hits = symbols._unit_powers.cache_info().hits
+        assert cli.main(["run", str(scenario), "--out", str(tmp_path / label)]) == 0
+        assert symbols._unit_powers.cache_info().hits > hits
+        (run_dir,) = (tmp_path / label).iterdir()
+        reports.append((run_dir / "report.json").read_bytes())
+    assert reports[0] == reports[1] == reports[2]

@@ -185,11 +185,9 @@ def test_run_decisions_go_to_manifest_only(tmp_path):
     report = json.loads(raw)
     assert [checks.canonical_json(c) for c in report["checks"][:2]] == SPECTRA_RECORDS
     decisions = json.loads((rundir / "manifest.json").read_text())["decisions"]
-    # a noted key reaches the report only as a parameter or a residual's name
-    named = set(report["scenario"]["parameters"])
-    named.update(key for check in report["checks"] for key in check["residuals"])
+    # no noted key is a key of the report, nor occurs in it at all
     noted = {key for check in decisions.values() for key in check}
-    for key in {"decisions"} | noted - named:
+    for key in {"decisions"} | noted:
         assert key not in raw
 
     assert set(decisions) == {"hartman_wintner", "convex_bound", "numerical_range"}
@@ -203,14 +201,15 @@ def test_run_decisions_go_to_manifest_only(tmp_path):
     # the coarse hull of 512 refined samples decides every lambda
     assert cb["hull_escalations"] == [0, 0, 0] and cb["hull_points"] == [512] * 3
     hw = decisions["hartman_wintner"]
-    assert set(hw) == {"fine_size", "fine_clamped", "probes_certified", "clearance_fallbacks"}
+    assert set(hw) == {"fine_size", "fine_clamped", "probes_kept", "clearance_fallbacks"}
     assert len(hw["fine_size"]) == len(hw["fine_clamped"]) == 3
     assert len(hw["clearance_fallbacks"]) == 3
     assert all(isinstance(n, int) and n >= 0 for n in hw["clearance_fallbacks"])
     assert all(2048 <= n <= 65536 for n in hw["fine_size"])
-    assert hw["probes_certified"] == [20, 20, 20]
+    assert hw["probes_kept"] == [20, 20, 20]
     nr = decisions["numerical_range"]
-    assert len(nr["grid_size"]) == len(nr["grid_clamped"]) == len(nr["band"]) == 4
+    assert set(nr) == {"sup_grid_size", "sup_grid_clamped", "band"}
+    assert len(nr["sup_grid_size"]) == len(nr["sup_grid_clamped"]) == len(nr["band"]) == 4
     # the pure symbols' own bands, then the corrected element's symbol band
     # widened to k - 1 by its k x k corner
     seed, degree = SPECTRA["seed"], checks.DEFAULT_PARAMS["spectra_degree"]
@@ -219,6 +218,21 @@ def test_run_decisions_go_to_manifest_only(tmp_path):
     symbol, corner = checks.random_symbol(rng, 3), checks.random_correction(rng, 3)
     widened = max(symbol.band(), max(corner.shape) - 1)
     assert nr["band"] == [phi.band() for phi in drawn] + [widened]
+
+
+def test_run_notes_the_determinism_rerun_trials(tmp_path):
+    # determinism reruns its checks at no more than 5 trials; the cut goes
+    # to the manifest and never to the report
+    obj = dict(SMALL, parameters=dict(SMALL["parameters"], trials=7))
+    scenario = write_scenario(tmp_path, obj)
+    assert cli.main(["run", scenario, "--out", str(tmp_path / "runs")]) == 0
+    (rundir,) = run_dirs(tmp_path)
+    raw = (rundir / "report.json").read_text()
+    decisions = json.loads((rundir / "manifest.json").read_text())["decisions"]
+    assert decisions["determinism"] == {"rerun_trials": [5]}
+    assert "rerun_trials" not in raw
+    (record,) = [c for c in json.loads(raw)["checks"] if c["id"] == "determinism"]
+    assert record["verdict"] == "pass"
 
 
 def test_run_suite_override(tmp_path, capsys):

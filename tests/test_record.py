@@ -55,7 +55,7 @@ def test_a_check_run_inside_a_check_keeps_its_notes(monkeypatch):
     assert inner.artifacts == {"algebra_closure.csv": [("algebra_closure",)]}
     outer = checks.run_check("determinism", params, 3)
     assert outer.verdict
-    assert outer.decisions == {"by": ["determinism", "determinism"]}
+    assert outer.decisions == {"by": ["determinism", "determinism"], "rerun_trials": [2]}
     assert outer.artifacts == {"determinism.csv": [("determinism",)]}
 
 

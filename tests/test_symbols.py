@@ -1,15 +1,19 @@
 import math
+import subprocess
+import sys
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from scipy.optimize import linprog
 
 from sphiso import checks
 from sphiso.errors import OnCurveError, PreconditionError
 from sphiso.symbols import (
+    _TABLE_POINTS,
     LaurentPoly,
+    _unit_powers,
     conv_hull,
     curve_tolerance,
     eval_grid,
@@ -166,6 +170,83 @@ def test_eval_at_scalar_coefficient_keeps_the_bits():
         mesh = np.meshgrid(ring, ring, indexing="ij")
         pts = np.stack([m.ravel() for m in mesh], axis=-1)
         assert two.eval_at(pts).tobytes() == filled_eval(two, pts).tobytes()
+
+
+finite_complex = st.complex_numbers(
+    allow_nan=False, allow_infinity=False, allow_subnormal=False, max_magnitude=1e6
+)
+
+
+@st.composite
+def symbol_and_grid(draw):
+    """A one-variable symbol and a legal grid: any size up to the table cut,
+    the smallest one, or one just above the cut."""
+    phi = LaurentPoly(1, draw(st.dictionaries(st.integers(-12, 12), finite_complex, max_size=7)))
+    need = 4 * (1 + phi.band())
+    g = draw(
+        st.one_of(
+            st.integers(need, _TABLE_POINTS),
+            st.just(need),
+            st.just(_TABLE_POINTS),
+            st.integers(_TABLE_POINTS + 1, _TABLE_POINTS + 64),
+        )
+    )
+    return phi, g
+
+
+@settings(max_examples=300, deadline=None)
+@given(symbol_and_grid())
+@example((LaurentPoly.constant(2.5 - 1j), 4))
+@example((LaurentPoly.constant(-0.0 + 3j), _TABLE_POINTS))
+@example((LaurentPoly.monomial(-7, 1.5j), 32))
+@example((LaurentPoly.monomial(12, 0.1 - 0.3j), _TABLE_POINTS))
+@example((LaurentPoly.monomial(-1, 2.0), _TABLE_POINTS + 1))
+@example((LaurentPoly(1, {0: 0.5, -3: 1 - 2j, 5: 0.25j, -12: 1e-6}), 1000))
+@example((LaurentPoly.zero(), 4))
+@example((LaurentPoly(1, {0: 0.5, -3: 1 - 2j, 5: 0.25j, 7: 0.3 + 0.7j}), 16384))
+def test_eval_grid_tables_keep_the_bits(case):
+    # the cached unit-root powers give eval_at's samples bit for bit, below
+    # and above the cut where eval_grid stops using them; at 16,384 points
+    # numpy reorders eval_at's products and a table would not keep its bits
+    phi, g = case
+    ring = np.exp(1j * (2.0 * np.pi * np.arange(g) / g))
+    samples = eval_grid(phi, g)
+    assert samples.shape == (g,) and not samples.flags.writeable
+    assert np.array_equal(samples.view(np.uint64), phi.eval_at(ring).view(np.uint64))
+
+
+def test_eval_grid_tables_only_for_full_one_variable_grids_to_the_cut():
+    phi = Z**3 + (0.25 - 0.5j) * ZBAR**2 + 0.5
+    _unit_powers.cache_clear()
+    eval_grid(phi, _TABLE_POINTS + 1)
+    eval_grid(phi, 512, np.arange(0, 512, 7))
+    eval_grid(LaurentPoly.from_text("(0.5-1j)*z1*zbar2 + 0.5"), 16)
+    assert _unit_powers.cache_info().currsize == 0
+    samples = eval_grid(phi, _TABLE_POINTS)
+    # one table per nonzero exponent; the constant term needs none
+    assert _unit_powers.cache_info().currsize == 2
+    for k in (3, -2):
+        table = _unit_powers(_TABLE_POINTS, k)
+        assert not np.shares_memory(samples, table)
+    assert _unit_powers.cache_info().hits == 2
+
+
+def test_unit_power_tables_are_read_only_and_bounded():
+    table = _unit_powers(64, 5)
+    assert not table.flags.writeable
+    with pytest.raises(ValueError):
+        table[0] = 0.0
+    assert _unit_powers(_TABLE_POINTS, 1).nbytes == _TABLE_POINTS * 16
+    assert _unit_powers.cache_info().maxsize * _TABLE_POINTS * 16 <= 2 * 1024**2
+
+
+def test_no_table_is_built_at_import(child_env):
+    code = "import sphiso.symbols as s; print(s._unit_powers.cache_info().currsize)"
+    done = subprocess.run(
+        [sys.executable, "-c", code], env=child_env, capture_output=True, text=True, timeout=60
+    )
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.strip() == "0"
 
 
 @pytest.mark.parametrize("bad", [math.inf, -math.inf, math.nan, complex(0.0, math.nan)])
@@ -362,11 +443,6 @@ def test_from_text_arity_checks():
     with pytest.raises(PreconditionError):
         LaurentPoly.from_text("z1*z2", nvars=1)
     assert LaurentPoly.from_text("3.0", nvars=2).nvars == 2
-
-
-finite_complex = st.complex_numbers(
-    allow_nan=False, allow_infinity=False, allow_subnormal=False, max_magnitude=1e6
-)
 
 
 @settings(max_examples=200, deadline=None)
