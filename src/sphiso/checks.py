@@ -6,7 +6,8 @@ is split per (seed, check ordinal, trial) so records are independent of
 execution order and thread count; reports built from them serialize to
 canonical JSON, byte-stable for a fixed seed. A runner returns (residuals,
 verdict); the choices its kernels note and the CSV tables it writes reach
-the record through `record.collect`.
+the record through `record.collect`. Residuals are folded by `linalg.worst`;
+a record holding a NaN or an infinity fails, and reads it as a string.
 """
 
 from __future__ import annotations
@@ -25,6 +26,7 @@ from . import record
 from . import spectra
 from . import szego
 from .errors import UsageError
+from .linalg import worst
 from .symbols import LaurentPoly
 
 __all__ = [
@@ -169,28 +171,20 @@ def _check_algebra_closure(params, seed):
     trials = params["trials"]
     tol = params["tolerances"]["identity"]
     deg, corr = params["max_degree"], params["max_correction"]
-    worst_mult = worst_star = 0.0
+    mult, star = [], []
     boxes_ok = True
     for t in range(trials):
         rng = _rng(seed, 1, t)
         x = random_element(rng, deg, corr)
         y = random_element(rng, deg, corr)
         z = circle.mul(x, y)
-        worst_mult = max(
-            worst_mult,
-            circle.symbol_diff_max(
-                circle.symbol_map(z), circle.symbol_map(x) * circle.symbol_map(y)
-            ),
-        )
-        worst_star = max(
-            worst_star,
-            circle.symbol_diff_max(
-                circle.symbol_map(circle.adjoint(x)), circle.symbol_map(x).conjugate()
-            ),
-        )
+        sx, adj = circle.symbol_map(x), circle.symbol_map(circle.adjoint(x))
+        mult.append(circle.symbol_diff_max(circle.symbol_map(z), sx * circle.symbol_map(y)))
+        star.append(circle.symbol_diff_max(adj, sx.conjugate()))
         s = circle.semicommutator(x.symbol, y.symbol)
         r, c = s.active_size
         boxes_ok = boxes_ok and r <= x.symbol.deg_pos() and c <= y.symbol.deg_neg()
+    worst_mult, worst_star = worst(mult), worst(star)
     verdict = worst_mult <= tol and worst_star <= tol and boxes_ok
     return {
         "trials": trials,
@@ -204,16 +198,16 @@ def _check_averaging(params, seed):
     trials = params["trials"]
     tol = params["tolerances"]["identity"]
     deg, corr = params["max_degree"], params["max_correction"]
-    pair = choi = idem = unital = 0.0
+    reps = []
     for t in range(trials):
         rng = _rng(seed, 2, t)
         x = random_element(rng, deg, corr)
         y = random_element(rng, deg, corr)
-        rep = circle.verify_averaging_identities(x, y)
-        pair = max(pair, rep.max_pairwise_residual)
-        choi = max(choi, rep.choi_effros_residual)
-        idem = max(idem, rep.idempotent_residual)
-        unital = max(unital, rep.unital_residual)
+        reps.append(circle.verify_averaging_identities(x, y))
+    pair = worst(r.max_pairwise_residual for r in reps)
+    choi = worst(r.choi_effros_residual for r in reps)
+    idem = worst(r.idempotent_residual for r in reps)
+    unital = worst(r.unital_residual for r in reps)
     verdict = pair <= tol and choi == 0.0 and idem <= tol and unital == 0.0
     return {
         "trials": trials,
@@ -229,7 +223,7 @@ def _check_brown_halmos(params, seed):
     mixed = params["elements"] - 2 * planted
     deg, corr = params["max_degree"], params["max_correction"]
     false_verdicts = 0
-    fixed_point_worst = 0.0
+    fixed = []
     i = 0
     for kind, count in (("pure", planted), ("corrected", planted), ("mixed", mixed)):
         for _ in range(count):
@@ -241,15 +235,13 @@ def _check_brown_halmos(params, seed):
             if got != expected:
                 false_verdicts += 1
             if expected:
-                fixed_point_worst = max(
-                    fixed_point_worst, circle.diff_max(circle.phi_map(x), x)
-                )
+                fixed.append(circle.diff_max(circle.phi_map(x), x))
     return {
         "elements": params["elements"],
         "planted_pure": planted,
         "planted_corrected": planted,
         "false_verdicts": false_verdicts,
-        "fixed_point_worst": fixed_point_worst,
+        "fixed_point_worst": worst(fixed),
     }, false_verdicts == 0
 
 
@@ -259,7 +251,7 @@ def _check_commutant(params, seed):
     gap_tol = params["tolerances"]["gap"]
     deg, corr = params["max_degree"], params["max_correction"]
     accepted = 0
-    worst_gap = 0.0
+    gaps = []
     contained = True
     for t in range(count):
         rng = _rng(seed, 4, t)
@@ -268,7 +260,7 @@ def _check_commutant(params, seed):
         lift = rep.lift
         if rep.classification == circle.ANALYTIC_TOEPLITZ and lift is not None:
             accepted += 1
-            worst_gap = max(worst_gap, lift.gap)
+            gaps.append(lift.gap)
             contained = contained and (
                 lift.trunc_lower <= lift.sup_lower + 1e-12
                 and lift.sup_lower <= lift.sup_upper + 1e-12
@@ -290,6 +282,7 @@ def _check_commutant(params, seed):
         rep = circle.commutant_character(x, trunc=min(trunc, 256))
         if rep.classification != circle.ANALYTIC_TOEPLITZ:
             rejected += 1
+    worst_gap = worst(gaps)
     verdict = (
         accepted == count and rejected == count and contained and worst_gap <= gap_tol
     )
@@ -308,17 +301,13 @@ def _check_cross_section(params, seed):
     tol_closed = params["tolerances"]["closed_form"]
     tol_block = params["tolerances"]["block"]
     phi = LaurentPoly.from_text("z + zbar")
-    worst_closed = 0.0
-    n, sizes, norms = 64, [], []
-    while n <= cap:
-        got = circle.truncation_norm(phi, n)
-        closed = 2.0 * math.cos(math.pi / (n + 1))
-        worst_closed = max(worst_closed, abs(got - closed))
-        sizes.append(n)
-        norms.append(got)
-        n *= 2
-    final_gap = abs(norms[-1] - 2.0)
+    sizes = [64 << k for k in range((cap // 64).bit_length())]  # 64, 128, ... <= cap
     scalar = circle.cross_section_isometry(phi, truncations=sizes)
+    norms = scalar.lower_bounds
+    worst_closed = worst(
+        abs(got - 2.0 * math.cos(math.pi / (n + 1))) for n, got in zip(sizes, norms)
+    )
+    final_gap = abs(norms[-1] - 2.0)
     z = LaurentPoly.variable(0, 1)
     zero = LaurentPoly.zero(1)
     block = circle.cross_section_isometry(
@@ -368,19 +357,19 @@ def _check_convex_bound(params, seed):
     symbols = _suite_symbols(params, seed)
     grid = params["grid_size"]
     counterexamples = 0
-    worst_tol = 0.0
+    tols = []
     for i, phi in enumerate(symbols):
         lams = spectra.lambda_grid(phi, params["lambda_points"], grid)
         rep = spectra.convex_bound_check(phi, lams, grid_size=grid)
         counterexamples += len(rep.counterexamples)
-        worst_tol = max(worst_tol, rep.tol_on_curve)
+        tols.append(rep.tol_on_curve)
         if i == 0:
             record.artifact("spectrum_0.csv", spectra.report_csv_rows(rep))
     return {
         "symbols": len(symbols),
         "lambda_points": params["lambda_points"] ** 2,
         "counterexamples": counterexamples,
-        "tolerance_worst": worst_tol,
+        "tolerance_worst": worst(tols),
     }, counterexamples == 0
 
 
@@ -390,11 +379,11 @@ def _check_numerical_range(params, seed):
     thetas = [2.0 * math.pi * k / params["nr_thetas"] for k in range(params["nr_thetas"])]
     trunc = params["nr_truncation"]
     violations = 0
-    margin = -math.inf
+    margins = []
     for phi in take:
         rep = spectra.numerical_range_support(circle.ToeplitzElement(phi), thetas, trunc)
         violations += len(rep.counterexamples)
-        margin = max(margin, max(h - b for h, b in zip(rep.support_values, rep.bounds)))
+        margins.extend(h - b for h, b in zip(rep.support_values, rep.bounds))
     rng = _rng(seed, 62, 0)
     corrected = circle.ToeplitzElement(
         random_symbol(rng, 3), random_correction(rng, 3)
@@ -406,7 +395,7 @@ def _check_numerical_range(params, seed):
         "thetas": params["nr_thetas"],
         "truncation": trunc,
         "violations": violations,
-        "support_margin_worst": margin,
+        "support_margin_worst": worst(margins),
     }, violations == 0
 
 
@@ -429,9 +418,8 @@ def _check_szego(params, seed):
     d = params["sphere_degree"]
     tol_int = params["tolerances"]["interior"]
     tol_id = params["tolerances"]["identity"]
-    interior_worst = top_dev = moment_z_worst = fixed_worst = ext_worst = 0.0
+    interior, shell, moment_z, fixed, planted, ext = [], [], [], [], [], []
     support_ok = True
-    planted_min = math.inf
     # Bonferroni: all m moment tests pass together with probability >= 1 - 1e-3
     # when the model holds; -ndtri(q) is norm.isf(q), about 4.06 at m = 20
     moments = len(params["sphere_dims"]) * params["mc_alphas"]
@@ -440,8 +428,8 @@ def _check_szego(params, seed):
     for n in params["sphere_dims"]:
         tup = szego.szego_tuple(n, d)
         rep = szego.defect_report(tup)
-        interior_worst = max(interior_worst, rep.interior_max)
-        top_dev = max(top_dev, abs(rep.top_shell_min + 1.0), abs(rep.top_shell_max + 1.0))
+        interior.append(rep.interior_max)
+        shell += [abs(rep.top_shell_min + 1.0), abs(rep.top_shell_max + 1.0)]
         support_ok = support_ok and rep.support_ok
 
         for t in range(params["mc_alphas"]):
@@ -449,8 +437,8 @@ def _check_szego(params, seed):
             alpha = tuple(int(v) for v in rng.integers(0, 4, n))
             exact = float(szego.sphere_moment(n, alpha))
             mean, stderr = szego.mc_sphere_moment(n, alpha, params["mc_samples"], rng)
-            z = abs(mean - exact) / stderr if stderr > 0 else 0.0
-            moment_z_worst = max(moment_z_worst, z)
+            z = abs(mean - exact) / stderr if stderr != 0.0 else 0.0
+            moment_z.append(z)
             mc_ok = mc_ok and z <= z_limit
 
         for t in range(params["sphere_symbols"]):
@@ -458,15 +446,17 @@ def _check_szego(params, seed):
             phi = _random_sphere_symbol(rng, n, max_band=min(2, d // 2))
             op = szego.toeplitz_graded(phi, n, d)
             frep = szego.fixed_point_residual(op, tup)
-            fixed_worst = max(fixed_worst, frep.interior_max)
+            fixed.append(frep.interior_max)
 
         zero_idx = (0,) * n
         plant = szego.GradedOperator(n, d, {(zero_idx, zero_idx): 1.0})
         base = szego.toeplitz_graded(_random_sphere_symbol(_rng(seed, 78, n), n, 1), n, d)
         prep = szego.fixed_point_residual(base + plant, tup)
-        planted_min = min(planted_min, prep.interior_max)
+        planted.append(prep.interior_max)
 
-        ext_worst = max(ext_worst, szego.normal_extension_defect(n, min(d, 6)))
+        ext.append(szego.normal_extension_defect(n, min(d, 6)))
+    interior_worst, top_dev, fixed_worst = worst(interior), worst(shell), worst(fixed)
+    planted_min, ext_worst = float(np.min(planted)), worst(ext)
     verdict = (
         interior_worst <= tol_id
         and top_dev <= tol_id
@@ -481,7 +471,7 @@ def _check_szego(params, seed):
         "degree": d,
         "isometry_interior_worst": interior_worst,
         "top_shell_deviation": top_dev,
-        "moment_z_worst": moment_z_worst,
+        "moment_z_worst": worst(moment_z),
         "fixed_point_worst": fixed_worst,
         "planted_interior_min": planted_min,
         "extension_defect_worst": ext_worst,
@@ -542,19 +532,20 @@ def _check_weighted_hardy(params, seed):
     tol_iso = params["tolerances"]["isometry"]
     slack = params["tolerances"]["monotone_slack"]
     m = hardy.CircleMeasure({0: 1.0, 1: 0.4})
-    iso_worst = max(hardy.shift_isometry_residual(m, d) for d in degrees)
+    iso_worst = worst(hardy.shift_isometry_residual(m, d) for d in degrees)
     phi = LaurentPoly.from_text("z + zbar")
     bh = hardy.brown_halmos_residual(phi, m, window, degrees)
     vals = [v for _, v in bh]
     nonincreasing = all(vals[i + 1] <= vals[i] + slack for i in range(len(vals) - 1))
 
     leb = hardy.CircleMeasure({0: 1.0})
-    circle_diff = 0.0
+    diffs = []
     for text in ("z", "z + zbar", "(2+1j)*z^2 + zbar"):
         p = LaurentPoly.from_text(text)
         a = hardy.truncated_toeplitz(p, leb, 24)
         b = circle.toeplitz_matrix(p, 25)
-        circle_diff = max(circle_diff, float(np.max(np.abs(a - b))))
+        diffs.append(worst(np.abs(a - b)))
+    circle_diff = worst(diffs)
 
     m2 = hardy.CircleMeasure({0: 1.0, 1: 0.25, 2: 0.1})
     basis = hardy.onb(m2, 20)
@@ -824,7 +815,7 @@ def run_check(check_id, params, seed):
         spec.tag,
         digest,
         _plain(residuals),
-        bool(verdict),
+        bool(verdict) and _finite(residuals),
         artifacts,
         _plain(notes),
     )
@@ -853,8 +844,16 @@ def explain(check_id):
     )
 
 
+def _finite(obj):
+    """False when a residual payload holds a NaN or an infinity."""
+    if isinstance(obj, (dict, list, tuple)):
+        return all(map(_finite, obj.values() if isinstance(obj, dict) else obj))
+    return not isinstance(obj, (float, np.floating, complex)) or bool(np.isfinite(obj))
+
+
 def _plain(obj):
-    """Coerce residual payloads to canonical-JSON-safe plain types."""
+    """Coerce residual payloads to canonical-JSON-safe plain types; a
+    non-finite float becomes the string "nan", "inf" or "-inf"."""
     if isinstance(obj, dict):
         return {str(k): _plain(v) for k, v in obj.items()}
     if isinstance(obj, (list, tuple)):
@@ -864,7 +863,8 @@ def _plain(obj):
     if isinstance(obj, (int, np.integer)):
         return int(obj)
     if isinstance(obj, (float, np.floating)):
-        return float(obj)
+        v = float(obj)
+        return v if math.isfinite(v) else repr(v)
     if isinstance(obj, complex):
-        return [float(obj.real), float(obj.imag)]
+        return [_plain(obj.real), _plain(obj.imag)]
     return str(obj)

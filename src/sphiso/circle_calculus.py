@@ -30,7 +30,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import InvariantError, PreconditionError
-from .linalg import band_max_eig, op_norm
+from .linalg import band_max_eig, op_norm, worst
 from .symbols import LaurentPoly, eval_grid, sup_norm
 
 __all__ = [
@@ -141,9 +141,6 @@ class ToeplitzElement:
         if isinstance(c, (int, float, complex)):
             return self * c
         return NotImplemented
-
-    def equals(self, other, tol=0.0):
-        return diff_max(self, other) <= tol
 
     def merge_key(self):
         """Structural key: exact symbol terms plus correction bytes."""
@@ -286,20 +283,14 @@ def semicommutator(phi, psi):
 
 def symbol_diff_max(a, b):
     """Largest coefficient deviation between two symbols."""
-    d = 0.0
     ca, cb = a.coeffs, b.coeffs
-    for e in set(ca) | set(cb):
-        d = max(d, abs(ca.get(e, 0j) - cb.get(e, 0j)))
-    return d
+    return worst(abs(ca.get(e, 0j) - cb.get(e, 0j)) for e in set(ca) | set(cb))
 
 
 def diff_max(x, y):
     """Largest deviation between two elements, over coefficients and blocks."""
-    d = symbol_diff_max(x.symbol, y.symbol)
     diff = _padded_sum(x.corr_array, -y.corr_array)
-    if diff.size:
-        d = max(d, float(np.max(np.abs(diff))))
-    return d
+    return worst((symbol_diff_max(x.symbol, y.symbol), worst(np.abs(diff))))
 
 
 @dataclass(frozen=True)
@@ -320,7 +311,7 @@ def verify_averaging_identities(x, y):
     e1 = project_phi(mul(px, y))
     e2 = project_phi(mul(x, py))
     e3 = project_phi(mul(px, py))
-    pair = max(diff_max(e1, e2), diff_max(e1, e3), diff_max(e2, e3))
+    pair = worst((diff_max(e1, e2), diff_max(e1, e3), diff_max(e2, e3)))
     prod_sym = symbol_map(x) * symbol_map(y)
     choi = diff_max(e3, make_toeplitz(prod_sym))
     idem = diff_max(project_phi(px), px)
@@ -416,7 +407,6 @@ class CrossSectionReport:
     truncations: list
     lower_bounds: list
     sup_estimate: float
-    sup_upper: float
     gap: float
     monotone: bool
     verdict: str
@@ -430,9 +420,7 @@ def _block_grid_sup(block, grid_size):
         for b in range(k):
             vals[:, a, b] = eval_grid(block[a][b], g)
     sv = np.linalg.svd(vals, compute_uv=False)
-    lower = float(np.max(sv[:, 0]))
-    upper = op_norm(np.array([[p.l1_norm() for p in row] for row in block]))
-    return lower, upper
+    return float(np.max(sv[:, 0]))
 
 
 def _block_truncation_norm(block, n):
@@ -465,7 +453,7 @@ def cross_section_isometry(block, truncations=None, grid_size=2048, tol=1e-3):
             n *= 2
     lows = [_block_truncation_norm(block, n) for n in truncations]
     monotone = all(lows[i] <= lows[i + 1] + 1e-12 for i in range(len(lows) - 1))
-    sup_lo, sup_up = _block_grid_sup(block, grid_size)
+    sup_lo = _block_grid_sup(block, grid_size)
     gap = abs(lows[-1] - sup_lo)
     verdict = "PASS" if (gap <= tol and monotone) else "INCONCLUSIVE"
     return CrossSectionReport(
@@ -473,7 +461,6 @@ def cross_section_isometry(block, truncations=None, grid_size=2048, tol=1e-3):
         truncations=list(truncations),
         lower_bounds=lows,
         sup_estimate=sup_lo,
-        sup_upper=sup_up,
         gap=gap,
         monotone=monotone,
         verdict=verdict,
@@ -497,7 +484,6 @@ class LiftEvidence:
     sup_lower: float
     sup_upper: float
     trunc_lower: float
-    trunc_size: int
     gap: float
 
 
@@ -539,5 +525,5 @@ def commutant_character(x, trunc=1024, sup_grid=16384):
     if cls == ANALYTIC_TOEPLITZ:
         lo, up = sup_norm(x.symbol, grid_size=max(sup_grid, 4 * (1 + x.symbol.band())))
         tl = truncation_norm(x.symbol, trunc)
-        lift = LiftEvidence(x.symbol, lo, up, tl, trunc, abs(tl - lo))
+        lift = LiftEvidence(x.symbol, lo, up, tl, abs(tl - lo))
     return CommutantReport(cls, is_t, xstarx_t, commutes, lift)

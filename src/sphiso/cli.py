@@ -83,8 +83,6 @@ def validate_scenario(obj, origin="scenario"):
                     raise UsageError(f"{where}[{i}]: {exc}") from exc
                 if phi.nvars != 1:
                     raise UsageError(f"{where}[{i}]: one-variable symbols only")
-                if phi.band() > params["nr_truncation"] // 8:
-                    raise UsageError(f"{where}[{i}]: band too large for this run")
             params[key] = list(value)
         elif isinstance(default, list):
             if (
@@ -100,15 +98,24 @@ def validate_scenario(obj, origin="scenario"):
             params[key] = value
         else:
             raise UsageError(f"{where}: unknown parameter")
-    if params["elements"] < 2 * params["planted"]:
-        raise UsageError(
-            f"{origin}.parameters.elements: must be >= 2 * planted "
-            f"({2 * params['planted']})"
-        )
-    if params["grid_size"] < 4 * (1 + params["spectra_degree"]):
-        raise UsageError(
-            f"{origin}.parameters.grid_size: must be >= 4 * (1 + spectra_degree)"
-        )
+    for i, text in enumerate(params["symbols"]):
+        if LaurentPoly.from_text(text).band() > params["nr_truncation"] // 8:
+            raise UsageError(f"{origin}.parameters.symbols[{i}]: band too large for this run")
+    deg = params["spectra_degree"]
+    for key, least, why in [
+        ("elements", 2 * params["planted"], "2 * planted"),
+        ("grid_size", 4 * (1 + deg), "4 * (1 + spectra_degree)"),
+        ("lambda_points", 2, "to cover the range box"),
+        ("cross_section_truncation", 64, "the smallest truncation compared"),
+        # numerical_range also checks a cubic with a 3 x 3 correction
+        ("nr_truncation", 4 * max(deg, 6), "4 * max(spectra_degree, 6)"),
+        # the window plus the band of z + zbar must stay below every degree
+        ("hardy_degrees", params["hardy_window"] + 2, "hardy_window + 2"),
+        ("sphere_degree", 2, "twice the band of the planted symbol"),
+    ]:
+        value = params[key]
+        if (min(value) if isinstance(value, list) else value) < least:
+            raise UsageError(f"{origin}.parameters.{key}: must be >= {least} ({why})")
     return name, seed, suite, params
 
 

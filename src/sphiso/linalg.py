@@ -3,6 +3,9 @@
 `op_norm` is the largest singular value of a dense matrix from a dense SVD,
 for sizes of a few thousand at most.
 
+`worst` is the one residual fold. It keeps a NaN, which `max(d, nan)`, being
+`d`, would drop.
+
 `band_max_eig` is the largest eigenvalue of a Hermitian band matrix in
 LAPACK upper band storage, found without reducing the band to tridiagonal
 form: it bisects on sigma and asks at each step whether the banded Cholesky
@@ -20,11 +23,24 @@ import numpy as np
 
 from .errors import InvariantError, PreconditionError
 
-__all__ = ["op_norm", "band_max_eig"]
+__all__ = ["worst", "op_norm", "band_max_eig"]
 
 # widenings of the upper end when sigma = ||A||_1 does not factor; one is
 # enough for rounding in the norm itself, which is all that can cause it
 _WIDENINGS = 4
+
+
+def worst(values):
+    """Largest of `values` (an iterable or an array): NaN when any value is
+    NaN, 0.0 when there are none. Equal values resolve as `max` does."""
+    if isinstance(values, np.ndarray):
+        return float(values.max()) if values.size else 0.0
+    it = iter(values)
+    top = next(it, 0.0)
+    for v in it:
+        if v > top or v != v:
+            top = v
+    return top
 
 
 def op_norm(mat):

@@ -86,6 +86,8 @@ _NAMES = np.array(_STATUS_NAMES, dtype=object)
 # hull/sup grids are sized so the chord-sag bound stays below this
 _SAG_TARGET = 2e-9
 _GRID_CAP = 300_000
+# lambda grids cover the range box scaled by this factor about its centre
+_INFLATE = 1.2
 
 
 def _distance(samples, lams, edges=False, chunk_entries=1_000_000):
@@ -194,13 +196,13 @@ def _range_box(samples):
     return cx, cy, hx, hy
 
 
-def lambda_grid(phi, n=200, grid_size=512, inflate=1.2):
+def lambda_grid(phi, n=200, grid_size=512):
     """n x n rectangular lambda grid covering the inflated range box."""
     samples = eval_grid(phi, grid_size)
     cx, cy, hx, hy = _range_box(samples)
     pad = 0.2 * max(hx, hy, 0.5)
-    hx = max(inflate * hx, pad)
-    hy = max(inflate * hy, pad)
+    hx = max(_INFLATE * hx, pad)
+    hy = max(_INFLATE * hy, pad)
     xs = np.linspace(cx - hx, cx + hx, n)
     ys = np.linspace(cy - hy, cy + hy, n)
     return (xs[None, :] + 1j * ys[:, None]).ravel()
@@ -392,14 +394,12 @@ def convex_bound_check(phi, lams, grid_size=512):
     cx, cy, hx, hy = _range_box(samples)
     eps = 1e-12
     if (
-        lams.real.min() > cx - 1.2 * hx + eps
-        or lams.real.max() < cx + 1.2 * hx - eps
-        or lams.imag.min() > cy - 1.2 * hy + eps
-        or lams.imag.max() < cy + 1.2 * hy - eps
+        lams.real.min() > cx - _INFLATE * hx + eps
+        or lams.real.max() < cx + _INFLATE * hx - eps
+        or lams.imag.min() > cy - _INFLATE * hy + eps
+        or lams.imag.max() < cy + _INFLATE * hy - eps
     ):
-        raise PreconditionError(
-            "lambda grid does not cover the essential-range box inflated by 20%"
-        )
+        raise PreconditionError(f"lambda grid misses the range box scaled by {_INFLATE}")
 
     windings = _grid_winding_numbers(samples, lams)
     codes = _codes(_within(samples, lams, tol)[0], windings)
@@ -489,7 +489,7 @@ def numerical_range_support(x, thetas, trunc):
         bound = float(np.max((ph * samples).real)) + fnorm
         hs.append(h)
         bounds.append(bound)
-        if h > bound + sag + 1e-8:
+        if not h <= bound + sag + 1e-8:  # a NaN h is a violation too
             counter.append(t)
     note(sup_grid_size=g, sup_grid_clamped=clamped, band=kd)
     return NumericalRangeReport(thetas, hs, bounds, counter, not counter)

@@ -26,6 +26,7 @@ from fractions import Fraction
 import numpy as np
 
 from .errors import PreconditionError, ResourceLimitError
+from .linalg import worst
 from .symbols import parse_terms
 
 __all__ = [
@@ -127,12 +128,6 @@ class SphereSymbol:
             d = t.zbarpow + (0,) * (nvars - len(t.zbarpow))
             terms[(g, d)] = terms.get((g, d), 0j) + t.coeff
         return cls(nvars, terms)
-
-    @classmethod
-    def coordinate(cls, j, nvars):
-        g = [0] * nvars
-        g[j] = 1
-        return cls(nvars, {(tuple(g), (0,) * nvars): 1.0})
 
     @classmethod
     def constant(cls, c, nvars):
@@ -274,11 +269,11 @@ class GradedOperator:
         )
 
     def max_abs(self, degree_limit=None):
-        m = 0.0
-        for (b, a), c in self.entries.items():
-            if degree_limit is None or (sum(b) <= degree_limit and sum(a) <= degree_limit):
-                m = max(m, abs(c))
-        return m
+        return worst(
+            abs(c)
+            for (b, a), c in self.entries.items()
+            if degree_limit is None or (sum(b) <= degree_limit and sum(a) <= degree_limit)
+        )
 
     def __repr__(self):
         return f"GradedOperator(n={self.n}, d={self.d}, nnz={len(self.entries)})"
@@ -356,10 +351,9 @@ def fixed_point_residual(x, tup):
     safe = min(x.safe_degree, x.d)
     interior = safe - 1
     inner = r.max_abs(degree_limit=interior)
-    outer = 0.0
-    for (b, a), c in r.entries.items():
-        if sum(b) > interior or sum(a) > interior:
-            outer = max(outer, abs(c))
+    outer = worst(
+        abs(c) for (b, a), c in r.entries.items() if sum(b) > interior or sum(a) > interior
+    )
     return FixedPointReport(inner, outer, safe)
 
 
@@ -381,20 +375,13 @@ def defect_report(tup):
         acc = acc + t.adjoint().compose(t)
     diff = acc - GradedOperator.identity_op(n, d)
     interior = diff.max_abs(degree_limit=d - 1)
-    offdiag = 0.0
-    top_vals = []
-    support_ok = True
-    for (b, a), c in diff.entries.items():
-        if b != a:
-            offdiag = max(offdiag, abs(c))
-            support_ok = False
-        elif sum(a) == d:
-            top_vals.append(c.real)
-        elif abs(c) > 1e-12:
-            support_ok = False
-    lo = min(top_vals) if top_vals else 0.0
-    hi = max(top_vals) if top_vals else 0.0
-    return DefectReport(interior, lo, hi, offdiag, support_ok)
+    entries = diff.entries.items()
+    off = [abs(c) for (b, a), c in entries if b != a]
+    top = [c.real for (b, a), c in entries if b == a and sum(a) == d]
+    inner = [abs(c) for (b, a), c in entries if b == a and sum(a) != d]
+    support_ok = not off and all(v <= 1e-12 for v in inner)
+    lo = float(np.min(top)) if top else 0.0
+    return DefectReport(interior, lo, worst(top), worst(off), support_ok)
 
 
 def normal_extension_defect(n, degree):
@@ -406,7 +393,7 @@ def normal_extension_defect(n, degree):
     deviation (float rounding only).
     """
     t = szego_tuple(n, degree)
-    worst = 0.0
+    devs = []
     for j in range(n):
         for a in multiindices(n, degree - 1):
             b = list(a)
@@ -415,5 +402,5 @@ def normal_extension_defect(n, degree):
             # <z_j z^a, z^b> = moment(b) since z_j z^a = z^b; normalize.
             g = sphere_moment(n, b)
             val = float(g) / math.sqrt(float(sphere_moment(n, a)) * float(g))
-            worst = max(worst, abs(val - t.shifts[j].entry(b, a)))
-    return worst
+            devs.append(abs(val - t.shifts[j].entry(b, a)))
+    return worst(devs)

@@ -1,8 +1,9 @@
 import json
+import math
 
 import pytest
 
-from sphiso import checks, cli
+from sphiso import checks, cli, spectra
 from sphiso.errors import UsageError
 
 SMALL = {
@@ -59,6 +60,14 @@ def test_validate_rejects(tmp_path, capsys):
         ({"parameters": {"symbols": ["z +"]}}, ".parameters.symbols[0]"),
         ({"parameters": {"symbols": ["z1*z2"]}}, "one-variable"),
         ({"parameters": {"symbols": ["z^40"]}}, "band too large"),
+        # the band rule reads the run's nr_truncation wherever the key stands
+        ({"parameters": {"symbols": ["z^30"], "nr_truncation": 64}}, ".symbols[0]: band too large"),
+        # each of these passed validation and then crashed its check
+        ({"parameters": {"cross_section_truncation": 32}}, ".parameters.cross_section_truncation"),
+        ({"parameters": {"nr_truncation": 8}}, ".parameters.nr_truncation"),
+        ({"parameters": {"hardy_degrees": [4]}}, ".parameters.hardy_degrees"),
+        ({"parameters": {"lambda_points": 1}}, ".parameters.lambda_points"),
+        ({"parameters": {"sphere_degree": 1}}, ".parameters.sphere_degree"),
         ({"parameters": {"tolerances": {"identity": 0}}}, "tolerances must be > 0"),
         ({"parameters": {"tolerances": {"other": 1e-6}}}, "unknown tolerance"),
         ({"parameters": {"tolerances": {"gap": float("inf")}}}, "gap: tolerances must be finite"),
@@ -94,12 +103,13 @@ def test_validate_parameter_kinds():
         for bad in (0, True, 2.0, [1]):
             with pytest.raises(UsageError, match=f"{key}: expected an integer >= 1"):
                 cli.validate_scenario({"parameters": {key: bad}})
+    good = {"sphere_dims": [2, 3], "hardy_degrees": [16, 32]}
     for key in lists:
         for bad in ([], 3, [1, 0], [True], [1.0]):
             with pytest.raises(UsageError, match=f"{key}: expected a nonempty list"):
                 cli.validate_scenario({"parameters": {key: bad}})
-        _, _, _, params = cli.validate_scenario({"parameters": {key: [2, 3]}})
-        assert params[key] == [2, 3]
+        _, _, _, params = cli.validate_scenario({"parameters": {key: good[key]}})
+        assert params[key] == good[key]
 
 
 def test_validate_tolerance_override():
@@ -233,6 +243,21 @@ def test_run_notes_the_determinism_rerun_trials(tmp_path):
     assert "rerun_trials" not in raw
     (record,) = [c for c in json.loads(raw)["checks"] if c["id"] == "determinism"]
     assert record["verdict"] == "pass"
+
+
+def test_run_writes_a_nan_residual_and_exits_1(tmp_path, monkeypatch, capsys):
+    # a kernel that returns NaN fails its check; the report still writes
+    monkeypatch.setattr(spectra, "band_max_eig", lambda ab: math.nan)
+    scenario = write_scenario(tmp_path, SPECTRA)
+    assert cli.main(["run", scenario, "--out", str(tmp_path / "runs")]) == 1
+    assert "failing checks: numerical_range" in capsys.readouterr().err
+    (rundir,) = run_dirs(tmp_path)
+    raw = (rundir / "report.json").read_text()
+    verdicts = {c["id"]: c["verdict"] for c in json.loads(raw)["checks"]}
+    assert verdicts == {"hartman_wintner": "pass", "convex_bound": "pass", "numerical_range": "fail"}
+    nr = json.loads(raw)["checks"][2]["residuals"]
+    assert nr["support_margin_worst"] == "nan" and nr["violations"] == 4 * 8
+    assert checks.canonical_json(json.loads(raw)) == raw
 
 
 def test_run_suite_override(tmp_path, capsys):

@@ -4,11 +4,36 @@ import scipy.linalg.lapack as lapack
 
 from sphiso import hardy_measures as hm
 from sphiso.errors import InvariantError, PreconditionError
-from sphiso.linalg import band_max_eig, op_norm
+from sphiso.linalg import band_max_eig, op_norm, worst
 from sphiso.symbols import LaurentPoly
 
 Z = LaurentPoly.variable(0, 1)
 COSINE = hm.CircleMeasure({0: 1.0, 1: 0.4})
+
+
+@pytest.mark.parametrize(
+    "values, expected",
+    [
+        ([], 0.0),
+        ([2.0, 5.0, 1.0], 5.0),
+        ([-3.0, -1.0], -1.0),  # the largest value, not 0.0
+        (iter([0.5, 0.25]), 0.5),
+        (np.array([[1.0, 4.0], [2.0, 3.0]]), 4.0),
+        (np.zeros((0, 3)), 0.0),
+    ],
+)
+def test_worst_is_the_largest_value(values, expected):
+    assert worst(values) == expected
+
+
+@pytest.mark.parametrize("at", [0, 1, 2])
+def test_worst_keeps_nan_wherever_it_stands(at):
+    # max(d, nan) is d: a NaN after the first value vanishes from a max fold
+    values = [1.0, 2.0, 3.0]
+    values[at] = np.nan
+    assert np.isnan(worst(values))
+    assert np.isnan(worst(np.array(values)))
+    assert np.isnan(worst(v for v in values))
 
 
 def random_complex(rng, shape):

@@ -427,6 +427,14 @@ def test_numerical_range_check_fails_on_an_inflated_support(monkeypatch):
     assert rec.residuals["violations"] > 0
 
 
+def test_numerical_range_counts_a_nan_support_as_a_violation(monkeypatch):
+    # h > bound is False for a NaN h; every NaN direction must still count
+    monkeypatch.setattr(sp, "band_max_eig", lambda ab: math.nan)
+    thetas = [0.0, 1.0, 2.0]
+    rep = sp.numerical_range_support(cc.make_toeplitz(Z + 0.5 * ZBAR), thetas, 64)
+    assert rep.counterexamples == thetas and not rep.verdict
+
+
 def test_deep_spectrum_points_inside_numerical_range():
     # winding-certified lambdas well inside the range hull must lie in the
     # truncated numerical range: support gaps stay above -1e-6 at trunc 512

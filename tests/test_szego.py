@@ -139,6 +139,12 @@ def test_defect_sphere_shell():
 # graded compressions
 
 
+def test_graded_max_abs_keeps_nan():
+    x = sz.GradedOperator(1, 2, {((0,), (0,)): 1.0, ((1,), (1,)): complex("nan")})
+    assert math.isnan(x.max_abs()) and math.isnan(x.max_abs(degree_limit=1))
+    assert x.max_abs(degree_limit=0) == 1.0
+
+
 def test_toeplitz_graded_constant_is_identity():
     x = sz.toeplitz_graded("1", 2, 6)
     assert (x - sz.GradedOperator.identity_op(2, 6)).max_abs() == 0.0
