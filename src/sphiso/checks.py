@@ -311,7 +311,7 @@ def _check_cross_section(params, seed):
     z = LaurentPoly.variable(0, 1)
     zero = LaurentPoly.zero(1)
     block = circle.cross_section_isometry(
-        [[z, zero], [zero, z.conjugate()]], truncations=[64, 128, min(256, cap)]
+        [[z, zero], [zero, z.conjugate()]], truncations=sizes[:3]
     )
     block_low = block.lower_bounds[-1]
     block_sup = block.sup_estimate
@@ -677,10 +677,9 @@ REGISTRY = {
             ("spectra",),
             "spectrum inside the convex hull of the essential range: crossing "
             "numbers per grid row; each lambda is accepted on an upper bound of "
-            "its distance to the hull of every m-th refined sample (sag <= "
-            "2e-9), which lies inside the refined hull; only lambdas it leaves "
-            "go to the refined hull, evaluated on arcs within twice the working "
-            "sag of the working hull's boundary, the only arcs that can reach it",
+            "its distance to the hull of the working samples, which lies inside "
+            "the hull of the refined grid (sag <= 2e-9); only lambdas it leaves "
+            "go to the refined hull",
             "every non-OUTSIDE lambda on the covering grid passes hull "
             "membership at the certified tolerance; no counterexamples",
             _check_convex_bound,

@@ -10,34 +10,31 @@ compressions only shrink the numerical range.
 
 Winding numbers are integer crossing counts of the sampled polyline
 (`symbols._winding_numbers`): exact for every lambda off the polyline, so
-no accumulated angle can drift. A lambda within `curve_tolerance` of a sample
-is ON_CURVE, decided by the exact distance. Distances have one exact scan,
-`_distance`, to the samples or to the polyline through them, and one pruned
-front, `_within`: a k-d tree picks the few samples or edges that can decide
-each lambda and hands the rest, and every lambda within a relative 1e-9 of
-its threshold, to the exact scan. It settles ON_CURVE on covering grids,
-the clearance of the near-range probes and the convex-bound lambdas near a
-hull vertex.
+no accumulated angle can drift. A lambda within the curve's `tol` of a
+sample is ON_CURVE, decided by the exact distance. Distances have one exact
+scan, `_distance`, to the samples or to the polyline through them, and one
+pruned front, `_within`: a k-d tree picks the few samples or edges that can
+decide each lambda and hands the rest, and every lambda within a relative
+1e-9 of its threshold, to the exact scan. It settles ON_CURVE on covering
+grids, the clearance of the near-range probes and the convex-bound lambdas
+near a hull vertex.
 
-Every check reads the curve as `symbols.eval_grid` samples it: the read-only
-array of phi on a uniform grid, with `curve_tolerance` as its ON_CURVE
-distance and `_sag_bound` as its chord sag. Grids of up to 2048 points (the
-512- and 2048-point working grids of every query here) are summed from a
-bounded cache of unit-root power tables, which depend on the grid and the
-exponent only. Larger grids and index subsets (most fine grids, the refined
-hull samples, the sup grids) are evaluated afresh, which keeps the cache
-within 2 MiB and every sample's bits those of `LaurentPoly.eval_at`.
+Every check reads the curve through one `symbols.Curve`: phi sampled by
+`symbols.eval_grid` on a uniform grid, with its ON_CURVE distance `tol` and
+its chord sag `sag`. Grids of up to 2048 points (the 512- and 2048-point
+working grids of every query here) are summed from a bounded cache of
+unit-root power tables; larger ones (most fine grids, the refined hull
+grids, the sup grids) are evaluated afresh by `LaurentPoly.eval_at`, whose
+bits the tables keep.
 
 Tolerance bookkeeping. A sampled curve misses the true curve by at most the
 chord sag (spacing^2 * B''/8 with B'' the l1 bound on the second derivative),
 and a sampled sup misses the true sup by the same amount. Hull, sup and probe
-grids are sized from that bound by one rule, `_sag_grid_size`, so the slack
+grids are sized from that bound by one rule, `Curve.refine`, so the slack
 handed to membership tests is an actual certificate, not a guess; a cap that
-clamps the size is noted. The convex bound first tests each lambda
-against the hull of every m-th refined sample, which lies inside the refined
-hull, and builds the refined hull only for the lambdas that test leaves. The
-same sag bound then shows which arcs of the refined grid can reach the hull at
-all, so only those are evaluated.
+clamps the size is noted. The convex bound first tests each lambda against
+the hull of the working samples, which lies inside the refined hull, and
+builds the refined hull only for the lambdas that test leaves.
 """
 
 from __future__ import annotations
@@ -52,11 +49,11 @@ from .errors import PreconditionError
 from .linalg import band_max_eig, op_norm
 from .record import note
 from .symbols import (
+    Curve,
     _grid_winding_numbers,
     _segment_distance,
     _winding_numbers,
     conv_hull,
-    curve_tolerance,
     eval_grid,
 )
 
@@ -171,9 +168,8 @@ def _classify(samples, tol, lams):
 
 def _statuses(phi, lams, grid_size):
     """Status codes of lambdas against phi sampled on grid_size points."""
-    phi._require_univariate()
-    tol = curve_tolerance(phi, grid_size)
-    return _classify(eval_grid(phi, grid_size), tol, lams)
+    curve = Curve(phi, grid_size)
+    return _classify(curve.samples, curve.tol, lams)
 
 
 def spectrum_membership(phi, lam, grid_size=2048):
@@ -198,30 +194,13 @@ def _range_box(samples):
 
 def lambda_grid(phi, n=200, grid_size=512):
     """n x n rectangular lambda grid covering the inflated range box."""
-    samples = eval_grid(phi, grid_size)
-    cx, cy, hx, hy = _range_box(samples)
+    cx, cy, hx, hy = _range_box(Curve(phi, grid_size).samples)
     pad = 0.2 * max(hx, hy, 0.5)
     hx = max(_INFLATE * hx, pad)
     hy = max(_INFLATE * hy, pad)
     xs = np.linspace(cx - hx, cx + hx, n)
     ys = np.linspace(cy - hy, cy + hy, n)
     return (xs[None, :] + 1j * ys[:, None]).ravel()
-
-
-def _sag_grid_size(phi, target, floor, step, cap):
-    """(size, clamped): the least multiple of step, at least floor, whose chord
-    sag is below target; past cap, the largest multiple of step within it, with
-    clamped set."""
-    b2 = phi.second_derivative_l1_bound()
-    need = 2.0 * np.pi * math.sqrt(b2 / (8.0 * target))
-    size = max(floor, step * math.ceil(need / step))
-    if size > cap:
-        return step * max(1, cap // step), True
-    return size, False
-
-
-def _sag_bound(phi, grid_size):
-    return (2.0 * np.pi / grid_size) ** 2 * phi.second_derivative_l1_bound() / 8.0
 
 
 @dataclass(frozen=True)
@@ -254,19 +233,17 @@ def hartman_wintner_check(phi, grid_size=512, probes=100, seed=11):
     OUTSIDE on the working grid. Symbols whose spectrum has empty interior
     (real-valued ones, say) certify no probes and pass vacuously.
     """
-    phi._require_univariate()
     rng = np.random.default_rng(seed)
-    samples = eval_grid(phi, grid_size)
-    tol = curve_tolerance(phi, grid_size)
+    curve = Curve(phi, grid_size)
+    samples, tol = curve.samples, curve.tol
 
     codes = _classify(samples, tol, samples)
     bad_range = samples[codes == 2]
     range_pass = bad_range.size == 0
 
-    fine_size, fine_clamped = _sag_grid_size(phi, 1e-5, 4 * grid_size, 1, _FINE_CAP)
-    fine = eval_grid(phi, fine_size)
-    fine2 = eval_grid(phi, 2 * fine_size)
-    clearance = max(2e-4, 4.0 * _sag_bound(phi, fine_size))
+    fine = curve.refine(1e-5, 4 * grid_size, 1, _FINE_CAP, "fine")
+    fine2 = eval_grid(phi, 2 * fine.size)
+    clearance = max(2e-4, 4.0 * fine.sag)
 
     hi = min(0.01, tol / 2.0)
     lo_step = min(1e-3, hi / 2.0)
@@ -284,11 +261,12 @@ def hartman_wintner_check(phi, grid_size=512, probes=100, seed=11):
         )
         cand = anchors + steps
         # the clearance keeps every candidate off both fine polylines
-        near, rescanned = _within(fine, cand, clearance, edges=True)
+        near, rescanned = _within(fine.samples, cand, clearance, edges=True)
         fallbacks += rescanned
         cand = cand[~near]
         if cand.size:
-            keep = (_winding_numbers(fine, cand) != 0) & (_winding_numbers(fine2, cand) != 0)
+            keep = _winding_numbers(fine.samples, cand) != 0
+            keep &= _winding_numbers(fine2, cand) != 0
             certified.extend(cand[keep].tolist())
             certified = certified[:probes]
 
@@ -301,12 +279,7 @@ def hartman_wintner_check(phi, grid_size=512, probes=100, seed=11):
         probe_pass = not counter
     counter = [complex(b) for b in bad_range] + counter
     verdict = range_pass and probe_pass
-    note(
-        fine_size=fine_size,
-        fine_clamped=fine_clamped,
-        probes_kept=len(certified),
-        clearance_fallbacks=fallbacks,
-    )
+    note(probes_kept=len(certified), clearance_fallbacks=fallbacks)
     return HartmanWintnerReport(
         range_pass, probes, len(certified), probe_pass, counter, verdict
     )
@@ -325,72 +298,31 @@ class ConvexBoundReport:
             raise PreconditionError("verdict inconsistent with counterexample list")
 
 
-def _boundary_depth(hull, points):
-    """Distance from each point to the boundary of a polygon hull, negative
-    outside: the least signed distance to the lines through its CCW edges."""
-    v = hull.vertices
-    e = np.roll(v, -1) - v
-    signed = (np.conj(e)[None, :] * (points[:, None] - v[None, :])).imag / np.abs(e)
-    return signed.min(axis=1)
-
-
-def _hull_arcs(phi, samples, refined_size):
-    """The refined-grid samples on arcs that can reach the hull.
-
-    Arc j runs between working samples j and j + 1, through refined_size /
-    samples.size refined steps. The true arc lies within the working sag of
-    its chord, and on a convex set the depth below the boundary is concave,
-    so a chord between two working samples deeper than twice the sag keeps
-    its arc strictly inside the working hull: such an arc supplies no hull
-    vertex and is skipped. Every working hull vertex starts a kept arc, and the
-    refined sample at its index is kept; the two differ by rounding only
-    (2 pi j / g and 2 pi jm / (gm) round apart), and the 1e-12 absorbs that
-    and the rest of the rounding. The kept indices are sampled through
-    eval_grid at the refined grid's own angles, so every sample is the full
-    refined grid's up to the rounding of the products (numpy orders the
-    operands of a complex product by array size, and with FMA the order sets
-    the last bits). They are not a closed curve: the result feeds the hull
-    only, never a winding count.
-    """
-    g = samples.size
-    work = conv_hull(samples)
-    if work.kind != "polygon":
-        return eval_grid(phi, refined_size)
-    near = _boundary_depth(work, samples) <= 2.0 * _sag_bound(phi, g) + 1e-12
-    arcs = near | np.roll(near, -1)
-    m = refined_size // g
-    keep = np.repeat(arcs, m)
-    keep[::m] |= np.roll(arcs, 1)  # the end point of arc j - 1
-    return eval_grid(phi, refined_size, np.flatnonzero(keep))
-
-
 def convex_bound_check(phi, lams, grid_size=512):
     """Every lambda not OUTSIDE must sit in the hull of the essential range.
 
     Statuses come from crossing numbers, one scanline per distinct imaginary
     part of the covering grid, with ON_CURVE pruned by a k-d tree. The hull is
-    that of a refined sample grid (a multiple m of the working grid) sized so
+    that of a refined sample grid (a multiple of the working grid) sized so
     the sag bound stays under 2e-9. Winding-certified points are tested at
     1e-8, while on-curve points carry the working curve tolerance on top since
     that is how far they may sit from their anchoring sample.
 
-    Every m-th refined sample, taken through eval_grid at the refined grid's
-    own angles, spans a coarse hull that lies inside the refined one up to the
-    rounding of the products (see `_hull_arcs`; under 1e-15 on full.json). A
-    lambda is accepted on an upper bound of its distance to the coarse hull
-    that stays 1e-12 below its tolerance, which absorbs that rounding: then
-    the refined hull, and its lower-bound membership test, accept it too. The
-    bounds are tried cheapest first: `Hull.distance_bound`, the distance to
-    the nearest hull vertex by `_within`, and the exact distance to the hull's
-    boundary. Only the lambdas this leaves go to the refined hull, evaluated
-    on the arcs that can reach it (`_hull_arcs`). Their count is noted as
-    hull_escalations, with the refined grid's size and clamp and the points
-    of the last hull built.
+    The working samples are points of the refined curve up to rounding (all
+    within 2e-15 of the refined hull on full.json), so their hull lies inside
+    the refined one. A lambda is accepted on an upper bound of its distance to
+    the working hull that stays 1e-12 below its tolerance, which absorbs that
+    rounding: then the refined hull, and its lower-bound membership test,
+    accept it too. The bounds are tried cheapest first: `Hull.distance_bound`,
+    the distance to the nearest hull vertex by `_within`, and the exact
+    distance to the hull's boundary. Only the lambdas this leaves go to the
+    hull of the whole refined grid. Their count is noted as hull_escalations,
+    with the refined grid's size and clamp and the points of the last hull
+    built.
     """
-    phi._require_univariate()
     lams = np.asarray(lams, dtype=complex).ravel()
-    samples = eval_grid(phi, grid_size)
-    tol = curve_tolerance(phi, grid_size)
+    curve = Curve(phi, grid_size)
+    samples, tol = curve.samples, curve.tol
     cx, cy, hx, hy = _range_box(samples)
     eps = 1e-12
     if (
@@ -404,16 +336,14 @@ def convex_bound_check(phi, lams, grid_size=512):
     windings = _grid_winding_numbers(samples, lams)
     codes = _codes(_within(samples, lams, tol)[0], windings)
 
-    refined_size, clamped = _sag_grid_size(phi, _SAG_TARGET, grid_size, grid_size, _GRID_CAP)
-    sag = _sag_bound(phi, refined_size)
-    tol_winding = max(1e-8, sag + 5e-9)
+    refined = curve.refine(_SAG_TARGET, grid_size, grid_size, _GRID_CAP, "refined")
+    tol_winding = max(1e-8, refined.sag + 5e-9)
     tol_on_curve = tol + tol_winding
 
     tested = codes != 2
     pts, pcodes = lams[tested], codes[tested]
     reach = np.where(pcodes == 1, tol_winding, tol_on_curve)
-    m = refined_size // grid_size
-    hull = conv_hull(eval_grid(phi, refined_size, m * np.arange(grid_size)))
+    hull = conv_hull(samples)
     hull_points = grid_size
     limit = reach - 1e-12
     ok = hull.distance_bound(pts) <= limit
@@ -423,18 +353,12 @@ def convex_bound_check(phi, lams, grid_size=512):
     ok[rest] = _distance(hull.vertices, pts[rest], edges=True) <= limit[rest]
     escalate = np.flatnonzero(~ok)
     if escalate.size:
-        refined = _hull_arcs(phi, samples, refined_size)
-        hull, hull_points = conv_hull(refined), refined.size
+        hull, hull_points = conv_hull(refined.samples), refined.size
         ok[escalate] = hull.membership_batch(pts[escalate], reach[escalate])
 
     counter = [complex(v) for v in pts[~ok & (pcodes == 1)]]
     counter.extend(complex(v) for v in pts[~ok & (pcodes == 0)])
-    note(
-        refined_size=refined_size,
-        refined_clamped=clamped,
-        hull_points=hull_points,
-        hull_escalations=escalate.size,
-    )
+    note(hull_points=hull_points, hull_escalations=escalate.size)
     return ConvexBoundReport(_NAMES[codes], lams, tol_on_curve, counter, not counter)
 
 
@@ -476,9 +400,8 @@ def numerical_range_support(x, thetas, trunc):
         upper_adj[kd - d, d:] = np.conj(np.diagonal(xn, -d))
 
     base = max(4096, 4 * (1 + x.symbol.band()))
-    g, clamped = _sag_grid_size(x.symbol, _SAG_TARGET, base, base, _GRID_CAP)
-    samples = eval_grid(x.symbol, g)
-    sag = _sag_bound(x.symbol, g)
+    sup = Curve(x.symbol, base).refine(_SAG_TARGET, base, base, _GRID_CAP, "sup_grid")
+    samples, sag = sup.samples, sup.sag
     fnorm = op_norm(corr) if corr.size else 0.0
 
     thetas = [float(t) for t in thetas]
@@ -491,7 +414,7 @@ def numerical_range_support(x, thetas, trunc):
         bounds.append(bound)
         if not h <= bound + sag + 1e-8:  # a NaN h is a violation too
             counter.append(t)
-    note(sup_grid_size=g, sup_grid_clamped=clamped, band=kd)
+    note(band=kd)
     return NumericalRangeReport(thetas, hs, bounds, counter, not counter)
 
 

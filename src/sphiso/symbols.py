@@ -14,20 +14,22 @@ form that `from_text` parses back to the identical object, bit for bit.
 from __future__ import annotations
 
 import cmath
+import math
 import re
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import cached_property, lru_cache
 
 import numpy as np
 
 from .errors import OnCurveError, PreconditionError
+from .record import note
 
 __all__ = [
     "LaurentPoly",
     "parse_terms",
     "eval_grid",
     "winding",
-    "curve_tolerance",
+    "Curve",
     "sup_norm",
     "conv_hull",
     "Hull",
@@ -446,35 +448,30 @@ def _unit_powers(grid_size, k):
     return table
 
 
-def eval_grid(phi, grid_size, idx=None):
+def eval_grid(phi, grid_size):
     """Samples of phi on the uniform torus grid with grid_size points per
     axis, as a read-only array (row-major over the axes).
 
-    This is the one place the grid angles 2 pi idx / grid_size are formed, so
-    every caller that samples a curve gets the same bits. idx selects grid
-    indices along each axis (default: all of them); `spectra._hull_arcs`
-    evaluates only the arcs of a refined grid that can reach the hull this way.
+    This is the one place the grid angles 2 pi j / grid_size are formed, so
+    every caller that samples a curve gets the same bits.
 
-    A one-variable symbol on a full grid of at most _TABLE_POINTS = 2048
-    points is summed from cached tables of the unit roots' powers
-    (`_unit_powers`, which depend on the grid and the exponent only), term
-    by term in the order `LaurentPoly.eval_at` takes: the same products in
-    the same order, so the same bits. Larger grids, idx subsets and several
-    variables go through `eval_at`. The cut bounds the cache at 2 MiB and
-    keeps it clear of the sizes where numpy reorders eval_at's products
-    (see _TABLE_POINTS).
+    A one-variable symbol on a grid of at most _TABLE_POINTS = 2048 points is
+    summed from cached tables of the unit roots' powers (`_unit_powers`,
+    which depend on the grid and the exponent only), term by term in the
+    order `LaurentPoly.eval_at` takes: the same products in the same order,
+    so the same bits. Larger grids and several variables go through
+    `eval_at`. The cut bounds the cache at 2 MiB and keeps it clear of the
+    sizes where numpy reorders eval_at's products (see _TABLE_POINTS).
     """
     need = 4 * (1 + phi.band())
     if grid_size < need:
         raise PreconditionError(f"grid_size {grid_size} < 4*(1+band) = {need}")
-    if idx is None and phi.nvars == 1 and grid_size <= _TABLE_POINTS:
+    if phi.nvars == 1 and grid_size <= _TABLE_POINTS:
         samples = np.zeros(grid_size, dtype=complex)
         for (k,), c in phi._coeffs.items():
             samples += c * _unit_powers(grid_size, k) if k else c
     else:
-        if idx is None:
-            idx = np.arange(grid_size)
-        ring = np.exp(1j * (2.0 * np.pi * idx / grid_size))
+        ring = np.exp(1j * (2.0 * np.pi * np.arange(grid_size) / grid_size))
         if phi.nvars == 1:
             samples = phi.eval_at(ring)
         else:
@@ -486,13 +483,50 @@ def eval_grid(phi, grid_size, idx=None):
     return samples
 
 
-def curve_tolerance(phi, grid_size):
-    """Distance below which a winding query is flagged ON_CURVE.
+@dataclass(frozen=True)
+class Curve:
+    """A one-variable symbol sampled on the uniform grid of size points, with
+    the certified tolerances of that sampling.
 
-    10 * (grid spacing) * (l1 derivative bound): conservative but certifiable,
-    since consecutive curve samples are at most spacing * bound apart.
+    samples are `eval_grid`'s, computed on first use. tol is the distance
+    below which a lambda is ON_CURVE: 10 * spacing * (l1 bound on the first
+    derivative), conservative but certifiable, since consecutive samples are
+    at most spacing * bound apart. sag bounds how far the true curve strays
+    from the chord between two samples, spacing^2 * (l1 bound on the second
+    derivative) / 8; a sampled sup misses the true sup by as much.
     """
-    return 10.0 * (2.0 * np.pi / grid_size) * phi.derivative_l1_bound()
+
+    phi: LaurentPoly
+    size: int
+
+    def __post_init__(self):
+        self.phi._require_univariate()
+
+    @cached_property
+    def samples(self):
+        return eval_grid(self.phi, self.size)
+
+    @property
+    def tol(self):
+        return 10.0 * (2.0 * np.pi / self.size) * self.phi.derivative_l1_bound()
+
+    @property
+    def sag(self):
+        return (2.0 * np.pi / self.size) ** 2 * self.phi.second_derivative_l1_bound() / 8.0
+
+    def refine(self, target, floor, step, cap, name):
+        """The curve on the least multiple of step, at least floor, whose sag
+        is below target; past cap, on the largest multiple of step within it.
+        The size and whether the cap clamped it are noted as {name}_size and
+        {name}_clamped."""
+        b2 = self.phi.second_derivative_l1_bound()
+        need = 2.0 * np.pi * math.sqrt(b2 / (8.0 * target))
+        size = max(floor, step * math.ceil(need / step))
+        clamped = size > cap
+        if clamped:
+            size = step * max(1, cap // step)
+        note(**{f"{name}_size": size, f"{name}_clamped": clamped})
+        return Curve(self.phi, size)
 
 
 def winding(phi, lam, grid_size=512):
@@ -500,18 +534,16 @@ def winding(phi, lam, grid_size=512):
 
     The curve is sampled on the uniform grid and the winding number of the
     closed polyline through the samples is counted exactly by
-    `_winding_numbers`. Raises OnCurveError when lam is within
-    `curve_tolerance` of a sample; farther away the polyline and the curve
-    wind alike, since consecutive samples are at most that far apart.
+    `_winding_numbers`. Raises OnCurveError when lam is within the curve's
+    tol of a sample; farther away the polyline and the curve wind alike,
+    since consecutive samples are at most that far apart.
     """
-    phi._require_univariate()
-    samples = eval_grid(phi, grid_size)
+    curve = Curve(phi, grid_size)
     lam = complex(lam)
-    tol = curve_tolerance(phi, grid_size)
-    dist = float(np.min(np.abs(samples - lam)))
-    if dist <= tol:
-        raise OnCurveError(dist, tol)
-    return int(_winding_numbers(samples, [lam])[0])
+    dist = float(np.min(np.abs(curve.samples - lam)))
+    if dist <= curve.tol:
+        raise OnCurveError(dist, curve.tol)
+    return int(_winding_numbers(curve.samples, [lam])[0])
 
 
 # The dense crossing table is cheapest up to this many entries L * (S + 1).

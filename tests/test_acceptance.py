@@ -224,3 +224,44 @@ def test_reports_do_not_depend_on_the_table_cache(tmp_path):
         (run_dir,) = (tmp_path / label).iterdir()
         reports.append((run_dir / "report.json").read_bytes())
     assert reports[0] == reports[1] == reports[2]
+
+
+# prints one canonical record per line: each check of the scenario in argv[1],
+# in reverse ordinal order, in an interpreter that has run nothing before
+REVERSE_RUN = """
+import json, sys
+from sphiso import checks, cli
+_, seed, suite, params = cli.validate_scenario(json.loads(sys.argv[1]))
+for cid in reversed(checks.suite_check_ids(suite)):
+    rec = checks.run_check(cid, params, seed)
+    print(checks.canonical_json([rec.to_json(), rec.decisions, rec.artifacts]))
+"""
+
+
+def test_records_do_not_depend_on_check_order(child_env):
+    # the suite in ordinal order, each check alone from a cleared table
+    # cache, and the suite in reverse order in a fresh interpreter give the
+    # same records bit for bit, with the same notes and tables: no cache
+    # carries state from one check, or from an earlier test, to the next
+    _, seed, suite, params = cli.validate_scenario(REDUCED)
+    ids = checks.suite_check_ids(suite)
+    assert len(ids) == len(checks.REGISTRY)
+
+    def record_bytes(recs):
+        return [checks.canonical_json([r.to_json(), r.decisions, r.artifacts]) for r in recs]
+
+    forward = record_bytes(checks.run_checks(suite, params, seed).checks)
+    alone = []
+    for cid in ids:
+        symbols._unit_powers.cache_clear()
+        alone.append(checks.run_check(cid, params, seed))
+    done = subprocess.run(
+        [sys.executable, "-c", REVERSE_RUN, json.dumps(REDUCED)],
+        env=child_env,
+        capture_output=True,
+        text=True,
+        timeout=300,
+    )
+    assert done.returncode == 0, done.stderr
+    assert record_bytes(alone) == forward
+    assert done.stdout.splitlines()[::-1] == forward

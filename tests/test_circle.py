@@ -515,6 +515,26 @@ def test_cross_section_block_diagonal():
     assert rep.verdict == "PASS"
 
 
+@pytest.mark.parametrize("cap", [100, 128])
+def test_cross_section_check_keeps_the_block_within_the_cap(monkeypatch, cap):
+    # the 2x2 block runs at the first truncations of the scalar run, never
+    # past cross_section_truncation, so block_lower is read at a listed size
+    real = cc.cross_section_isometry
+    calls = []
+
+    def spy(block, truncations=None, **kwargs):
+        calls.append(list(truncations))
+        return real(block, truncations=truncations, **kwargs)
+
+    monkeypatch.setattr(cc, "cross_section_isometry", spy)
+    params = dict(checks.DEFAULT_PARAMS, cross_section_truncation=cap)
+    rec = checks.run_check("cross_section", params, 1)
+    scalar, block = calls
+    assert scalar == rec.residuals["truncations"]
+    assert max(block) <= cap
+    assert block[-1] in scalar
+
+
 def test_cross_section_inconclusive_on_tight_budget():
     rep = cc.cross_section_isometry(Z + ZBAR, truncations=[4, 8], tol=1e-6)
     assert rep.verdict == "INCONCLUSIVE"

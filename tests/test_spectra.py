@@ -10,7 +10,7 @@ from sphiso import circle_calculus as cc
 from sphiso import record
 from sphiso import spectra as sp
 from sphiso.errors import PreconditionError
-from sphiso.symbols import Hull, LaurentPoly, conv_hull, curve_tolerance, eval_grid
+from sphiso.symbols import Hull, LaurentPoly, conv_hull, eval_grid
 
 Z = LaurentPoly.variable(0, 1)
 ZBAR = Z.conjugate()
@@ -202,28 +202,11 @@ def full_scenario_symbols():
     return checks._suite_symbols(dict(checks.DEFAULT_PARAMS), 20260815)
 
 
-def test_convex_bound_targeted_hull_covers_full_refined_grid():
-    # the hull of the arcs near the working hull holds every sample of the
-    # whole refined grid, and the arcs left out are most of it
-    kept = total = 0
-    for phi in full_scenario_symbols() + [Z, Z**3 + 0.5 * ZBAR]:
-        size = sp._sag_grid_size(phi, sp._SAG_TARGET, 512, 512, sp._GRID_CAP)[0]
-        _, notes = noted(sp.convex_bound_check, phi, sp.lambda_grid(phi, 8))
-        assert notes["refined_size"] == [size]
-        arcs = sp._hull_arcs(phi, eval_grid(phi, 512), size)
-        full = eval_grid(phi, size)
-        assert np.max(conv_hull(arcs).outside_distance(full)) <= 1e-12
-        kept += arcs.size
-        total += size
-    assert kept < total / 2
-
-
 def test_convex_bound_coarse_hull_lies_inside_the_refined_hull(monkeypatch):
-    # the coarse hull is fed every m-th refined sample at the refined grid's
-    # own angles: each matches the refined sample to the rounding of the
-    # products, so the coarse hull lies inside the refined hull the escalation
-    # path builds, far within the 1e-12 margin of the coarse test. The working
-    # samples round apart (2 pi j / g against 2 pi jm / (gm)).
+    # the first hull is that of the working samples; they lie on the refined
+    # curve up to rounding (2 pi j / g against 2 pi jm / (gm), and the
+    # products), so the working hull lies within the rounding of the hull of
+    # the whole refined grid, far within the 1e-12 margin of the first test
     fed = []
 
     def spy(points):
@@ -231,30 +214,14 @@ def test_convex_bound_coarse_hull_lies_inside_the_refined_hull(monkeypatch):
         return conv_hull(points)
 
     monkeypatch.setattr(sp, "conv_hull", spy)
-    working_differs = 0
     for phi in full_scenario_symbols():
         fed.clear()
         _, notes = noted(sp.convex_bound_check, phi, sp.lambda_grid(phi, 8))
         assert notes["hull_escalations"] == [0] and notes["hull_points"] == [512]
-        (coarse,) = fed
-        (size,) = notes["refined_size"]
-        m = size // 512
-        full = eval_grid(phi, size)
-        assert coarse.size == 512
-        assert np.max(np.abs(coarse - full[::m])) <= 4 * np.finfo(float).eps * phi.l1_norm()
-        refined = conv_hull(sp._hull_arcs(phi, eval_grid(phi, 512), size))
-        assert np.max(refined.distance_bound(coarse)) <= 1e-13
-        working_differs += np.any(eval_grid(phi, 512) != coarse)
-    assert working_differs > 0
-
-
-def test_convex_bound_targeted_samples_are_bit_identical():
-    phi = full_scenario_symbols()[0]
-    size = sp._sag_grid_size(phi, sp._SAG_TARGET, 512, 512, sp._GRID_CAP)[0]
-    samples = eval_grid(phi, 512)
-    arcs = sp._hull_arcs(phi, samples, size)
-    full = eval_grid(phi, size)
-    assert np.isin(arcs, full).all()
+        (working,) = fed
+        assert np.array_equal(working, eval_grid(phi, 512))
+        refined = conv_hull(eval_grid(phi, notes["refined_size"][0]))
+        assert np.max(refined.distance_bound(working)) <= 1e-13
 
 
 def test_convex_bound_flags_a_shrunken_hull(monkeypatch):
@@ -301,8 +268,8 @@ def test_convex_bound_settles_leftovers_at_hull_vertices(monkeypatch):
 
 
 def test_convex_bound_escalates_past_a_shrunken_coarse_hull(monkeypatch):
-    # only the first hull, the coarse one, shrinks: the lambdas it leaves go
-    # to the refined hull, which accepts them
+    # only the first hull, the working one, shrinks: the lambdas it leaves go
+    # to the hull of the whole refined grid, which accepts them
     calls = []
 
     def shrunk_first(points):
@@ -319,9 +286,8 @@ def test_convex_bound_escalates_past_a_shrunken_coarse_hull(monkeypatch):
         rep, notes = noted(sp.convex_bound_check, phi, sp.lambda_grid(phi, 200))
         assert rep.verdict and rep.counterexamples == []
         assert notes["hull_escalations"][0] > 0
-        # coarse, working (inside _hull_arcs), then the refined arcs
-        assert calls[:2] == [512, 512] and len(calls) == 3
-        assert notes["hull_points"] == [calls[2]] and calls[2] > 512
+        assert calls == [512, notes["refined_size"][0]] and calls[1] > 512
+        assert notes["hull_points"] == [calls[1]]
 
 
 def test_hartman_wintner_flags_a_planted_outside(monkeypatch):
@@ -494,8 +460,3 @@ def test_report_serialization():
     assert len(rows) == 401
     assert all(r[2] in (sp.ON_CURVE, sp.WINDING_NONZERO, sp.OUTSIDE) for r in rows[1:])
     assert [complex(float(r[0]), float(r[1])) for r in rows[1:]] == list(rep.lams)
-
-
-def test_curve_tolerance_scales_with_grid():
-    phi = Z**2 + 0.5 * ZBAR
-    assert curve_tolerance(phi, 2048) == 2.0 * curve_tolerance(phi, 4096)

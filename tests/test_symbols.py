@@ -8,14 +8,14 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from scipy.optimize import linprog
 
-from sphiso import checks
+from sphiso import checks, record
 from sphiso.errors import OnCurveError, PreconditionError
 from sphiso.symbols import (
     _TABLE_POINTS,
+    Curve,
     LaurentPoly,
     _unit_powers,
     conv_hull,
-    curve_tolerance,
     eval_grid,
     parse_terms,
     sup_norm,
@@ -137,12 +137,6 @@ def test_eval_grid_returns_read_only_samples():
         s[0] = 0.0
 
 
-def test_eval_grid_index_subset_is_bit_identical():
-    phi = Z**3 + (0.25 - 0.5j) * ZBAR**2
-    idx = np.array([0, 3, 17, 250, 511])
-    assert np.array_equal(eval_grid(phi, 512, idx), eval_grid(phi, 512)[idx])
-
-
 def filled_eval(phi, pts):
     """The earlier LaurentPoly.eval_at: each term starts from a filled array."""
     out = np.zeros(pts.shape[:-1], dtype=complex)
@@ -219,7 +213,6 @@ def test_eval_grid_tables_only_for_full_one_variable_grids_to_the_cut():
     phi = Z**3 + (0.25 - 0.5j) * ZBAR**2 + 0.5
     _unit_powers.cache_clear()
     eval_grid(phi, _TABLE_POINTS + 1)
-    eval_grid(phi, 512, np.arange(0, 512, 7))
     eval_grid(LaurentPoly.from_text("(0.5-1j)*z1*zbar2 + 0.5"), 16)
     assert _unit_powers.cache_info().currsize == 0
     samples = eval_grid(phi, _TABLE_POINTS)
@@ -288,8 +281,45 @@ def test_winding_additive_under_products():
         assert winding(a * b, 0.0) == winding(a, 0.0) + winding(b, 0.0)
 
 
-def test_curve_tolerance_scales_with_grid():
-    assert curve_tolerance(Z, 1024) == curve_tolerance(Z, 512) / 2.0
+def test_curve_tol_and_sag_scale_with_grid():
+    # tol is 10 * spacing * (l1 bound on phi'), sag spacing^2 * (l1 bound on
+    # phi'') / 8: halving the spacing halves the one and quarters the other
+    for phi, g in ((Z, 512), (Z**2 + 0.5 * ZBAR, 2048)):
+        curve, finer = Curve(phi, g), Curve(phi, 2 * g)
+        assert finer.tol == curve.tol / 2.0
+        assert curve.tol == 10.0 * (2.0 * np.pi / g) * phi.derivative_l1_bound()
+        assert finer.sag == curve.sag / 4.0
+        assert curve.sag == (2.0 * np.pi / g) ** 2 * phi.second_derivative_l1_bound() / 8.0
+    with pytest.raises(PreconditionError):
+        Curve(LaurentPoly.from_text("z1*zbar2"), 16)
+
+
+def test_curve_refine_sizes_notes_and_samples_lazily():
+    phi = Z**3 + 0.5 * ZBAR
+    curve = Curve(phi, 512)
+    with record.collect() as (notes, _):
+        # a loose target: the floor wins
+        floor = curve.refine(1e-3, 4096, 1, 65536, "fine")
+        # the least multiple of the step whose sag is below the target
+        stepped = curve.refine(2e-9, 512, 512, 300_000, "refined")
+        # past the cap: the largest multiple of the step within it
+        clamped = curve.refine(2e-9, 512, 512, 30_000, "sup_grid")
+    assert floor.size == 4096 and floor.sag < 1e-3
+    assert stepped.size % 512 == 0 and stepped.sag < 2e-9
+    assert Curve(phi, stepped.size - 512).sag >= 2e-9
+    assert clamped.size == 512 * (30_000 // 512) and clamped.sag > 2e-9
+    assert notes == {
+        "fine_size": [4096],
+        "fine_clamped": [False],
+        "refined_size": [stepped.size],
+        "refined_clamped": [False],
+        "sup_grid_size": [clamped.size],
+        "sup_grid_clamped": [True],
+    }
+    # no curve is sampled until its samples are read, and then only once
+    assert all("samples" not in vars(c) for c in (curve, floor, stepped, clamped))
+    assert stepped.phi is phi and stepped.samples is stepped.samples
+    assert np.array_equal(stepped.samples, eval_grid(phi, stepped.size))
 
 
 # ---------------------------------------------------------------------------

@@ -26,10 +26,10 @@ from sphiso import spectra as sp
 from sphiso import symbols as sy
 from sphiso.errors import OnCurveError, PreconditionError
 from sphiso.symbols import (
+    Curve,
     LaurentPoly,
     _grid_winding_numbers,
     _winding_numbers,
-    curve_tolerance,
     eval_grid,
     winding,
 )
@@ -37,8 +37,13 @@ from sphiso.symbols import (
 FULL_SEED = 20260815  # the seed of scenarios/full.json
 
 
-def dense_winding(samples, lams, chunk_entries=4_000_000):
-    """(distance to the nearest sample, accumulated-argument winding)."""
+def dense_winding(samples, lams, chunk_entries=1 << 18):
+    """(distance to the nearest sample, accumulated-argument winding).
+
+    The argument of each step is that of next * conj(this), which has the
+    step's argument without a division; a step from or to a sample equal to
+    lam reads 0, and such a lambda is on the curve anyway.
+    """
     lams = np.asarray(lams, dtype=complex).ravel()
     dist = np.empty(lams.size)
     total = np.empty(lams.size)
@@ -46,8 +51,7 @@ def dense_winding(samples, lams, chunk_entries=4_000_000):
     for lo in range(0, lams.size, step):
         rel = samples[None, :] - lams[lo : lo + step, None]
         dist[lo : lo + step] = np.abs(rel).min(axis=1)
-        rel_safe = np.where(rel == 0, 1.0, rel)  # dodge 0/0 on a sample
-        total[lo : lo + step] = np.angle(np.roll(rel_safe, -1, axis=1) / rel_safe).sum(axis=1)
+        total[lo : lo + step] = np.angle(np.roll(rel, -1, axis=1) * np.conj(rel)).sum(axis=1)
     w = np.rint(total / (2.0 * np.pi))
     drift = np.abs(total - 2.0 * np.pi * w) > 1e-6
     return dist, w.astype(int), drift
@@ -74,8 +78,8 @@ def test_full_scenario_grids_match_oracle():
     symbols = full_symbols()
     assert len(symbols) == 20
     for phi in symbols:
-        samples = eval_grid(phi, 512)
-        tol = curve_tolerance(phi, 512)
+        curve = Curve(phi, 512)
+        samples, tol = curve.samples, curve.tol
         lams = sp.lambda_grid(phi, 200, 512)
         want = status_codes(samples, tol, lams)
         assert np.array_equal(grid_codes(samples, tol, lams), want)
@@ -87,8 +91,8 @@ def test_full_scenario_grids_match_oracle():
 def scattered_lambdas(phi, grid_size, rng, count):
     """Uniform lambdas over the range box and lambdas at 0.5 to 2 curve
     tolerances from a sample, on both sides of the ON_CURVE threshold."""
-    samples = eval_grid(phi, grid_size)
-    tol = curve_tolerance(phi, grid_size)
+    curve = Curve(phi, grid_size)
+    samples, tol = curve.samples, curve.tol
     lo = samples.real.min() - 0.5, samples.imag.min() - 0.5
     hi = samples.real.max() + 0.5, samples.imag.max() + 0.5
     box = rng.uniform(lo[0], hi[0], count) + 1j * rng.uniform(lo[1], hi[1], count)
@@ -104,8 +108,8 @@ def test_scattered_and_near_curve_match_oracle(grid_size):
     rng = np.random.default_rng(grid_size)
     for i in range(12):
         phi = checks.random_symbol(checks._rng(77, grid_size, i), 6, min_terms=2)
-        samples = eval_grid(phi, grid_size)
-        tol = curve_tolerance(phi, grid_size)
+        curve = Curve(phi, grid_size)
+        samples, tol = curve.samples, curve.tol
         lams = scattered_lambdas(phi, grid_size, rng, 300)
         want = status_codes(samples, tol, lams)
         assert np.array_equal(sp._classify(samples, tol, lams), want)
@@ -147,8 +151,8 @@ def test_ties_on_symbol_sample_ordinates():
     # lambdas at the exact imaginary part of a sample of the sampled curve
     for text in ("z", "z^2 + 0.3*zbar", "(0.5+0.5j)*z^3 + zbar"):
         phi = LaurentPoly.from_text(text)
-        samples = eval_grid(phi, 512)
-        tol = curve_tolerance(phi, 512)
+        curve = Curve(phi, 512)
+        samples, tol = curve.samples, curve.tol
         xs = np.linspace(samples.real.min() - 1, samples.real.max() + 1, 57)
         lams = (xs[None, :] + 1j * samples.imag[::8, None]).ravel()
         want = status_codes(samples, tol, lams)
@@ -167,8 +171,8 @@ def test_ties_on_symbol_sample_ordinates():
 )
 def test_self_intersecting_windings(text, deep):
     phi = LaurentPoly.from_text(text)
-    samples = eval_grid(phi, 512)
-    tol = curve_tolerance(phi, 512)
+    curve = Curve(phi, 512)
+    samples, tol = curve.samples, curve.tol
     lams = sp.lambda_grid(phi, 60, 512)
     dist, w, _ = dense_winding(samples, lams)
     off = dist > tol
@@ -210,8 +214,8 @@ coeff = st.complex_numbers(
 def test_crossing_matches_oracle_property(coeffs, lams, grid_size):
     phi = LaurentPoly(1, {(k,): c for k, c in coeffs.items()})
     lams = np.array(lams, dtype=complex)
-    samples = eval_grid(phi, grid_size)
-    tol = curve_tolerance(phi, grid_size)
+    curve = Curve(phi, grid_size)
+    samples, tol = curve.samples, curve.tol
     want = status_codes(samples, tol, lams)
     assert np.array_equal(sp._classify(samples, tol, lams), want)
     assert np.array_equal(grid_codes(samples, tol, lams), want)
