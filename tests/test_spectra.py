@@ -10,7 +10,7 @@ from sphiso import circle_calculus as cc
 from sphiso import record
 from sphiso import spectra as sp
 from sphiso.errors import PreconditionError
-from sphiso.symbols import Hull, LaurentPoly, conv_hull, eval_grid
+from sphiso.symbols import Curve, Hull, LaurentPoly, conv_hull, eval_grid
 
 Z = LaurentPoly.variable(0, 1)
 ZBAR = Z.conjugate()
@@ -460,3 +460,8 @@ def test_report_serialization():
     assert len(rows) == 401
     assert all(r[2] in (sp.ON_CURVE, sp.WINDING_NONZERO, sp.OUTSIDE) for r in rows[1:])
     assert [complex(float(r[0]), float(r[1])) for r in rows[1:]] == list(rep.lams)
+
+
+def test_curve_tolerance_scales_with_grid():
+    phi = Z**2 + 0.5 * ZBAR
+    assert Curve(phi, 2048).tol == 2.0 * Curve(phi, 4096).tol

@@ -281,7 +281,7 @@ def test_winding_additive_under_products():
         assert winding(a * b, 0.0) == winding(a, 0.0) + winding(b, 0.0)
 
 
-def test_curve_tol_and_sag_scale_with_grid():
+def test_curve_tolerance_scales_with_grid():
     # tol is 10 * spacing * (l1 bound on phi'), sag spacing^2 * (l1 bound on
     # phi'') / 8: halving the spacing halves the one and quarters the other
     for phi, g in ((Z, 512), (Z**2 + 0.5 * ZBAR, 2048)):
