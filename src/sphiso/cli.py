@@ -116,6 +116,17 @@ def validate_scenario(obj, origin="scenario"):
         value = params[key]
         if (min(value) if isinstance(value, list) else value) < least:
             raise UsageError(f"{origin}.parameters.{key}: must be >= {least} ({why})")
+    # cross_section compares z + zbar's truncations with the norm 2 of its
+    # Toeplitz operator; at size n the truncation's norm is 2 cos(pi / (n + 1)),
+    # so a last size missing 2 by more than the gap tolerance fails every seed
+    cap = params["cross_section_truncation"]
+    n = 64 << ((cap // 64).bit_length() - 1)  # the largest truncation compared
+    miss = 2.0 - 2.0 * math.cos(math.pi / (n + 1))
+    if miss > params["tolerances"]["gap"]:
+        raise UsageError(
+            f"{origin}.parameters.cross_section_truncation: its largest truncation "
+            f"compared, {n}, misses norm 2 by {miss:.3g} > tolerances.gap"
+        )
     return name, seed, suite, params
 
 

@@ -12,12 +12,15 @@ Winding numbers are integer crossing counts of the sampled polyline
 (`symbols._winding_numbers`): exact for every lambda off the polyline, so
 no accumulated angle can drift. A lambda within the curve's `tol` of a
 sample is ON_CURVE, decided by the exact distance. Distances have one exact
-scan, `_distance`, to the samples or to the polyline through them, and one
-pruned front, `_within`: a k-d tree picks the few samples or edges that can
-decide each lambda and hands the rest, and every lambda within a relative
-1e-9 of its threshold, to the exact scan. It settles ON_CURVE on covering
-grids, the clearance of the near-range probes and the convex-bound lambdas
-near a hull vertex.
+scan, `_distance`, to the samples or to the polyline through them, and two
+pruned fronts that agree with it bit for bit: each settles what a relative
+_MARGIN (1e-9) on either side of the threshold decides, and hands every
+lambda in between to the exact scan. On a covering grid, `_near_grid`
+settles ON_CURVE by scanlines: each sample covers one run of columns on each
+row within tol, and a difference array counts the runs over every lambda.
+For scattered lambdas, `_within` lets a k-d tree pick the few samples or
+edges that can decide each one; it settles the clearance of the near-range
+probes and the convex-bound lambdas near a hull vertex.
 
 Every check reads the curve through one `symbols.Curve`: phi sampled by
 `symbols.eval_grid` on a uniform grid, with its ON_CURVE distance `tol` and
@@ -85,6 +88,9 @@ _SAG_TARGET = 2e-9
 _GRID_CAP = 300_000
 # lambda grids cover the range box scaled by this factor about its centre
 _INFLATE = 1.2
+# the pruned distance fronts widen or narrow a reach by this relative margin,
+# far beyond their own rounding, and measure what falls in between exactly
+_MARGIN = 1e-9
 
 
 def _distance(samples, lams, edges=False, chunk_entries=1_000_000):
@@ -105,19 +111,20 @@ def _within(samples, lams, reach, edges=False, k=16):
     """(near, rescanned): whether each lam lies within reach (one float, or
     one per lam) of the samples, or with edges of the closed polyline through
     them, pruned by a k-d tree; rescanned counts the lambdas measured again by
-    the exact scan `_distance`.
+    the exact scan `_distance`. For scattered lambdas; a covering grid goes
+    through `_near_grid`.
 
     A point within reach of an edge lies within reach + |edge| / 2 of one of
     the edge's end points, so the tree returns the k nearest vertices within
-    that radius (widened by a relative 1e-9: tree distances agree with np.abs
-    to a few ulps) and only the two edges at each are measured, by the exact
-    scan's formula. A lambda whose k-th neighbour is still inside the radius
-    may have more and is scanned exactly. Without edges the nearest vertex
-    settles it (k = 1). The tree may rank vertices that tie to within ulps
-    either way, so lambdas whose measured distance lies within a relative 1e-9
-    of reach are scanned exactly too. Below 1e-100 the squared distances inside
-    the tree could underflow, so a tiny reach is scanned exactly throughout.
-    The tree searches out to the largest reach.
+    that radius (widened by the relative _MARGIN: tree distances agree with
+    np.abs to a few ulps) and only the two edges at each are measured, by the
+    exact scan's formula. A lambda whose k-th neighbour is still inside the
+    radius may have more and is scanned exactly. Without edges the nearest
+    vertex settles it (k = 1). The tree may rank vertices that tie to within
+    ulps either way, so lambdas whose measured distance lies within a relative
+    _MARGIN of reach are scanned exactly too. Below 1e-100 the squared
+    distances inside the tree could underflow, so a tiny reach is scanned
+    exactly throughout. The tree searches out to the largest reach.
     """
     lams = np.asarray(lams, dtype=complex).ravel()
     reach = np.broadcast_to(np.asarray(reach, dtype=float), lams.shape)
@@ -128,9 +135,9 @@ def _within(samples, lams, reach, edges=False, k=16):
     n = samples.size
     if edges:
         e = np.roll(samples, -1) - samples
-        radius = (reach.max() + np.abs(e).max() / 2.0) * (1.0 + 1e-9)
+        radius = (reach.max() + np.abs(e).max() / 2.0) * (1.0 + _MARGIN)
     else:
-        k, radius = 1, reach.max() * (1.0 + 1e-9)
+        k, radius = 1, reach.max() * (1.0 + _MARGIN)
     tree = cKDTree(np.column_stack([samples.real, samples.imag]))
     _, idx = tree.query(
         np.column_stack([lams.real, lams.imag]), k=k, distance_upper_bound=radius
@@ -147,12 +154,141 @@ def _within(samples, lams, reach, edges=False, k=16):
     else:
         d = np.where(found, np.abs(samples[idx] - lam), np.inf)
     dist = d.min(axis=1)
-    rescan = np.abs(dist - reach) <= reach * 1e-9
+    rescan = np.abs(dist - reach) <= reach * _MARGIN
     if edges:
         rescan |= found[:, -1]
     rescan = np.flatnonzero(rescan)
     dist[rescan] = _distance(samples, lams[rescan], edges)
     return dist <= reach, rescan.size
+
+
+def _grid_axes(lams):
+    """(xs, ys) of a product grid, lams[k * xs.size + c] == xs[c] + 1j * ys[k],
+    row by row with both axes ascending, as `lambda_grid` makes it;
+    PreconditionError for any other lambdas."""
+    lams = np.asarray(lams, dtype=complex).ravel()
+    if lams.size:
+        im = lams.imag
+        nx = int(np.argmax(im != im[0])) or lams.size  # where row 0 ends
+        if lams.size % nx == 0:
+            grid = lams.reshape(-1, nx)
+            xs, ys = grid[0].real, grid[:, 0].imag
+            if (
+                (grid.real == xs).all()
+                and (grid.imag == ys[:, None]).all()
+                and (np.diff(xs) >= 0).all()
+                and (np.diff(ys) >= 0).all()
+            ):
+                return xs, ys
+    raise PreconditionError("lambdas must form a product grid xs x ys, row by row, both ascending")
+
+
+def _first(grid, centre, reach, strict, guess=None):
+    """For each centre, the first index c of the ascending grid at which
+    grid[c] - centre (rounded) is >= reach, or > reach if strict; grid.size
+    if there is none.
+
+    The rounded difference never falls as c grows, so a guess is corrected
+    exactly: step down while the entry before passes, then up while the entry
+    fails, with -inf and inf standing in before and after the grid. A guess
+    passed in is corrected in place. Otherwise it comes from the mean spacing
+    when the grid lies within one spacing of an even one, as `lambda_grid`'s
+    do, and by binary search when it does not.
+    """
+    n = grid.size
+    c = guess
+    if c is None:
+        key = centre + reach
+        step = (grid[-1] - grid[0]) / max(n - 1, 1)
+        if step > 0 and np.abs(grid - (grid[0] + step * np.arange(n))).max() <= step:
+            c = np.clip(np.ceil((key - grid[0]) / step), 0, n).astype(np.intp)
+        else:
+            c = np.searchsorted(grid, key)
+    padded = np.concatenate(([-np.inf], grid, [np.inf]))  # grid[i] at i + 1
+    passes, fails = (np.greater, np.less_equal) if strict else (np.greater_equal, np.less)
+    reach = np.broadcast_to(reach, centre.shape)
+    sel = np.flatnonzero(passes(padded[c] - centre, reach))
+    while sel.size:
+        c[sel] -= 1
+        sel = sel[passes(padded[c[sel]] - centre[sel], reach[sel])]
+    sel = np.flatnonzero(fails(padded[c + 1] - centre, reach))
+    while sel.size:
+        c[sel] += 1
+        sel = sel[fails(padded[c[sel] + 1] - centre[sel], reach[sel])]
+    return c
+
+
+def _runs(k, start, end, nx, ny):
+    """Row-major flags of an ny x nx grid: whether some run [start, end) of
+    columns on row k covers each entry. Each run adds one at start and takes
+    it off at end of a difference array per row, one entry longer than the
+    row (`np.bincount`), and a cumulative sum along the row counts the runs."""
+    row = k * (nx + 1)
+    size = ny * (nx + 1)
+    count = np.bincount(row + start, minlength=size) - np.bincount(row + end, minlength=size)
+    return (np.cumsum(count.reshape(ny, nx + 1), axis=1)[:, :-1] > 0).ravel()
+
+
+def _near_grid(samples, lams, tol):
+    """Whether each lambda of a product grid (`_grid_axes`) lies within tol
+    of a sample: `_distance(samples, lams) <= tol` bit for bit, by scanlines.
+
+    A sample s covers the lambda x + 1j * y at radius r when a = |y - Im s|
+    <= r and u = |x - Re s| <= w(r) = sqrt(r - a) * sqrt(r + a), every
+    operation rounded. Its rows form one run of ys and, on each, its
+    abscissae one run of xs, since a rounded difference never falls as its
+    first operand grows (`_first`); `_runs` counts the runs of every
+    (row, sample) pair over the grid. That costs O(pairs + grid), with no
+    query per lambda. Lambdas covered at r_lo = tol (1 - _MARGIN) are near,
+    those not covered at r_hi = tol (1 + _MARGIN) are not, and the few in
+    between are measured by `_distance`. The r_lo pairs are the r_hi pairs
+    with a <= r_lo, and their runs lie within the r_hi runs, whose ends are
+    their guesses. Outside 1e-100 < tol < 1e100 every lambda is measured:
+    below, as in `_within`, the products could underflow; above, r + a could
+    overflow.
+
+    Why the margin holds. `_distance` compares d = hypot(u, a), rounded, with
+    tol, on the very differences rounded here (x - Re s rounds to minus
+    Re s - x). Let e = 2^-53. The rounded hypot errs by under 2e relative,
+    r by 2e, and the rounded w(r) by under 4e: one rounding in r - a and one
+    in r + a, each halved by its square root, one in each root and one in
+    the product.
+    - If d <= tol, then a <= tol (1 + 2e) < r_hi, so s covers row y at r_hi,
+      and u^2 <= tol^2 (1 + 2e)^2 - a^2. The true w(r_hi)^2 = r_hi^2 - a^2
+      >= tol^2 (1 + _MARGIN)^2 (1 - 2e)^2 - a^2 is larger by about
+      2 _MARGIN tol^2, and the roundings take at most 16e tol^2 of that:
+      u <= w(r_hi), rounded.
+    - If a <= r_lo and u <= w(r_lo), rounded, then u^2 + a^2 <=
+      r_lo^2 (1 + 4e)^2 and d <= tol (1 - _MARGIN)(1 + 8e) < tol.
+    The bound does not weaken as w -> 0: for a >= r / 2, r - a is exact
+    (Sterbenz), and a product of square roots squares no difference, so
+    nothing cancels. Every step stays normal when tol > 1e-100: where
+    d <= tol, r_hi - a >= tol (_MARGIN - 4e) > 1e-110; a subnormal r_lo - a
+    is exact and its square root normal; and sqrt(r + a) > 1e-50.
+    """
+    xs, ys = _grid_axes(lams)
+    if not 1e-100 < tol < 1e100:
+        return _distance(samples, lams) <= tol
+    r_lo, r_hi = tol * (1.0 - _MARGIN), tol * (1.0 + _MARGIN)
+    si, sr = samples.imag, samples.real
+    first = _first(ys, si, -r_hi, False)
+    count = _first(ys, si, r_hi, True) - first
+    j = np.repeat(np.arange(samples.size), count)
+    k = np.arange(j.size) - np.repeat(np.cumsum(count) - count - first, count)
+    a = np.abs(ys[k] - si[j])
+    x0 = sr[j]
+    w = np.sqrt(r_hi - a) * np.sqrt(r_hi + a)
+    start, end = _first(xs, x0, -w, False), _first(xs, x0, w, True)
+    maybe = _runs(k, start, end, xs.size, ys.size)
+    inner = np.flatnonzero(a <= r_lo)
+    a, x0 = a[inner], x0[inner]
+    w = np.sqrt(r_lo - a) * np.sqrt(r_lo + a)
+    start = _first(xs, x0, -w, False, start[inner])
+    end = _first(xs, x0, w, True, end[inner])
+    near = _runs(k[inner], start, end, xs.size, ys.size)
+    between = np.flatnonzero(maybe & ~near)
+    near[between] = _distance(samples, np.ravel(lams)[between]) <= tol
+    return near
 
 
 def _codes(on_curve, windings):
@@ -301,12 +437,15 @@ class ConvexBoundReport:
 def convex_bound_check(phi, lams, grid_size=512):
     """Every lambda not OUTSIDE must sit in the hull of the essential range.
 
-    Statuses come from crossing numbers, one scanline per distinct imaginary
-    part of the covering grid, with ON_CURVE pruned by a k-d tree. The hull is
-    that of a refined sample grid (a multiple of the working grid) sized so
-    the sag bound stays under 2e-9. Winding-certified points are tested at
-    1e-8, while on-curve points carry the working curve tolerance on top since
-    that is how far they may sit from their anchoring sample.
+    lams must be a product grid xs x ys, row by row with both axes ascending,
+    as `lambda_grid` makes it; anything else raises PreconditionError.
+    Statuses come from crossing numbers, one scanline per row of the grid,
+    and ON_CURVE from the runs of columns each sample covers on those rows
+    (`_near_grid`), both exact. The hull is that of a refined sample grid (a
+    multiple of the working grid) sized so the sag bound stays under 2e-9.
+    Winding-certified points are tested at 1e-8, while on-curve points carry
+    the working curve tolerance on top since that is how far they may sit
+    from their anchoring sample.
 
     The working samples are points of the refined curve up to rounding (all
     within 2e-15 of the refined hull on full.json), so their hull lies inside
@@ -334,7 +473,7 @@ def convex_bound_check(phi, lams, grid_size=512):
         raise PreconditionError(f"lambda grid misses the range box scaled by {_INFLATE}")
 
     windings = _grid_winding_numbers(samples, lams)
-    codes = _codes(_within(samples, lams, tol)[0], windings)
+    codes = _codes(_near_grid(samples, lams, tol), windings)
 
     refined = curve.refine(_SAG_TARGET, grid_size, grid_size, _GRID_CAP, "refined")
     tol_winding = max(1e-8, refined.sag + 5e-9)
@@ -418,9 +557,16 @@ def numerical_range_support(x, thetas, trunc):
     return NumericalRangeReport(thetas, hs, bounds, counter, not counter)
 
 
+def _reprs(values):
+    """repr of each float, formed once per distinct value: np.unique on the
+    int64 view tells the bits apart, so -0.0 and 0.0 keep their own text."""
+    bits, inverse = np.unique(values.view(np.int64), return_inverse=True)
+    return np.array([repr(v) for v in bits.view(np.float64).tolist()], dtype=object)[inverse]
+
+
 def report_csv_rows(rep):
     """(lambda_re, lambda_im, status) rows of a ConvexBoundReport, for plotting."""
     rows = [("lambda_re", "lambda_im", "status")]
-    for lam, st in zip(rep.lams.tolist(), rep.statuses.tolist()):
-        rows.append((repr(lam.real), repr(lam.imag), st))
+    re, im = _reprs(rep.lams.real).tolist(), _reprs(rep.lams.imag).tolist()
+    rows.extend(zip(re, im, rep.statuses.tolist()))
     return rows

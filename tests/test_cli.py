@@ -1,3 +1,5 @@
+import csv
+import io
 import json
 import math
 
@@ -110,6 +112,28 @@ def test_validate_parameter_kinds():
                 cli.validate_scenario({"parameters": {key: bad}})
         _, _, _, params = cli.validate_scenario({"parameters": {key: good[key]}})
         assert params[key] == good[key]
+
+
+def test_validate_cross_section_cap_meets_the_gap():
+    # z + zbar's truncation at n has norm 2 cos(pi / (n + 1)); caps 64-127
+    # compare at 64 alone, which misses 2 by 2.3e-3, above the default gap
+    for cap in (64, 100, 127):
+        with pytest.raises(UsageError, match="cross_section_truncation: .*, 64, misses"):
+            cli.validate_scenario({"parameters": {"cross_section_truncation": cap}})
+    _, _, _, params = cli.validate_scenario({"parameters": {"cross_section_truncation": 128}})
+    assert params["cross_section_truncation"] == 128
+    # the rule reads the run's gap tolerance
+    loose = {"cross_section_truncation": 64, "tolerances": {"gap": 3e-3}}
+    assert cli.validate_scenario({"parameters": loose})[3]["cross_section_truncation"] == 64
+    tight = {"cross_section_truncation": 256, "tolerances": {"gap": 1e-9}}
+    with pytest.raises(UsageError, match="cross_section_truncation: .*, 256, misses"):
+        cli.validate_scenario({"parameters": tight})
+    # and each cap passes or fails its check as validation said, on seed 1
+    for cap in (127, 128):
+        record = checks.run_check(
+            "cross_section", dict(checks.DEFAULT_PARAMS, cross_section_truncation=cap), 1
+        )
+        assert record.verdict == (cap == 128)
 
 
 def test_validate_tolerance_override():
@@ -273,16 +297,39 @@ def test_run_suite_override(tmp_path, capsys):
     assert [c["id"] for c in report["checks"]] == ["weighted_hardy"]
 
 
+def test_run_spectrum_csv_bytes_match_per_value_repr(tmp_path, capsys):
+    # spectrum_0.csv is written as it was when each coordinate had its own repr
+    params = {"spectra_symbols": 2, "lambda_points": 30, "probes": 10}
+    obj = {"name": "csv", "seed": 3, "suite": "spectra", "parameters": params}
+    assert cli.main(["run", write_scenario(tmp_path, obj), "--out", str(tmp_path / "runs")]) == 0
+    capsys.readouterr()
+    (rundir,) = run_dirs(tmp_path)
+    _, seed, _, full = cli.validate_scenario(obj)
+    phi = checks._suite_symbols(full, seed)[0]
+    rep = spectra.convex_bound_check(phi, spectra.lambda_grid(phi, 30, full["grid_size"]))
+    out = io.StringIO(newline="")
+    rows = [("lambda_re", "lambda_im", "status")]
+    for lam, st in zip(rep.lams.tolist(), rep.statuses.tolist()):
+        rows.append((repr(lam.real), repr(lam.imag), st))
+    csv.writer(out).writerows(rows)
+    assert (rundir / "spectrum_0.csv").read_bytes() == out.getvalue().encode()
+
+
 def test_run_failing_tolerance_exits_one(tmp_path, capsys):
     # the truncation-vs-sup gap is structurally positive at finite truncation,
-    # so an absurd gap tolerance must fail the commutant check
+    # 3.4e-4 at commutant_truncation 256, so a gap tolerance of 1e-5 must fail
+    # the commutant check; cross_section's last truncation, 1024, misses norm
+    # 2 by 9.4e-6, within it (a tighter gap is a usage error, tested above)
     obj = dict(SMALL)
-    obj["parameters"] = dict(SMALL["parameters"], tolerances={"gap": 1e-9})
+    obj["parameters"] = dict(
+        SMALL["parameters"], cross_section_truncation=1024, tolerances={"gap": 1e-5}
+    )
     scenario = write_scenario(tmp_path, obj)
     code = cli.main(["run", scenario, "--out", str(tmp_path / "runs")])
     captured = capsys.readouterr()
     assert code == 1
-    assert "FAIL" in captured.out
+    assert "FAIL commutant_lifting" in captured.out
+    assert "PASS cross_section" in captured.out
     assert "failing checks:" in captured.err
 
 

@@ -176,6 +176,139 @@ def test_pruned_distance_falls_back_and_rechecks():
 
 
 # ---------------------------------------------------------------------------
+# covering grids
+
+
+def product_grid(xs, ys):
+    """The lambdas xs[c] + 1j * ys[k], row by row, with each coordinate's bits
+    kept (a -0.0 too, which xs + 1j * ys would turn into 0.0)."""
+    lams = np.empty((len(ys), len(xs)), dtype=complex)
+    lams.real = np.asarray(xs, dtype=float)[None, :]
+    lams.imag = np.asarray(ys, dtype=float)[:, None]
+    return lams.ravel()
+
+
+def grid_flags(samples, xs, ys, tol):
+    """(scanline flags, exact flags) of the product grid xs x ys."""
+    lams = product_grid(xs, ys)
+    got_xs, got_ys = sp._grid_axes(lams)
+    assert np.array_equal(got_xs, xs) and np.array_equal(got_ys, ys)
+    return sp._near_grid(samples, lams, tol), sp._distance(samples, lams) <= tol
+
+
+def test_grid_on_curve_on_planted_thresholds():
+    # dyadic samples and tol, so the rows at +-tol and the lambdas at tol
+    # (1 +- 1e-12) from a sample are what they say
+    samples = np.array([0.5 + 0.25j, -0.75 + 0.5j, 0.25 - 0.5j, 1.0 + 0.0j])
+    tol = 0.125
+    xs, ys = [], []
+    for s in samples:
+        for f in (1.0, 1.0 - 1e-12, 1.0 + 1e-12):
+            xs += [s.real - tol * f, s.real + tol * f]
+            ys += [s.imag - tol * f, s.imag + tol * f]
+        xs += [s.real, np.nextafter(s.real, 9.0), np.nextafter(s.real, -9.0)]
+        ys += [s.imag]
+    xs, ys = np.unique(xs), np.unique(ys)
+    near, exact = grid_flags(samples, xs, ys, tol)
+    assert np.array_equal(near, exact)
+    lams = product_grid(xs, ys)
+    d = sp._distance(samples, lams)
+    # the planted thresholds: at tol exactly, an ulp off the vertical, and
+    # 1e-12 of tol to either side
+    assert (d == tol).sum() >= 4 * samples.size
+    assert (near & (d > tol * (1 - 2e-12))).any() and (~near & (d < tol * (1 + 2e-12))).any()
+    # every lambda on a row at exactly +-tol is near at x = Re s alone
+    for s in samples:
+        for y in (s.imag - tol, s.imag + tol):
+            row = near.reshape(ys.size, xs.size)[np.flatnonzero(ys == y)[0]]
+            assert row[xs == s.real].all() and row.sum() >= 1
+
+
+def test_grid_on_curve_on_edge_shapes():
+    curve = Curve(Z**2 + 0.3 * ZBAR, 512)
+    samples, tol = curve.samples, curve.tol
+    lo, hi = -1.6, 1.6
+    even = np.linspace(lo, hi, 41)
+    rng = np.random.default_rng(5)
+    uneven = np.sort(np.concatenate([lo + (hi - lo) * rng.random(30) ** 3, [lo, hi]]))
+    with_zeros = np.unique(np.concatenate([even, [0.0]]))
+    with_zeros = np.where(with_zeros == 0.0, -0.0, with_zeros)
+    cases = [
+        (even, even),
+        (uneven, even),
+        (even, uneven),
+        (with_zeros, with_zeros),  # -0.0 on both axes
+        (even, [0.3]),  # one row
+        ([0.3], even),  # one column
+        ([samples[7].real], [samples[7].imag]),  # one lambda, on a sample
+    ]
+    sides = set()
+    for xs, ys in cases:
+        xs, ys = np.asarray(xs, dtype=float), np.asarray(ys, dtype=float)
+        near, exact = grid_flags(samples, xs, ys, tol)
+        assert np.array_equal(near, exact), (xs.size, ys.size)
+        sides.update(near.tolist())
+    assert sides == {True, False}
+    assert np.signbit(sp._grid_axes(product_grid(with_zeros, with_zeros))[1]).any()
+
+
+def test_grid_on_curve_measures_a_tol_below_1e_100_exactly(monkeypatch):
+    samples = 1e-101 * eval_grid(Z, 64)
+    xs = ys = np.linspace(-2e-101, 2e-101, 33)
+    scanned = []
+    distance = sp._distance
+
+    def spy(samples, lams, *args, **kw):
+        scanned.append(np.size(lams))
+        return distance(samples, lams, *args, **kw)
+
+    monkeypatch.setattr(sp, "_distance", spy)
+    near, exact = grid_flags(samples, xs, ys, 2e-102)
+    assert np.array_equal(near, exact) and near.any() and not near.all()
+    assert scanned[0] == xs.size * ys.size
+
+
+@settings(max_examples=80, deadline=None)
+@given(
+    coeffs=st.dictionaries(st.integers(-4, 4), coeff, min_size=1, max_size=4),
+    xs=st.lists(st.floats(-4.0, 4.0), min_size=1, max_size=24),
+    ys=st.lists(st.floats(-4.0, 4.0), min_size=1, max_size=24),
+    at=st.integers(0, 10_000),
+    widen=st.sampled_from([1.0, 1.0 - 1e-12, 1.0 + 1e-12, 0.5, 2.0]),
+)
+def test_grid_on_curve_matches_exact_scan(coeffs, xs, ys, at, widen):
+    # tol is the distance of one grid lambda (widen = 1 puts it on the
+    # threshold), so every band of the scanline test is crossed
+    phi = LaurentPoly(1, {(k,): c for k, c in coeffs.items()})
+    samples = eval_grid(phi, 64)
+    xs, ys = np.unique(xs), np.unique(ys)
+    d = sp._distance(samples, product_grid(xs, ys))
+    tol = widen * d[at % d.size]
+    if tol > 0:
+        near, exact = grid_flags(samples, xs, ys, tol)
+        assert np.array_equal(near, exact)
+
+
+def test_convex_bound_requires_a_product_grid():
+    lams = sp.lambda_grid(Z, 20)
+    rng = np.random.default_rng(3)
+    bad = [
+        rng.permutation(lams),  # scattered, but covering the box
+        lams[::-1],  # descending axes
+        lams.reshape(20, 20)[::-1].ravel(),  # descending rows
+        lams.reshape(20, 20).T.ravel(),  # column by column
+        np.concatenate([lams, lams[:1]]),  # a ragged last row
+        np.where(np.arange(lams.size) == 57, lams + 1e-9, lams),  # one lambda off
+    ]
+    for lams_bad in bad:
+        with pytest.raises(PreconditionError, match="product grid"):
+            sp.convex_bound_check(Z, lams_bad)
+    with pytest.raises(PreconditionError, match="product grid"):
+        sp._grid_axes([])
+    assert sp.convex_bound_check(Z, lams).verdict
+
+
+# ---------------------------------------------------------------------------
 # convex bound
 
 
@@ -460,6 +593,30 @@ def test_report_serialization():
     assert len(rows) == 401
     assert all(r[2] in (sp.ON_CURVE, sp.WINDING_NONZERO, sp.OUTSIDE) for r in rows[1:])
     assert [complex(float(r[0]), float(r[1])) for r in rows[1:]] == list(rep.lams)
+
+
+def per_value_rows(rep):
+    """The CSV rows as first written: one repr per coordinate of each lambda."""
+    rows = [("lambda_re", "lambda_im", "status")]
+    for lam, st in zip(rep.lams.tolist(), rep.statuses.tolist()):
+        rows.append((repr(lam.real), repr(lam.imag), st))
+    return rows
+
+
+def test_report_csv_rows_match_per_value_repr():
+    # -0.0 and 0.0, and coordinates one ulp apart, keep their own text
+    xs = [-1.0, -0.0, 0.0, 0.1, np.nextafter(0.1, 1.0), 2.5]
+    ys = [-0.0, 0.0, 0.3, np.nextafter(0.3, 1.0)]
+    lams = product_grid(xs, ys)
+    statuses = sp._NAMES[np.arange(lams.size) % 3]
+    rep = sp.ConvexBoundReport(statuses, lams, 1e-9, [], True)
+    rows = sp.report_csv_rows(rep)
+    assert rows == per_value_rows(rep)
+    assert [r[0] for r in rows[2:4]] == ["-0.0", "0.0"]
+    assert rows[4][0] != rows[5][0] and rows[1][1] == "-0.0"
+    phi = Z**2 + 0.3 * ZBAR
+    rep = sp.convex_bound_check(phi, sp.lambda_grid(phi, 60))
+    assert sp.report_csv_rows(rep) == per_value_rows(rep)
 
 
 def test_curve_tolerance_scales_with_grid():

@@ -2,7 +2,9 @@
 
 The library counts winding numbers by crossing numbers (`_winding_numbers`
 for scattered lambdas, `_grid_winding_numbers` for covering grids) and
-decides ON_CURVE by distance, pruned by a k-d tree on grids. The oracle below
+decides ON_CURVE by distance: on covering grids from the runs each sample
+covers on the rows (`_near_grid`), elsewhere pruned by a k-d tree
+(`_within`). The oracle below
 is the earlier implementation: it sums the principal argument of each step
 of samples - lam, rounds the total to a multiple of 2 pi and refuses to
 answer when the total drifts. Off the sampled polyline both count the same
@@ -66,6 +68,12 @@ def status_codes(samples, tol, lams):
 
 
 def grid_codes(samples, tol, lams):
+    """Status codes of a product grid, as `convex_bound_check` forms them."""
+    return sp._codes(sp._near_grid(samples, lams, tol), _grid_winding_numbers(samples, lams))
+
+
+def pruned_codes(samples, tol, lams):
+    """Status codes of scattered lambdas by the k-d front and row windings."""
     return sp._codes(sp._within(samples, lams, tol)[0], _grid_winding_numbers(samples, lams))
 
 
@@ -82,6 +90,7 @@ def test_full_scenario_grids_match_oracle():
         samples, tol = curve.samples, curve.tol
         lams = sp.lambda_grid(phi, 200, 512)
         want = status_codes(samples, tol, lams)
+        assert np.array_equal(sp._near_grid(samples, lams, tol), want == 0)
         assert np.array_equal(grid_codes(samples, tol, lams), want)
         rep = sp.convex_bound_check(phi, lams, 512)
         names = np.array(sp._STATUS_NAMES, dtype=object)[want]
@@ -113,7 +122,7 @@ def test_scattered_and_near_curve_match_oracle(grid_size):
         lams = scattered_lambdas(phi, grid_size, rng, 300)
         want = status_codes(samples, tol, lams)
         assert np.array_equal(sp._classify(samples, tol, lams), want)
-        assert np.array_equal(grid_codes(samples, tol, lams), want)
+        assert np.array_equal(pruned_codes(samples, tol, lams), want)
         names = sp.membership_batch(phi, lams, grid_size)
         assert list(names) == [sp._STATUS_NAMES[c] for c in want]
         assert sp.spectrum_membership(phi, lams[0], grid_size) == names[0]
@@ -154,10 +163,13 @@ def test_ties_on_symbol_sample_ordinates():
         curve = Curve(phi, 512)
         samples, tol = curve.samples, curve.tol
         xs = np.linspace(samples.real.min() - 1, samples.real.max() + 1, 57)
-        lams = (xs[None, :] + 1j * samples.imag[::8, None]).ravel()
-        want = status_codes(samples, tol, lams)
-        assert np.array_equal(sp._classify(samples, tol, lams), want)
-        assert np.array_equal(grid_codes(samples, tol, lams), want)
+        rows = samples.imag[::8]
+        # rows in the samples' order are no covering grid, whose rows ascend
+        for ys, codes in ((rows, pruned_codes), (np.sort(rows), grid_codes)):
+            lams = (xs[None, :] + 1j * ys[:, None]).ravel()
+            want = status_codes(samples, tol, lams)
+            assert np.array_equal(sp._classify(samples, tol, lams), want)
+            assert np.array_equal(codes(samples, tol, lams), want)
 
 
 @pytest.mark.parametrize(
@@ -218,7 +230,7 @@ def test_crossing_matches_oracle_property(coeffs, lams, grid_size):
     samples, tol = curve.samples, curve.tol
     want = status_codes(samples, tol, lams)
     assert np.array_equal(sp._classify(samples, tol, lams), want)
-    assert np.array_equal(grid_codes(samples, tol, lams), want)
+    assert np.array_equal(pruned_codes(samples, tol, lams), want)
     dist, w, _ = dense_winding(samples, lams)
     for lam, d, wi in zip(lams, dist, w):
         if d > tol:
