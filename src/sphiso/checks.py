@@ -8,6 +8,14 @@ canonical JSON, byte-stable for a fixed seed. A runner returns (residuals,
 verdict); the choices its kernels note and the CSV tables it writes reach
 the record through `record.collect`. Residuals are folded by `linalg.worst`;
 a record holding a NaN or an infinity fails, and reads it as a string.
+
+`run_checks` runs a suite's checks concurrently on forked worker processes,
+one per check up to the CPUs this process may run on. Forked workers inherit
+the imported modules, any patched kernel and the warm table caches, so they
+start without a fresh import. Checks are submitted in reverse ordinal order
+and come back in ordinal order, each with its wall time inside its worker.
+A run stays in this process when there is one check or one CPU, when `fork`
+is not a start method here, or when a profiler or tracer is set.
 """
 
 from __future__ import annotations
@@ -89,6 +97,7 @@ class RunReport:
     checks: list
     version: str
     timing: dict
+    workers: int
 
     @property
     def all_pass(self):
@@ -820,15 +829,69 @@ def run_check(check_id, params, seed):
     )
 
 
-def run_checks(suite, params, seed, scenario_echo=None):
+def _timed_check(check_id, params, seed):
+    """(record, wall seconds) of one check; the unit of work of a pool worker."""
     import time
 
-    records, timing = [], {}
-    for cid in suite_check_ids(suite):
-        t0 = time.perf_counter()
-        records.append(run_check(cid, params, seed))
-        timing[cid] = time.perf_counter() - t0
-    return RunReport(scenario_echo or {}, records, VERSION, timing)
+    t0 = time.perf_counter()
+    rec = run_check(check_id, params, seed)
+    return rec, time.perf_counter() - t0
+
+
+def _worker_count(checks_to_run):
+    """One worker per check, at most one per CPU this process may run on."""
+    import os
+
+    try:
+        cpus = len(os.sched_getaffinity(0))
+    except AttributeError:  # no affinity call on this platform
+        cpus = os.cpu_count() or 1
+    return min(checks_to_run, cpus)
+
+
+def _pool_results(ids, params, seed, workers):
+    """Run ids on a pool of forked workers; return their (record, seconds)
+    in the order of ids, or raise what the first of them in that order
+    raised, once every worker has stopped."""
+    import multiprocessing
+    from concurrent.futures.process import ProcessPoolExecutor
+
+    context = multiprocessing.get_context("fork")
+    with ProcessPoolExecutor(workers, mp_context=context) as pool:
+        # Reverse ordinal order: each suite's longest checks (numerical_range
+        # on spectra, commutant_lifting on circle) come late in it. Submitted
+        # last, numerical_range would start only after hartman_wintner and
+        # then run alone on one CPU while the other idles.
+        futures = {cid: pool.submit(_timed_check, cid, params, seed) for cid in reversed(ids)}
+        try:
+            return [futures[cid].result() for cid in ids]
+        except BaseException:
+            pool.shutdown(wait=True, cancel_futures=True)
+            raise
+
+
+def run_checks(suite, params, seed, scenario_echo=None):
+    """Run a suite's checks, on forked workers when more than one CPU is
+    available (see the module docstring); records and timing come in
+    ordinal order."""
+    import sys
+
+    ids = suite_check_ids(suite)
+    workers = _worker_count(len(ids))
+    if sys.getprofile() is not None or sys.gettrace() is not None:
+        workers = 1  # a profiler or tracer cannot see into a worker
+    elif workers > 1:
+        import multiprocessing
+
+        if "fork" not in multiprocessing.get_all_start_methods():
+            workers = 1
+    if workers > 1:
+        results = _pool_results(ids, params, seed, workers)
+    else:
+        results = [_timed_check(cid, params, seed) for cid in ids]
+    timing = {rec.check_id: seconds for rec, seconds in results}
+    records = [rec for rec, _ in results]
+    return RunReport(scenario_echo or {}, records, VERSION, timing, workers)
 
 
 def explain(check_id):

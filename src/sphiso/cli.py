@@ -178,6 +178,7 @@ def cmd_run(args):
         "started": started,
         "elapsed_seconds": elapsed,
         "timing": report.timing,
+        "workers": report.workers,
         "decisions": {r.check_id: r.decisions for r in report.checks if r.decisions},
         "python": platform.python_version(),
         "numpy": numpy.__version__,

@@ -16,6 +16,9 @@ class OnCurveError(ValueError):
             f"(distance {distance:.3e} <= {tolerance:.3e})"
         )
 
+    def __reduce__(self):
+        return type(self), (self.distance, self.tolerance)
+
 
 class ConditioningError(ValueError):
     """Numerical breakdown in a factorization, with the offending index."""
@@ -24,6 +27,9 @@ class ConditioningError(ValueError):
         self.degree = degree
         self.pivot = pivot
         super().__init__(f"Cholesky breakdown at degree {degree}: pivot {pivot:.3e}")
+
+    def __reduce__(self):
+        return type(self), (self.degree, self.pivot)
 
 
 class ResourceLimitError(RuntimeError):

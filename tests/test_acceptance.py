@@ -209,21 +209,27 @@ def test_criterion_10_reports_identical_across_processes(tmp_path, child_env):
     print("PASS criterion 10: report.json byte-identical across PYTHONHASHSEED 0 and 12345 and -O")
 
 
-def test_reports_do_not_depend_on_the_table_cache(tmp_path):
+def test_reports_do_not_depend_on_the_table_cache(tmp_path, monkeypatch):
     # a warm cache of unit-root power tables and a cleared one give the same
-    # report bytes: the cached samples carry eval_at's bits
+    # report bytes: the cached samples carry eval_at's bits. Those runs stay
+    # in this process, whose cache they use; a run on forked workers, which
+    # leaves this process's cache as it was, gives the same bytes too
     scenario = tmp_path / "reduced.json"
     scenario.write_text(json.dumps(REDUCED))
     reports = []
-    for label in ("first", "warm", "cleared"):
+    for label in ("first", "warm", "cleared", "pool"):
+        workers = 2 if label == "pool" else 1
+        monkeypatch.setattr(checks, "_worker_count", lambda n, w=workers: min(n, w))
         if label == "cleared":
             symbols._unit_powers.cache_clear()
         hits = symbols._unit_powers.cache_info().hits
         assert cli.main(["run", str(scenario), "--out", str(tmp_path / label)]) == 0
-        assert symbols._unit_powers.cache_info().hits > hits
+        if label != "pool":
+            assert symbols._unit_powers.cache_info().hits > hits
         (run_dir,) = (tmp_path / label).iterdir()
+        assert json.loads((run_dir / "manifest.json").read_text())["workers"] == workers
         reports.append((run_dir / "report.json").read_bytes())
-    assert reports[0] == reports[1] == reports[2]
+    assert reports[0] == reports[1] == reports[2] == reports[3]
 
 
 # prints one canonical record per line: each check of the scenario in argv[1],
@@ -238,11 +244,13 @@ for cid in reversed(checks.suite_check_ids(suite)):
 """
 
 
-def test_records_do_not_depend_on_check_order(child_env):
-    # the suite in ordinal order, each check alone from a cleared table
-    # cache, and the suite in reverse order in a fresh interpreter give the
-    # same records bit for bit, with the same notes and tables: no cache
-    # carries state from one check, or from an earlier test, to the next
+def test_records_do_not_depend_on_check_order(child_env, monkeypatch):
+    # the suite in ordinal order in this process, the suite on two forked
+    # workers, each check alone from a cleared table cache, and the suite in
+    # reverse order in a fresh interpreter give the same records bit for
+    # bit, with the same notes and tables: no cache carries state from one
+    # check, or from an earlier test, to the next. Both suite runs time
+    # every check, in ordinal order
     _, seed, suite, params = cli.validate_scenario(REDUCED)
     ids = checks.suite_check_ids(suite)
     assert len(ids) == len(checks.REGISTRY)
@@ -250,7 +258,14 @@ def test_records_do_not_depend_on_check_order(child_env):
     def record_bytes(recs):
         return [checks.canonical_json([r.to_json(), r.decisions, r.artifacts]) for r in recs]
 
-    forward = record_bytes(checks.run_checks(suite, params, seed).checks)
+    runs = []
+    for workers in (1, 2):
+        monkeypatch.setattr(checks, "_worker_count", lambda n, w=workers: min(n, w))
+        report = checks.run_checks(suite, params, seed)
+        assert report.workers == workers
+        assert list(report.timing) == ids
+        runs.append(record_bytes(report.checks))
+    forward, pooled = runs
     alone = []
     for cid in ids:
         symbols._unit_powers.cache_clear()
@@ -263,5 +278,6 @@ def test_records_do_not_depend_on_check_order(child_env):
         timeout=300,
     )
     assert done.returncode == 0, done.stderr
+    assert pooled == forward
     assert record_bytes(alone) == forward
     assert done.stdout.splitlines()[::-1] == forward

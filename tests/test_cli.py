@@ -218,10 +218,12 @@ def test_run_decisions_go_to_manifest_only(tmp_path):
     raw = (rundir / "report.json").read_text()
     report = json.loads(raw)
     assert [checks.canonical_json(c) for c in report["checks"][:2]] == SPECTRA_RECORDS
-    decisions = json.loads((rundir / "manifest.json").read_text())["decisions"]
+    manifest = json.loads((rundir / "manifest.json").read_text())
+    decisions = manifest["decisions"]
+    assert isinstance(manifest["workers"], int) and manifest["workers"] >= 1
     # no noted key is a key of the report, nor occurs in it at all
     noted = {key for check in decisions.values() for key in check}
-    for key in {"decisions"} | noted:
+    for key in {"decisions", "workers"} | noted:
         assert key not in raw
 
     assert set(decisions) == {"hartman_wintner", "convex_bound", "numerical_range"}
