@@ -670,8 +670,9 @@ REGISTRY = {
             6,
             ("spectra",),
             "essential-range inclusion in the spectrum by winding certificates: "
-            "integer crossing numbers of the sampled curve, found by binary "
-            "search in its y-monotone runs on large inputs; probes near the "
+            "integer crossing numbers of the sampled curve, found on large "
+            "inputs from the rank of each vertex among the sorted scanlines; "
+            "probes near the "
             "curve are certified on a fine grid (sag <= 1e-5, at most 65536 "
             "points) and its doubling, clear of the fine polyline by a k-d tree "
             "over its vertices with an exact scan where the tree cannot decide",

@@ -99,8 +99,13 @@ def validate_scenario(obj, origin="scenario"):
         else:
             raise UsageError(f"{where}: unknown parameter")
     for i, text in enumerate(params["symbols"]):
-        if LaurentPoly.from_text(text).band() > params["nr_truncation"] // 8:
+        band = LaurentPoly.from_text(text).band()
+        if band > params["nr_truncation"] // 8:
             raise UsageError(f"{origin}.parameters.symbols[{i}]: band too large for this run")
+        if 4 * (1 + band) > params["grid_size"]:  # the spectra checks sample it there
+            raise UsageError(
+                f"{origin}.parameters.symbols[{i}]: band {band} needs grid_size >= {4 * (1 + band)}"
+            )
     deg = params["spectra_degree"]
     for key, least, why in [
         ("elements", 2 * params["planted"], "2 * planted"),

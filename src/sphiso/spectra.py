@@ -9,18 +9,19 @@ description is exact. Numerical-range slices are one-sided safe because
 compressions only shrink the numerical range.
 
 Winding numbers are integer crossing counts of the sampled polyline
-(`symbols._winding_numbers`): exact for every lambda off the polyline, so
-no accumulated angle can drift. A lambda within the curve's `tol` of a
-sample is ON_CURVE, decided by the exact distance. Distances have one exact
-scan, `_distance`, to the samples or to the polyline through them, and two
-pruned fronts that agree with it bit for bit: each settles what a relative
-_MARGIN (1e-9) on either side of the threshold decides, and hands every
-lambda in between to the exact scan. On a covering grid, `_near_grid`
-settles ON_CURVE by scanlines: each sample covers one run of columns on each
-row within tol, and a difference array counts the runs over every lambda.
-For scattered lambdas, `_within` lets a k-d tree pick the few samples or
-edges that can decide each one; it settles the clearance of the near-range
-probes and the convex-bound lambdas near a hull vertex.
+(`symbols._crossings`): exact for every lambda off the polyline, so no
+accumulated angle can drift. A lambda within the curve's `tol` of a sample
+is ON_CURVE, decided by the exact distance. Distances have one exact scan,
+`_distance`, to the samples or to the polyline through them, and two pruned
+fronts that agree with it bit for bit: each settles what a relative _MARGIN
+(1e-9) on either side of the threshold decides, and hands every lambda in
+between to the exact scan. On a covering grid, each row is one scanline:
+each crossing counts its sign on the run of columns left of it, and each
+sample covers one run of columns within tol (`_near_grid`); a difference
+array per row counts the runs over every lambda. For scattered lambdas,
+`_within` lets a k-d tree pick the few samples or edges that can decide each
+one; it settles the clearance of the near-range probes and the convex-bound
+lambdas near a hull vertex.
 
 Every check reads the curve through one `symbols.Curve`: phi sampled by
 `symbols.eval_grid` on a uniform grid, with its ON_CURVE distance `tol` and
@@ -53,7 +54,8 @@ from .linalg import band_max_eig, op_norm
 from .record import note
 from .symbols import (
     Curve,
-    _grid_winding_numbers,
+    _crossings,
+    _finite_lambdas,
     _segment_distance,
     _winding_numbers,
     conv_hull,
@@ -91,15 +93,16 @@ _INFLATE = 1.2
 # the pruned distance fronts widen or narrow a reach by this relative margin,
 # far beyond their own rounding, and measure what falls in between exactly
 _MARGIN = 1e-9
+_SCAN_ENTRIES = 1_000_000
 
 
-def _distance(samples, lams, edges=False, chunk_entries=1_000_000):
+def _distance(samples, lams, edges=False):
     """Distance from each lam to the samples, or with edges to the closed
-    polyline through them, by dense rows."""
+    polyline through them, by dense rows of about _SCAN_ENTRIES entries."""
     lams = np.asarray(lams, dtype=complex).ravel()
     e = np.roll(samples, -1) - samples if edges else None
     out = np.empty(lams.size)
-    step = max(1, chunk_entries // max(1, samples.size))
+    step = max(1, _SCAN_ENTRIES // max(1, samples.size))
     for lo in range(0, lams.size, step):
         lam = lams[lo : lo + step, None]
         d = np.abs(samples - lam) if e is None else _segment_distance(lam, samples, e)
@@ -219,19 +222,21 @@ def _first(grid, centre, reach, strict, guess=None):
 
 
 def _runs(k, start, end, nx, ny):
-    """Row-major flags of an ny x nx grid: whether some run [start, end) of
-    columns on row k covers each entry. Each run adds one at start and takes
-    it off at end of a difference array per row, one entry longer than the
-    row (`np.bincount`), and a cumulative sum along the row counts the runs."""
+    """Row-major counts over an ny x nx grid of the runs [start, end) of
+    columns on row k that cover each entry; a run with end < start counts -1
+    on [end, start). Each run adds one at start and takes it off at end of a
+    difference array per row, one entry longer than the row (`np.bincount`),
+    and a cumulative sum along the row counts the runs."""
     row = k * (nx + 1)
     size = ny * (nx + 1)
     count = np.bincount(row + start, minlength=size) - np.bincount(row + end, minlength=size)
-    return (np.cumsum(count.reshape(ny, nx + 1), axis=1)[:, :-1] > 0).ravel()
+    return np.cumsum(count.reshape(ny, nx + 1), axis=1)[:, :-1].ravel()
 
 
-def _near_grid(samples, lams, tol):
-    """Whether each lambda of a product grid (`_grid_axes`) lies within tol
-    of a sample: `_distance(samples, lams) <= tol` bit for bit, by scanlines.
+def _near_grid(samples, xs, ys, tol):
+    """Whether each lambda xs[c] + 1j * ys[k] of a product grid, row-major as
+    `_grid_axes` reads it, lies within tol of a sample: `_distance(samples,
+    lams) <= tol` bit for bit, by scanlines.
 
     A sample s covers the lambda x + 1j * y at radius r when a = |y - Im s|
     <= r and u = |x - Re s| <= w(r) = sqrt(r - a) * sqrt(r + a), every
@@ -266,9 +271,8 @@ def _near_grid(samples, lams, tol):
     d <= tol, r_hi - a >= tol (_MARGIN - 4e) > 1e-110; a subnormal r_lo - a
     is exact and its square root normal; and sqrt(r + a) > 1e-50.
     """
-    xs, ys = _grid_axes(lams)
     if not 1e-100 < tol < 1e100:
-        return _distance(samples, lams) <= tol
+        return _distance(samples, (xs + 1j * ys[:, None]).ravel()) <= tol
     r_lo, r_hi = tol * (1.0 - _MARGIN), tol * (1.0 + _MARGIN)
     si, sr = samples.imag, samples.real
     first = _first(ys, si, -r_hi, False)
@@ -279,16 +283,28 @@ def _near_grid(samples, lams, tol):
     x0 = sr[j]
     w = np.sqrt(r_hi - a) * np.sqrt(r_hi + a)
     start, end = _first(xs, x0, -w, False), _first(xs, x0, w, True)
-    maybe = _runs(k, start, end, xs.size, ys.size)
+    maybe = _runs(k, start, end, xs.size, ys.size) > 0
     inner = np.flatnonzero(a <= r_lo)
     a, x0 = a[inner], x0[inner]
     w = np.sqrt(r_lo - a) * np.sqrt(r_lo + a)
     start = _first(xs, x0, -w, False, start[inner])
     end = _first(xs, x0, w, True, end[inner])
-    near = _runs(k[inner], start, end, xs.size, ys.size)
+    near = _runs(k[inner], start, end, xs.size, ys.size) > 0
     between = np.flatnonzero(maybe & ~near)
-    near[between] = _distance(samples, np.ravel(lams)[between]) <= tol
+    lams = xs[between % xs.size] + 1j * ys[between // xs.size]
+    near[between] = _distance(samples, lams) <= tol
     return near
+
+
+def _grid_windings(samples, xs, ys):
+    """Winding numbers about each lambda of the product grid xs x ys, row-major
+    as `_grid_axes` reads it. Each row is one scanline (`_crossings`), and a
+    crossing at abscissa x lies right of the lambdas xs[c] < x: a run of
+    columns from 0 that counts its sign (`_runs`, ends swapped for -1)."""
+    k, x, sign = _crossings(samples, ys)
+    end = np.searchsorted(xs, x)
+    up = sign > 0
+    return _runs(k, np.where(up, 0, end), np.where(up, end, 0), xs.size, ys.size)
 
 
 def _codes(on_curve, windings):
@@ -437,15 +453,15 @@ class ConvexBoundReport:
 def convex_bound_check(phi, lams, grid_size=512):
     """Every lambda not OUTSIDE must sit in the hull of the essential range.
 
-    lams must be a product grid xs x ys, row by row with both axes ascending,
-    as `lambda_grid` makes it; anything else raises PreconditionError.
-    Statuses come from crossing numbers, one scanline per row of the grid,
-    and ON_CURVE from the runs of columns each sample covers on those rows
-    (`_near_grid`), both exact. The hull is that of a refined sample grid (a
-    multiple of the working grid) sized so the sag bound stays under 2e-9.
-    Winding-certified points are tested at 1e-8, while on-curve points carry
-    the working curve tolerance on top since that is how far they may sit
-    from their anchoring sample.
+    lams must be a finite product grid xs x ys, row by row with both axes
+    ascending, as `lambda_grid` makes it; anything else raises
+    PreconditionError. Statuses come from crossing numbers, one scanline per
+    row of the grid (`_grid_windings`), and ON_CURVE from the runs of columns
+    each sample covers on those rows (`_near_grid`), both exact. The hull is
+    that of a refined sample grid (a multiple of the working grid) sized so
+    the sag bound stays under 2e-9. Winding-certified points are tested at
+    1e-8, while on-curve points carry the working curve tolerance on top
+    since that is how far they may sit from their anchoring sample.
 
     The working samples are points of the refined curve up to rounding (all
     within 2e-15 of the refined hull on full.json), so their hull lies inside
@@ -459,7 +475,7 @@ def convex_bound_check(phi, lams, grid_size=512):
     with the refined grid's size and clamp and the points of the last hull
     built.
     """
-    lams = np.asarray(lams, dtype=complex).ravel()
+    lams = _finite_lambdas(lams)
     curve = Curve(phi, grid_size)
     samples, tol = curve.samples, curve.tol
     cx, cy, hx, hy = _range_box(samples)
@@ -472,8 +488,8 @@ def convex_bound_check(phi, lams, grid_size=512):
     ):
         raise PreconditionError(f"lambda grid misses the range box scaled by {_INFLATE}")
 
-    windings = _grid_winding_numbers(samples, lams)
-    codes = _codes(_near_grid(samples, lams, tol), windings)
+    xs, ys = _grid_axes(lams)
+    codes = _codes(_near_grid(samples, xs, ys, tol), _grid_windings(samples, xs, ys))
 
     refined = curve.refine(_SAG_TARGET, grid_size, grid_size, _GRID_CAP, "refined")
     tol_winding = max(1e-8, refined.sag + 5e-9)

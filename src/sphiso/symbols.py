@@ -546,16 +546,16 @@ def winding(phi, lam, grid_size=512):
     return int(_winding_numbers(curve.samples, [lam])[0])
 
 
-# The dense crossing table is cheapest up to this many entries L * (S + 1).
-_DENSE_ENTRIES = 1 << 15
-# Past that, runs replace it when there are at most S / _RUN_SHARE of them: a
-# binary search costs about five table entries (measured on x86-64).
-_RUN_SHARE = 16
+# The dense crossing table is cheaper than the rank search up to about this
+# many entries L * (S + 1). Timed on one x86-64 core over 8 symbols of
+# full.json: the rank search first won at 4k-6k entries for S = 512 to 2048
+# samples, and at 12k-16k for S = 4096 and 8192.
+_DENSE_ENTRIES = 1 << 13
 
 
-def _crossings(samples, ys, chunk_entries=4_000_000):
+def _crossings(samples, ys):
     """Edge crossings of the scanlines y = ys[k] by the closed polyline
-    through samples, as (k, abscissa, sign) arrays in (k, edge) order.
+    through samples, as (k, abscissa, sign) arrays in no particular order.
 
     Crossing-number rule with the half-open convention (Hormann & Agathos,
     Comput. Geom. 20, 2001): edge (a, b) crosses y upward, sign +1.0, when
@@ -564,37 +564,35 @@ def _crossings(samples, ys, chunk_entries=4_000_000):
     horizontal edge by none, so the signs of the crossings right of lambda
     add up to the winding number of the polyline about every lambda off it,
     exactly. Lambdas on the polyline get some integer; callers classify them
-    by distance first.
+    by distance first. Callers only add up these signs, and sums of +-1.0 are
+    exact in any order, so the order of the crossings is left open.
 
     The crossed edges are found one of two ways, with the same result, and
     the abscissae by one formula. The dense table (`_table_edges`) tests
-    every edge against every scanline, O(L S) for L scanlines and S samples;
-    it is kept up to _DENSE_ENTRIES entries, where it is cheapest. Past that,
-    the edges are split into R y-monotone runs (`_monotone_runs`), each
-    crossed at most once by a scanline, at the edge a binary search finds
-    (`_run_edges`): O(S + L R log S). Rounding noise can cut a flat stretch
-    of the curve into many runs (z + zbar at 65,536 samples has over 35,000),
-    so the table stays when R exceeds S / _RUN_SHARE. Memory stays within
-    O(S) plus about chunk_entries table entries, or chunk_entries / 16
-    binary searches, at once.
+    every edge against every scanline, O(L S) for L scanlines and S samples,
+    up to _DENSE_ENTRIES entries. Past that, rank[v] counts the scanlines
+    below vertex v, and sorted scanline i lies on or above v exactly when
+    i >= rank[v]: edge e crosses the sorted scanlines from min(rank[e],
+    rank[e + 1]) up to the max, exclusive, upward when the rank steps up.
+    That is the half-open rule, in O((S + L) log L) plus one per crossing.
     """
     ring = np.concatenate((samples, samples[:1]))
-    runs = None
-    if ys.size * ring.size > _DENSE_ENTRIES:
-        runs = _monotone_runs(ring.imag, samples.size / _RUN_SHARE)
-    width = ring.size if runs is None else 16 * max(runs[0].size, 1)
-    step = max(1, chunk_entries // width)
-    parts = []
-    for lo in range(0, max(ys.size, 1), step):
-        y = ys[lo : lo + step]
-        k, e, sign = _table_edges(ring.imag, y) if runs is None else _run_edges(runs, y)
-        a, b = ring[e], ring[e + 1]
-        y = y[k]
-        x = a.real + (y - a.imag) * (b.real - a.real) / (b.imag - a.imag)
-        parts.append((lo + k, x, sign))
-    if len(parts) == 1:
-        return parts[0]
-    return tuple(np.concatenate(col) for col in zip(*parts))
+    if ys.size * ring.size <= _DENSE_ENTRIES:
+        k, e, sign = _table_edges(ring.imag, ys)
+    else:
+        order = np.argsort(ys, kind="stable")
+        rank = np.searchsorted(ys[order], ring.imag)
+        e = np.flatnonzero(rank[1:] != rank[:-1])
+        lo, hi = rank[e], rank[e + 1]
+        count = np.abs(hi - lo)
+        # crossing j of edge e lies on sorted scanline min(lo, hi) + j
+        first = np.cumsum(count) - count
+        k = order[np.arange(count.sum()) + np.repeat(np.minimum(lo, hi) - first, count)]
+        e, sign = np.repeat(e, count), np.repeat(np.where(hi > lo, 1.0, -1.0), count)
+    a, b = ring[e], ring[e + 1]
+    y = ys[k]
+    x = a.real + (y - a.imag) * (b.real - a.real) / (b.imag - a.imag)
+    return k, x, sign
 
 
 def _table_edges(ring_y, ys):
@@ -603,53 +601,6 @@ def _table_edges(ring_y, ys):
     below = ring_y <= ys[:, None]
     k, e = np.nonzero(below[:, :-1] != below[:, 1:])
     return k, e, np.where(below[k, e], 1.0, -1.0)
-
-
-def _monotone_runs(ring_y, most):
-    """(first, size, rising, keys, start): the maximal runs of consecutive
-    edges of the ring whose ordinates strictly rise or strictly fall, or None
-    when there are more than most of them.
-
-    Run r holds edges first[r] .. first[r] + size[r] - 1. Flat edges belong
-    to no run, and no run continues through index 0, so the runs come in
-    edge order. keys holds, run after run, r + 1j * u over the run's
-    vertices, with u the ordinate in a rising run and its negation in a
-    falling one, so keys is sorted and run r's keys begin at start[r].
-    """
-    up = ring_y[1:] > ring_y[:-1]
-    d = up.astype(np.int8) - (ring_y[1:] < ring_y[:-1])
-    bounds = np.concatenate(([0], np.flatnonzero(d[1:] != d[:-1]) + 1, [d.size]))
-    first = bounds[:-1]
-    keep = d[first] != 0
-    first, size = first[keep], np.diff(bounds)[keep]
-    if first.size > most:
-        return None
-    rising = up[first]
-    verts = size + 1
-    start = np.concatenate(([0], np.cumsum(verts)[:-1]))
-    run = np.repeat(np.arange(first.size), verts)
-    vidx = np.arange(verts.sum()) + np.repeat(first - start, verts)
-    u = np.where(rising[run], ring_y[vidx], -ring_y[vidx])
-    return first, size, rising, run + 1j * u, start
-
-
-def _run_edges(runs, ys):
-    """(k, edge, sign) of every crossing, by one binary search per scanline
-    and run, in (k, edge) order since runs come in edge order.
-
-    In a rising run the edge crossed by y is the one with u[j] <= y <
-    u[j + 1], and the count of keys u <= y, that is u < nextafter(y, inf),
-    gives j + 1. In a falling run it is the one with u[j] < -y <= u[j + 1],
-    and the count of u < -y gives j + 1. One searchsorted on the complex keys
-    answers both, since complex keys sort by run first. A count of 0 or of
-    more than the run's edges means no crossing.
-    """
-    first, size, rising, keys, start = runs
-    u = np.where(rising, np.nextafter(ys[:, None], np.inf), -ys[:, None])
-    found = np.searchsorted(keys, (np.arange(first.size) + 1j * u).ravel())
-    found = found.reshape(u.shape) - start
-    k, r = np.nonzero((found >= 1) & (found <= size))
-    return k, first[r] + found[k, r] - 1, np.where(rising[r], 1.0, -1.0)
 
 
 def _finite_lambdas(lams):
@@ -666,29 +617,6 @@ def _winding_numbers(samples, lams):
     k, x, sign = _crossings(samples, lams.imag)
     w = np.bincount(k, weights=sign * (x > lams.real[k]), minlength=lams.size)
     return w.astype(np.int64)
-
-
-def _grid_winding_numbers(samples, lams):
-    """`_winding_numbers` for lambdas that share imaginary parts, such as the
-    rows of a covering grid: each distinct imaginary part is one scanline.
-
-    A scanline's crossings are found once and sorted, and each lambda adds up
-    those right of it by a binary search, so Y rows cost one `_crossings`
-    call on Y scanlines, O(S + Y R log S) for S samples in R y-monotone runs
-    (O(Y S) when the dense table is cheaper), plus one binary search per
-    lambda.
-    """
-    lams = _finite_lambdas(lams)
-    ys, row = np.unique(lams.imag, return_inverse=True)
-    k, x, sign = _crossings(samples, ys)
-    # complex keys sort lexicographically: by scanline, then by abscissa
-    keys = k + 1j * x
-    order = np.argsort(keys)
-    keys = keys[order]
-    prefix = np.concatenate(([0], np.cumsum(sign[order].astype(np.int64))))
-    left = np.searchsorted(keys, row + 1j * lams.real, side="right")
-    end = np.searchsorted(keys.real, row, side="right")
-    return prefix[end] - prefix[left]
 
 
 def sup_norm(phi, grid_size=512):

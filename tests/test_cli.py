@@ -64,6 +64,11 @@ def test_validate_rejects(tmp_path, capsys):
         ({"parameters": {"symbols": ["z^40"]}}, "band too large"),
         # the band rule reads the run's nr_truncation wherever the key stands
         ({"parameters": {"symbols": ["z^30"], "nr_truncation": 64}}, ".symbols[0]: band too large"),
+        # and the grid rule the run's grid_size
+        (
+            {"parameters": {"symbols": ["z", "z^128"], "nr_truncation": 1024}},
+            ".parameters.symbols[1]: band 128 needs grid_size >= 516",
+        ),
         # each of these passed validation and then crashed its check
         ({"parameters": {"cross_section_truncation": 32}}, ".parameters.cross_section_truncation"),
         ({"parameters": {"nr_truncation": 8}}, ".parameters.nr_truncation"),

@@ -193,7 +193,7 @@ def grid_flags(samples, xs, ys, tol):
     lams = product_grid(xs, ys)
     got_xs, got_ys = sp._grid_axes(lams)
     assert np.array_equal(got_xs, xs) and np.array_equal(got_ys, ys)
-    return sp._near_grid(samples, lams, tol), sp._distance(samples, lams) <= tol
+    return sp._near_grid(samples, got_xs, got_ys, tol), sp._distance(samples, lams) <= tol
 
 
 def test_grid_on_curve_on_planted_thresholds():

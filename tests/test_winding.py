@@ -1,9 +1,9 @@
 """Crossing-number winding against the dense accumulated-argument oracle.
 
 The library counts winding numbers by crossing numbers (`_winding_numbers`
-for scattered lambdas, `_grid_winding_numbers` for covering grids) and
-decides ON_CURVE by distance: on covering grids from the runs each sample
-covers on the rows (`_near_grid`), elsewhere pruned by a k-d tree
+for scattered lambdas, `spectra._grid_windings` by rows for covering grids)
+and decides ON_CURVE by distance: on covering grids from the runs each
+sample covers on the rows (`_near_grid`), elsewhere pruned by a k-d tree
 (`_within`). The oracle below
 is the earlier implementation: it sums the principal argument of each step
 of samples - lam, rounds the total to a multiple of 2 pi and refuses to
@@ -11,8 +11,9 @@ answer when the total drifts. Off the sampled polyline both count the same
 integer, so every status and every winding number must agree exactly.
 
 `_crossings` finds the crossings by a dense edge-by-scanline table on small
-inputs and by binary search in y-monotone runs on large ones; the two paths
-are called directly here and must return the same arrays bit for bit.
+inputs and by ranking the vertices among the sorted scanlines on large ones;
+the two paths are called directly here and must return the same crossings,
+each with the same bits, in whatever order.
 """
 
 import math
@@ -30,7 +31,6 @@ from sphiso.errors import OnCurveError, PreconditionError
 from sphiso.symbols import (
     Curve,
     LaurentPoly,
-    _grid_winding_numbers,
     _winding_numbers,
     eval_grid,
     winding,
@@ -67,14 +67,20 @@ def status_codes(samples, tol, lams):
     return np.where(on, 0, np.where(w != 0, 1, 2)).astype(np.int8)
 
 
+def grid_windings(samples, lams):
+    """Row windings of a product grid, as `convex_bound_check` counts them."""
+    return sp._grid_windings(samples, *sp._grid_axes(lams))
+
+
 def grid_codes(samples, tol, lams):
     """Status codes of a product grid, as `convex_bound_check` forms them."""
-    return sp._codes(sp._near_grid(samples, lams, tol), _grid_winding_numbers(samples, lams))
+    near = sp._near_grid(samples, *sp._grid_axes(lams), tol)
+    return sp._codes(near, grid_windings(samples, lams))
 
 
 def pruned_codes(samples, tol, lams):
-    """Status codes of scattered lambdas by the k-d front and row windings."""
-    return sp._codes(sp._within(samples, lams, tol)[0], _grid_winding_numbers(samples, lams))
+    """Status codes of scattered lambdas by the k-d front and crossings."""
+    return sp._codes(sp._within(samples, lams, tol)[0], _winding_numbers(samples, lams))
 
 
 def full_symbols():
@@ -90,7 +96,7 @@ def test_full_scenario_grids_match_oracle():
         samples, tol = curve.samples, curve.tol
         lams = sp.lambda_grid(phi, 200, 512)
         want = status_codes(samples, tol, lams)
-        assert np.array_equal(sp._near_grid(samples, lams, tol), want == 0)
+        assert np.array_equal(sp._near_grid(samples, *sp._grid_axes(lams), tol), want == 0)
         assert np.array_equal(grid_codes(samples, tol, lams), want)
         rep = sp.convex_bound_check(phi, lams, 512)
         names = np.array(sp._STATUS_NAMES, dtype=object)[want]
@@ -151,9 +157,17 @@ def test_ties_on_vertex_ordinates_and_horizontal_edges():
         off = sp._distance(samples, lams, edges=True) > 1e-9
         _, w, _ = dense_winding(samples, lams[off])
         assert np.array_equal(_winding_numbers(samples, lams[off]), w)
-        assert np.array_equal(_grid_winding_numbers(samples, lams[off]), w)
         seen.update(w.tolist())
     assert seen == {-1, 0, 1}
+    # product grids whose rows run through vertices and along flat edges,
+    # and whose columns hit vertex abscissae
+    for samples in (stairs, diamond, diamond[::-1]):
+        xs = np.linspace(-1.5, 3.5, 41)
+        ys = np.linspace(-1.5, 3.5, 21)
+        lams = (xs + 1j * ys[:, None]).ravel()
+        off = sp._distance(samples, lams, edges=True) > 1e-9
+        _, w, _ = dense_winding(samples, lams)
+        assert np.array_equal(grid_windings(samples, lams)[off], w[off])
 
 
 def test_ties_on_symbol_sample_ordinates():
@@ -190,7 +204,7 @@ def test_self_intersecting_windings(text, deep):
     off = dist > tol
     assert deep in set(w[off].tolist())
     assert np.array_equal(_winding_numbers(samples, lams)[off], w[off])
-    assert np.array_equal(_grid_winding_numbers(samples, lams)[off], w[off])
+    assert np.array_equal(grid_windings(samples, lams)[off], w[off])
     for lam, want in zip(lams[off][::7], w[off][::7]):
         assert winding(phi, lam) == want
     for lam in lams[~off][::11]:
@@ -205,6 +219,15 @@ def test_winding_rejects_non_finite_lambda():
             sp.spectrum_membership(phi, lam)
         with pytest.raises(PreconditionError):
             sp.membership_batch(phi, [0.0, lam])
+    # a covering grid with a NaN lambda, and a product grid whose last
+    # column is infinite, which passes the grid test and the range box
+    lams = sp.lambda_grid(phi, 20, 512)
+    lams[7] = complex(math.nan, lams[7].imag)
+    xs = np.append(np.linspace(-1.5, 1.5, 19), math.inf)
+    ys = np.linspace(-1.5, 1.5, 20)
+    for bad in (lams, (xs + 1j * ys[:, None]).ravel()):
+        with pytest.raises(PreconditionError, match="finite lambdas"):
+            sp.convex_bound_check(phi, bad, 512)
 
 
 # coefficients at least 0.05 keep rounding far below the curve tolerance
@@ -237,20 +260,47 @@ def test_crossing_matches_oracle_property(coeffs, lams, grid_size):
             assert winding(phi, lam, grid_size) == wi
 
 
-def both_crossings(samples, ys, chunk_entries=4_000_000):
-    """`_crossings` by the dense table and by runs, whatever the sizes."""
+def test_non_uniform_product_grid_windings():
+    # uneven columns with repeats, and rows through sample ordinates, so
+    # `_first` takes its binary search and the rows meet vertices
+    rng = np.random.default_rng(5)
+    for text in ("z^2 + 0.3*zbar", "0.5*zbar + zbar^2 - 0.1*z^3"):
+        phi = LaurentPoly.from_text(text)
+        curve = Curve(phi, 512)
+        samples, tol = curve.samples, curve.tol
+        xs = np.sort(np.concatenate([rng.uniform(-2.0, 2.0, 60) ** 3 / 4.0, samples.real[:5]]))
+        xs[10] = xs[11]
+        ys = np.sort(np.concatenate([rng.uniform(-2.0, 2.0, 30), samples.imag[::64]]))
+        lams = (xs + 1j * ys[:, None]).ravel()
+        off = sp._distance(samples, lams) > tol
+        assert off.any() and not off.all()
+        w = _winding_numbers(samples, lams)
+        assert (w[off] != 0).any()
+        assert np.array_equal(sp._grid_windings(samples, xs, ys)[off], w[off])
+        assert np.array_equal(sp._near_grid(samples, xs, ys, tol), ~off)
+
+
+def table_and_rank(samples, ys):
+    """`_crossings` by the dense table and by the rank search, whatever the
+    sizes."""
     with mock.patch.object(sy, "_DENSE_ENTRIES", math.inf):
-        dense = sy._crossings(samples, ys, chunk_entries)
-    # a ring of S edges has at most S runs
-    with mock.patch.object(sy, "_DENSE_ENTRIES", -1), mock.patch.object(sy, "_RUN_SHARE", 1):
-        runs = sy._crossings(samples, ys, chunk_entries)
-    return dense, runs
+        table = sy._crossings(samples, ys)
+    with mock.patch.object(sy, "_DENSE_ENTRIES", -1):
+        rank = sy._crossings(samples, ys)
+    return table, rank
 
 
-def assert_same_bits(dense, runs):
-    for a, b in zip(dense, runs):
-        assert a.dtype == b.dtype and a.shape == b.shape
-        assert a.tobytes() == b.tobytes()
+def crossing_set(crossings):
+    """The crossings as a sorted (count, 3) array of (k, abscissa bits,
+    sign), so that orders compare as multisets."""
+    k, x, sign = crossings
+    assert k.dtype.kind == "i" and x.dtype == sign.dtype == np.float64
+    rows = np.column_stack([k, x.view(np.int64), sign.astype(np.int64)])
+    return rows[np.lexsort(rows.T[::-1])]
+
+
+def assert_same_crossings(a, b):
+    assert np.array_equal(crossing_set(a), crossing_set(b))
 
 
 @settings(max_examples=120, deadline=None)
@@ -261,67 +311,67 @@ def assert_same_bits(dense, runs):
     lattice=st.sampled_from([0.0, 0.25, 1e-3]),
     picks=st.lists(st.integers(0, 1 << 20), max_size=12),
     free=st.lists(st.floats(-8.0, 8.0), max_size=6),
-    chunk_entries=st.sampled_from([4_000_000, 64]),
 )
-def test_run_crossings_match_dense_bitwise(
-    coeffs, grid_size, shift, lattice, picks, free, chunk_entries
-):
+def test_rank_crossings_match_table(coeffs, grid_size, shift, lattice, picks, free):
     phi = LaurentPoly(1, {(k,): c for k, c in coeffs.items()})
     samples = np.array(eval_grid(phi, grid_size))
     if lattice:
         # snap to a lattice: flat edges, and many vertices on one scanline
         samples = np.round(samples / lattice) * lattice
-    # start the ring anywhere, so the wrap at index 0 may cut through a run
+    # start the ring anywhere, so the wrap at index 0 may cut a rising stretch
     samples = np.roll(samples, shift % grid_size)
     ys = np.concatenate([samples.imag[[i % grid_size for i in picks]], free])
-    dense, runs = both_crossings(samples, ys, chunk_entries)
-    assert_same_bits(dense, runs)
-    assert np.all(np.diff(dense[0]) >= 0)  # (k, edge) order
+    assert_same_crossings(*table_and_rank(samples, ys))
 
 
-def test_run_crossings_on_flat_edges_wrap_and_no_scanlines():
-    # the staircase of the ties test, rotated so index 0 falls inside a run,
-    # has flat edges on four ordinates, and every ordinate is a vertex's
+def test_rank_crossings_on_flat_edges_wrap_and_no_scanlines():
+    # the staircase of the ties test, in every rotation, has flat edges on
+    # four ordinates, and every ordinate is a vertex's; repeated scanlines
+    # count once each
     stairs = np.array(
         [0, 2, 2 + 1j, 3 + 1j, 3 + 3j, 1 + 3j, 1 + 2j, 0 + 2j], dtype=complex
     )
     for shift in range(stairs.size):
         samples = np.roll(stairs, shift)
-        ys = np.array([-1.0, 0.0, 0.5, 1.0, 1.5, 2.0, 2.5, 3.0, 4.0])
-        dense, runs = both_crossings(samples, ys)
-        assert_same_bits(dense, runs)
-        assert dense[0].size
-        for empty in both_crossings(samples, np.empty(0)):
+        ys = np.array([2.0, -1.0, 0.0, 0.5, 1.0, 1.5, 2.0, 2.5, 3.0, 4.0])
+        table, rank = table_and_rank(samples, ys)
+        assert_same_crossings(table, rank)
+        assert np.bincount(table[0], minlength=ys.size).tolist() == [2, 0, 2, 2, 2, 2, 2, 2, 0, 0]
+        for empty in table_and_rank(samples, np.empty(0)):
             assert all(col.size == 0 for col in empty)
-    # a constant ring has no runs at all
-    dense, runs = both_crossings(np.full(8, 1 + 1j), np.array([0.0, 1.0, 2.0]))
-    assert_same_bits(dense, runs)
-    assert dense[0].size == 0
+    # a constant ring crosses nothing
+    for none in table_and_rank(np.full(8, 1 + 1j), np.array([0.0, 1.0, 2.0])):
+        assert none[0].size == 0
 
 
-def refuse(*args):
-    raise AssertionError("path not expected here")
-
-
-def test_crossings_pick_runs_on_large_inputs(monkeypatch):
+@pytest.mark.parametrize("lines, table_calls", [(16, 1), (17, 0)], ids=["table", "rank"])
+def test_crossings_take_each_path_on_its_side(lines, table_calls, monkeypatch):
+    # L * (S + 1) entries at _DENSE_ENTRIES exactly take the table, one
+    # scanline more takes the rank search
     phi = LaurentPoly.from_text("z^2 + 0.3*zbar")
-    samples = eval_grid(phi, 65536)
-    ys = np.linspace(-1.5, 1.5, 400)
-    want = both_crossings(samples, ys)[0]
-    monkeypatch.setattr(sy, "_table_edges", refuse)
-    assert_same_bits(want, sy._crossings(samples, ys))
+    samples = eval_grid(phi, sy._DENSE_ENTRIES // 16 - 1)
+    ys = np.linspace(-1.2, 1.2, lines)
+    table, rank = table_and_rank(samples, ys)
+    calls = []
+    table_edges = sy._table_edges
+    monkeypatch.setattr(sy, "_table_edges", lambda *args: calls.append(1) or table_edges(*args))
+    got = sy._crossings(samples, ys)
+    assert len(calls) == table_calls
+    assert_same_crossings(table, got)
+    assert_same_crossings(rank, got)
+    assert got[0].size >= 2 * lines
 
 
-def test_real_valued_symbol_keeps_the_dense_table(monkeypatch):
-    # rounding noise in the imaginary part of z + zbar cuts the ring into
-    # tens of thousands of runs; the binary searches would cost more than
-    # the table and hold L x R queries, so the table must be taken
-    samples = eval_grid(LaurentPoly.from_text("z + zbar"), 65536)
-    ring = np.concatenate((samples, samples[:1]))
-    assert sy._monotone_runs(ring.imag, samples.size)[0].size > samples.size / 16
-    assert sy._monotone_runs(ring.imag, samples.size / sy._RUN_SHARE) is None
-    ys = samples.imag[::164][:400]
-    with mock.patch.object(sy, "_DENSE_ENTRIES", math.inf):
-        want = sy._crossings(samples, ys)
-    monkeypatch.setattr(sy, "_run_edges", refuse)
-    assert_same_bits(want, sy._crossings(samples, ys))
+def test_real_valued_symbol_on_its_noise_band():
+    # z + zbar is real, and rounding noise of up to 2.2e-16 in the imaginary
+    # parts makes the scanlines through that band cross thousands of edges;
+    # here they run through each of its ordinates and between them
+    samples = eval_grid(LaurentPoly.from_text("z + zbar"), 8192)
+    ys = np.unique(samples.imag)
+    ys = np.concatenate([ys, (ys[1:] + ys[:-1]) / 2.0])
+    table, rank = table_and_rank(samples, ys)
+    assert table[0].size > ys.size * 1000
+    assert_same_crossings(table, rank)
+    # and the windings about lambdas off that band are those of a segment
+    lams = np.array([0.5 + 1e-3j, 3.0 + 0.0j, -0.5 - 1e-3j])
+    assert _winding_numbers(samples, lams).tolist() == [0, 0, 0]
