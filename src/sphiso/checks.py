@@ -368,8 +368,7 @@ def _check_convex_bound(params, seed):
     counterexamples = 0
     tols = []
     for i, phi in enumerate(symbols):
-        lams = spectra.lambda_grid(phi, params["lambda_points"], grid)
-        rep = spectra.convex_bound_check(phi, lams, grid_size=grid)
+        rep = spectra.convex_bound_check(phi, params["lambda_points"], grid_size=grid)
         counterexamples += len(rep.counterexamples)
         tols.append(rep.tol_on_curve)
         if i == 0:
@@ -670,14 +669,13 @@ REGISTRY = {
             6,
             ("spectra",),
             "essential-range inclusion in the spectrum by winding certificates: "
-            "integer crossing numbers of the sampled curve, found on large "
-            "inputs from the rank of each vertex among the sorted scanlines; "
-            "probes near the "
-            "curve are certified on a fine grid (sag <= 1e-5, at most 65536 "
-            "points) and its doubling, clear of the fine polyline by a k-d tree "
-            "over its vertices with an exact scan where the tree cannot decide",
-            "no OUTSIDE verdicts on range samples or on certified interior "
-            "probes",
+            "random probes near the sampled curve are certified inside it on a "
+            "fine grid (sag <= 1e-5, at most 65536 points) and its doubling, by "
+            "integer crossing numbers found on large inputs from the rank of "
+            "each vertex among the sorted scanlines, and clear of the fine "
+            "polyline by a k-d tree over its vertices with an exact scan where "
+            "the tree cannot decide",
+            "no certified probe reads OUTSIDE on the working grid",
             _check_hartman_wintner,
         ),
         CheckSpec(
@@ -685,11 +683,11 @@ REGISTRY = {
             "Thm3.1(3)",
             7,
             ("spectra",),
-            "spectrum inside the convex hull of the essential range: crossing "
-            "numbers per grid row; each lambda is accepted on an upper bound of "
-            "its distance to the hull of the working samples, which lies inside "
-            "the hull of the refined grid (sag <= 2e-9); only lambdas it leaves "
-            "go to the refined hull",
+            "spectrum inside the convex hull of the essential range: the "
+            "working curve is sampled once; crossing numbers per row of the "
+            "grid covering its range box; each lambda is accepted on an upper "
+            "bound of its distance to the hull of the working samples, at a "
+            "tolerance widened by the sag of a refined grid (sag <= 2e-9)",
             "every non-OUTSIDE lambda on the covering grid passes hull "
             "membership at the certified tolerance; no counterexamples",
             _check_convex_bound,

@@ -99,7 +99,14 @@ def validate_scenario(obj, origin="scenario"):
         else:
             raise UsageError(f"{where}: unknown parameter")
     for i, text in enumerate(params["symbols"]):
-        band = LaurentPoly.from_text(text).band()
+        phi = LaurentPoly.from_text(text)
+        band = phi.band()
+        if not (math.isfinite(phi.l1_norm()) and math.isfinite(phi.second_derivative_l1_bound())):
+            # the sampled curve and its sag bound would overflow
+            raise UsageError(
+                f"{origin}.parameters.symbols[{i}]: coefficients too large, "
+                "the l1 norm or the second-derivative bound is not finite"
+            )
         if band > params["nr_truncation"] // 8:
             raise UsageError(f"{origin}.parameters.symbols[{i}]: band too large for this run")
         if 4 * (1 + band) > params["grid_size"]:  # the spectra checks sample it there

@@ -27,18 +27,20 @@ Every check reads the curve through one `symbols.Curve`: phi sampled by
 `symbols.eval_grid` on a uniform grid, with its ON_CURVE distance `tol` and
 its chord sag `sag`. Grids of up to 2048 points (the 512- and 2048-point
 working grids of every query here) are summed from a bounded cache of
-unit-root power tables; larger ones (most fine grids, the refined hull
-grids, the sup grids) are evaluated afresh by `LaurentPoly.eval_at`, whose
-bits the tables keep.
+unit-root power tables; larger ones (most fine grids, the sup grids) are
+evaluated afresh by `LaurentPoly.eval_at`, whose bits the tables keep.
 
 Tolerance bookkeeping. A sampled curve misses the true curve by at most the
 chord sag (spacing^2 * B''/8 with B'' the l1 bound on the second derivative),
-and a sampled sup misses the true sup by the same amount. Hull, sup and probe
-grids are sized from that bound by one rule, `Curve.refine`, so the slack
+and a sampled sup misses the true sup by the same amount. Refined, sup and
+probe grids are sized from that bound by one rule, `Curve.refine`, so the slack
 handed to membership tests is an actual certificate, not a guess; a cap that
-clamps the size is noted. The convex bound first tests each lambda against
-the hull of the working samples, which lies inside the refined hull, and
-builds the refined hull only for the lambdas that test leaves.
+clamps the size is noted. The convex bound samples phi once: its covering
+grid, its statuses and its hull all come from the working samples, and the
+refined grid only sizes the sag in its winding tolerance. On a correct hull
+no lambda needs more: each ON_CURVE lambda lies within tol of a working
+sample, a point of the hull, and each lambda of nonzero winding lies inside
+the working polygon.
 """
 
 from __future__ import annotations
@@ -55,7 +57,6 @@ from .record import note
 from .symbols import (
     Curve,
     _crossings,
-    _finite_lambdas,
     _segment_distance,
     _winding_numbers,
     conv_hull,
@@ -165,27 +166,6 @@ def _within(samples, lams, reach, edges=False, k=16):
     return dist <= reach, rescan.size
 
 
-def _grid_axes(lams):
-    """(xs, ys) of a product grid, lams[k * xs.size + c] == xs[c] + 1j * ys[k],
-    row by row with both axes ascending, as `lambda_grid` makes it;
-    PreconditionError for any other lambdas."""
-    lams = np.asarray(lams, dtype=complex).ravel()
-    if lams.size:
-        im = lams.imag
-        nx = int(np.argmax(im != im[0])) or lams.size  # where row 0 ends
-        if lams.size % nx == 0:
-            grid = lams.reshape(-1, nx)
-            xs, ys = grid[0].real, grid[:, 0].imag
-            if (
-                (grid.real == xs).all()
-                and (grid.imag == ys[:, None]).all()
-                and (np.diff(xs) >= 0).all()
-                and (np.diff(ys) >= 0).all()
-            ):
-                return xs, ys
-    raise PreconditionError("lambdas must form a product grid xs x ys, row by row, both ascending")
-
-
 def _first(grid, centre, reach, strict, guess=None):
     """For each centre, the first index c of the ascending grid at which
     grid[c] - centre (rounded) is >= reach, or > reach if strict; grid.size
@@ -194,19 +174,17 @@ def _first(grid, centre, reach, strict, guess=None):
     The rounded difference never falls as c grows, so a guess is corrected
     exactly: step down while the entry before passes, then up while the entry
     fails, with -inf and inf standing in before and after the grid. A guess
-    passed in is corrected in place. Otherwise it comes from the mean spacing
-    when the grid lies within one spacing of an even one, as `lambda_grid`'s
-    do, and by binary search when it does not.
+    passed in is corrected in place; otherwise it comes from the mean
+    spacing, close on `lambda_grid`'s evenly spaced axes, and the steps
+    correct it on any other.
     """
     n = grid.size
     c = guess
     if c is None:
-        key = centre + reach
         step = (grid[-1] - grid[0]) / max(n - 1, 1)
-        if step > 0 and np.abs(grid - (grid[0] + step * np.arange(n))).max() <= step:
-            c = np.clip(np.ceil((key - grid[0]) / step), 0, n).astype(np.intp)
-        else:
-            c = np.searchsorted(grid, key)
+        c = np.zeros(centre.shape, dtype=np.intp)
+        if step > 0:
+            c[:] = np.clip(np.ceil((centre + reach - grid[0]) / step), 0, n)
     padded = np.concatenate(([-np.inf], grid, [np.inf]))  # grid[i] at i + 1
     passes, fails = (np.greater, np.less_equal) if strict else (np.greater_equal, np.less)
     reach = np.broadcast_to(reach, centre.shape)
@@ -234,9 +212,9 @@ def _runs(k, start, end, nx, ny):
 
 
 def _near_grid(samples, xs, ys, tol):
-    """Whether each lambda xs[c] + 1j * ys[k] of a product grid, row-major as
-    `_grid_axes` reads it, lies within tol of a sample: `_distance(samples,
-    lams) <= tol` bit for bit, by scanlines.
+    """Whether each lambda xs[c] + 1j * ys[k] of the product grid of two
+    ascending axes, row-major, lies within tol of a sample:
+    `_distance(samples, lams) <= tol` bit for bit, by scanlines.
 
     A sample s covers the lambda x + 1j * y at radius r when a = |y - Im s|
     <= r and u = |x - Re s| <= w(r) = sqrt(r - a) * sqrt(r + a), every
@@ -297,8 +275,8 @@ def _near_grid(samples, xs, ys, tol):
 
 
 def _grid_windings(samples, xs, ys):
-    """Winding numbers about each lambda of the product grid xs x ys, row-major
-    as `_grid_axes` reads it. Each row is one scanline (`_crossings`), and a
+    """Winding numbers about each lambda of the product grid of the ascending
+    axes xs and ys, row-major. Each row is one scanline (`_crossings`), and a
     crossing at abscissa x lies right of the lambdas xs[c] < x: a run of
     columns from 0 that counts its sign (`_runs`, ends swapped for -1)."""
     k, x, sign = _crossings(samples, ys)
@@ -337,27 +315,21 @@ def membership_batch(phi, lams, grid_size=2048):
     return _NAMES[_statuses(phi, lams, grid_size)]
 
 
-def _range_box(samples):
+def lambda_grid(samples, n):
+    """Axes (xs, ys), both ascending, of the n x n lambda grid covering the
+    range box of the samples scaled by _INFLATE about its centre, and at
+    least 0.2 * max(half-width, half-height, 0.5) to each side."""
     re, im = samples.real, samples.imag
     cx, cy = (re.min() + re.max()) / 2.0, (im.min() + im.max()) / 2.0
     hx, hy = (re.max() - re.min()) / 2.0, (im.max() - im.min()) / 2.0
-    return cx, cy, hx, hy
-
-
-def lambda_grid(phi, n=200, grid_size=512):
-    """n x n rectangular lambda grid covering the inflated range box."""
-    cx, cy, hx, hy = _range_box(Curve(phi, grid_size).samples)
     pad = 0.2 * max(hx, hy, 0.5)
     hx = max(_INFLATE * hx, pad)
     hy = max(_INFLATE * hy, pad)
-    xs = np.linspace(cx - hx, cx + hx, n)
-    ys = np.linspace(cy - hy, cy + hy, n)
-    return (xs[None, :] + 1j * ys[:, None]).ravel()
+    return np.linspace(cx - hx, cx + hx, n), np.linspace(cy - hy, cy + hy, n)
 
 
 @dataclass(frozen=True)
 class HartmanWintnerReport:
-    range_pass: bool
     probes_requested: int
     probes_certified: int
     probe_pass: bool
@@ -369,14 +341,13 @@ _FINE_CAP = 65536
 
 
 def hartman_wintner_check(phi, grid_size=512, probes=100, seed=11):
-    """Essential-range inclusion: symbol values, then near-range probes.
+    """Essential-range inclusion by near-range probes.
 
-    Part one tests every range sample for membership (each is on the curve by
-    construction, but the distance is computed, not assumed). Part two draws
-    random lambdas within 0.01 of the sampled curve and keeps those certified
-    inside a winding-nonzero region: farther from the fine polyline than twice
-    its sag bound (so the discrete winding equals the true one) and winding
-    nonzero, by crossing numbers, on the fine grid and its doubling. The fine
+    Random lambdas within 0.01 of the sampled curve are drawn, and those
+    certified inside a winding-nonzero region are kept: farther from the fine
+    polyline than twice its sag bound (so the discrete winding equals the
+    true one) and winding nonzero, by crossing numbers, on the fine grid and
+    its doubling. The fine
     grid is sized for a sag of 1e-5 and clamped at 65536 points. Clearance is
     tested against the fine vertices a k-d tree finds near each candidate
     (`_within`); the candidates that needed the exact scan of every fine edge
@@ -388,11 +359,6 @@ def hartman_wintner_check(phi, grid_size=512, probes=100, seed=11):
     rng = np.random.default_rng(seed)
     curve = Curve(phi, grid_size)
     samples, tol = curve.samples, curve.tol
-
-    codes = _classify(samples, tol, samples)
-    bad_range = samples[codes == 2]
-    range_pass = bad_range.size == 0
-
     fine = curve.refine(1e-5, 4 * grid_size, 1, _FINE_CAP, "fine")
     fine2 = eval_grid(phi, 2 * fine.size)
     clearance = max(2e-4, 4.0 * fine.sag)
@@ -429,12 +395,8 @@ def hartman_wintner_check(phi, grid_size=512, probes=100, seed=11):
         bad = np.asarray(certified)[work == 2]
         counter = [complex(b) for b in bad]
         probe_pass = not counter
-    counter = [complex(b) for b in bad_range] + counter
-    verdict = range_pass and probe_pass
     note(probes_kept=len(certified), clearance_fallbacks=fallbacks)
-    return HartmanWintnerReport(
-        range_pass, probes, len(certified), probe_pass, counter, verdict
-    )
+    return HartmanWintnerReport(probes, len(certified), probe_pass, counter, probe_pass)
 
 
 @dataclass(frozen=True)
@@ -450,45 +412,38 @@ class ConvexBoundReport:
             raise PreconditionError("verdict inconsistent with counterexample list")
 
 
-def convex_bound_check(phi, lams, grid_size=512):
+def convex_bound_check(phi, n=200, grid_size=512):
     """Every lambda not OUTSIDE must sit in the hull of the essential range.
 
-    lams must be a finite product grid xs x ys, row by row with both axes
-    ascending, as `lambda_grid` makes it; anything else raises
-    PreconditionError. Statuses come from crossing numbers, one scanline per
-    row of the grid (`_grid_windings`), and ON_CURVE from the runs of columns
-    each sample covers on those rows (`_near_grid`), both exact. The hull is
-    that of a refined sample grid (a multiple of the working grid) sized so
-    the sag bound stays under 2e-9. Winding-certified points are tested at
-    1e-8, while on-curve points carry the working curve tolerance on top
+    phi is sampled once, on grid_size points, and the lambdas are the n x n
+    grid `lambda_grid` lays over those samples; PreconditionError if the
+    samples are not finite. Statuses come from crossing numbers, one scanline
+    per row of the grid (`_grid_windings`), and ON_CURVE from the runs of
+    columns each sample covers on those rows (`_near_grid`), both exact.
+    Winding-certified lambdas are tested at tol_winding, the sag bound of a
+    refined grid (a multiple of the working grid sized so the sag stays
+    under 2e-9; only its size is computed, never its samples) plus 5e-9, and
+    at least 1e-8. ON_CURVE lambdas carry the working curve tolerance on top,
     since that is how far they may sit from their anchoring sample.
 
-    The working samples are points of the refined curve up to rounding (all
-    within 2e-15 of the refined hull on full.json), so their hull lies inside
-    the refined one. A lambda is accepted on an upper bound of its distance to
-    the working hull that stays 1e-12 below its tolerance, which absorbs that
-    rounding: then the refined hull, and its lower-bound membership test,
-    accept it too. The bounds are tried cheapest first: `Hull.distance_bound`,
-    the distance to the nearest hull vertex by `_within`, and the exact
-    distance to the hull's boundary. Only the lambdas this leaves go to the
-    hull of the whole refined grid. Their count is noted as hull_escalations,
-    with the refined grid's size and clamp and the points of the last hull
-    built.
+    A lambda is accepted on an upper bound of its distance to the hull of
+    the working samples that stays 1e-12 below its tolerance. The bounds are
+    tried cheapest first: `Hull.distance_bound`, the distance to the nearest
+    hull vertex by `_within`, and the exact distance to the hull's boundary.
+    On a correct hull they accept every tested lambda:
+    - an ON_CURVE lambda lies within tol of a working sample, and every
+      working sample is a point of the working hull;
+    - a lambda of nonzero winding lies inside the working polygon, so inside
+      that polygon's hull;
+    and the 1e-8 floor of tol_winding and the 1e-12 margin absorb the
+    rounding of the three bounds. Every lambda left is a counterexample.
     """
-    lams = _finite_lambdas(lams)
     curve = Curve(phi, grid_size)
     samples, tol = curve.samples, curve.tol
-    cx, cy, hx, hy = _range_box(samples)
-    eps = 1e-12
-    if (
-        lams.real.min() > cx - _INFLATE * hx + eps
-        or lams.real.max() < cx + _INFLATE * hx - eps
-        or lams.imag.min() > cy - _INFLATE * hy + eps
-        or lams.imag.max() < cy + _INFLATE * hy - eps
-    ):
-        raise PreconditionError(f"lambda grid misses the range box scaled by {_INFLATE}")
-
-    xs, ys = _grid_axes(lams)
+    if not np.isfinite(samples).all():
+        raise PreconditionError("the convex bound needs a finite sampled curve")
+    xs, ys = lambda_grid(samples, n)
+    lams = (xs[None, :] + 1j * ys[:, None]).ravel()
     codes = _codes(_near_grid(samples, xs, ys, tol), _grid_windings(samples, xs, ys))
 
     refined = curve.refine(_SAG_TARGET, grid_size, grid_size, _GRID_CAP, "refined")
@@ -497,23 +452,16 @@ def convex_bound_check(phi, lams, grid_size=512):
 
     tested = codes != 2
     pts, pcodes = lams[tested], codes[tested]
-    reach = np.where(pcodes == 1, tol_winding, tol_on_curve)
+    limit = np.where(pcodes == 1, tol_winding, tol_on_curve) - 1e-12
     hull = conv_hull(samples)
-    hull_points = grid_size
-    limit = reach - 1e-12
     ok = hull.distance_bound(pts) <= limit
     rest = np.flatnonzero(~ok)
     ok[rest] = _within(hull.vertices, pts[rest], limit[rest])[0]
     rest = rest[~ok[rest]]
     ok[rest] = _distance(hull.vertices, pts[rest], edges=True) <= limit[rest]
-    escalate = np.flatnonzero(~ok)
-    if escalate.size:
-        hull, hull_points = conv_hull(refined.samples), refined.size
-        ok[escalate] = hull.membership_batch(pts[escalate], reach[escalate])
 
     counter = [complex(v) for v in pts[~ok & (pcodes == 1)]]
     counter.extend(complex(v) for v in pts[~ok & (pcodes == 0)])
-    note(hull_points=hull_points, hull_escalations=escalate.size)
     return ConvexBoundReport(_NAMES[codes], lams, tol_on_curve, counter, not counter)
 
 

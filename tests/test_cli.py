@@ -69,6 +69,9 @@ def test_validate_rejects(tmp_path, capsys):
             {"parameters": {"symbols": ["z", "z^128"], "nr_truncation": 1024}},
             ".parameters.symbols[1]: band 128 needs grid_size >= 516",
         ),
+        # the sampled curve or its sag bound would overflow
+        ({"parameters": {"symbols": ["z", "1e308*z + 1e308*z^2"]}}, ".symbols[1]: coefficients too large"),
+        ({"parameters": {"symbols": ["1e306*z^20"]}}, ".symbols[0]: coefficients too large"),
         # each of these passed validation and then crashed its check
         ({"parameters": {"cross_section_truncation": 32}}, ".parameters.cross_section_truncation"),
         ({"parameters": {"nr_truncation": 8}}, ".parameters.nr_truncation"),
@@ -95,6 +98,18 @@ def test_validate_rejects(tmp_path, capsys):
         assert cli.main(["run", str(path), "--out", str(tmp_path / "runs")]) == 2
         err = capsys.readouterr().err
         assert "parameters.tolerances.identity: tolerances must be finite" in err, err
+    assert not (tmp_path / "runs").exists()
+
+
+def test_run_rejects_an_overflowing_symbol(tmp_path, capsys):
+    # this scenario used to validate, then die in a pool worker on the
+    # overflowing samples of the convex bound
+    params = {"symbols": ["1e308*z + 1e308*z^2"], "spectra_symbols": 1, "lambda_points": 20, "probes": 5}
+    scenario = write_scenario(tmp_path, {"suite": "spectra", "parameters": params})
+    assert cli.main(["run", scenario, "--out", str(tmp_path / "runs")]) == 2
+    err = capsys.readouterr().err
+    assert "parameters.symbols[0]: coefficients too large" in err, err
+    assert "Traceback" not in err
     assert not (tmp_path / "runs").exists()
 
 
@@ -233,14 +248,11 @@ def test_run_decisions_go_to_manifest_only(tmp_path):
 
     assert set(decisions) == {"hartman_wintner", "convex_bound", "numerical_range"}
     cb = decisions["convex_bound"]
-    assert set(cb) == {"refined_size", "refined_clamped", "hull_points", "hull_escalations"}
+    assert set(cb) == {"refined_size", "refined_clamped"}
     assert all(len(v) == 3 for v in cb.values())
-    for size, clamped, points in zip(cb["refined_size"], cb["refined_clamped"], cb["hull_points"]):
+    for size, clamped in zip(cb["refined_size"], cb["refined_clamped"]):
         assert size % 512 == 0 and size <= 300_000
         assert isinstance(clamped, bool)
-        assert 0 < points <= size
-    # the coarse hull of 512 refined samples decides every lambda
-    assert cb["hull_escalations"] == [0, 0, 0] and cb["hull_points"] == [512] * 3
     hw = decisions["hartman_wintner"]
     assert set(hw) == {"fine_size", "fine_clamped", "probes_kept", "clearance_fallbacks"}
     assert len(hw["fine_size"]) == len(hw["fine_clamped"]) == 3
@@ -313,7 +325,7 @@ def test_run_spectrum_csv_bytes_match_per_value_repr(tmp_path, capsys):
     (rundir,) = run_dirs(tmp_path)
     _, seed, _, full = cli.validate_scenario(obj)
     phi = checks._suite_symbols(full, seed)[0]
-    rep = spectra.convex_bound_check(phi, spectra.lambda_grid(phi, 30, full["grid_size"]))
+    rep = spectra.convex_bound_check(phi, 30, full["grid_size"])
     out = io.StringIO(newline="")
     rows = [("lambda_re", "lambda_im", "status")]
     for lam, st in zip(rep.lams.tolist(), rep.statuses.tolist()):

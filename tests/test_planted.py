@@ -71,8 +71,7 @@ def _outside_probe(mp):
 
     def planted(samples, tol, lams):
         codes = honest(samples, tol, lams)
-        if len(lams) != samples.size:  # the certified probes, not the range
-            codes[0] = 2
+        codes[0] = 2
         return codes
 
     mp.setattr(sp, "_classify", planted)

@@ -76,4 +76,4 @@ def test_artifacts_reach_the_record():
     assert list(hull.artifacts) == ["spectrum_0.csv"]
     rows = hull.artifacts["spectrum_0.csv"]
     assert rows[0] == ("lambda_re", "lambda_im", "status") and len(rows) == 1 + 10 * 10
-    assert hull.decisions["hull_points"] == [512]
+    assert set(hull.decisions) == {"refined_size", "refined_clamped"}

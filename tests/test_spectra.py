@@ -20,6 +20,12 @@ def suite(count, max_degree=5):
     return checks.spectra_suite_symbols(404, count, max_degree)
 
 
+def covering_grid(phi, n, grid_size=512):
+    """The n x n lambdas `convex_bound_check` lays over phi's working curve."""
+    xs, ys = sp.lambda_grid(Curve(phi, grid_size).samples, n)
+    return (xs[None, :] + 1j * ys[:, None]).ravel()
+
+
 def noted(kernel, *args, **kwargs):
     """(report, notes) of one kernel call."""
     with record.collect() as (notes, _):
@@ -64,7 +70,7 @@ def test_membership_outside_l1_ball():
 
 def test_membership_stable_under_grid_doubling():
     for phi in suite(5):
-        lams = sp.lambda_grid(phi, 5, 512)
+        lams = covering_grid(phi, 5)
         s1 = sp.membership_batch(phi, lams, 2048)
         s2 = sp.membership_batch(phi, lams, 4096)
         for a, b in zip(s1, s2):
@@ -77,7 +83,7 @@ def test_membership_stable_under_grid_doubling():
 
 def test_hartman_wintner_shift():
     rep = sp.hartman_wintner_check(Z, grid_size=512, probes=100)
-    assert rep.verdict and rep.range_pass and rep.probe_pass
+    assert rep.verdict and rep.probe_pass
     assert rep.probes_certified == 100
     assert rep.counterexamples == []
 
@@ -90,7 +96,7 @@ def test_hartman_wintner_winged_cubic():
 
 def test_hartman_wintner_real_symbol_vacuous():
     rep = sp.hartman_wintner_check(Z + ZBAR, grid_size=512)
-    assert rep.verdict and rep.range_pass
+    assert rep.verdict
     assert rep.probes_certified == 0
 
 
@@ -190,10 +196,8 @@ def product_grid(xs, ys):
 
 def grid_flags(samples, xs, ys, tol):
     """(scanline flags, exact flags) of the product grid xs x ys."""
-    lams = product_grid(xs, ys)
-    got_xs, got_ys = sp._grid_axes(lams)
-    assert np.array_equal(got_xs, xs) and np.array_equal(got_ys, ys)
-    return sp._near_grid(samples, got_xs, got_ys, tol), sp._distance(samples, lams) <= tol
+    exact = sp._distance(samples, product_grid(xs, ys)) <= tol
+    return sp._near_grid(samples, xs, ys, tol), exact
 
 
 def test_grid_on_curve_on_planted_thresholds():
@@ -249,7 +253,7 @@ def test_grid_on_curve_on_edge_shapes():
         assert np.array_equal(near, exact), (xs.size, ys.size)
         sides.update(near.tolist())
     assert sides == {True, False}
-    assert np.signbit(sp._grid_axes(product_grid(with_zeros, with_zeros))[1]).any()
+    assert np.signbit(with_zeros).any()
 
 
 def test_grid_on_curve_measures_a_tol_below_1e_100_exactly(monkeypatch):
@@ -289,31 +293,12 @@ def test_grid_on_curve_matches_exact_scan(coeffs, xs, ys, at, widen):
         assert np.array_equal(near, exact)
 
 
-def test_convex_bound_requires_a_product_grid():
-    lams = sp.lambda_grid(Z, 20)
-    rng = np.random.default_rng(3)
-    bad = [
-        rng.permutation(lams),  # scattered, but covering the box
-        lams[::-1],  # descending axes
-        lams.reshape(20, 20)[::-1].ravel(),  # descending rows
-        lams.reshape(20, 20).T.ravel(),  # column by column
-        np.concatenate([lams, lams[:1]]),  # a ragged last row
-        np.where(np.arange(lams.size) == 57, lams + 1e-9, lams),  # one lambda off
-    ]
-    for lams_bad in bad:
-        with pytest.raises(PreconditionError, match="product grid"):
-            sp.convex_bound_check(Z, lams_bad)
-    with pytest.raises(PreconditionError, match="product grid"):
-        sp._grid_axes([])
-    assert sp.convex_bound_check(Z, lams).verdict
-
-
 # ---------------------------------------------------------------------------
 # convex bound
 
 
 def test_convex_bound_shift():
-    rep = sp.convex_bound_check(Z, sp.lambda_grid(Z, 40))
+    rep = sp.convex_bound_check(Z, 40)
     assert rep.verdict
     assert rep.counterexamples == []
     assert set(rep.statuses) <= {sp.ON_CURVE, sp.WINDING_NONZERO, sp.OUTSIDE}
@@ -321,13 +306,13 @@ def test_convex_bound_shift():
 
 def test_convex_bound_selfadjoint_and_shifted():
     for phi in (Z + ZBAR, LaurentPoly.constant(2.0) + Z**2):
-        rep = sp.convex_bound_check(phi, sp.lambda_grid(phi, 40))
+        rep = sp.convex_bound_check(phi, 40)
         assert rep.verdict
 
 
 def test_convex_bound_random_suite():
     for phi in suite(3):
-        rep = sp.convex_bound_check(phi, sp.lambda_grid(phi, 30))
+        rep = sp.convex_bound_check(phi, 30)
         assert rep.verdict
 
 
@@ -336,10 +321,10 @@ def full_scenario_symbols():
 
 
 def test_convex_bound_coarse_hull_lies_inside_the_refined_hull(monkeypatch):
-    # the first hull is that of the working samples; they lie on the refined
+    # the one hull is that of the working samples; they lie on the refined
     # curve up to rounding (2 pi j / g against 2 pi jm / (gm), and the
     # products), so the working hull lies within the rounding of the hull of
-    # the whole refined grid, far within the 1e-12 margin of the first test
+    # the whole refined grid, far within the 1e-12 margin of the hull test
     fed = []
 
     def spy(points):
@@ -349,8 +334,7 @@ def test_convex_bound_coarse_hull_lies_inside_the_refined_hull(monkeypatch):
     monkeypatch.setattr(sp, "conv_hull", spy)
     for phi in full_scenario_symbols():
         fed.clear()
-        _, notes = noted(sp.convex_bound_check, phi, sp.lambda_grid(phi, 8))
-        assert notes["hull_escalations"] == [0] and notes["hull_points"] == [512]
+        _, notes = noted(sp.convex_bound_check, phi, 8)
         (working,) = fed
         assert np.array_equal(working, eval_grid(phi, 512))
         refined = conv_hull(eval_grid(phi, notes["refined_size"][0]))
@@ -358,16 +342,25 @@ def test_convex_bound_coarse_hull_lies_inside_the_refined_hull(monkeypatch):
 
 
 def test_convex_bound_flags_a_shrunken_hull(monkeypatch):
+    # the working hull decides alone: a shrunken one is built once per call,
+    # on the 512 working samples, and nothing rescues the lambdas it misses
+    fed = []
+
     def shrunk(points):
+        fed.append(np.array(points))
         v = conv_hull(points).vertices
         c = v.mean()
         return Hull(c + 0.99 * (v - c))
 
     monkeypatch.setattr(sp, "conv_hull", shrunk)
     for phi in full_scenario_symbols()[:4]:
-        rep = sp.convex_bound_check(phi, sp.lambda_grid(phi, 200))
+        fed.clear()
+        rep = sp.convex_bound_check(phi, 200)
         assert not rep.verdict
         assert rep.counterexamples
+        (working,) = fed
+        assert np.array_equal(working, eval_grid(phi, 512))
+        assert np.array_equal(rep.lams, covering_grid(phi, 200))
 
 
 def test_convex_bound_settles_leftovers_at_hull_vertices(monkeypatch):
@@ -375,7 +368,6 @@ def test_convex_bound_settles_leftovers_at_hull_vertices(monkeypatch):
     # triangles; the nearest hull vertex settles them, and the boundary scan
     # sees the rest, which the vertex bound may not accept
     phi = LaurentPoly.from_text("z^3 + (0.4-0.3j)*zbar^3")
-    lams = sp.lambda_grid(phi, 200)
     scanned, accepted = [], []
     within, distance = sp._within, sp._distance
 
@@ -393,34 +385,26 @@ def test_convex_bound_settles_leftovers_at_hull_vertices(monkeypatch):
 
     monkeypatch.setattr(sp, "_within", spy_within)
     monkeypatch.setattr(sp, "_distance", spy_distance)
-    rep, notes = noted(sp.convex_bound_check, phi, lams)
-    assert rep.verdict and notes["hull_escalations"] == [0]
+    rep = sp.convex_bound_check(phi, 200)
+    assert rep.verdict
     [(settled, unsound)] = accepted
     assert unsound == 0
     assert settled > 10 * scanned[-1]
 
 
-def test_convex_bound_escalates_past_a_shrunken_coarse_hull(monkeypatch):
-    # only the first hull, the working one, shrinks: the lambdas it leaves go
-    # to the hull of the whole refined grid, which accepts them
-    calls = []
-
-    def shrunk_first(points):
-        calls.append(np.size(points))
-        v = conv_hull(points).vertices
-        if len(calls) > 1:
-            return Hull(v)
-        c = v.mean()
-        return Hull(c + 0.99 * (v - c))
-
-    monkeypatch.setattr(sp, "conv_hull", shrunk_first)
-    for phi in full_scenario_symbols()[:4]:
-        calls.clear()
-        rep, notes = noted(sp.convex_bound_check, phi, sp.lambda_grid(phi, 200))
+@pytest.mark.parametrize("scale", [1.0, 1e-6, 1e6])
+def test_convex_bound_working_hull_accepts_every_lambda(scale):
+    # the premise of deciding on the working hull alone: every ON_CURVE
+    # lambda lies within tol of a working sample, every winding one inside
+    # the working polygon. The full.json symbols give ON_CURVE and OUTSIDE
+    # lambdas at n = 100, z gives winding ones too. At 1e-6 the grid's
+    # least half-width of 0.1 puts every lambda OUTSIDE, so nothing is tested
+    seen = set()
+    for phi in full_scenario_symbols()[:8] + [Z]:
+        rep = sp.convex_bound_check(scale * phi, 100)
         assert rep.verdict and rep.counterexamples == []
-        assert notes["hull_escalations"][0] > 0
-        assert calls == [512, notes["refined_size"][0]] and calls[1] > 512
-        assert notes["hull_points"] == [calls[1]]
+        seen.update(rep.statuses)
+    assert seen == ({sp.OUTSIDE} if scale < 1 else set(sp._STATUS_NAMES))
 
 
 def test_hartman_wintner_flags_a_planted_outside(monkeypatch):
@@ -428,20 +412,14 @@ def test_hartman_wintner_flags_a_planted_outside(monkeypatch):
 
     def planted(samples, tol, lams):
         codes = honest(samples, tol, lams)
-        if len(lams) != samples.size:  # the certified probes, not the range
-            codes[0] = 2
+        codes[0] = 2
         return codes
 
     monkeypatch.setattr(sp, "_classify", planted)
     rep = sp.hartman_wintner_check(Z**3 + 0.5 * ZBAR, grid_size=512)
     assert rep.probes_certified > 0
-    assert rep.range_pass and not rep.probe_pass
+    assert not rep.probe_pass
     assert not rep.verdict and len(rep.counterexamples) == 1
-
-
-def test_convex_bound_grid_coverage_guard():
-    with pytest.raises(PreconditionError):
-        sp.convex_bound_check(Z, [0.0, 0.5 + 0.5j])
 
 
 # ---------------------------------------------------------------------------
@@ -545,7 +523,7 @@ def test_deep_spectrum_points_inside_numerical_range():
         sup_dir = np.array(
             [float(np.max((np.exp(1j * t) * samples).real)) for t in thetas]
         )
-        lams = sp.lambda_grid(phi, 40, 512)
+        lams = covering_grid(phi, 40)
         statuses = sp.membership_batch(phi, lams, 512)
         inside = lams[statuses == sp.WINDING_NONZERO]
         checked = 0
@@ -566,7 +544,7 @@ def test_deep_spectrum_points_inside_numerical_range():
 def test_spectrum_report_shift():
     # both certificates behind spectrum_0.csv hold for the shift
     hw = sp.hartman_wintner_check(Z, grid_size=512)
-    cb = sp.convex_bound_check(Z, sp.lambda_grid(Z, 200, 512), grid_size=512)
+    cb = sp.convex_bound_check(Z, 200, grid_size=512)
     assert hw.verdict and cb.verdict
     assert hw.counterexamples == [] and cb.counterexamples == []
     assert cb.lams.size == 200 * 200
@@ -585,8 +563,7 @@ def test_spectrum_report_consistency_guard():
 
 
 def test_report_serialization():
-    lams = sp.lambda_grid(Z + ZBAR, 20)
-    rep = sp.convex_bound_check(Z + ZBAR, lams, grid_size=512)
+    rep = sp.convex_bound_check(Z + ZBAR, 20, grid_size=512)
     assert rep.verdict
     rows = sp.report_csv_rows(rep)
     assert rows[0] == ("lambda_re", "lambda_im", "status")
@@ -615,7 +592,7 @@ def test_report_csv_rows_match_per_value_repr():
     assert [r[0] for r in rows[2:4]] == ["-0.0", "0.0"]
     assert rows[4][0] != rows[5][0] and rows[1][1] == "-0.0"
     phi = Z**2 + 0.3 * ZBAR
-    rep = sp.convex_bound_check(phi, sp.lambda_grid(phi, 60))
+    rep = sp.convex_bound_check(phi, 60)
     assert sp.report_csv_rows(rep) == per_value_rows(rep)
 
 

@@ -67,15 +67,15 @@ def status_codes(samples, tol, lams):
     return np.where(on, 0, np.where(w != 0, 1, 2)).astype(np.int8)
 
 
-def grid_windings(samples, lams):
-    """Row windings of a product grid, as `convex_bound_check` counts them."""
-    return sp._grid_windings(samples, *sp._grid_axes(lams))
+def product(xs, ys):
+    """The lambdas xs[c] + 1j * ys[k], row by row."""
+    return (xs[None, :] + 1j * ys[:, None]).ravel()
 
 
-def grid_codes(samples, tol, lams):
+def grid_codes(samples, tol, xs, ys):
     """Status codes of a product grid, as `convex_bound_check` forms them."""
-    near = sp._near_grid(samples, *sp._grid_axes(lams), tol)
-    return sp._codes(near, grid_windings(samples, lams))
+    near = sp._near_grid(samples, xs, ys, tol)
+    return sp._codes(near, sp._grid_windings(samples, xs, ys))
 
 
 def pruned_codes(samples, tol, lams):
@@ -94,11 +94,11 @@ def test_full_scenario_grids_match_oracle():
     for phi in symbols:
         curve = Curve(phi, 512)
         samples, tol = curve.samples, curve.tol
-        lams = sp.lambda_grid(phi, 200, 512)
-        want = status_codes(samples, tol, lams)
-        assert np.array_equal(sp._near_grid(samples, *sp._grid_axes(lams), tol), want == 0)
-        assert np.array_equal(grid_codes(samples, tol, lams), want)
-        rep = sp.convex_bound_check(phi, lams, 512)
+        xs, ys = sp.lambda_grid(samples, 200)
+        want = status_codes(samples, tol, product(xs, ys))
+        assert np.array_equal(sp._near_grid(samples, xs, ys, tol), want == 0)
+        assert np.array_equal(grid_codes(samples, tol, xs, ys), want)
+        rep = sp.convex_bound_check(phi, 200, 512)
         names = np.array(sp._STATUS_NAMES, dtype=object)[want]
         assert np.array_equal(rep.statuses, names)
 
@@ -164,10 +164,10 @@ def test_ties_on_vertex_ordinates_and_horizontal_edges():
     for samples in (stairs, diamond, diamond[::-1]):
         xs = np.linspace(-1.5, 3.5, 41)
         ys = np.linspace(-1.5, 3.5, 21)
-        lams = (xs + 1j * ys[:, None]).ravel()
+        lams = product(xs, ys)
         off = sp._distance(samples, lams, edges=True) > 1e-9
         _, w, _ = dense_winding(samples, lams)
-        assert np.array_equal(grid_windings(samples, lams)[off], w[off])
+        assert np.array_equal(sp._grid_windings(samples, xs, ys)[off], w[off])
 
 
 def test_ties_on_symbol_sample_ordinates():
@@ -179,11 +179,12 @@ def test_ties_on_symbol_sample_ordinates():
         xs = np.linspace(samples.real.min() - 1, samples.real.max() + 1, 57)
         rows = samples.imag[::8]
         # rows in the samples' order are no covering grid, whose rows ascend
-        for ys, codes in ((rows, pruned_codes), (np.sort(rows), grid_codes)):
-            lams = (xs[None, :] + 1j * ys[:, None]).ravel()
+        for ys in (rows, np.sort(rows)):
+            lams = product(xs, ys)
             want = status_codes(samples, tol, lams)
             assert np.array_equal(sp._classify(samples, tol, lams), want)
-            assert np.array_equal(codes(samples, tol, lams), want)
+            assert np.array_equal(pruned_codes(samples, tol, lams), want)
+        assert np.array_equal(grid_codes(samples, tol, xs, ys), want)
 
 
 @pytest.mark.parametrize(
@@ -199,12 +200,13 @@ def test_self_intersecting_windings(text, deep):
     phi = LaurentPoly.from_text(text)
     curve = Curve(phi, 512)
     samples, tol = curve.samples, curve.tol
-    lams = sp.lambda_grid(phi, 60, 512)
+    xs, ys = sp.lambda_grid(samples, 60)
+    lams = product(xs, ys)
     dist, w, _ = dense_winding(samples, lams)
     off = dist > tol
     assert deep in set(w[off].tolist())
     assert np.array_equal(_winding_numbers(samples, lams)[off], w[off])
-    assert np.array_equal(grid_windings(samples, lams)[off], w[off])
+    assert np.array_equal(sp._grid_windings(samples, xs, ys)[off], w[off])
     for lam, want in zip(lams[off][::7], w[off][::7]):
         assert winding(phi, lam) == want
     for lam in lams[~off][::11]:
@@ -219,15 +221,11 @@ def test_winding_rejects_non_finite_lambda():
             sp.spectrum_membership(phi, lam)
         with pytest.raises(PreconditionError):
             sp.membership_batch(phi, [0.0, lam])
-    # a covering grid with a NaN lambda, and a product grid whose last
-    # column is infinite, which passes the grid test and the range box
-    lams = sp.lambda_grid(phi, 20, 512)
-    lams[7] = complex(math.nan, lams[7].imag)
-    xs = np.append(np.linspace(-1.5, 1.5, 19), math.inf)
-    ys = np.linspace(-1.5, 1.5, 20)
-    for bad in (lams, (xs + 1j * ys[:, None]).ravel()):
-        with pytest.raises(PreconditionError, match="finite lambdas"):
-            sp.convex_bound_check(phi, bad, 512)
+    # the convex bound lays its grid over its own samples, which overflow
+    # here; it must refuse them rather than cover an infinite box
+    big = LaurentPoly.from_text("1e308*z + 1e308*z^2")
+    with np.errstate(over="ignore"), pytest.raises(PreconditionError, match="finite sampled curve"):
+        sp.convex_bound_check(big, 20, 512)
 
 
 # coefficients at least 0.05 keep rounding far below the curve tolerance
@@ -262,7 +260,8 @@ def test_crossing_matches_oracle_property(coeffs, lams, grid_size):
 
 def test_non_uniform_product_grid_windings():
     # uneven columns with repeats, and rows through sample ordinates, so
-    # `_first` takes its binary search and the rows meet vertices
+    # `_first`'s mean-spacing guess lands far off, its steps must correct it,
+    # and the rows meet vertices
     rng = np.random.default_rng(5)
     for text in ("z^2 + 0.3*zbar", "0.5*zbar + zbar^2 - 0.1*z^3"):
         phi = LaurentPoly.from_text(text)
