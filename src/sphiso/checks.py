@@ -560,6 +560,7 @@ def _check_weighted_hardy(params, seed):
     gram = basis.gram_residual()
     verdict = (
         iso_worst <= tol_iso
+        and worst(vals) <= tol_iso
         and nonincreasing
         and circle_diff == 0.0
         and gram <= params["tolerances"]["gram"]
@@ -687,7 +688,8 @@ REGISTRY = {
             "working curve is sampled once; crossing numbers per row of the "
             "grid covering its range box; each lambda is accepted on an upper "
             "bound of its distance to the hull of the working samples, at a "
-            "tolerance widened by the sag of a refined grid (sag <= 2e-9)",
+            "tolerance of 1e-8 for winding lambdas and the working curve "
+            "tolerance on top for ON_CURVE ones",
             "every non-OUTSIDE lambda on the covering grid passes hull "
             "membership at the certified tolerance; no counterexamples",
             _check_convex_bound,
@@ -746,8 +748,9 @@ REGISTRY = {
             ("measures",),
             "orthonormal polynomial model of H^2 for trig-polynomial weights",
             "interior shift isometry within tolerance, windowed fixed-point "
-            "residuals nonincreasing up to rounding, Lebesgue reproduces the "
-            "circle entries exactly",
+            "residuals S*XS - X within the isometry tolerance and "
+            "nonincreasing up to rounding, Lebesgue reproduces the circle "
+            "entries exactly",
             _check_weighted_hardy,
         ),
         CheckSpec(

@@ -101,11 +101,12 @@ def validate_scenario(obj, origin="scenario"):
     for i, text in enumerate(params["symbols"]):
         phi = LaurentPoly.from_text(text)
         band = phi.band()
-        if not (math.isfinite(phi.l1_norm()) and math.isfinite(phi.second_derivative_l1_bound())):
-            # the sampled curve and its sag bound would overflow
+        if not (phi.l1_norm() <= 1e150 and math.isfinite(phi.second_derivative_l1_bound())):
+            # the sampled curve and its sag bound would overflow, and squared
+            # distances between samples overflow past sqrt(float max), ~1.3e154
             raise UsageError(
                 f"{origin}.parameters.symbols[{i}]: coefficients too large, "
-                "the l1 norm or the second-derivative bound is not finite"
+                "the l1 norm exceeds 1e150 or the second-derivative bound is not finite"
             )
         if band > params["nr_truncation"] // 8:
             raise UsageError(f"{origin}.parameters.symbols[{i}]: band too large for this run")

@@ -19,9 +19,8 @@ between to the exact scan. On a covering grid, each row is one scanline:
 each crossing counts its sign on the run of columns left of it, and each
 sample covers one run of columns within tol (`_near_grid`); a difference
 array per row counts the runs over every lambda. For scattered lambdas,
-`_within` lets a k-d tree pick the few samples or edges that can decide each
-one; it settles the clearance of the near-range probes and the convex-bound
-lambdas near a hull vertex.
+`_within` lets a k-d tree pick the few edges that can decide each one; it
+settles the clearance of the near-range probes.
 
 Every check reads the curve through one `symbols.Curve`: phi sampled by
 `symbols.eval_grid` on a uniform grid, with its ON_CURVE distance `tol` and
@@ -32,15 +31,14 @@ evaluated afresh by `LaurentPoly.eval_at`, whose bits the tables keep.
 
 Tolerance bookkeeping. A sampled curve misses the true curve by at most the
 chord sag (spacing^2 * B''/8 with B'' the l1 bound on the second derivative),
-and a sampled sup misses the true sup by the same amount. Refined, sup and
-probe grids are sized from that bound by one rule, `Curve.refine`, so the slack
-handed to membership tests is an actual certificate, not a guess; a cap that
-clamps the size is noted. The convex bound samples phi once: its covering
-grid, its statuses and its hull all come from the working samples, and the
-refined grid only sizes the sag in its winding tolerance. On a correct hull
-no lambda needs more: each ON_CURVE lambda lies within tol of a working
-sample, a point of the hull, and each lambda of nonzero winding lies inside
-the working polygon.
+and a sampled sup misses the true sup by the same amount. Sup and probe grids
+are sized from that bound by one rule, `Curve.refine`, so the slack handed to
+membership tests is an actual certificate, not a guess; a cap that clamps the
+size is noted. The convex bound samples phi once: its covering grid, its
+statuses and its hull all come from the working samples, so no sag enters
+it. On a correct hull no lambda needs more than rounding: each ON_CURVE
+lambda lies within tol of a working sample, a point of the hull, and each
+lambda of nonzero winding lies inside the working polygon.
 """
 
 from __future__ import annotations
@@ -86,11 +84,14 @@ OUTSIDE = "OUTSIDE"
 _STATUS_NAMES = (ON_CURVE, WINDING_NONZERO, OUTSIDE)
 _NAMES = np.array(_STATUS_NAMES, dtype=object)
 
-# hull/sup grids are sized so the chord-sag bound stays below this
+# sup grids are sized so the chord-sag bound stays below this
 _SAG_TARGET = 2e-9
 _GRID_CAP = 300_000
 # lambda grids cover the range box scaled by this factor about its centre
 _INFLATE = 1.2
+# the convex bound's hull tolerance for lambdas of nonzero winding: these lie
+# inside the hull of the very samples, so it only absorbs rounding
+_TOL_WINDING = 1e-8
 # the pruned distance fronts widen or narrow a reach by this relative margin,
 # far beyond their own rounding, and measure what falls in between exactly
 _MARGIN = 1e-9
@@ -111,37 +112,34 @@ def _distance(samples, lams, edges=False):
     return out
 
 
-def _within(samples, lams, reach, edges=False, k=16):
+def _within(samples, lams, reach, k=16):
     """(near, rescanned): whether each lam lies within reach (one float, or
-    one per lam) of the samples, or with edges of the closed polyline through
-    them, pruned by a k-d tree; rescanned counts the lambdas measured again by
-    the exact scan `_distance`. For scattered lambdas; a covering grid goes
-    through `_near_grid`.
+    one per lam) of the closed polyline through the samples, pruned by a k-d
+    tree; rescanned counts the lambdas measured again by the exact scan
+    `_distance`. For scattered lambdas; a covering grid goes through
+    `_near_grid`.
 
     A point within reach of an edge lies within reach + |edge| / 2 of one of
     the edge's end points, so the tree returns the k nearest vertices within
     that radius (widened by the relative _MARGIN: tree distances agree with
     np.abs to a few ulps) and only the two edges at each are measured, by the
     exact scan's formula. A lambda whose k-th neighbour is still inside the
-    radius may have more and is scanned exactly. Without edges the nearest
-    vertex settles it (k = 1). The tree may rank vertices that tie to within
-    ulps either way, so lambdas whose measured distance lies within a relative
-    _MARGIN of reach are scanned exactly too. Below 1e-100 the squared
-    distances inside the tree could underflow, so a tiny reach is scanned
-    exactly throughout. The tree searches out to the largest reach.
+    radius may have more and is scanned exactly. The tree may rank vertices
+    that tie to within ulps either way, so lambdas whose measured distance
+    lies within a relative _MARGIN of reach are scanned exactly too. Below
+    1e-100 the squared distances inside the tree could underflow, so a tiny
+    reach is scanned exactly throughout. The tree searches out to the
+    largest reach.
     """
     lams = np.asarray(lams, dtype=complex).ravel()
     reach = np.broadcast_to(np.asarray(reach, dtype=float), lams.shape)
     if lams.size == 0 or not reach.min() > 1e-100:
-        return _distance(samples, lams, edges) <= reach, lams.size
+        return _distance(samples, lams, edges=True) <= reach, lams.size
     from scipy.spatial import cKDTree
 
     n = samples.size
-    if edges:
-        e = np.roll(samples, -1) - samples
-        radius = (reach.max() + np.abs(e).max() / 2.0) * (1.0 + _MARGIN)
-    else:
-        k, radius = 1, reach.max() * (1.0 + _MARGIN)
+    e = np.roll(samples, -1) - samples
+    radius = (reach.max() + np.abs(e).max() / 2.0) * (1.0 + _MARGIN)
     tree = cKDTree(np.column_stack([samples.real, samples.imag]))
     _, idx = tree.query(
         np.column_stack([lams.real, lams.imag]), k=k, distance_upper_bound=radius
@@ -149,20 +147,13 @@ def _within(samples, lams, reach, edges=False, k=16):
     idx = idx.reshape(lams.size, k)
     found = idx < n  # missing neighbours come back as index n
     idx = np.where(found, idx, 0)
-    lam = lams[:, None]
-    if edges:
-        # the edge out of and the edge into each vertex found
-        ends = np.concatenate([idx, (idx - 1) % n], axis=1)
-        d = _segment_distance(lam, samples[ends], e[ends])
-        d[~np.concatenate([found, found], axis=1)] = np.inf
-    else:
-        d = np.where(found, np.abs(samples[idx] - lam), np.inf)
+    # the edge out of and the edge into each vertex found
+    ends = np.concatenate([idx, (idx - 1) % n], axis=1)
+    d = _segment_distance(lams[:, None], samples[ends], e[ends])
+    d[~np.concatenate([found, found], axis=1)] = np.inf
     dist = d.min(axis=1)
-    rescan = np.abs(dist - reach) <= reach * _MARGIN
-    if edges:
-        rescan |= found[:, -1]
-    rescan = np.flatnonzero(rescan)
-    dist[rescan] = _distance(samples, lams[rescan], edges)
+    rescan = np.flatnonzero((np.abs(dist - reach) <= reach * _MARGIN) | found[:, -1])
+    dist[rescan] = _distance(samples, lams[rescan], edges=True)
     return dist <= reach, rescan.size
 
 
@@ -379,7 +370,7 @@ def hartman_wintner_check(phi, grid_size=512, probes=100, seed=11):
         )
         cand = anchors + steps
         # the clearance keeps every candidate off both fine polylines
-        near, rescanned = _within(fine.samples, cand, clearance, edges=True)
+        near, rescanned = _within(fine.samples, cand, clearance)
         fallbacks += rescanned
         cand = cand[~near]
         if cand.size:
@@ -420,23 +411,21 @@ def convex_bound_check(phi, n=200, grid_size=512):
     samples are not finite. Statuses come from crossing numbers, one scanline
     per row of the grid (`_grid_windings`), and ON_CURVE from the runs of
     columns each sample covers on those rows (`_near_grid`), both exact.
-    Winding-certified lambdas are tested at tol_winding, the sag bound of a
-    refined grid (a multiple of the working grid sized so the sag stays
-    under 2e-9; only its size is computed, never its samples) plus 5e-9, and
-    at least 1e-8. ON_CURVE lambdas carry the working curve tolerance on top,
-    since that is how far they may sit from their anchoring sample.
+    Winding-certified lambdas are tested at _TOL_WINDING (1e-8), ON_CURVE
+    lambdas at the working curve tolerance on top, since that is how far they
+    may sit from their anchoring sample.
 
     A lambda is accepted on an upper bound of its distance to the hull of
-    the working samples that stays 1e-12 below its tolerance. The bounds are
-    tried cheapest first: `Hull.distance_bound`, the distance to the nearest
-    hull vertex by `_within`, and the exact distance to the hull's boundary.
-    On a correct hull they accept every tested lambda:
+    the working samples that stays 1e-12 below its tolerance: first
+    `Hull.distance_bound`, then, for the lambdas it leaves, the exact
+    distance to the hull's boundary. On a correct hull they accept every
+    tested lambda:
     - an ON_CURVE lambda lies within tol of a working sample, and every
       working sample is a point of the working hull;
     - a lambda of nonzero winding lies inside the working polygon, so inside
       that polygon's hull;
-    and the 1e-8 floor of tol_winding and the 1e-12 margin absorb the
-    rounding of the three bounds. Every lambda left is a counterexample.
+    and _TOL_WINDING and the 1e-12 margin absorb the rounding of the two
+    bounds. Every lambda left is a counterexample.
     """
     curve = Curve(phi, grid_size)
     samples, tol = curve.samples, curve.tol
@@ -445,19 +434,14 @@ def convex_bound_check(phi, n=200, grid_size=512):
     xs, ys = lambda_grid(samples, n)
     lams = (xs[None, :] + 1j * ys[:, None]).ravel()
     codes = _codes(_near_grid(samples, xs, ys, tol), _grid_windings(samples, xs, ys))
-
-    refined = curve.refine(_SAG_TARGET, grid_size, grid_size, _GRID_CAP, "refined")
-    tol_winding = max(1e-8, refined.sag + 5e-9)
-    tol_on_curve = tol + tol_winding
+    tol_on_curve = tol + _TOL_WINDING
 
     tested = codes != 2
     pts, pcodes = lams[tested], codes[tested]
-    limit = np.where(pcodes == 1, tol_winding, tol_on_curve) - 1e-12
+    limit = np.where(pcodes == 1, _TOL_WINDING, tol_on_curve) - 1e-12
     hull = conv_hull(samples)
     ok = hull.distance_bound(pts) <= limit
     rest = np.flatnonzero(~ok)
-    ok[rest] = _within(hull.vertices, pts[rest], limit[rest])[0]
-    rest = rest[~ok[rest]]
     ok[rest] = _distance(hull.vertices, pts[rest], edges=True) <= limit[rest]
 
     counter = [complex(v) for v in pts[~ok & (pcodes == 1)]]

@@ -520,7 +520,8 @@ class Curve:
         The size and whether the cap clamped it are noted as {name}_size and
         {name}_clamped."""
         b2 = self.phi.second_derivative_l1_bound()
-        need = 2.0 * np.pi * math.sqrt(b2 / (8.0 * target))
+        # past cap + step the cap clamps anyway; an infinite need would not ceil
+        need = min(2.0 * np.pi * math.sqrt(b2 / (8.0 * target)), cap + step)
         size = max(floor, step * math.ceil(need / step))
         clamped = size > cap
         if clamped:

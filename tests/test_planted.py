@@ -3,8 +3,10 @@
 Each check with a float residual has one kernel it calls patched to return
 NaN; a hand-written `max` fold would drop that NaN and let the check pass.
 `determinism` gets reruns that differ, and `hartman_wintner` and
-`convex_bound` keep the wrong answers their `spectra` tests plant. Every
-record must FAIL and still serialize to canonical JSON.
+`convex_bound` keep the wrong answers their `spectra` tests plant. A second
+table plants finite wrong answers that no NaN-keeping fold catches; only the
+check's own gate can. Every record must FAIL and still serialize to canonical
+JSON.
 """
 
 import dataclasses
@@ -110,8 +112,21 @@ PLANTS = {
 }
 
 
+def _large_fixed_point_residual(mp):
+    # finite and nonincreasing, but S*XS - X should vanish to rounding
+    def planted(phi, m, window, degrees):
+        return [(d, 5.0 - d / 1000.0) for d in degrees]
+
+    mp.setattr(hm, "brown_halmos_residual", planted)
+
+
+FINITE_PLANTS = {
+    "weighted_hardy": _large_fixed_point_residual,
+}
+
+
 def test_every_plant_names_a_check():
-    assert set(PLANTS) <= set(checks.REGISTRY)
+    assert set(PLANTS) | set(FINITE_PLANTS) <= set(checks.REGISTRY)
 
 
 @pytest.mark.parametrize("check_id", list(checks.REGISTRY))
@@ -119,6 +134,15 @@ def test_check_fails_on_its_plant(check_id, monkeypatch):
     plant = PLANTS[check_id]  # a check without a plant fails here
     assert checks.run_check(check_id, PARAMS, SEED).verdict
     plant(monkeypatch)
+    rec = checks.run_check(check_id, PARAMS, SEED)
+    assert not rec.verdict
+    checks.canonical_json(rec.to_json())
+
+
+@pytest.mark.parametrize("check_id", list(FINITE_PLANTS))
+def test_check_fails_on_a_finite_plant(check_id, monkeypatch):
+    assert checks.run_check(check_id, PARAMS, SEED).verdict
+    FINITE_PLANTS[check_id](monkeypatch)
     rec = checks.run_check(check_id, PARAMS, SEED)
     assert not rec.verdict
     checks.canonical_json(rec.to_json())

@@ -2,6 +2,7 @@ import math
 
 import numpy as np
 import pytest
+import scipy.spatial
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -148,15 +149,12 @@ def test_pruned_distance_matches_dense_scan(coeffs, grid_size, offsets, start, a
     lams = samples[picks] + np.array(offsets, dtype=complex)
     exact = polyline_distance(samples, lams)
     reach = widen * exact[at % lams.size]
-    near, rescanned = sp._within(samples, lams, reach, edges=True, k=2)
+    near, rescanned = sp._within(samples, lams, reach, k=2)
     assert np.array_equal(near, ~(exact > reach))
     assert 0 <= rescanned <= lams.size
-    points = np.abs(samples[None, :] - lams[:, None]).min(axis=1)
-    near, _ = sp._within(samples, lams, widen * points[at % lams.size])
-    assert np.array_equal(near, points <= widen * points[at % lams.size])
     # one reach per lambda
     each = widen * exact[(at + np.arange(lams.size)) % lams.size]
-    near, _ = sp._within(samples, lams, each, edges=True, k=2)
+    near, _ = sp._within(samples, lams, each, k=2)
     assert np.array_equal(near, ~(exact > each))
 
 
@@ -164,19 +162,14 @@ def test_pruned_distance_falls_back_and_rechecks():
     circle = eval_grid(Z, 64)  # unit circle, edges about 0.098 long
     # every vertex is within reach of the centre: the k-th neighbour is inside
     # the radius, so the exact scan decides
-    near, rescanned = sp._within(circle, [0j], 1.5, edges=True, k=2)
+    near, rescanned = sp._within(circle, [0j], 1.5, k=2)
     assert near.tolist() == [True] and rescanned == 1
     # 3 is exactly 2 from the vertex 1: on the threshold, inside the band
-    near, rescanned = sp._within(circle, [3 + 0j], 2.0, edges=True)
+    near, rescanned = sp._within(circle, [3 + 0j], 2.0)
     assert near.tolist() == [True] and rescanned == 1
     # no vertex within 1.9 + half an edge: decided by the tree alone
-    near, rescanned = sp._within(circle, [3 + 0j], 1.9, edges=True)
+    near, rescanned = sp._within(circle, [3 + 0j], 1.9)
     assert near.tolist() == [False] and rescanned == 0
-    near, rescanned = sp._within(circle, [0.5 + 0j, 3 + 0j], 0.6)
-    assert near.tolist() == [True, False] and rescanned == 0
-    # one reach per lambda: the tree searches out to the largest
-    near, rescanned = sp._within(circle, [0.5 + 0j, 3 + 0j, 3 + 0j], [0.6, 2.1, 1.9])
-    assert near.tolist() == [True, True, False] and rescanned == 0
     near, rescanned = sp._within(circle, [], [])
     assert near.size == 0 and rescanned == 0
 
@@ -320,27 +313,6 @@ def full_scenario_symbols():
     return checks._suite_symbols(dict(checks.DEFAULT_PARAMS), 20260815)
 
 
-def test_convex_bound_coarse_hull_lies_inside_the_refined_hull(monkeypatch):
-    # the one hull is that of the working samples; they lie on the refined
-    # curve up to rounding (2 pi j / g against 2 pi jm / (gm), and the
-    # products), so the working hull lies within the rounding of the hull of
-    # the whole refined grid, far within the 1e-12 margin of the hull test
-    fed = []
-
-    def spy(points):
-        fed.append(np.array(points))
-        return conv_hull(points)
-
-    monkeypatch.setattr(sp, "conv_hull", spy)
-    for phi in full_scenario_symbols():
-        fed.clear()
-        _, notes = noted(sp.convex_bound_check, phi, 8)
-        (working,) = fed
-        assert np.array_equal(working, eval_grid(phi, 512))
-        refined = conv_hull(eval_grid(phi, notes["refined_size"][0]))
-        assert np.max(refined.distance_bound(working)) <= 1e-13
-
-
 def test_convex_bound_flags_a_shrunken_hull(monkeypatch):
     # the working hull decides alone: a shrunken one is built once per call,
     # on the 512 working samples, and nothing rescues the lambdas it misses
@@ -365,31 +337,38 @@ def test_convex_bound_flags_a_shrunken_hull(monkeypatch):
 
 def test_convex_bound_settles_leftovers_at_hull_vertices(monkeypatch):
     # ON_CURVE lambdas carry a wide tolerance, so many lie outside the sector
-    # triangles; the nearest hull vertex settles them, and the boundary scan
-    # sees the rest, which the vertex bound may not accept
+    # triangles; the exact boundary scan measures exactly the lambdas that
+    # Hull.distance_bound leaves, and accepts them all. No refined grid is
+    # sized and no k-d tree is built
     phi = LaurentPoly.from_text("z^3 + (0.4-0.3j)*zbar^3")
-    scanned, accepted = [], []
-    within, distance = sp._within, sp._distance
+    bounded, scanned = [], []
+    bound, distance = Hull.distance_bound, sp._distance
 
-    def spy_within(samples, pts, reach, edges=False, k=16):
-        near, rescanned = within(samples, pts, reach, edges, k)
-        if not edges and np.ndim(reach):
-            exact = distance(samples, pts, edges=True) <= reach
-            accepted.append((near.sum(), (near & ~exact).sum()))
-        return near, rescanned
+    def spy_bound(hull, pts):
+        d = bound(hull, pts)
+        bounded.append((np.array(pts), d))
+        return d
 
-    def spy_distance(samples, pts, edges=False, **kw):
+    def spy_distance(samples, pts, edges=False):
         if edges:
-            scanned.append(np.size(pts))
-        return distance(samples, pts, edges, **kw)
+            scanned.append(np.array(pts))
+        return distance(samples, pts, edges)
 
-    monkeypatch.setattr(sp, "_within", spy_within)
+    def forbidden(*args, **kwargs):
+        raise AssertionError("no refined grid and no k-d tree")
+
+    monkeypatch.setattr(Hull, "distance_bound", spy_bound)
     monkeypatch.setattr(sp, "_distance", spy_distance)
+    monkeypatch.setattr(Curve, "refine", forbidden)
+    monkeypatch.setattr(scipy.spatial, "cKDTree", forbidden)
     rep = sp.convex_bound_check(phi, 200)
     assert rep.verdict
-    [(settled, unsound)] = accepted
-    assert unsound == 0
-    assert settled > 10 * scanned[-1]
+    [(pts, d)], [leftovers] = bounded, scanned
+    status = rep.statuses[rep.statuses != sp.OUTSIDE]
+    tol = np.where(status == sp.WINDING_NONZERO, sp._TOL_WINDING, rep.tol_on_curve)
+    assert np.array_equal(pts, rep.lams[rep.statuses != sp.OUTSIDE])
+    assert np.array_equal(leftovers, pts[~(d <= tol - 1e-12)])
+    assert 0 < leftovers.size < pts.size
 
 
 @pytest.mark.parametrize("scale", [1.0, 1e-6, 1e6])

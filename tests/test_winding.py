@@ -3,12 +3,12 @@
 The library counts winding numbers by crossing numbers (`_winding_numbers`
 for scattered lambdas, `spectra._grid_windings` by rows for covering grids)
 and decides ON_CURVE by distance: on covering grids from the runs each
-sample covers on the rows (`_near_grid`), elsewhere pruned by a k-d tree
-(`_within`). The oracle below
-is the earlier implementation: it sums the principal argument of each step
-of samples - lam, rounds the total to a multiple of 2 pi and refuses to
-answer when the total drifts. Off the sampled polyline both count the same
-integer, so every status and every winding number must agree exactly.
+sample covers on the rows (`_near_grid`), for scattered lambdas by the exact
+scan (`_classify`). The oracle below is the earlier implementation: it sums
+the principal argument of each step of samples - lam, rounds the total to a
+multiple of 2 pi and refuses to answer when the total drifts. Off the
+sampled polyline both count the same integer, so every status and every
+winding number must agree exactly.
 
 `_crossings` finds the crossings by a dense edge-by-scanline table on small
 inputs and by ranking the vertices among the sorted scanlines on large ones;
@@ -78,11 +78,6 @@ def grid_codes(samples, tol, xs, ys):
     return sp._codes(near, sp._grid_windings(samples, xs, ys))
 
 
-def pruned_codes(samples, tol, lams):
-    """Status codes of scattered lambdas by the k-d front and crossings."""
-    return sp._codes(sp._within(samples, lams, tol)[0], _winding_numbers(samples, lams))
-
-
 def full_symbols():
     params = dict(checks.DEFAULT_PARAMS)
     return checks._suite_symbols(params, FULL_SEED)
@@ -128,7 +123,6 @@ def test_scattered_and_near_curve_match_oracle(grid_size):
         lams = scattered_lambdas(phi, grid_size, rng, 300)
         want = status_codes(samples, tol, lams)
         assert np.array_equal(sp._classify(samples, tol, lams), want)
-        assert np.array_equal(pruned_codes(samples, tol, lams), want)
         names = sp.membership_batch(phi, lams, grid_size)
         assert list(names) == [sp._STATUS_NAMES[c] for c in want]
         assert sp.spectrum_membership(phi, lams[0], grid_size) == names[0]
@@ -183,7 +177,6 @@ def test_ties_on_symbol_sample_ordinates():
             lams = product(xs, ys)
             want = status_codes(samples, tol, lams)
             assert np.array_equal(sp._classify(samples, tol, lams), want)
-            assert np.array_equal(pruned_codes(samples, tol, lams), want)
         assert np.array_equal(grid_codes(samples, tol, xs, ys), want)
 
 
@@ -251,7 +244,6 @@ def test_crossing_matches_oracle_property(coeffs, lams, grid_size):
     samples, tol = curve.samples, curve.tol
     want = status_codes(samples, tol, lams)
     assert np.array_equal(sp._classify(samples, tol, lams), want)
-    assert np.array_equal(pruned_codes(samples, tol, lams), want)
     dist, w, _ = dense_winding(samples, lams)
     for lam, d, wi in zip(lams, dist, w):
         if d > tol:
