@@ -421,18 +421,12 @@ def _random_sphere_symbol(rng, n, max_band, max_terms=4):
 
 
 def _check_szego(params, seed):
-    from scipy.special import ndtri
-
     d = params["sphere_degree"]
     tol_int = params["tolerances"]["interior"]
     tol_id = params["tolerances"]["identity"]
-    interior, shell, moment_z, fixed, planted, ext = [], [], [], [], [], []
+    interior, shell, fixed, planted, ext = [], [], [], [], []
     support_ok = True
-    # Bonferroni: all m moment tests pass together with probability >= 1 - 1e-3
-    # when the model holds; -ndtri(q) is norm.isf(q), about 4.06 at m = 20
-    moments = len(params["sphere_dims"]) * params["mc_alphas"]
-    z_limit = -ndtri(1e-3 / (2 * moments))
-    mc_ok = True
+    mismatches = 0
     for n in params["sphere_dims"]:
         tup = szego.szego_tuple(n, d)
         rep = szego.defect_report(tup)
@@ -443,11 +437,7 @@ def _check_szego(params, seed):
         for t in range(params["mc_alphas"]):
             rng = _rng(seed, 70 + n, t)
             alpha = tuple(int(v) for v in rng.integers(0, 4, n))
-            exact = float(szego.sphere_moment(n, alpha))
-            mean, stderr = szego.mc_sphere_moment(n, alpha, params["mc_samples"], rng)
-            z = abs(mean - exact) / stderr if stderr != 0.0 else 0.0
-            moment_z.append(z)
-            mc_ok = mc_ok and z <= z_limit
+            mismatches += szego.sphere_moment(n, alpha) != szego.stick_breaking_moment(n, alpha)
 
         for t in range(params["sphere_symbols"]):
             rng = _rng(seed, 75 + n, t)
@@ -469,7 +459,7 @@ def _check_szego(params, seed):
         interior_worst <= tol_id
         and top_dev <= tol_id
         and support_ok
-        and mc_ok
+        and mismatches == 0
         and fixed_worst <= tol_int
         and planted_min >= 0.4
         and ext_worst <= tol_id
@@ -479,7 +469,7 @@ def _check_szego(params, seed):
         "degree": d,
         "isometry_interior_worst": interior_worst,
         "top_shell_deviation": top_dev,
-        "moment_z_worst": worst(moment_z),
+        "moment_mismatches": mismatches,
         "fixed_point_worst": fixed_worst,
         "planted_interior_min": planted_min,
         "extension_defect_worst": ext_worst,
@@ -671,7 +661,7 @@ REGISTRY = {
             ("spectra",),
             "essential-range inclusion in the spectrum by winding certificates: "
             "random probes near the sampled curve are certified inside it on a "
-            "fine grid (sag <= 1e-5, at most 65536 points) and its doubling, by "
+            "fine grid (sag <= 1e-5, at most 65536 points), by "
             "integer crossing numbers found on large inputs from the rank of "
             "each vertex among the sorted scanlines, and clear of the fine "
             "polyline by a k-d tree over its vertices with an exact scan where "
@@ -713,12 +703,11 @@ REGISTRY = {
             "Def2.5, Thm3.1(1), Ex3.2",
             9,
             ("szego",),
-            "graded shifts on the sphere monomial basis with exact moments",
-            "interior isometry defect and moment/extension cross-checks "
-            "within tolerance; every Monte Carlo moment z-score within the "
-            "Bonferroni bound norm.isf(1e-3 / 2m) over the m moments tested "
-            "(about 4.06 at m = 20); planted perturbation leaves interior "
-            "residual >= 0.4",
+            "graded shifts on the sphere monomial basis with exact moments, "
+            "recomputed in rationals as stick-breaking Beta integrals",
+            "interior isometry defect and extension cross-check within "
+            "tolerance; both moment routes agree exactly on every alpha "
+            "tested; planted perturbation leaves interior residual >= 0.4",
             _check_szego,
         ),
         CheckSpec(

@@ -21,7 +21,7 @@ from pathlib import Path
 
 from . import checks
 from .errors import OnCurveError, PreconditionError, UsageError
-from .symbols import LaurentPoly, sup_norm, winding
+from .symbols import Curve, LaurentPoly, sup_norm, winding
 
 _SUITE_NAMES = checks.SUITES
 
@@ -101,13 +101,10 @@ def validate_scenario(obj, origin="scenario"):
     for i, text in enumerate(params["symbols"]):
         phi = LaurentPoly.from_text(text)
         band = phi.band()
-        if not (phi.l1_norm() <= 1e150 and math.isfinite(phi.second_derivative_l1_bound())):
-            # the sampled curve and its sag bound would overflow, and squared
-            # distances between samples overflow past sqrt(float max), ~1.3e154
-            raise UsageError(
-                f"{origin}.parameters.symbols[{i}]: coefficients too large, "
-                "the l1 norm exceeds 1e150 or the second-derivative bound is not finite"
-            )
+        try:
+            Curve(phi, params["grid_size"])
+        except PreconditionError as exc:
+            raise UsageError(f"{origin}.parameters.symbols[{i}]: {exc}") from exc
         if band > params["nr_truncation"] // 8:
             raise UsageError(f"{origin}.parameters.symbols[{i}]: band too large for this run")
         if 4 * (1 + band) > params["grid_size"]:  # the spectra checks sample it there

@@ -483,6 +483,10 @@ def eval_grid(phi, grid_size):
     return samples
 
 
+# past it samples may overflow, and their squared distances do from ~1.3e154
+_MAX_L1 = 1e150
+
+
 @dataclass(frozen=True)
 class Curve:
     """A one-variable symbol sampled on the uniform grid of size points, with
@@ -493,14 +497,21 @@ class Curve:
     derivative), conservative but certifiable, since consecutive samples are
     at most spacing * bound apart. sag bounds how far the true curve strays
     from the chord between two samples, spacing^2 * (l1 bound on the second
-    derivative) / 8; a sampled sup misses the true sup by as much.
+    derivative) / 8; a sampled sup misses the true sup by as much. phi's l1
+    norm must not exceed _MAX_L1, nor its second-derivative bound overflow.
     """
 
     phi: LaurentPoly
     size: int
 
     def __post_init__(self):
-        self.phi._require_univariate()
+        phi = self.phi
+        phi._require_univariate()
+        if not (phi.l1_norm() <= _MAX_L1 and math.isfinite(phi.second_derivative_l1_bound())):
+            raise PreconditionError(
+                "coefficients too large, the l1 norm exceeds 1e150 "
+                "or the second-derivative bound is not finite"
+            )
 
     @cached_property
     def samples(self):

@@ -5,12 +5,13 @@ monomials z^alpha with
 
     ||z^alpha||^2 = (n-1)! alpha! / (n-1+|alpha|)!,
 
-kept here as exact big-integer rationals. The coordinate multiplications
-compress to weighted shifts T_j e_alpha = sqrt((alpha_j+1)/(n+|alpha|))
-e_{alpha+e_j}; the tuple satisfies sum_j T_j* T_j = 1. Operators are stored
-degree-truncated at d with images beyond degree d zeroed, so every entry is
-the exact compression entry and the defect of the sum identity is -1 exactly
-on the top shell.
+kept here as exact big-integer rationals (Rudin 1980, Prop. 1.4.9);
+`stick_breaking_moment` reaches them by a second exact route. The coordinate
+multiplications compress to weighted shifts T_j e_alpha =
+sqrt((alpha_j+1)/(n+|alpha|)) e_{alpha+e_j}; the tuple satisfies
+sum_j T_j* T_j = 1. Operators are stored degree-truncated at d with images
+beyond degree d zeroed, so every entry is the exact compression entry and
+the defect of the sum identity is -1 exactly on the top shell.
 
 Symbols on the sphere keep analytic and conjugate exponents separate
 (zbar_j is not z_j^{-1} off the torus); see `SphereSymbol`.
@@ -31,7 +32,7 @@ from .symbols import parse_terms
 
 __all__ = [
     "sphere_moment",
-    "mc_sphere_moment",
+    "stick_breaking_moment",
     "SphereSymbol",
     "GradedOperator",
     "SzegoTuple",
@@ -48,8 +49,7 @@ __all__ = [
 _MAX_TOTAL_DEGREE = 60
 
 
-def sphere_moment(n, alpha):
-    """Exact rational value of integral |z^alpha|^2 over the sphere."""
+def _multiindex(n, alpha):
     alpha = tuple(int(a) for a in alpha)
     if n < 1 or len(alpha) != n:
         raise PreconditionError(f"alpha must have length n={n}")
@@ -58,26 +58,32 @@ def sphere_moment(n, alpha):
     total = sum(alpha)
     if total > _MAX_TOTAL_DEGREE:
         raise ResourceLimitError(f"|alpha| = {total} exceeds the exact-moment cap {_MAX_TOTAL_DEGREE}")
+    return alpha
+
+
+def sphere_moment(n, alpha):
+    """Exact rational value of integral |z^alpha|^2 over the sphere."""
+    alpha = _multiindex(n, alpha)
     num = math.factorial(n - 1)
     for a in alpha:
         num *= math.factorial(a)
-    return Fraction(num, math.factorial(n - 1 + total))
+    return Fraction(num, math.factorial(n - 1 + sum(alpha)))
 
 
-def mc_sphere_moment(n, alpha, samples, rng):
-    """Monte Carlo estimate of the moment: (mean, standard error).
-
-    Uniform sphere points come from normalized complex Gaussians.
-    """
-    v = rng.standard_normal((samples, n)) + 1j * rng.standard_normal((samples, n))
-    v /= np.linalg.norm(v, axis=1, keepdims=True)
-    vals = np.ones(samples)
-    for j, a in enumerate(alpha):
-        if a:
-            vals = vals * np.abs(v[:, j]) ** (2 * a)
-    mean = float(np.mean(vals))
-    stderr = float(np.std(vals, ddof=1) / math.sqrt(samples))
-    return mean, stderr
+def stick_breaking_moment(n, alpha):
+    """sphere_moment by stick-breaking: (|z_0|^2, ..., |z_{n-1}|^2) is uniform
+    on the simplex, |z_j|^2 = B_j prod_{i<j} (1 - B_i) with independent
+    B_j ~ Beta(1, n-1-j), so the moment is the product over j < n-1 of
+    (n-1-j) int_0^1 b^{a_j} (1-b)^e db, e = a_{j+1} + ... + a_{n-1} + n-2-j,
+    each expanded binomially in exact rationals."""
+    alpha = _multiindex(n, alpha)
+    out = Fraction(1)
+    for j in range(n - 1):
+        a, e = alpha[j], sum(alpha[j + 1 :]) + n - 2 - j
+        out *= (n - 1 - j) * sum(
+            Fraction((-1) ** k * math.comb(e, k), a + k + 1) for k in range(e + 1)
+        )
+    return out
 
 
 # ---------------------------------------------------------------------------

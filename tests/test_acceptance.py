@@ -110,11 +110,11 @@ def test_criterion_07_szego_model():
     assert r["dims"] == [2, 3] and r["degree"] == 10
     assert r["isometry_interior_worst"] <= 1e-12
     assert r["top_shell_deviation"] <= 1e-12
-    assert r["moment_z_worst"] <= 3.0
+    assert r["moment_mismatches"] == 0
     assert r["fixed_point_worst"] <= 1e-10
     assert r["planted_interior_min"] >= 0.4
     assert r["extension_defect_worst"] <= 1e-12
-    print(f"PASS criterion 7: Szego model, MC worst z {r['moment_z_worst']:.2f}")
+    print(f"PASS criterion 7: Szego model, moment mismatches {r['moment_mismatches']}")
 
 
 def test_criterion_08_polydisc_gamma_equation():

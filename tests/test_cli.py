@@ -389,10 +389,11 @@ def test_explain_every_registered_check(capsys):
         assert cid in capsys.readouterr().out
 
 
-def test_explain_szego_states_the_bonferroni_bound(capsys):
+def test_explain_szego_states_the_exact_moment_check(capsys):
     assert cli.main(["explain", "szego_model"]) == 0
     out = capsys.readouterr().out
-    assert "Bonferroni" in out and "3 sigma" not in out
+    assert "stick-breaking" in out and "agree exactly" in out
+    assert "Monte Carlo" not in out and "Bonferroni" not in out
 
 
 def test_explain_unknown_check(capsys):

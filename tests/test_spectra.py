@@ -106,6 +106,29 @@ def test_hartman_wintner_random_suite():
         assert sp.hartman_wintner_check(phi, grid_size=512).verdict
 
 
+def test_hartman_wintner_fine_windings_match_the_doubled_grid(monkeypatch):
+    # a candidate clear of the fine polyline by more than its sag winds
+    # alike on the fine grid, on the true curve and so on a grid twice as fine
+    calls = []
+    honest = sp._winding_numbers
+
+    def kept(samples, lams):
+        calls.append((samples, np.asarray(lams)))
+        return honest(samples, lams)
+
+    monkeypatch.setattr(sp, "_winding_numbers", kept)
+    for phi in suite(4) + [Z**3 + 0.5 * ZBAR]:
+        calls.clear()
+        assert sp.hartman_wintner_check(phi, grid_size=512).verdict
+        # fine grids have at least 4 * grid_size points; the working grid's
+        # call classifies the certified probes
+        fine = [(s, lams) for s, lams in calls if s.size > 512]
+        assert fine
+        for samples, lams in fine:
+            doubled = eval_grid(phi, 2 * samples.size)
+            assert np.array_equal(honest(samples, lams), honest(doubled, lams))
+
+
 # ---------------------------------------------------------------------------
 # pruned distances
 

@@ -323,9 +323,10 @@ def test_curve_refine_sizes_notes_and_samples_lazily():
 
 
 def test_curve_refine_clamps_a_need_too_large_for_an_integer():
-    # the sag target needs an infinite size: the cap clamps it
+    # the sag target needs about 5e79 points: the cap clamps the need
+    # before it is rounded up
     with record.collect() as (notes, _):
-        clamped = Curve(1e307 * Z, 512).refine(2e-9, 512, 512, 300_000, "x")
+        clamped = Curve(1e150 * Z, 512).refine(2e-9, 512, 512, 300_000, "x")
     assert clamped.size == 299_520
     assert notes == {"x_size": [299_520], "x_clamped": [True]}
 

@@ -214,11 +214,25 @@ def test_winding_rejects_non_finite_lambda():
             sp.spectrum_membership(phi, lam)
         with pytest.raises(PreconditionError):
             sp.membership_batch(phi, [0.0, lam])
-    # the convex bound lays its grid over its own samples, which overflow
-    # here; it must refuse them rather than cover an infinite box
+    # the convex bound lays its grid over its own samples, which would
+    # overflow here; it must refuse them rather than cover an infinite box
     big = LaurentPoly.from_text("1e308*z + 1e308*z^2")
-    with np.errstate(over="ignore"), pytest.raises(PreconditionError, match="finite sampled curve"):
+    with pytest.raises(PreconditionError, match="coefficients too large"):
         sp.convex_bound_check(big, 20, 512)
+
+
+def test_sampled_queries_reject_a_symbol_too_large_to_sample():
+    # each of these used to answer, wrongly: winding 0 and OUTSIDE about a
+    # point the curve winds once around, and ON_CURVE for every lambda
+    # (the curve's tol is inf)
+    huge = 1e200 * LaurentPoly.from_text("z")
+    with pytest.raises(PreconditionError, match="coefficients too large"):
+        winding(huge, 0)
+    with pytest.raises(PreconditionError, match="coefficients too large"):
+        sp.spectrum_membership(huge, 0)
+    big = LaurentPoly.from_text("1e308*z + 1e308*z^2")
+    with pytest.raises(PreconditionError, match="coefficients too large"):
+        sp.membership_batch(big, [0.0, 1.0, 1e9j])
 
 
 # coefficients at least 0.05 keep rounding far below the curve tolerance
