@@ -11,11 +11,15 @@ a record holding a NaN or an infinity fails, and reads it as a string.
 
 `run_checks` runs a suite's checks concurrently on forked worker processes,
 one per check up to the CPUs this process may run on. Forked workers inherit
-the imported modules, any patched kernel and the warm table caches, so they
-start without a fresh import. Checks are submitted in reverse ordinal order
-and come back in ordinal order, each with its wall time inside its worker.
-A run stays in this process when there is one check or one CPU, when `fork`
-is not a start method here, or when a profiler or tracer is set.
+the modules imported so far, any patched kernel and the warm table caches;
+a module a check imports lazily is imported afresh in each worker, which is
+why no spectra check imports `scipy.spatial`. Each worker first pins every
+bundled OpenBLAS it can find to one thread (`_pin_blas`), so that the
+workers' BLAS pools do not oversubscribe the CPUs. Checks are submitted in
+reverse ordinal order and come back in ordinal order, each with its wall
+time inside its worker. A run stays in this process when there is one check
+or one CPU, when `fork` is not a start method here, or when a profiler or
+tracer is set.
 """
 
 from __future__ import annotations
@@ -664,8 +668,8 @@ REGISTRY = {
             "fine grid (sag <= 1e-5, at most 65536 points), by "
             "integer crossing numbers found on large inputs from the rank of "
             "each vertex among the sorted scanlines, and clear of the fine "
-            "polyline by a k-d tree over its vertices with an exact scan where "
-            "the tree cannot decide",
+            "polyline by the edges at the vertices of nearby square cells, "
+            "with an exact scan where rounding could decide",
             "no certified probe reads OUTSIDE on the working grid",
             _check_hartman_wintner,
         ),
@@ -840,6 +844,33 @@ def _worker_count(checks_to_run):
     return min(checks_to_run, cpus)
 
 
+# each bundled OpenBLAS, as (package, library file pattern, thread setter)
+_BLAS_SETTERS = (
+    ("numpy", "libscipy_openblas64_*.so", "scipy_openblas_set_num_threads64_"),
+    ("scipy", "libscipy_openblas*.so", "scipy_openblas_set_num_threads"),
+)
+
+
+def _pin_blas():
+    """Pool initializer: set each OpenBLAS that numpy and scipy bundle in
+    their `<package>.libs` folder to one thread, through its own setter.
+    A library or setter it cannot find is skipped."""
+    import ctypes
+    import glob
+    import importlib
+    import os
+
+    for package, pattern, setter in _BLAS_SETTERS:
+        root = os.path.dirname(os.path.dirname(importlib.import_module(package).__file__))
+        for path in glob.glob(os.path.join(root, f"{package}.libs", pattern)):
+            try:
+                fn = getattr(ctypes.CDLL(path), setter)
+            except (OSError, AttributeError):
+                continue
+            fn.argtypes, fn.restype = [ctypes.c_int], None
+            fn(1)
+
+
 def _pool_results(ids, params, seed, workers):
     """Run ids on a pool of forked workers; return their (record, seconds)
     in the order of ids, or raise what the first of them in that order
@@ -848,7 +879,7 @@ def _pool_results(ids, params, seed, workers):
     from concurrent.futures.process import ProcessPoolExecutor
 
     context = multiprocessing.get_context("fork")
-    with ProcessPoolExecutor(workers, mp_context=context) as pool:
+    with ProcessPoolExecutor(workers, mp_context=context, initializer=_pin_blas) as pool:
         # Reverse ordinal order: each suite's longest checks (numerical_range
         # on spectra, commutant_lifting on circle) come late in it. Submitted
         # last, numerical_range would start only after hartman_wintner and

@@ -354,6 +354,12 @@ def _pure_truncation_norm(phi, n):
     diagonals stored past kd would only add exact zeros to the factorization
     while raising its cost. The eigenvalue is the upper end of the bisection
     bracket, so the norm errs upward but for the factorization's rounding.
+
+    Entry (p, p + d) of A*A sums conj(c_k) c_(k-d) over the exponents k
+    whose row p + k lies inside A, in ascending k from 0j, in Python complex
+    arithmetic: a row-by-row sparse product's order, whose bits it keeps.
+    Away from the first and last rows every k counts, so each diagonal is
+    one value there and is summed term by term only near its two ends.
     """
     phi._require_univariate()
     if n < 1:
@@ -361,21 +367,27 @@ def _pure_truncation_norm(phi, n):
     w = phi.band()
     if w == 0:
         return abs(phi.coeff(0))
-    import scipy.sparse as sp
-
-    offsets, vals = [], []
-    for (k,), c in phi.terms():
-        if abs(k) < n:
-            offsets.append(-k)
-            vals.append(np.full(n - abs(k), c))
-    if not offsets:
+    coeffs = {k: c for (k,), c in phi.terms() if abs(k) < n}
+    if not coeffs:
         return 0.0
-    a = sp.diags(vals, offsets, shape=(n, n), format="csc", dtype=complex)
-    b = (a.getH() @ a).tocsc()
-    u = min(max(offsets) - min(offsets), n - 1)
+    ks = sorted(coeffs)
+    u = min(ks[-1] - ks[0], n - 1)
     band = np.zeros((u + 1, n), dtype=complex)
     for d in range(u + 1):
-        band[u - d, d:] = b.diagonal(d)
+        # every term counts for p in [lo, hi); the rows outside lose some
+        pairs = [(k, coeffs[k].conjugate() * coeffs[k - d]) for k in ks if k - d in coeffs]
+        if not pairs:
+            continue
+        row = band[u - d, d:]
+
+        def entry(p):
+            return sum((term for k, term in pairs if 0 <= p + k < n), 0j)
+
+        lo, hi = max(0, -pairs[0][0]), n - max(d, pairs[-1][0])
+        if lo < hi:
+            row[lo:hi] = entry(lo)
+        for p in [*range(min(lo, row.size)), *range(max(lo, hi), row.size)]:
+            row[p] = entry(p)
     return float(np.sqrt(max(band_max_eig(band), 0.0)))
 
 

@@ -230,13 +230,16 @@ def cmd_symbol_eval(args):
     if phi.nvars == 1:
         print(f"degrees:  [{-phi.deg_neg()}, {phi.deg_pos()}]")
     print(f"l1 norm:  {phi.l1_norm()!r}")
-    lo, up = sup_norm(phi, grid_size=grid)
-    print(f"sup |phi|: in [{lo!r}, {up!r}] ({grid}-point grid)")
-    if phi.nvars == 1:
-        try:
-            print(f"winding about 0: {winding(phi, 0.0, grid_size=grid)}")
-        except OnCurveError:
-            print("winding about 0: undefined (0 lies on the sampled curve)")
+    try:
+        lo, up = sup_norm(phi, grid_size=grid)
+        print(f"sup |phi|: in [{lo!r}, {up!r}] ({grid}-point grid)")
+        if phi.nvars == 1:
+            try:
+                print(f"winding about 0: {winding(phi, 0.0, grid_size=grid)}")
+            except OnCurveError:
+                print("winding about 0: undefined (0 lies on the sampled curve)")
+    except PreconditionError as exc:
+        raise UsageError(f"cannot evaluate symbol: {exc}") from exc
     return 0
 
 

@@ -19,22 +19,25 @@ between to the exact scan. On a covering grid, each row is one scanline:
 each crossing counts its sign on the run of columns left of it, and each
 sample covers one run of columns within tol (`_near_grid`); a difference
 array per row counts the runs over every lambda. For scattered lambdas,
-`_within` lets a k-d tree pick the few edges that can decide each one; it
-settles the clearance of the near-range probes.
+`_within` keys the vertices into square cells and measures only the edges
+at the vertices near each lambda; it settles the clearance of the
+near-range probes.
 
 Every check reads the curve through one `symbols.Curve`: phi sampled by
 `symbols.eval_grid` on a uniform grid, with its ON_CURVE distance `tol` and
 its chord sag `sag`. Grids of up to 2048 points (the 512- and 2048-point
 working grids of every query here) are summed from a bounded cache of
-unit-root power tables; larger ones (most fine grids, the sup grids) are
-evaluated afresh by `LaurentPoly.eval_at`, whose bits the tables keep.
+unit-root power tables; larger ones (most fine grids, the sup bound's
+4096-point grid and its resampled arcs) are evaluated afresh by
+`LaurentPoly.eval_at`, whose bits the tables keep.
 
 Tolerance bookkeeping. A sampled curve misses the true curve by at most the
 chord sag (spacing^2 * B''/8 with B'' the l1 bound on the second derivative),
-and a sampled sup misses the true sup by the same amount. Sup and probe grids
-are sized from that bound by one rule, `Curve.refine`, so the slack handed to
-membership tests is an actual certificate, not a guess; a cap that clamps the
-size is noted. The convex bound samples phi once: its covering grid, its
+and a sampled sup misses the true sup by the same amount. Probe grids are
+sized from that bound by `Curve.refine`, and the sup bound resamples only
+the arcs that can hold the maximum (`_arc_sup`), so the slack handed to
+each test is an actual certificate, not a guess; a cap that clamps a size
+is noted. The convex bound samples phi once: its covering grid, its
 statuses and its hull all come from the working samples, so no sag enters
 it. On a correct hull no lambda needs more than rounding: each ON_CURVE
 lambda lies within tol of a working sample, a point of the hull, and each
@@ -84,9 +87,8 @@ OUTSIDE = "OUTSIDE"
 _STATUS_NAMES = (ON_CURVE, WINDING_NONZERO, OUTSIDE)
 _NAMES = np.array(_STATUS_NAMES, dtype=object)
 
-# sup grids are sized so the chord-sag bound stays below this
+# the sup bound resamples its arcs so the chord-sag bound stays below this
 _SAG_TARGET = 2e-9
-_GRID_CAP = 300_000
 # lambda grids cover the range box scaled by this factor about its centre
 _INFLATE = 1.2
 # the convex bound's hull tolerance for lambdas of nonzero winding: these lie
@@ -112,47 +114,70 @@ def _distance(samples, lams, edges=False):
     return out
 
 
-def _within(samples, lams, reach, k=16):
+def _within(samples, lams, reach):
     """(near, rescanned): whether each lam lies within reach (one float, or
-    one per lam) of the closed polyline through the samples, pruned by a k-d
-    tree; rescanned counts the lambdas measured again by the exact scan
-    `_distance`. For scattered lambdas; a covering grid goes through
+    one per lam) of the closed polyline through the samples, pruned by
+    square cells; rescanned counts the lambdas measured again by the exact
+    scan `_distance`. For scattered lambdas; a covering grid goes through
     `_near_grid`.
 
     A point within reach of an edge lies within reach + |edge| / 2 of one of
-    the edge's end points, so the tree returns the k nearest vertices within
-    that radius (widened by the relative _MARGIN: tree distances agree with
-    np.abs to a few ulps) and only the two edges at each are measured, by the
-    exact scan's formula. A lambda whose k-th neighbour is still inside the
-    radius may have more and is scanned exactly. The tree may rank vertices
-    that tie to within ulps either way, so lambdas whose measured distance
-    lies within a relative _MARGIN of reach are scanned exactly too. Below
-    1e-100 the squared distances inside the tree could underflow, so a tiny
-    reach is scanned exactly throughout. The tree searches out to the
-    largest reach.
+    the edge's end points. So the vertices are keyed into square cells of
+    that radius (widened by the relative _MARGIN against the keys'
+    rounding), and each lambda measures, by the exact scan's formula, the
+    two edges at every vertex in its own cell and the eight around it: one
+    `searchsorted` range of the sorted keys per cell. Those edges include
+    every edge within reach, so near is exact but for the ulps by which
+    arrays of other shapes may round a distance apart: lambdas within a
+    relative _MARGIN of reach are scanned exactly. Below 1e-100 the squared
+    distances could underflow, so a tiny reach is scanned exactly
+    throughout.
+
+    No key overflows, however large the curve: a closed polyline is at
+    least twice as long as it is wide or high, so the radius is at least
+    width / n and the n vertices span at most n + 1 columns and rows. A
+    lambda farther out is clipped to a cell that neighbours no vertex.
     """
     lams = np.asarray(lams, dtype=complex).ravel()
     reach = np.broadcast_to(np.asarray(reach, dtype=float), lams.shape)
     if lams.size == 0 or not reach.min() > 1e-100:
         return _distance(samples, lams, edges=True) <= reach, lams.size
-    from scipy.spatial import cKDTree
-
-    n = samples.size
     e = np.roll(samples, -1) - samples
     radius = (reach.max() + np.abs(e).max() / 2.0) * (1.0 + _MARGIN)
-    tree = cKDTree(np.column_stack([samples.real, samples.imag]))
-    _, idx = tree.query(
-        np.column_stack([lams.real, lams.imag]), k=k, distance_upper_bound=radius
-    )
-    idx = idx.reshape(lams.size, k)
-    found = idx < n  # missing neighbours come back as index n
-    idx = np.where(found, idx, 0)
-    # the edge out of and the edge into each vertex found
-    ends = np.concatenate([idx, (idx - 1) % n], axis=1)
-    d = _segment_distance(lams[:, None], samples[ends], e[ends])
-    d[~np.concatenate([found, found], axis=1)] = np.inf
-    dist = d.min(axis=1)
-    rescan = np.flatnonzero((np.abs(dist - reach) <= reach * _MARGIN) | found[:, -1])
+    x0, y0 = samples.real.min(), samples.imag.min()
+    cols = int((samples.real.max() - x0) / radius) + 3
+    rows = int((samples.imag.max() - y0) / radius) + 3
+
+    def keys(z):
+        # cells from -2 to cols or rows, shifted by 3 so every neighbour is >= 0
+        cx = np.clip(np.floor((z.real - x0) / radius), -2, cols) + 3
+        cy = np.clip(np.floor((z.imag - y0) / radius), -2, rows) + 3
+        return cx.astype(np.int64) * (rows + 6) + cy.astype(np.int64)
+
+    vertex_keys = keys(samples)
+    order = np.argsort(vertex_keys, kind="stable")
+    vertex_keys = vertex_keys[order]
+    nine = (np.arange(-1, 2)[:, None] * (rows + 6) + np.arange(-1, 2)).ravel()
+    cells = keys(lams)[:, None] + nine
+    start = np.searchsorted(vertex_keys, cells, side="left")
+    count = np.searchsorted(vertex_keys, cells, side="right") - start
+    per_lam = count.sum(axis=1)
+    dist = np.full(lams.size, np.inf)
+    # lambdas by slices of at most about _SCAN_ENTRIES (lambda, vertex) pairs
+    step = max(1, _SCAN_ENTRIES // max(1, int(per_lam.max())))
+    for lo in range(0, lams.size, step):
+        hi = min(lo + step, lams.size)
+        s, c = start[lo:hi].ravel(), count[lo:hi].ravel()
+        vertex = order[np.arange(c.sum()) + np.repeat(s - (np.cumsum(c) - c), c)]
+        owner = np.repeat(np.arange(lo, hi), per_lam[lo:hi])
+        q = lams[owner]
+        # the edge out of and the edge into each vertex
+        d = np.minimum(
+            _segment_distance(q, samples[vertex], e[vertex]),
+            _segment_distance(q, samples[vertex - 1], e[vertex - 1]),
+        )
+        np.minimum.at(dist, owner, d)
+    rescan = np.flatnonzero(np.abs(dist - reach) <= reach * _MARGIN)
     dist[rescan] = _distance(samples, lams[rescan], edges=True)
     return dist <= reach, rescan.size
 
@@ -341,10 +366,10 @@ def hartman_wintner_check(phi, grid_size=512, probes=100, seed=11):
     parameter, so the homotopy between them misses a cleared lambda and the
     two wind alike. The fine
     grid is sized for a sag of 1e-5 and clamped at 65536 points. Clearance is
-    tested against the fine vertices a k-d tree finds near each candidate
-    (`_within`); the candidates that needed the exact scan of every fine edge
-    are noted as clearance_fallbacks, with the fine grid's size and clamp and
-    the probes certified (as probes_kept). Certified probes must not read
+    tested against the edges at the fine vertices in the cells around each
+    candidate (`_within`); the candidates that needed the exact scan of every
+    fine edge are noted as clearance_fallbacks, with the fine grid's size
+    and clamp and the probes certified (as probes_kept). Certified probes must not read
     OUTSIDE on the working grid. Symbols whose spectrum has empty interior
     (real-valued ones, say) certify no probes and pass vacuously.
     """
@@ -454,6 +479,48 @@ class NumericalRangeReport:
     verdict: bool
 
 
+def _arc_sup(phi, phs):
+    """(tops, sags, points): for each unit phase ph, the greatest sampled value
+    of f(t) = Re(ph phi(e^{it})) and a sag that the true maximum of f cannot
+    exceed it by; points counts the values of phi evaluated.
+
+    phi is sampled once on base = max(4096, 4 (1 + band)) points, spacing h.
+    Pairing the exponents k and -k, f is a sum of cosines of amplitudes
+    a_k = |ph c_k + conj(ph c_-k)|, so |f''| <= B = sum k^2 a_k (at most the
+    curve's B'') and f strays at most h^2 B / 8 above the chord of each arc
+    between two samples. An arc whose larger end falls short of the grid
+    maximum by more than that cannot hold the true maximum. Every other arc
+    is resampled, through `LaurentPoly.eval_at`, at the points of the
+    uniform grid of base * m angles that lie inside it, m = ceil(h sqrt(B /
+    (8 _SAG_TARGET))) but at most base; the true maximum then lies within
+    that grid's sag (h / m)^2 B / 8 of the largest value sampled, below
+    _SAG_TARGET unless m stopped at base. A direction in which f is constant
+    (Re(ph phi) of a curve on a line, say) has B = 0 and resamples nothing.
+    """
+    band = phi.band()
+    base = max(4096, 4 * (1 + band))
+    samples = Curve(phi, base).samples
+    k = np.arange(1, band + 1)
+    pos = np.array([phi.coeff(int(j)) for j in k])
+    neg = np.array([phi.coeff(-int(j)) for j in k])
+    h = 2.0 * np.pi / base
+    tops, sags, points = [], [], base
+    for ph in phs:
+        b2 = float(np.sum(k * k * np.abs(ph * pos + np.conj(ph * neg))))
+        f = (ph * samples).real
+        top = float(f.max())
+        m = max(1, min(base, math.ceil(h * math.sqrt(b2 / (8.0 * _SAG_TARGET)))))
+        if m > 1:
+            arcs = np.flatnonzero(np.maximum(f, np.roll(f, -1)) + h * h * b2 / 8.0 >= top)
+            j = (arcs[:, None] * m + np.arange(1, m)).ravel()
+            fine = phi.eval_at(np.exp(1j * (2.0 * np.pi * j / (base * m))))
+            top = max(top, float(np.max((ph * fine).real)))
+            points += j.size
+        tops.append(top)
+        sags.append((h / m) ** 2 * b2 / 8.0)
+    return tops, sags, points
+
+
 def numerical_range_support(x, thetas, trunc):
     """Support function h(theta) of the truncated numerical range.
 
@@ -462,9 +529,12 @@ def numerical_range_support(x, thetas, trunc):
     correction. `linalg.band_max_eig` finds it by banded-Cholesky bisection
     and returns the upper end of its bracket, so h errs upward but for the
     factorization's rounding. Compression can only shrink the numerical
-    range, so each value must stay below the grid sup of Re(e^{i theta} phi)
-    plus the correction norm, up to the grid sag and 1e-8; violations land in
-    counterexamples.
+    range, so each value must stay below the sup of Re(e^{i theta} phi) plus
+    the correction norm. The sup is bounded per direction by `_arc_sup`: the
+    largest value sampled, which is the bound reported, plus its sag; with
+    1e-8 on top for rounding, a value above that lands in counterexamples.
+    The points evaluated for the sup and the largest sag are noted as
+    sup_points and sup_sag.
     """
     if not isinstance(x, ToeplitzElement):
         x = ToeplitzElement(x)
@@ -481,23 +551,20 @@ def numerical_range_support(x, thetas, trunc):
     for d in range(kd + 1):
         upper[kd - d, d:] = np.diagonal(xn, d)
         upper_adj[kd - d, d:] = np.conj(np.diagonal(xn, -d))
-
-    base = max(4096, 4 * (1 + x.symbol.band()))
-    sup = Curve(x.symbol, base).refine(_SAG_TARGET, base, base, _GRID_CAP, "sup_grid")
-    samples, sag = sup.samples, sup.sag
     fnorm = op_norm(corr) if corr.size else 0.0
 
     thetas = [float(t) for t in thetas]
+    phs = [complex(math.cos(t), math.sin(t)) for t in thetas]
+    tops, sags, points = _arc_sup(x.symbol, phs)
     hs, bounds, counter = [], [], []
-    for t in thetas:
-        ph = complex(math.cos(t), math.sin(t))
+    for t, ph, top, sag in zip(thetas, phs, tops, sags):
         h = band_max_eig((ph * upper + np.conj(ph) * upper_adj) / 2.0)
-        bound = float(np.max((ph * samples).real)) + fnorm
+        bound = top + fnorm
         hs.append(h)
         bounds.append(bound)
         if not h <= bound + sag + 1e-8:  # a NaN h is a violation too
             counter.append(t)
-    note(band=kd)
+    note(sup_points=points, sup_sag=max(sags, default=0.0), band=kd)
     return NumericalRangeReport(thetas, hs, bounds, counter, not counter)
 
 

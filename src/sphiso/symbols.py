@@ -632,10 +632,13 @@ def _winding_numbers(samples, lams):
 
 
 def sup_norm(phi, grid_size=512):
-    """(lower, upper) bracket for sup |phi| on the torus: grid max and l1 sum."""
+    """(lower, upper) bracket for sup |phi| on the torus: grid max and l1 sum.
+
+    Each sample and the sum round relative to the l1 norm, so the two may
+    cross by a relative 1e-12 before the bracket counts as inverted."""
     lower = float(np.max(np.abs(eval_grid(phi, grid_size))))
     upper = phi.l1_norm()
-    if lower > upper + 1e-12:
+    if lower > upper * (1.0 + 1e-12):
         raise PreconditionError("sup bracket inverted; coefficients are inconsistent")
     # grid rounding can push the estimate an ulp past the l1 bound
     return min(lower, upper), upper
@@ -719,51 +722,36 @@ class Hull:
         return self.outside_distance(lams) <= tol
 
 
-def _monotone_chain(pts):
-    idx = np.lexsort((pts.imag, pts.real))
-    p = pts[idx]
-
-    def cross(o, a, b):
-        return ((a - o).conjugate() * (b - o)).imag
-
-    def half(seq):
-        out = []
-        for q in seq:
-            while len(out) >= 2 and cross(out[-2], out[-1], q) <= 0:
-                out.pop()
-            out.append(q)
-        return out
-
-    lower = half(p)
-    upper = half(p[::-1])
-    return np.array(lower[:-1] + upper[:-1], dtype=complex)
+def _half_chain(points):
+    """One half of the monotone chain: the points kept while every turn
+    o -> a -> q stays strictly counterclockwise, that is while the cross
+    product Im(conj(a - o) (q - o)) stays positive."""
+    out = []
+    for q in points:
+        while len(out) >= 2:
+            o, a = out[-2], out[-1]
+            if ((a - o).conjugate() * (q - o)).imag > 0:
+                break
+            out.pop()
+        out.append(q)
+    return out
 
 
 def conv_hull(points):
-    """Convex hull (CCW vertices) of complex points.
-
-    qhull builds it; degenerate input that qhull rejects (collinear or
-    coincident points) is deduplicated and goes through a monotone chain.
-    """
-    from scipy.spatial import ConvexHull, QhullError
-
+    """Convex hull (CCW vertices) of complex points, by Andrew's monotone
+    chain (Inform. Process. Lett. 9, 1979) over the points sorted by real, then
+    imaginary part, walked as Python complex values. Collinear and repeated
+    points drop out of the chain; when fewer than three vertices are left,
+    the input is a point or lies on a line, and the hull is its one point or
+    its two extreme points."""
     if not isinstance(points, np.ndarray):
         points = list(points)
     pts = np.asarray(points, dtype=complex).ravel()
     if pts.size == 0:
         raise PreconditionError("conv_hull of an empty point set")
-    if pts.size >= 3:
-        try:
-            q = ConvexHull(np.column_stack([pts.real, pts.imag]))
-            return Hull(pts[q.vertices])  # CCW per qhull 2-d convention
-        except QhullError:
-            pass
-    pts = np.unique(pts)
-    if pts.size <= 2:
-        return Hull(pts)
-    verts = _monotone_chain(pts)
-    if verts.size < 3:
-        # collinear input: keep extreme endpoints
-        idx = np.lexsort((pts.imag, pts.real))
-        return Hull(np.array([pts[idx[0]], pts[idx[-1]]]))
-    return Hull(verts)
+    p = pts[np.lexsort((pts.imag, pts.real))].tolist()
+    lower, upper = _half_chain(p), _half_chain(reversed(p))
+    verts = lower[:-1] + upper[:-1]
+    if len(verts) < 3:
+        return Hull(np.array(p[:1] if p[0] == p[-1] else [p[0], p[-1]]))
+    return Hull(np.array(verts))

@@ -471,6 +471,33 @@ def test_truncation_norm_stores_only_the_true_band(text, n):
     assert cc.truncation_norm(phi, n) == norm_on_doubled_band(phi, n)
 
 
+def test_truncation_norm_band_keeps_the_sparse_product_bits(monkeypatch):
+    # the band summed from coefficient pairs equals, bit for bit, the one a
+    # sparse A*A gives, whatever order the symbol's terms were inserted in
+    import scipy.sparse
+
+    bands = []
+    monkeypatch.setattr(cc, "band_max_eig", lambda band: bands.append(band) or 1.0)
+    rng = rng_for(29)
+    for _ in range(200):
+        terms = list(random_symbol(rng, int(rng.integers(1, 8))).terms())
+        rng.shuffle(terms)
+        phi = LaurentPoly(1, dict(terms))
+        n = int(rng.choice([1, 3, 8, 64, 1024]))
+        bands.clear()
+        cc.truncation_norm(phi, n)
+        if not bands:
+            continue
+        a = scipy.sparse.csc_matrix(cc.toeplitz_matrix(phi, n))
+        b = (a.getH() @ a).tocsc()
+        (band,) = bands
+        u = band.shape[0] - 1
+        want = np.zeros_like(band)
+        for d in range(u + 1):
+            want[u - d, d:] = b.diagonal(d)
+        assert np.array_equal(band.view(np.uint64), want.view(np.uint64))
+
+
 def test_truncation_norm_constant():
     assert cc.truncation_norm(LaurentPoly.constant(3.0 - 4.0j), 300) == 5.0
 

@@ -262,8 +262,11 @@ def test_run_decisions_go_to_manifest_only(tmp_path):
     assert all(2048 <= n <= 65536 for n in hw["fine_size"])
     assert hw["probes_kept"] == [20, 20, 20]
     nr = decisions["numerical_range"]
-    assert set(nr) == {"sup_grid_size", "sup_grid_clamped", "band"}
-    assert len(nr["sup_grid_size"]) == len(nr["sup_grid_clamped"]) == len(nr["band"]) == 4
+    assert set(nr) == {"sup_points", "sup_sag", "band"}
+    assert len(nr["sup_points"]) == len(nr["sup_sag"]) == len(nr["band"]) == 4
+    # the 4096-point grid and a few resampled arcs, each within the sag target
+    assert all(4096 < n < 40_000 for n in nr["sup_points"])
+    assert all(0.0 <= sag <= 2e-9 for sag in nr["sup_sag"])
     # the pure symbols' own bands, then the corrected element's symbol band
     # widened to k - 1 by its k x k corner
     seed, degree = SPECTRA["seed"], checks.DEFAULT_PARAMS["spectra_degree"]
@@ -440,3 +443,12 @@ def test_symbol_eval_errors(capsys):
     assert "coefficients must be finite" in capsys.readouterr().err
     assert cli.main(["symbol-eval", "z^3", "--grid", "8"]) == 2
     assert "--grid must be >=" in capsys.readouterr().err
+
+
+def test_symbol_eval_rejects_a_huge_symbol_as_a_usage_error(capsys):
+    # the sup bracket holds at 1e200; the winding's curve refuses an l1 norm
+    # past 1e150, which reads as a usage error, not a traceback
+    assert cli.main(["symbol-eval", "1e200*z"]) == 2
+    captured = capsys.readouterr()
+    assert "sup |phi|: in [1e+200, 1e+200]" in captured.out
+    assert "error: cannot evaluate symbol: coefficients too large" in captured.err

@@ -106,3 +106,29 @@ def test_import_does_not_load_multiprocessing(child_env):
     )
     assert done.returncode == 0, done.stderr
     assert done.stdout.strip() == "False"
+
+
+def test_a_pinned_worker_runs_one_blas_thread(child_env):
+    # the pool initializer sets each bundled OpenBLAS it finds to one thread,
+    # whatever the environment asked for
+    code = (
+        "import ctypes, glob, importlib, os\n"
+        "from sphiso import checks\n"
+        "checks._pin_blas()\n"
+        "for package, pattern, setter in checks._BLAS_SETTERS:\n"
+        "    root = os.path.dirname(os.path.dirname(importlib.import_module(package).__file__))\n"
+        "    for path in glob.glob(os.path.join(root, package + '.libs', pattern)):\n"
+        "        lib = ctypes.CDLL(path)\n"
+        "        getter = getattr(lib, setter.replace('set_', 'get_'), None)\n"
+        "        if getter is not None:\n"
+        "            print(getter())\n"
+    )
+    env = dict(child_env, OPENBLAS_NUM_THREADS="2")
+    done = subprocess.run(
+        [sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=60
+    )
+    assert done.returncode == 0, done.stderr
+    counts = done.stdout.split()
+    if not counts:
+        pytest.skip("no bundled OpenBLAS with a thread setter here")
+    assert counts == ["1"] * len(counts)

@@ -1,8 +1,9 @@
 import math
+import subprocess
+import sys
 
 import numpy as np
 import pytest
-import scipy.spatial
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -164,7 +165,6 @@ coeff = st.complex_numbers(
     widen=st.sampled_from([1.0, 0.5, 2.0]),
 )
 def test_pruned_distance_matches_dense_scan(coeffs, grid_size, offsets, start, at, widen):
-    # k = 2 sends lambdas with a third vertex in reach to the exact scan, and
     # widen = 1 puts one lambda on the threshold, inside the recheck band
     phi = LaurentPoly(1, {(k,): c for k, c in coeffs.items()})
     samples = eval_grid(phi, grid_size)
@@ -172,29 +172,57 @@ def test_pruned_distance_matches_dense_scan(coeffs, grid_size, offsets, start, a
     lams = samples[picks] + np.array(offsets, dtype=complex)
     exact = polyline_distance(samples, lams)
     reach = widen * exact[at % lams.size]
-    near, rescanned = sp._within(samples, lams, reach, k=2)
+    near, rescanned = sp._within(samples, lams, reach)
     assert np.array_equal(near, ~(exact > reach))
     assert 0 <= rescanned <= lams.size
     # one reach per lambda
     each = widen * exact[(at + np.arange(lams.size)) % lams.size]
-    near, _ = sp._within(samples, lams, each, k=2)
+    near, _ = sp._within(samples, lams, each)
     assert np.array_equal(near, ~(exact > each))
 
 
 def test_pruned_distance_falls_back_and_rechecks():
     circle = eval_grid(Z, 64)  # unit circle, edges about 0.098 long
-    # every vertex is within reach of the centre: the k-th neighbour is inside
-    # the radius, so the exact scan decides
-    near, rescanned = sp._within(circle, [0j], 1.5, k=2)
-    assert near.tolist() == [True] and rescanned == 1
+    # every vertex is within reach of the centre, all in the centre's cell
+    # and its neighbours: decided by the cells alone
+    near, rescanned = sp._within(circle, [0j], 1.5)
+    assert near.tolist() == [True] and rescanned == 0
     # 3 is exactly 2 from the vertex 1: on the threshold, inside the band
     near, rescanned = sp._within(circle, [3 + 0j], 2.0)
     assert near.tolist() == [True] and rescanned == 1
-    # no vertex within 1.9 + half an edge: decided by the tree alone
+    # no vertex within 1.9 + half an edge: decided by the cells alone
     near, rescanned = sp._within(circle, [3 + 0j], 1.9)
     assert near.tolist() == [False] and rescanned == 0
     near, rescanned = sp._within(circle, [], [])
     assert near.size == 0 and rescanned == 0
+
+
+@pytest.mark.parametrize(
+    "text, scale",
+    [
+        ("z^2 + 0.5*zbar^3", 1.0),
+        ("z + zbar", 1.0),
+        ("1j*z + 1j*zbar", 1.0),
+        ("z^2 + 0.5*zbar^3", 1e100),
+    ],
+)
+def test_cell_pruned_distance_matches_the_exact_scan(text, scale):
+    # a curve on a segment (z + zbar), one on a vertical segment whose
+    # vertices share one column of cells, and a curve 1e100 wide, whose keys
+    # stay small since its edges are as long
+    phi = scale * LaurentPoly.from_text(text)
+    samples = Curve(phi, 2048).samples
+    rng = np.random.default_rng(17)
+    anchors = samples[rng.integers(0, samples.size, 600)]
+    size = scale * rng.uniform(0.0, 0.02, 600) * np.exp(2j * np.pi * rng.uniform(0, 1, 600))
+    far = scale * (rng.uniform(-3, 3, 50) + 1j * rng.uniform(-3, 3, 50))
+    lams = np.concatenate([anchors + size, far])
+    exact = sp._distance(samples, lams, edges=True)
+    for reach in (2e-4 * scale, 1e-2 * scale, np.roll(exact, 7)):
+        each = np.broadcast_to(reach, lams.shape)
+        near, rescanned = sp._within(samples, lams, reach)
+        assert np.array_equal(near, exact <= each)
+        assert rescanned < lams.size
 
 
 # ---------------------------------------------------------------------------
@@ -362,7 +390,7 @@ def test_convex_bound_settles_leftovers_at_hull_vertices(monkeypatch):
     # ON_CURVE lambdas carry a wide tolerance, so many lie outside the sector
     # triangles; the exact boundary scan measures exactly the lambdas that
     # Hull.distance_bound leaves, and accepts them all. No refined grid is
-    # sized and no k-d tree is built
+    # sized
     phi = LaurentPoly.from_text("z^3 + (0.4-0.3j)*zbar^3")
     bounded, scanned = [], []
     bound, distance = Hull.distance_bound, sp._distance
@@ -378,12 +406,11 @@ def test_convex_bound_settles_leftovers_at_hull_vertices(monkeypatch):
         return distance(samples, pts, edges)
 
     def forbidden(*args, **kwargs):
-        raise AssertionError("no refined grid and no k-d tree")
+        raise AssertionError("no refined grid")
 
     monkeypatch.setattr(Hull, "distance_bound", spy_bound)
     monkeypatch.setattr(sp, "_distance", spy_distance)
     monkeypatch.setattr(Curve, "refine", forbidden)
-    monkeypatch.setattr(scipy.spatial, "cKDTree", forbidden)
     rep = sp.convex_bound_check(phi, 200)
     assert rep.verdict
     [(pts, d)], [leftovers] = bounded, scanned
@@ -407,6 +434,23 @@ def test_convex_bound_working_hull_accepts_every_lambda(scale):
         assert rep.verdict and rep.counterexamples == []
         seen.update(rep.statuses)
     assert seen == ({sp.OUTSIDE} if scale < 1 else set(sp._STATUS_NAMES))
+
+
+def test_spectra_checks_never_import_scipy_spatial(child_env):
+    # a lazy import is paid afresh in every pool worker, so no spectra check
+    # may need one that sphiso.cli does not load
+    code = (
+        "import sys; from sphiso import checks\n"
+        "params = dict(checks.DEFAULT_PARAMS, spectra_symbols=2, lambda_points=40, probes=10)\n"
+        "for cid in checks.suite_check_ids('spectra'):\n"
+        "    assert checks.run_check(cid, params, 3).verdict, cid\n"
+        "print(sorted(m for m in sys.modules if m.startswith('scipy.spatial')))\n"
+    )
+    done = subprocess.run(
+        [sys.executable, "-c", code], env=child_env, capture_output=True, text=True, timeout=120
+    )
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.strip() == "[]"
 
 
 def test_hartman_wintner_flags_a_planted_outside(monkeypatch):
@@ -450,6 +494,50 @@ def test_numerical_range_shift_bounded():
     rep = sp.numerical_range_support(cc.make_toeplitz(Z), thetas, 64)
     assert rep.verdict
     assert max(rep.support_values) <= 1.0 + 1e-8
+
+
+def test_arc_sup_bounds_the_dense_grid_maxima():
+    # the arc bound plus its sag is never below the sup grid sampled before
+    # the arcs (sized for a sag of 2e-9, clamped at 300,000 points), nor below
+    # a grid four times as dense; and the value it reports was sampled, so it
+    # stays within the dense grid's own sag of that grid's maximum
+    phs = [complex(math.cos(t), math.sin(t)) for t in 2.0 * math.pi * np.arange(16) / 16]
+    for phi in full_scenario_symbols()[:8]:
+        with record.collect() as (notes, _):
+            old = Curve(phi, 4096).refine(2e-9, 4096, 4096, 300_000, "sup_grid")
+        dense = Curve(phi, 4 * old.size)
+        tops, sags, points = sp._arc_sup(phi, phs)
+        assert 4096 < points < 20_000 and max(sags) <= 2e-9
+        for ph, top, sag in zip(phs, tops, sags):
+            assert top + sag >= float(np.max((ph * old.samples).real))
+            dense_max = float(np.max((ph * dense.samples).real))
+            assert top + sag >= dense_max
+            assert top <= dense_max + dense.sag + 1e-12
+
+
+def test_arc_sup_resamples_a_peak_whose_samples_fall_below_another():
+    # Re(z^3 + eps e^{-2 pi i / 3} z) peaks at 1 + eps near t = 2 pi / 3, a
+    # third of a spacing from the nearest of 4096 samples, which reads about
+    # 1 - 6e-7; the grid maximum, 1 - eps / 2, sits on the sample t = 0. Only
+    # the sag keeps the arcs around the higher peak
+    eps = 5e-7
+    phi = LaurentPoly(1, {(3,): 1.0, (1,): eps * complex(np.exp(-2j * np.pi / 3))})
+    t = 2.0 * math.pi / 3.0 + np.linspace(-1e-3, 1e-3, 200_001)
+    true_max = float(np.max(phi.eval_at(np.exp(1j * t)).real))
+    assert float(np.max(Curve(phi, 4096).samples.real)) < true_max - 5e-7
+    (top,), (sag,), _ = sp._arc_sup(phi, [1.0 + 0j])
+    assert top <= true_max + 1e-15 and top + sag >= true_max
+
+
+def test_arc_sup_resamples_nothing_where_the_direction_is_flat():
+    # Re(e^{i theta} phi) of a curve on a line is constant in the normal
+    # direction: no arc is resampled there, and the sag is 0
+    phi = LaurentPoly.from_text("1j*z + 1j*zbar")  # 2i cos t
+    tops, sags, points = sp._arc_sup(phi, [1.0 + 0j])
+    assert abs(tops[0]) <= 1e-15 and sags == [0.0] and points == 4096
+    # a huge symbol stops at base points per arc, far past the sag target
+    tops, sags, points = sp._arc_sup(1e100 * Z, [1.0 + 0j])
+    assert 4096 < points <= 4096 + 16 * 4095 and 2e-9 < sags[0] < 1e100 * 1e-13
 
 
 def test_numerical_range_trunc_guard():

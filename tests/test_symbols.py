@@ -347,6 +347,15 @@ def test_sup_norm_cosine():
     assert up == 2.0
 
 
+def test_sup_norm_brackets_a_large_symbol():
+    # the grid max rounds past the l1 sum by far more than 1e-12 in absolute
+    # terms; relative to the norm it stays within rounding
+    phi = LaurentPoly.from_text("1e20*z + 0.3*zbar^2")
+    lo, up = sup_norm(phi)
+    assert lo <= up == phi.l1_norm()
+    assert lo >= up * (1.0 - 1e-12)
+
+
 def test_sup_norm_analytic_cubic():
     lo, up = sup_norm(LaurentPoly.from_text("1 + z + z^2"), grid_size=720)
     assert abs(lo - 3.0) <= 1e-3
@@ -444,7 +453,51 @@ def test_hull_distance_bound_brackets_the_distance():
         assert np.array_equal(hs.distance_bound(q), hs.outside_distance(q))
 
 
-def test_hull_large_set_qhull_path():
+def brute_hull(points):
+    """The hull's vertex set by definition: the distinct points that are no
+    convex combination of two others, found by testing every pair's
+    supporting line."""
+    pts = np.unique(np.asarray(points, dtype=complex)).tolist()
+    if len(pts) <= 2:
+        return set(pts)
+    keep = set()
+    for i, a in enumerate(pts):
+        for b in pts[i + 1 :]:
+            # Python floats: the side of b itself is exactly 0
+            dx, dy = b.real - a.real, b.imag - a.imag
+            side = [dx * (p.imag - a.imag) - dy * (p.real - a.real) for p in pts]
+            if min(side) >= 0 or max(side) <= 0:
+                # a and b span a supporting line: keep its two extreme points
+                on = [p for p, s in zip(pts, side) if s == 0]
+                along = sorted(on, key=lambda p: (p.real, p.imag))
+                keep.update([along[0], along[-1]])
+    return keep
+
+
+@pytest.mark.parametrize("kind", ["random", "collinear", "duplicated", "lattice"])
+def test_conv_hull_matches_the_brute_force_hull(kind):
+    rng = np.random.default_rng(23)
+    for _ in range(20):
+        if kind == "random":
+            pts = rng.uniform(-1, 1, 30) + 1j * rng.uniform(-1, 1, 30)
+        elif kind == "collinear":
+            pts = (1 + 2j) + (0.5 - 1j) * rng.integers(-5, 6, 12)
+        elif kind == "duplicated":
+            base = rng.uniform(-1, 1, 6) + 1j * rng.uniform(-1, 1, 6)
+            pts = base[rng.integers(0, rng.integers(1, 7), 25)]
+        else:  # small integer points: many on the hull's edges
+            pts = rng.integers(-2, 3, 25) + 1j * rng.integers(-2, 3, 25)
+        h = conv_hull(pts)
+        v = h.vertices.tolist()
+        assert len(v) == len(set(v)) and set(v) == brute_hull(pts)
+        if len(v) >= 3:
+            # counterclockwise: every turn along the closed chain is strictly left
+            a, b, c = np.array(v), np.roll(v, -1), np.roll(v, -2)
+            assert (((b - a).conjugate() * (c - b)).imag > 0).all()
+        assert h.kind == {1: "point", 2: "segment"}.get(len(v), "polygon")
+
+
+def test_hull_large_circle_set():
     rng = np.random.default_rng(59)
     pts = np.exp(2j * np.pi * rng.uniform(0, 1, 60001))
     h = conv_hull(pts)
