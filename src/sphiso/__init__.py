@@ -16,7 +16,6 @@ from .circle_calculus import (
     is_toeplitz,
     make_toeplitz,
     mul,
-    norm_bracket,
     phi_map,
     project_phi,
     semicommutator,
@@ -70,7 +69,6 @@ __all__ = [
     "is_toeplitz",
     "make_toeplitz",
     "mul",
-    "norm_bracket",
     "phi_map",
     "project_phi",
     "semicommutator",

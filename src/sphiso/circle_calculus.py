@@ -58,12 +58,14 @@ __all__ = [
     "toeplitz_matrix",
     "truncation",
     "truncation_norm",
-    "norm_bracket",
     "diff_max",
     "symbol_diff_max",
 ]
 
 _FLUSH = 1e-14
+_CROSS_GRID = 2048  # the cross-section's sup grid
+_CROSS_TOL = 1e-3  # the gap at which the cross-section's bracket counts closed
+_SUP_GRID = 16384  # the least grid of the commutant lift's sup bracket
 
 
 def _canonical_correction(arr):
@@ -127,19 +129,11 @@ class ToeplitzElement:
             return NotImplemented
         return ToeplitzElement(self.symbol - other.symbol, _padded_sum(self._corr, -other._corr))
 
-    def __neg__(self):
-        return ToeplitzElement(-self.symbol, -self._corr)
-
     def __mul__(self, c):
         if isinstance(c, (int, float, complex)):
             return ToeplitzElement(self.symbol * c, self._corr * c)
         if isinstance(c, ToeplitzElement):
             return mul(self, c)
-        return NotImplemented
-
-    def __rmul__(self, c):
-        if isinstance(c, (int, float, complex)):
-            return self * c
         return NotImplemented
 
     def merge_key(self):
@@ -256,14 +250,14 @@ def symbol_map(x):
     return x.symbol
 
 
-def is_toeplitz(x, tol=0.0):
+def is_toeplitz(x):
     """True when the correction block is empty.
 
     Cross-checked against the fixed-point criterion phi_map(X) == X; the two
     are equivalent on this class, and InvariantError is raised if they differ.
     """
     structural = x.corr_array.size == 0
-    dynamical = diff_max(phi_map(x), x) <= tol
+    dynamical = diff_max(phi_map(x), x) == 0.0
     if structural != dynamical:
         raise InvariantError("fixed-point and structural Toeplitz tests disagree")
     return structural
@@ -400,11 +394,6 @@ def truncation_norm(x, n):
     return op_norm(truncation(x, n))
 
 
-def norm_bracket(x, n=256):
-    """[compression norm at N, l1(symbol) + ||correction||]; contains ||X||."""
-    return truncation_norm(x, n), _upper_norm(x)
-
-
 def _upper_norm(x):
     """l1(symbol) + ||correction||, an upper bound on ||X||."""
     upper = x.symbol.l1_norm()
@@ -443,31 +432,25 @@ def _block_truncation_norm(block, n):
     return op_norm(big)
 
 
-def cross_section_isometry(block, truncations=None, grid_size=2048, tol=1e-3):
-    """Compare compression norms of a (matrix of) symbol(s) against the
-    pointwise sup of the symbol matrix norm.
+def cross_section_isometry(block, truncations):
+    """Compare compression norms of a (matrix of) symbol(s) at each of the
+    truncations against the pointwise sup of the symbol matrix norm.
 
     Compression norms increase with the truncation (nested compressions) and
     converge to the operator norm, which equals the sup; the verdict is PASS
-    once the bracket closes to `tol`, INCONCLUSIVE otherwise (lower bounds
-    cannot refute).
+    once the bracket closes to _CROSS_TOL, INCONCLUSIVE otherwise (lower
+    bounds cannot refute).
     """
     if isinstance(block, LaurentPoly):
         block = [[block]]
     k = len(block)
     if any(len(row) != k for row in block):
         raise PreconditionError("symbol block must be square")
-    if truncations is None:
-        cap = 1024 if k == 1 else 256
-        truncations, n = [], 64
-        while n <= cap:
-            truncations.append(n)
-            n *= 2
     lows = [_block_truncation_norm(block, n) for n in truncations]
     monotone = all(lows[i] <= lows[i + 1] + 1e-12 for i in range(len(lows) - 1))
-    sup_lo = _block_grid_sup(block, grid_size)
+    sup_lo = _block_grid_sup(block, _CROSS_GRID)
     gap = abs(lows[-1] - sup_lo)
-    verdict = "PASS" if (gap <= tol and monotone) else "INCONCLUSIVE"
+    verdict = "PASS" if (gap <= _CROSS_TOL and monotone) else "INCONCLUSIVE"
     return CrossSectionReport(
         level=k,
         truncations=list(truncations),
@@ -508,7 +491,7 @@ class CommutantReport:
     lift: LiftEvidence | None = field(default=None)
 
 
-def commutant_character(x, trunc=1024, sup_grid=16384):
+def commutant_character(x, trunc=1024):
     """Decide membership of X in the commutant of the shift.
 
     Two routes, required to agree: (a) X and X*X are both Toeplitz, (b) X
@@ -535,7 +518,7 @@ def commutant_character(x, trunc=1024, sup_grid=16384):
         cls = TOEPLITZ_NOT_ANALYTIC
     lift = None
     if cls == ANALYTIC_TOEPLITZ:
-        lo, up = sup_norm(x.symbol, grid_size=max(sup_grid, 4 * (1 + x.symbol.band())))
+        lo, up = sup_norm(x.symbol, grid_size=max(_SUP_GRID, 4 * (1 + x.symbol.band())))
         tl = truncation_norm(x.symbol, trunc)
         lift = LiftEvidence(x.symbol, lo, up, tl, abs(tl - lo))
     return CommutantReport(cls, is_t, xstarx_t, commutes, lift)

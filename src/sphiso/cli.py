@@ -25,6 +25,10 @@ from .symbols import Curve, LaurentPoly, sup_norm, winding
 
 _SUITE_NAMES = checks.SUITES
 
+# symbol-eval samples grid ** nvars torus points; past this many (64 MiB of
+# complex samples) it refuses rather than run out of memory
+_EVAL_POINTS = 1 << 22
+
 
 def validate_scenario(obj, origin="scenario"):
     """Return (name, seed, suite, params) or raise UsageError naming the field.
@@ -225,6 +229,11 @@ def cmd_symbol_eval(args):
     grid = args.grid
     if grid < 4 * (1 + phi.band()):
         raise UsageError(f"--grid must be >= 4 * (1 + band) = {4 * (1 + phi.band())}")
+    if grid**phi.nvars > _EVAL_POINTS:
+        raise UsageError(
+            f"--grid {grid} samples {grid}^{phi.nvars} = {grid**phi.nvars} torus "
+            f"points, more than {_EVAL_POINTS}"
+        )
     print(f"symbol:   {phi.to_text()}")
     print(f"nvars:    {phi.nvars}")
     if phi.nvars == 1:

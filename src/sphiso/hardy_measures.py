@@ -75,10 +75,6 @@ class CircleMeasure:
             raise PreconditionError("density failed to be real on the grid")
         return vals.real
 
-    @classmethod
-    def lebesgue(cls):
-        return cls({0: 1.0})
-
     def __repr__(self):
         return f"CircleMeasure(degree={self.degree}, min={self._density_min:.3g})"
 

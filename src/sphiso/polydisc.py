@@ -41,7 +41,6 @@ __all__ = [
     "tensor_adjoint",
     "identity_tensor",
     "matricize",
-    "tensor_equals",
     "norm_bracket",
     "gamma",
     "scaled_isometry_check",
@@ -143,12 +142,6 @@ def matricize(x, n=32):
     for a, b in x.terms:
         out += np.kron(truncation(a, n), truncation(b, n))
     return out
-
-
-def tensor_equals(x, y, n=32, tol=1e-12):
-    """Equality by truncated matricization; sound at these band widths."""
-    d = matricize(x - y, n)
-    return float(np.max(np.abs(d))) <= tol if d.size else True
 
 
 def norm_bracket(x, n=32):

@@ -168,9 +168,6 @@ class LaurentPoly:
             return NotImplemented
         return self + (-other)
 
-    def __rsub__(self, other):
-        return (-self) + other
-
     def __neg__(self):
         return LaurentPoly(self.nvars, {e: -c for e, c in self._coeffs.items()})
 
@@ -659,9 +656,10 @@ def _segment_distance(q, a, e):
 class Hull:
     """Convex hull of a finite point set in C, with tolerant membership.
 
-    membership(lam, tol) is one-sided safe: it never rejects a point whose
-    distance to the hull is <= tol (near corners it may accept points up to
-    sqrt(2) * tol away, which only loosens an inclusion check).
+    membership_batch(lams, tol) is one-sided safe: it never rejects a point
+    whose distance to the hull is <= tol (near corners it may accept points
+    up to sqrt(2) * tol away, which only loosens an inclusion check). No
+    check calls it; it stays because perfbench's tracer times it by name.
     """
 
     def __init__(self, vertices):
@@ -714,9 +712,6 @@ class Hull:
             return self.outside_distance(q)
         a, e, signed = self._sector_edge(q)
         return np.where(signed >= 0.0, 0.0, _segment_distance(q, a, e))
-
-    def membership(self, lam, tol):
-        return bool(self.outside_distance(lam)[0] <= tol)
 
     def membership_batch(self, lams, tol):
         return self.outside_distance(lams) <= tol

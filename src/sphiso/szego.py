@@ -135,40 +135,14 @@ class SphereSymbol:
             terms[(g, d)] = terms.get((g, d), 0j) + t.coeff
         return cls(nvars, terms)
 
-    @classmethod
-    def constant(cls, c, nvars):
-        z = (0,) * nvars
-        return cls(nvars, {(z, z): c})
-
     def terms(self):
         return self._terms.items()
-
-    def is_zero(self):
-        return not self._terms
-
-    def conjugate(self):
-        return SphereSymbol(
-            self.nvars, {(d, g): c.conjugate() for (g, d), c in self._terms.items()}
-        )
 
     def band(self):
         """Largest total degree shift |gamma| - |delta| in absolute value."""
         if not self._terms:
             return 0
         return max(abs(sum(g) - sum(d)) for (g, d) in self._terms)
-
-    def __add__(self, other):
-        out = dict(self._terms)
-        for k, c in other._terms.items():
-            out[k] = out.get(k, 0j) + c
-        return SphereSymbol(self.nvars, out)
-
-    def __mul__(self, c):
-        if isinstance(c, (int, float, complex)):
-            return SphereSymbol(self.nvars, {k: v * c for k, v in self._terms.items()})
-        return NotImplemented
-
-    __rmul__ = __mul__
 
     def __repr__(self):
         return f"SphereSymbol(n={self.nvars}, {len(self._terms)} terms)"

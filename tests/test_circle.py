@@ -381,7 +381,7 @@ else:
     sys.exit("is_toeplitz accepted disagreeing criteria")
 cc.phi_map = phi_map
 # a Toeplitz test that accepts everything disagrees with commutation
-cc.is_toeplitz = lambda x, tol=0.0: True
+cc.is_toeplitz = lambda x: True
 try:
     cc.commutant_character(cc.adjoint(T_Z), trunc=64)
 except InvariantError as exc:
@@ -508,17 +508,8 @@ def test_truncation_requires_room_for_correction():
         cc.truncation(x, 3)
 
 
-def test_norm_bracket_orders():
-    rng = rng_for(13)
-    for _ in range(10):
-        x = random_element(rng, 4, 3)
-        lo, up = cc.norm_bracket(x, n=64)
-        assert lo <= up + 1e-12
-    assert cc.norm_bracket(T_Z, n=64) == (1.0, 1.0)
-
-
 def test_cross_section_scalar_shift():
-    rep = cc.cross_section_isometry(Z)
+    rep = cc.cross_section_isometry(Z, [64, 128, 256, 512, 1024])
     assert rep.verdict == "PASS"
     assert all(abs(v - 1.0) <= 1e-12 for v in rep.lower_bounds)
     assert abs(rep.sup_estimate - 1.0) <= 1e-12
@@ -549,9 +540,9 @@ def test_cross_section_check_keeps_the_block_within_the_cap(monkeypatch, cap):
     real = cc.cross_section_isometry
     calls = []
 
-    def spy(block, truncations=None, **kwargs):
+    def spy(block, truncations):
         calls.append(list(truncations))
-        return real(block, truncations=truncations, **kwargs)
+        return real(block, truncations)
 
     monkeypatch.setattr(cc, "cross_section_isometry", spy)
     params = dict(checks.DEFAULT_PARAMS, cross_section_truncation=cap)
@@ -563,13 +554,14 @@ def test_cross_section_check_keeps_the_block_within_the_cap(monkeypatch, cap):
 
 
 def test_cross_section_inconclusive_on_tight_budget():
-    rep = cc.cross_section_isometry(Z + ZBAR, truncations=[4, 8], tol=1e-6)
+    # 2 cos(pi / 9) = 1.879 at N = 8 leaves a gap of 0.12 to the sup
+    rep = cc.cross_section_isometry(Z + ZBAR, truncations=[4, 8])
     assert rep.verdict == "INCONCLUSIVE"
 
 
 def test_cross_section_rejects_ragged_block():
     with pytest.raises(PreconditionError):
-        cc.cross_section_isometry([[Z], [Z, Z]])
+        cc.cross_section_isometry([[Z], [Z, Z]], [8])
 
 
 def test_cross_section_rejects_two_variable_symbols():

@@ -445,6 +445,34 @@ def test_symbol_eval_errors(capsys):
     assert "--grid must be >=" in capsys.readouterr().err
 
 
+def _refuse_to_sample(*args, **kwargs):
+    raise AssertionError("symbol-eval sampled an oversized grid")
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["z", "--grid", "100000000000"],
+        ["z1 + z2 + z3 + z4 + z5"],  # 512^5 points at the default grid
+        ["z1 + z2 + z3"],  # 512^3
+        ["z1 + z2", "--grid", "2049"],
+    ],
+)
+def test_symbol_eval_refuses_a_grid_too_large_to_sample(argv, capsys, monkeypatch):
+    # grid ** nvars is bounded before any sample is taken
+    monkeypatch.setattr(cli, "sup_norm", _refuse_to_sample)
+    monkeypatch.setattr(cli, "winding", _refuse_to_sample)
+    assert cli.main(["symbol-eval", *argv]) == 2
+    assert "torus points, more than 4194304" in capsys.readouterr().err
+
+
+def test_symbol_eval_takes_a_grid_at_the_sample_bound(capsys, monkeypatch):
+    # 2048^2 = 2^22 points pass; a stub bracket spares the test sampling them
+    monkeypatch.setattr(cli, "sup_norm", lambda phi, grid_size: (2.0, 2.0))
+    assert cli.main(["symbol-eval", "z1 + z2", "--grid", "2048"]) == 0
+    assert "(2048-point grid)" in capsys.readouterr().out
+
+
 def test_symbol_eval_rejects_a_huge_symbol_as_a_usage_error(capsys):
     # the sup bracket holds at 1e200; the winding's curve refuses an l1 norm
     # past 1e150, which reads as a usage error, not a traceback

@@ -11,7 +11,7 @@ from sphiso.symbols import LaurentPoly
 Z = LaurentPoly.variable(0, 1)
 ZBAR = Z.conjugate()
 
-LEB = hm.CircleMeasure.lebesgue()
+LEB = hm.CircleMeasure({0: 1.0})
 COSINE = hm.CircleMeasure({0: 1.0, 1: 0.4})  # w = 1 + 0.8 cos(theta)
 
 

@@ -176,3 +176,35 @@ def test_a_non_finite_residual_fails_a_passing_runner(monkeypatch):
         assert not rec.verdict
         assert rec.to_json()["residuals"] == {"value": text, "ok": 1.0}
         checks.canonical_json(rec.to_json())
+
+
+class _ReadLog(dict):
+    """A parameter dict that logs each key read from it."""
+
+    def __init__(self, data, log, prefix=""):
+        super().__init__(data)
+        self.log, self.prefix = log, prefix
+
+    def __getitem__(self, key):
+        self.log.add(self.prefix + key)
+        return super().__getitem__(key)
+
+    def get(self, key, default=None):
+        self.log.add(self.prefix + key)
+        return super().get(key, default)
+
+
+# szego_model no longer samples its moments, but the benchmark's scenario
+# still passes mc_samples, so the schema keeps the key
+UNREAD = {"mc_samples"}
+
+
+def test_every_parameter_is_read():
+    log = set()
+    params = _ReadLog(PARAMS, log)
+    dict.__setitem__(params, "tolerances", _ReadLog(PARAMS["tolerances"], log, "tolerances."))
+    for check_id in checks.REGISTRY:
+        assert checks.run_check(check_id, params, SEED).verdict
+    keys = {k for k in checks.DEFAULT_PARAMS if k != "tolerances"}
+    keys |= {f"tolerances.{k}" for k in checks.DEFAULT_PARAMS["tolerances"]}
+    assert keys - log == UNREAD

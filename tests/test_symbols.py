@@ -375,17 +375,16 @@ def test_hull_square():
         1j,
         (1 + 0j),
     ]
-    assert h.membership(0.0, 1e-12)
-    assert h.membership(0.49 + 0.49j, 1e-12)
-    assert not h.membership(1.0 + 1.0j, 1e-6)
+    got = h.membership_batch([0.0, 0.49 + 0.49j, 1.0 + 1.0j], 1e-12)
+    assert got.tolist() == [True, True, False]
 
 
 def test_hull_point_and_segment():
     p = conv_hull([2.0 + 1j])
-    assert p.kind == "point" and p.membership(2.0 + 1j, 0.0)
+    assert p.kind == "point" and p.outside_distance(2.0 + 1j)[0] == 0.0
     s = conv_hull([0.0, 1.0, 0.5])  # collinear
     assert s.kind == "segment"
-    assert s.membership(0.25, 1e-12)
+    assert s.outside_distance(0.25)[0] <= 1e-12
     assert abs(s.outside_distance(0.5 + 1j)[0] - 1.0) <= 1e-14
     with pytest.raises(PreconditionError):
         conv_hull([])
@@ -409,9 +408,8 @@ def test_hull_membership_against_lp():
     pts = rng.uniform(-1, 1, 100) + 1j * rng.uniform(-1, 1, 100)
     h = conv_hull(pts)
     queries = rng.uniform(-1.5, 1.5, 50) + 1j * rng.uniform(-1.5, 1.5, 50)
-    for q in queries:
+    for q, got in zip(queries, h.membership_batch(queries, 1e-9)):
         want = lp_in_hull(pts, q)
-        got = h.membership(q, 1e-9)
         if got != want:
             # only a genuinely borderline point may disagree
             assert h.outside_distance(q)[0] <= 1e-7
@@ -422,9 +420,8 @@ def test_hull_membership_against_lp():
 def test_hull_membership_one_sided_safety():
     # points on the boundary itself are never rejected
     h = conv_hull([1.0, 1j, -1.0, -1j])
-    for t in np.linspace(0.0, 1.0, 11):
-        edge_point = (1 - t) * 1.0 + t * 1j
-        assert h.membership(edge_point, 1e-9)
+    t = np.linspace(0.0, 1.0, 11)
+    assert h.membership_batch((1 - t) * 1.0 + t * 1j, 1e-9).all()
 
 
 def test_hull_distance_bound_brackets_the_distance():
@@ -503,7 +500,7 @@ def test_hull_large_circle_set():
     h = conv_hull(pts)
     assert h.kind == "polygon"
     assert np.max(np.abs(np.abs(h.vertices) - 1.0)) <= 1e-12
-    assert h.membership(0.0, 1e-9)
+    assert h.outside_distance(0.0)[0] == 0.0
 
 
 # ---------------------------------------------------------------------------

@@ -23,9 +23,6 @@ def test_sphere_symbol_rejects_non_finite():
     for bad in (math.inf, math.nan, complex(math.nan, 0.0)):
         with pytest.raises(PreconditionError, match="finite"):
             sz.SphereSymbol(2, {key: bad})
-    big = sz.SphereSymbol(2, {key: 1e308})
-    with pytest.raises(PreconditionError, match="finite"):
-        big + big
 
 
 # ---------------------------------------------------------------------------
