@@ -335,9 +335,8 @@ def _check_cross_section(params, seed):
         and abs(block_low - 1.0) <= tol_block
         and abs(block_sup - 1.0) <= tol_block
     )
-    rows = [("truncation", "norm")]
-    rows += [(str(n), repr(v)) for n, v in zip(sizes, norms)]
-    record.artifact("cross_section.csv", rows)
+    lines = [f"{n},{v!r}" for n, v in zip(sizes, norms)]
+    record.artifact("cross_section.csv", "\r\n".join(["truncation,norm", *lines, ""]))
     return {
         "closed_form_worst": worst_closed,
         "final_gap": final_gap,
@@ -376,7 +375,7 @@ def _check_convex_bound(params, seed):
         counterexamples += len(rep.counterexamples)
         tols.append(rep.tol_on_curve)
         if i == 0:
-            record.artifact("spectrum_0.csv", spectra.report_csv_rows(rep))
+            record.artifact("spectrum_0.csv", spectra.report_csv(rep))
     return {
         "symbols": len(symbols),
         "lambda_points": params["lambda_points"] ** 2,
@@ -652,7 +651,10 @@ REGISTRY = {
             "Thm2.9(3d)",
             5,
             ("circle",),
-            "compression norms against the sup of the symbol, scalar and 2x2",
+            "compression norms against the sup of the symbol, scalar and 2x2: "
+            "the scalar norm from the band of A*A, the block norm as the top "
+            "eigenvalue of the banded Hermitian dilation [[0, T], [T*, 0]], "
+            "both by the banded Cholesky bisection",
             "z + zbar reproduces 2cos(pi/(N+1)) within the closed-form "
             "tolerance and closes on 2; the diagonal block gives both sides "
             "1 within the block tolerance",
@@ -680,10 +682,13 @@ REGISTRY = {
             ("spectra",),
             "spectrum inside the convex hull of the essential range: the "
             "working curve is sampled once; crossing numbers per row of the "
-            "grid covering its range box; each lambda is accepted on an upper "
+            "grid covering its range box; a lambda is accepted on an upper "
             "bound of its distance to the hull of the working samples, at a "
             "tolerance of 1e-8 for winding lambdas and the working curve "
-            "tolerance on top for ON_CURVE ones",
+            "tolerance on top for ON_CURVE ones; the distance to a convex set "
+            "is convex, so only the outermost lambda of each status on each "
+            "row is measured, and a row with an end that fails is measured "
+            "lambda by lambda",
             "every non-OUTSIDE lambda on the covering grid passes hull "
             "membership at the certified tolerance; no counterexamples",
             _check_convex_bound,
@@ -697,7 +702,9 @@ REGISTRY = {
             "eigenvalue of each hermitian part, a band matrix (the symbol's "
             "band, widened to k - 1 by a k x k correction), by bisection "
             "with one banded Cholesky factorization per step, reading the "
-            "upper end of the final bracket (a shift that factored)",
+            "upper end of the final bracket (a shift that factored); a "
+            "Rayleigh quotient from inverse iteration settles the steps far "
+            "from it without a factorization, replaying the same bisection",
             "h(theta) stays below the symbol sup plus correction norm within "
             "sag + 1e-8 for all sampled directions",
             _check_numerical_range,

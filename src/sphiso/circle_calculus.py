@@ -425,11 +425,44 @@ def _block_grid_sup(block, grid_size):
 
 
 def _block_truncation_norm(block, n):
+    """Norm of the kN x kN compression T of a k x k block of symbols, whose
+    block (a, b) is the N x N compression of block[a][b].
+
+    For k >= 2 it is the top eigenvalue, by `linalg.band_max_eig`, of the
+    Hermitian dilation H = [[0, T], [T*, 0]], whose eigenvalues are plus and
+    minus the singular values of T. No dense matrix is formed. Interleaving
+    the block rows and columns puts c_ab(i - j), symbol block[a][b]'s
+    coefficient, at row ik + a and column jk + b of T, a band of half-width
+    p = k (w + 1) - 1 for symbols of band w; alternating the rows of T with
+    its columns then puts row r of T at 2r and column s at 2s + 1 of H, a
+    Hermitian band of half-width 2p + 1. Each coefficient fills one strided
+    run of one stored diagonal. The norm is the upper end of the bisection
+    bracket, so it errs upward but for the factorization's rounding.
+    """
     k = len(block)
     if k == 1:
         return _pure_truncation_norm(block[0][0], n)
-    big = np.block([[toeplitz_matrix(block[a][b], n) for b in range(k)] for a in range(k)])
-    return op_norm(big)
+    for row in block:
+        for phi in row:
+            phi._require_univariate()
+    w = min(max(phi.band() for row in block for phi in row), n - 1)
+    kd = 2 * k * (w + 1) - 1
+    band = np.zeros((kd + 1, 2 * k * n), dtype=complex)
+    for a in range(k):
+        for b in range(k):
+            for (e,), c in block[a][b].terms():
+                if abs(e) >= n:
+                    continue
+                d = e * k + a - b  # row minus column in T, on every entry
+                if d <= 0:
+                    # H[2r, 2s + 1] = T[r, s], stored in column 2s + 1, s = jk + b
+                    row, col, value = kd + 2 * d - 1, 2 * b + 1, c
+                else:
+                    # H[2s + 1, 2r] = conj(T[r, s]), stored in column 2r, r = (j + e) k + a
+                    row, col, value = kd - 2 * d + 1, 2 * (e * k + a), c.conjugate()
+                j0, j1 = max(0, -e), min(n, n - e)  # the columns j of block (a, b) holding e
+                band[row, col + 2 * k * j0 : col + 2 * k * j1 : 2 * k] = value
+    return band_max_eig(band)
 
 
 def cross_section_isometry(block, truncations):

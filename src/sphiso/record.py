@@ -1,10 +1,11 @@
 """What a check decided and what tables it wrote, gathered off the report.
 
 Kernels call `note` for each numerical choice they make (a grid size, a cap
-clamp, a band width) and check runners call `artifact` for each CSV table.
-`checks.run_check` gathers both inside `collect`, so they reach
-manifest.json and the run directory without riding on report types or
-return values. Outside `collect` both calls do nothing.
+clamp, a band width, the factorizations of an eigenvalue solve) and check
+runners call `artifact` with the text of each CSV table. `checks.run_check`
+gathers both inside `collect`, so they reach manifest.json and the run
+directory without riding on report types or return values. Outside
+`collect` both calls do nothing.
 """
 
 from __future__ import annotations
@@ -25,11 +26,13 @@ def note(**values):
             active[0].setdefault(key, []).append(value)
 
 
-def artifact(name, rows):
-    """Store rows as the CSV table called name."""
+def artifact(name, text):
+    """Store text as the file called name. The checks pass CSV text, made
+    where the table is computed, so a pool worker sends back one string and
+    the run writes it as it is."""
     active = _ACTIVE.get()
     if active is not None:
-        active[1][name] = rows
+        active[1][name] = text
 
 
 @contextmanager

@@ -42,6 +42,13 @@ def _clean_complex(c):
     return complex(c.real + 0.0, c.imag + 0.0)
 
 
+def _finite(coeffs):
+    """coeffs, once every value is finite."""
+    if not all(map(cmath.isfinite, coeffs.values())):
+        raise PreconditionError("symbol coefficients must be finite")
+    return coeffs
+
+
 class LaurentPoly:
     """Finitely supported coefficient map exponent-vector -> complex."""
 
@@ -69,9 +76,22 @@ class LaurentPoly:
                         del store[e]
                     else:
                         store[e] = acc
-        if not all(map(cmath.isfinite, store.values())):
-            raise PreconditionError("symbol coefficients must be finite")
-        self._coeffs = store
+        self._coeffs = _finite(store)
+
+    @classmethod
+    def _of(cls, nvars, coeffs):
+        """A symbol from coefficients whose keys this class made: distinct
+        tuples of nvars ints, so not checked again. Values are cleaned, zeros
+        dropped and finiteness checked as in __init__."""
+        store = {}
+        for e, c in coeffs.items():
+            c = _clean_complex(c)
+            if c != 0:
+                store[e] = c
+        out = cls.__new__(cls)
+        out.nvars = nvars
+        out._coeffs = _finite(store)
+        return out
 
     # ---- constructors -------------------------------------------------
 
@@ -179,11 +199,18 @@ class LaurentPoly:
         if other.nvars != self.nvars:
             raise PreconditionError("variable count mismatch")
         out = {}
-        for e1, c1 in self._coeffs.items():
-            for e2, c2 in other._coeffs.items():
-                e = tuple(a + b for a, b in zip(e1, e2))
-                out[e] = out.get(e, 0j) + c1 * c2
-        return LaurentPoly(self.nvars, out)
+        pairs = other._coeffs.items()
+        if self.nvars == 1:
+            for (k1,), c1 in self._coeffs.items():
+                for (k2,), c2 in pairs:
+                    e = (k1 + k2,)
+                    out[e] = out.get(e, 0j) + c1 * c2
+        else:
+            for e1, c1 in self._coeffs.items():
+                for e2, c2 in pairs:
+                    e = tuple(a + b for a, b in zip(e1, e2))
+                    out[e] = out.get(e, 0j) + c1 * c2
+        return LaurentPoly._of(self.nvars, out)
 
     __rmul__ = __mul__
 

@@ -15,6 +15,7 @@ from sphiso.symbols import LaurentPoly
 Z = LaurentPoly.variable(0, 1)
 ZBAR = Z.conjugate()
 ONE = LaurentPoly.constant(1.0)
+ZERO = LaurentPoly.zero(1)
 
 T_Z = cc.make_toeplitz(Z)
 T_ZBAR = cc.make_toeplitz(ZBAR)
@@ -531,6 +532,30 @@ def test_cross_section_block_diagonal():
     assert abs(rep.lower_bounds[-1] - 1.0) <= 1e-8
     assert abs(rep.sup_estimate - 1.0) <= 1e-8
     assert rep.verdict == "PASS"
+
+
+@pytest.mark.parametrize("k", [2, 3])
+def test_block_truncation_norm_matches_the_dense_svd(k):
+    # the top eigenvalue of the banded Hermitian dilation against op_norm of
+    # the dense kN x kN block matrix, within 8 (kd + 1) eps times the band's
+    # 1-norm; some entries are zero, some keep exponents past N
+    rng = rng_for(60 + k)
+    eps = np.finfo(float).eps
+    for _ in range(12):
+        n = int(rng.choice([1, 3, 8, 64]))
+        block = [
+            [
+                random_symbol(rng, int(rng.integers(0, 4))) if rng.random() < 0.8 else ZERO
+                for _ in range(k)
+            ]
+            for _ in range(k)
+        ]
+        dense = np.block([[cc.toeplitz_matrix(p, n) for p in row] for row in block])
+        w = min(max(p.band() for row in block for p in row), n - 1)
+        kd = 2 * k * (w + 1) - 1
+        norm1 = max(np.abs(dense).sum(axis=0).max(), np.abs(dense).sum(axis=1).max())
+        got = cc._block_truncation_norm(block, n)
+        assert abs(got - op_norm(dense)) <= 8 * (kd + 1) * eps * norm1
 
 
 @pytest.mark.parametrize("cap", [100, 128])

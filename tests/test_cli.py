@@ -262,8 +262,14 @@ def test_run_decisions_go_to_manifest_only(tmp_path):
     assert all(2048 <= n <= 65536 for n in hw["fine_size"])
     assert hw["probes_kept"] == [20, 20, 20]
     nr = decisions["numerical_range"]
-    assert set(nr) == {"sup_points", "sup_sag", "band"}
+    assert set(nr) == {"sup_points", "sup_sag", "band", "factorizations"}
     assert len(nr["sup_points"]) == len(nr["sup_sag"]) == len(nr["band"]) == 4
+    # one count per band_max_eig solve, one solve per direction; a plain
+    # bisection at truncation 128 makes about 54 factorizations per solve
+    made = nr["factorizations"]
+    assert len(made) == 4 * SPECTRA["parameters"]["nr_thetas"]
+    assert all(isinstance(n, int) and 0 < n <= 60 for n in made)
+    assert sum(made) <= 30 * len(made)
     # the 4096-point grid and a few resampled arcs, each within the sag target
     assert all(4096 < n < 40_000 for n in nr["sup_points"])
     assert all(0.0 <= sag <= 2e-9 for sag in nr["sup_sag"])

@@ -1,3 +1,5 @@
+import csv
+import io
 import math
 import subprocess
 import sys
@@ -386,12 +388,25 @@ def test_convex_bound_flags_a_shrunken_hull(monkeypatch):
         assert np.array_equal(rep.lams, covering_grid(phi, 200))
 
 
-def test_convex_bound_settles_leftovers_at_hull_vertices(monkeypatch):
-    # ON_CURVE lambdas carry a wide tolerance, so many lie outside the sector
-    # triangles; the exact boundary scan measures exactly the lambdas that
-    # Hull.distance_bound leaves, and accepts them all. No refined grid is
-    # sized
-    phi = LaurentPoly.from_text("z^3 + (0.4-0.3j)*zbar^3")
+def row_ends(statuses, n):
+    """Flat indices, ascending, of the leftmost and rightmost ON_CURVE and
+    WINDING_NONZERO lambda of each row of the n x n grid."""
+    ends = set()
+    for row in range(n):
+        for status in (sp.ON_CURVE, sp.WINDING_NONZERO):
+            cols = np.flatnonzero(statuses[row * n : (row + 1) * n] == status)
+            if cols.size:
+                ends.update((row * n + cols[0], row * n + cols[-1]))
+    return np.array(sorted(ends))
+
+
+def test_convex_bound_measures_only_the_row_ends(monkeypatch):
+    # on a passing symbol the hull stage measures the outermost lambda of
+    # each status on each row and nothing else, at most 4 per row; the exact
+    # boundary scan measures exactly what Hull.distance_bound leaves there.
+    # z + 0.3 zbar^2 gives both statuses, and ON_CURVE ends outside their
+    # sector triangles. No refined grid is sized
+    phi = Z + 0.3 * ZBAR**2
     bounded, scanned = [], []
     bound, distance = Hull.distance_bound, sp._distance
 
@@ -411,14 +426,62 @@ def test_convex_bound_settles_leftovers_at_hull_vertices(monkeypatch):
     monkeypatch.setattr(Hull, "distance_bound", spy_bound)
     monkeypatch.setattr(sp, "_distance", spy_distance)
     monkeypatch.setattr(Curve, "refine", forbidden)
-    rep = sp.convex_bound_check(phi, 200)
+    n = 200
+    rep = sp.convex_bound_check(phi, n)
     assert rep.verdict
     [(pts, d)], [leftovers] = bounded, scanned
-    status = rep.statuses[rep.statuses != sp.OUTSIDE]
-    tol = np.where(status == sp.WINDING_NONZERO, sp._TOL_WINDING, rep.tol_on_curve)
-    assert np.array_equal(pts, rep.lams[rep.statuses != sp.OUTSIDE])
+    ends = row_ends(rep.statuses, n)
+    assert np.array_equal(pts, rep.lams[ends])
+    assert np.bincount(ends // n, minlength=n).max() <= 4
+    assert set(rep.statuses[ends]) == {sp.ON_CURVE, sp.WINDING_NONZERO}
+    assert pts.size < np.count_nonzero(rep.statuses != sp.OUTSIDE) / 10
+    tol = np.where(rep.statuses[ends] == sp.WINDING_NONZERO, sp._TOL_WINDING, rep.tol_on_curve)
     assert np.array_equal(leftovers, pts[~(d <= tol - 1e-12)])
     assert 0 < leftovers.size < pts.size
+
+
+def every_lambda_counterexamples(rep, hull):
+    """The counterexamples of a test of every lambda that is not OUTSIDE, in
+    the report's order: winding ones, then ON_CURVE ones, row-major."""
+    tested = rep.statuses != sp.OUTSIDE
+    pts, status = rep.lams[tested], rep.statuses[tested]
+    limit = np.where(status == sp.WINDING_NONZERO, sp._TOL_WINDING, rep.tol_on_curve) - 1e-12
+    ok = hull.distance_bound(pts) <= limit
+    rest = np.flatnonzero(~ok)
+    ok[rest] = sp._distance(hull.vertices, pts[rest], edges=True) <= limit[rest]
+    counter = [complex(v) for v in pts[~ok & (status == sp.WINDING_NONZERO)]]
+    return counter + [complex(v) for v in pts[~ok & (status == sp.ON_CURVE)]]
+
+
+@pytest.mark.parametrize("plant, n", [("shrunken", 200), ("shifted", 100)])
+def test_convex_bound_row_ends_keep_every_counterexample(monkeypatch, plant, n):
+    # a wrong hull fails some row ends; those rows are measured lambda by
+    # lambda, and the counterexamples and their order are those of a test
+    # of every lambda: the distance to a convex set is convex along a row.
+    # The full.json symbols give ON_CURVE lambdas only, z winding ones too;
+    # the hull shifted by 3 tol fails both kinds
+    built = []
+
+    def planted(points):
+        v = conv_hull(points).vertices
+        if plant == "shrunken":
+            c = v.mean()
+            hull = Hull(c + 0.99 * (v - c))
+        else:
+            hull = Hull(v + 3.0 * Curve(phi, 512).tol * (0.6 + 0.8j))
+        built.append(hull)
+        return hull
+
+    monkeypatch.setattr(sp, "conv_hull", planted)
+    kinds = set()
+    for phi in full_scenario_symbols()[:3] + [Z]:
+        built.clear()
+        rep = sp.convex_bound_check(phi, n)
+        (hull,) = built
+        want = every_lambda_counterexamples(rep, hull)
+        assert want and rep.counterexamples == want and not rep.verdict
+        kinds.update(rep.statuses[np.isin(rep.lams, want)])
+    assert kinds == ({sp.ON_CURVE} if plant == "shrunken" else {sp.ON_CURVE, sp.WINDING_NONZERO})
 
 
 @pytest.mark.parametrize("scale", [1.0, 1e-6, 1e6])
@@ -652,14 +715,11 @@ def test_spectrum_report_consistency_guard():
         )
 
 
-def test_report_serialization():
-    rep = sp.convex_bound_check(Z + ZBAR, 20, grid_size=512)
-    assert rep.verdict
-    rows = sp.report_csv_rows(rep)
-    assert rows[0] == ("lambda_re", "lambda_im", "status")
-    assert len(rows) == 401
-    assert all(r[2] in (sp.ON_CURVE, sp.WINDING_NONZERO, sp.OUTSIDE) for r in rows[1:])
-    assert [complex(float(r[0]), float(r[1])) for r in rows[1:]] == list(rep.lams)
+def csv_text(rows):
+    """The oracle of the CSV text: rows as `csv.writer` writes them."""
+    out = io.StringIO()
+    csv.writer(out).writerows(rows)
+    return out.getvalue()
 
 
 def per_value_rows(rep):
@@ -670,6 +730,18 @@ def per_value_rows(rep):
     return rows
 
 
+def test_report_serialization():
+    rep = sp.convex_bound_check(Z + ZBAR, 20, grid_size=512)
+    assert rep.verdict
+    text = sp.report_csv(rep)
+    assert text == csv_text(per_value_rows(rep))
+    rows = list(csv.reader(io.StringIO(text)))
+    assert rows[0] == ["lambda_re", "lambda_im", "status"]
+    assert len(rows) == 401 and text.count("\r\n") == 401
+    assert all(r[2] in (sp.ON_CURVE, sp.WINDING_NONZERO, sp.OUTSIDE) for r in rows[1:])
+    assert [complex(float(r[0]), float(r[1])) for r in rows[1:]] == list(rep.lams)
+
+
 def test_report_csv_rows_match_per_value_repr():
     # -0.0 and 0.0, and coordinates one ulp apart, keep their own text
     xs = [-1.0, -0.0, 0.0, 0.1, np.nextafter(0.1, 1.0), 2.5]
@@ -677,13 +749,15 @@ def test_report_csv_rows_match_per_value_repr():
     lams = product_grid(xs, ys)
     statuses = sp._NAMES[np.arange(lams.size) % 3]
     rep = sp.ConvexBoundReport(statuses, lams, 1e-9, [], True)
-    rows = sp.report_csv_rows(rep)
-    assert rows == per_value_rows(rep)
-    assert [r[0] for r in rows[2:4]] == ["-0.0", "0.0"]
-    assert rows[4][0] != rows[5][0] and rows[1][1] == "-0.0"
+    text = sp.report_csv(rep)
+    assert text == csv_text(per_value_rows(rep))
+    lines = text.split("\r\n")
+    assert [line.split(",")[0] for line in lines[2:4]] == ["-0.0", "0.0"]
+    assert lines[4].split(",")[0] != lines[5].split(",")[0]
+    assert lines[1].split(",")[1] == "-0.0"
     phi = Z**2 + 0.3 * ZBAR
     rep = sp.convex_bound_check(phi, 60)
-    assert sp.report_csv_rows(rep) == per_value_rows(rep)
+    assert sp.report_csv(rep) == csv_text(per_value_rows(rep))
 
 
 def test_curve_tolerance_scales_with_grid():

@@ -78,6 +78,74 @@ def test_mul_oracle():
     assert got == LaurentPoly.from_text("2 + z + zbar")
 
 
+def convolution(a, b):
+    """The product oracle: each pair of terms in insertion order, exponents
+    added, each coefficient summed from 0j, then -0.0 parts cleaned and
+    zeros dropped, as a constructed symbol keeps them."""
+    out = {}
+    for e1, c1 in a.terms():
+        for e2, c2 in b.terms():
+            e = tuple(x + y for x, y in zip(e1, e2))
+            out[e] = out.get(e, 0j) + c1 * c2
+    kept = {}
+    for e, c in out.items():
+        c = complex(c.real + 0.0, c.imag + 0.0)
+        if c != 0:
+            kept[e] = c
+    return kept
+
+
+def bits(terms):
+    """Keys in order with the exact bits of both parts (-0.0 is not 0.0)."""
+    return [(e, c.real.hex(), c.imag.hex()) for e, c in terms]
+
+
+def random_terms(rng, nvars, count):
+    return {
+        tuple(int(k) for k in rng.integers(-3, 4, nvars)): complex(*rng.uniform(-1, 1, 2))
+        for _ in range(count)
+    }
+
+
+@pytest.mark.parametrize("nvars", [1, 2])
+def test_mul_is_the_dict_convolution_bit_for_bit(nvars):
+    rng = np.random.default_rng(53 + nvars)
+    for _ in range(40):
+        a = LaurentPoly(nvars, random_terms(rng, nvars, int(rng.integers(1, 7))))
+        b = LaurentPoly(nvars, random_terms(rng, nvars, int(rng.integers(1, 7))))
+        assert bits((a * b).terms()) == bits(convolution(a, b).items())
+
+
+def test_mul_cancels_to_an_exact_zero_and_cleans_negative_zero():
+    # (1 + z)(1 - z): the z terms cancel exactly and drop out
+    got = LaurentPoly.from_text("1 + z") * LaurentPoly.from_text("1 - z")
+    assert bits(got.terms()) == [
+        ((0,), "0x1.0000000000000p+0", "0x0.0p+0"),
+        ((2,), "-0x1.0000000000000p+0", "0x0.0p+0"),
+    ]
+    # -1 * 1j has the real part -1 * 0 - 0 * 1 = -0.0, which the sum from 0j
+    # turns to 0.0; in two variables x*y cancels against -(x*y)
+    a, b = LaurentPoly(1, {1: -1.0}), LaurentPoly(1, {2: 1j, 0: -0.5})
+    assert (-1.0 * 1j).real.hex() == "-0x0.0p+0"
+    assert bits((a * b).terms()) == bits(convolution(a, b).items())
+    assert (a * b).coeff(3).real.hex() == "0x0.0p+0"
+    x, y = LaurentPoly.variable(0, 2), LaurentPoly.variable(1, 2)
+    pair = (x + y) * (x - y)
+    assert bits(pair.terms()) == bits(convolution(x + y, x - y).items())
+    assert set(pair.coeffs) == {(2, 0), (0, 2)}
+
+
+@pytest.mark.parametrize("nvars", [1, 2])
+def test_mul_overflow_raises(nvars):
+    # finite factors whose product overflows to inf, or to nan through inf - inf
+    big = LaurentPoly.monomial((1,) * nvars, 1e200)
+    with pytest.raises(PreconditionError, match="finite"):
+        big * big
+    mixed = LaurentPoly(nvars, {(1,) * nvars: 1e200, (0,) * nvars: -1e200})
+    with pytest.raises(PreconditionError, match="finite"):
+        mixed * LaurentPoly(nvars, {(1,) * nvars: 1e200, (2,) * nvars: 1e200})
+
+
 def test_conjugate_eval():
     rng = np.random.default_rng(47)
     ring = np.exp(2j * np.pi * rng.uniform(0, 1, 64))
