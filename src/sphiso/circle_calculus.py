@@ -25,6 +25,7 @@ the two agree.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -69,25 +70,32 @@ _SUP_GRID = 16384  # the least grid of the commutant lift's sup bracket
 
 
 def _canonical_correction(arr):
+    """arr as a fresh C-contiguous complex block, entries of modulus below
+    _FLUSH times the largest set to 0 and zero trailing rows and columns
+    trimmed; (0, 0) when nothing is left. One modulus pass serves the
+    finiteness test (NaN and inf propagate into its max; a finite block
+    whose moduli overflow is tested entry by entry), the flush and the trim."""
     a = np.asarray(arr, dtype=complex)
     if a.ndim != 2:
         raise PreconditionError("correction must be a matrix")
-    if not np.isfinite(a).all():
-        raise PreconditionError("correction entries must be finite")
-    if a.size:
-        m = np.max(np.abs(a))
-        if m > 0.0:
-            a = np.where(np.abs(a) < _FLUSH * m, 0.0, a)
-        r = a.shape[0]
-        while r > 0 and not np.any(a[r - 1, :]):
-            r -= 1
-        c = a.shape[1]
-        while c > 0 and not np.any(a[:r, c - 1]):
-            c -= 1
-        a = a[:r, :c]
     if a.size == 0:
-        a = np.zeros((0, 0), dtype=complex)
-    return np.ascontiguousarray(a)
+        return np.zeros((0, 0), dtype=complex)
+    mag = np.abs(a)
+    m = mag.max()
+    if not math.isfinite(m) and not np.isfinite(a).all():
+        raise PreconditionError("correction entries must be finite")
+    if not m > 0.0:
+        return np.zeros((0, 0), dtype=complex)
+    small = mag < _FLUSH * m
+    live = mag > 0.0
+    if small.any():
+        a = np.where(small, 0.0, a)
+        live &= ~small
+    if not live.all():
+        r = np.flatnonzero(live.any(axis=1))[-1] + 1
+        c = np.flatnonzero(live.any(axis=0))[-1] + 1
+        a = a[:r, :c]
+    return np.array(a, order="C")
 
 
 class ToeplitzElement:

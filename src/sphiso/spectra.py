@@ -19,9 +19,10 @@ between to the exact scan. On a covering grid, each row is one scanline:
 each crossing counts its sign on the run of columns left of it, and each
 sample covers one run of columns within tol (`_near_grid`); a difference
 array per row counts the runs over every lambda. For scattered lambdas,
-`_within` keys the vertices into square cells and measures only the edges
-at the vertices near each lambda; it settles the clearance of the
-near-range probes.
+`_within` bounds chunks of consecutive samples by boxes and measures only
+the chunks whose boxes come within reach of each lambda; it settles
+ON_CURVE for batches of lambdas and the clearance of the near-range
+probes, and leaves single lambdas and small curves to the exact scan.
 
 Every check reads the curve through one `symbols.Curve`: phi sampled by
 `symbols.eval_grid` on a uniform grid, with its ON_CURVE distance `tol` and
@@ -98,6 +99,13 @@ _TOL_WINDING = 1e-8
 # far beyond their own rounding, and measure what falls in between exactly
 _MARGIN = 1e-9
 _SCAN_ENTRIES = 1_000_000
+# `_within`'s chunks hold at least _CHUNK samples. Its boxes cost about as
+# much as a dense scan of _BOX_SETUP + S + _BOX_LAMBDA L (lambda, sample)
+# pairs, an edge as much as _EDGE_COST samples (`BENCH_scattered_boxes.json`)
+_CHUNK = 8
+_BOX_SETUP = 16384
+_BOX_LAMBDA = 512
+_EDGE_COST = 4
 
 
 def _distance(samples, lams, edges=False):
@@ -114,71 +122,93 @@ def _distance(samples, lams, edges=False):
     return out
 
 
-def _within(samples, lams, reach):
-    """(near, rescanned): whether each lam lies within reach (one float, or
-    one per lam) of the closed polyline through the samples, pruned by
-    square cells; rescanned counts the lambdas measured again by the exact
-    scan `_distance`. For scattered lambdas; a covering grid goes through
+def _padded(a, size):
+    """a, lengthened to size entries by repeating its last entry."""
+    return a if a.size == size else np.concatenate((a, np.repeat(a[-1:], size - a.size)))
+
+
+def _within(samples, lams, reach, edges=False):
+    """(near, rescanned): `_distance(samples, lams, edges) <= reach` bit for
+    bit, reach one float or one per lam, pruned by the boxes of chunks of
+    samples; rescanned counts the lambdas measured again by `_distance`
+    itself. For scattered lambdas; a covering grid goes through
     `_near_grid`.
 
-    A point within reach of an edge lies within reach + |edge| / 2 of one of
-    the edge's end points. So the vertices are keyed into square cells of
-    that radius (widened by the relative _MARGIN against the keys'
-    rounding), and each lambda measures, by the exact scan's formula, the
-    two edges at every vertex in its own cell and the eight around it: one
-    `searchsorted` range of the sorted keys per cell. Those edges include
-    every edge within reach, so near is exact but for the ulps by which
-    arrays of other shapes may round a distance apart: lambdas within a
-    relative _MARGIN of reach are scanned exactly. Below 1e-100 the squared
-    distances could underflow, so a tiny reach is scanned exactly
-    throughout.
+    The S samples are cut into chunks of c consecutive ones, c a power of
+    two near sqrt(S) (a quarter of that for edges, which cost more to
+    measure) and at least _CHUNK; the last chunk is padded with the last
+    sample and the last (closing) edge. A chunk's box spans its samples and
+    the next chunk's first, so it holds the chunk's edges too: a segment
+    lies in the hull of its end points. Widened by 8 ulps of the largest
+    coordinate, it also holds every point that the exact scan's rounded
+    formula places on those edges. A rounded difference never shrinks as
+    its operand moves away, so where a side of the box lies beyond
+    bar = reach (1 + _MARGIN) from a lambda, rounded, so does every sample
+    and edge of the chunk, as the exact scan measures them. Such a pair
+    (lambda, chunk) is dropped, the pairs left are measured by the exact
+    scan's formulas, and a lambda that meets no box is far. The pairs to
+    test come from the lambdas sorted by Re: each box takes the run of them
+    within 2 max(bar) of its span in Re, which holds every lambda within bar
+    of it. Arrays of other shapes may round a distance apart by ulps, so
+    lambdas within a relative _MARGIN of reach are measured again by
+    `_distance`.
 
-    No key overflows, however large the curve: a closed polyline is at
-    least twice as long as it is wide or high, so the radius is at least
-    width / n and the n vertices span at most n + 1 columns and rows. A
-    lambda farther out is clipped to a cell that neighbours no vertex.
+    The dense scan serves the whole batch where the crossover sweep finds
+    it cheaper (`BENCH_scattered_boxes.json`): L lambdas cost w L S entries
+    densely, w = _EDGE_COST for edges and 1 for samples, and the boxes
+    about _BOX_SETUP + S + _BOX_LAMBDA L. So single lambdas and small
+    curves, whose tol covers much of their range, keep the dense scan. It
+    also serves an infinite reach, which no box can prune, and a reach of
+    1e-100 or less: the exact scan's formula squares lengths near reach,
+    and a subnormal square rounds too coarsely for the relative _MARGIN to
+    cover.
     """
     lams = np.asarray(lams, dtype=complex).ravel()
-    reach = np.broadcast_to(np.asarray(reach, dtype=float), lams.shape)
-    if lams.size == 0 or not reach.min() > 1e-100:
-        return _distance(samples, lams, edges=True) <= reach, lams.size
-    e = np.roll(samples, -1) - samples
-    radius = (reach.max() + np.abs(e).max() / 2.0) * (1.0 + _MARGIN)
-    x0, y0 = samples.real.min(), samples.imag.min()
-    cols = int((samples.real.max() - x0) / radius) + 3
-    rows = int((samples.imag.max() - y0) / radius) + 3
-
-    def keys(z):
-        # cells from -2 to cols or rows, shifted by 3 so every neighbour is >= 0
-        cx = np.clip(np.floor((z.real - x0) / radius), -2, cols) + 3
-        cy = np.clip(np.floor((z.imag - y0) / radius), -2, rows) + 3
-        return cx.astype(np.int64) * (rows + 6) + cy.astype(np.int64)
-
-    vertex_keys = keys(samples)
-    order = np.argsort(vertex_keys, kind="stable")
-    vertex_keys = vertex_keys[order]
-    nine = (np.arange(-1, 2)[:, None] * (rows + 6) + np.arange(-1, 2)).ravel()
-    cells = keys(lams)[:, None] + nine
-    start = np.searchsorted(vertex_keys, cells, side="left")
-    count = np.searchsorted(vertex_keys, cells, side="right") - start
-    per_lam = count.sum(axis=1)
+    reach = np.zeros(lams.shape) + reach
+    n = samples.size
+    w = _EDGE_COST if edges else 1
+    dense = w * lams.size * n <= _BOX_SETUP + n + _BOX_LAMBDA * lams.size
+    if dense or not 1e-100 < reach.min() <= reach.max() < np.inf:
+        return _distance(samples, lams, edges) <= reach, lams.size
+    c = max(_CHUNK, (1 << (n.bit_length() // 2)) // w)
+    k = -(-n // c)
+    pts = _padded(samples, k * c).reshape(k, c)
+    # the real and imaginary parts of each chunk and of the next one's first
+    parts = np.empty((2, k, c + 1))
+    parts[0, :, :c], parts[1, :, :c] = pts.real, pts.imag
+    parts[:, :-1, c], parts[:, -1, c] = parts[:, 1:, 0], parts[:, 0, 0]
+    # each box as (min Re, min Im, -max Re, -max Im), widened
+    box = np.concatenate((parts.min(axis=2), -parts.max(axis=2)))
+    box -= 2.0**-50 * -box.min()
+    if edges:
+        e = _padded(np.roll(samples, -1) - samples, k * c).reshape(k, c)
+    bar = reach * (1.0 + _MARGIN)
     dist = np.full(lams.size, np.inf)
-    # lambdas by slices of at most about _SCAN_ENTRIES (lambda, vertex) pairs
-    step = max(1, _SCAN_ENTRIES // max(1, int(per_lam.max())))
+    # slices of at most about _SCAN_ENTRIES (lambda, box) and (pair, sample) entries
+    step, block = max(1, _SCAN_ENTRIES // k), max(1, _SCAN_ENTRIES // c)
     for lo in range(0, lams.size, step):
-        hi = min(lo + step, lams.size)
-        s, c = start[lo:hi].ravel(), count[lo:hi].ravel()
-        vertex = order[np.arange(c.sum()) + np.repeat(s - (np.cumsum(c) - c), c)]
-        owner = np.repeat(np.arange(lo, hi), per_lam[lo:hi])
-        q = lams[owner]
-        # the edge out of and the edge into each vertex
-        d = np.minimum(
-            _segment_distance(q, samples[vertex], e[vertex]),
-            _segment_distance(q, samples[vertex - 1], e[vertex - 1]),
-        )
-        np.minimum.at(dist, owner, d)
+        # the lambdas of the slice sorted by Re, and for each box the run of
+        # them within twice the largest bar of its span in Re
+        order = lo + np.argsort(lams.real[lo : lo + step])
+        xs = lams.real[order]
+        wide = 2.0 * bar[lo : lo + step].max()
+        first = np.searchsorted(xs, box[0] - wide)
+        count = np.searchsorted(xs, wide - box[2], side="right") - first
+        chunk = np.repeat(np.arange(k), count)
+        own = order[np.arange(chunk.size) + np.repeat(first - np.cumsum(count) + count, count)]
+        # a pair is kept when no side of its box lies beyond bar from the lambda
+        x, y, b = lams.real[own], lams.imag[own], bar[own]
+        keep = (box[0, chunk] - x <= b) & (box[2, chunk] + x <= b)
+        keep &= (box[1, chunk] - y <= b) & (box[3, chunk] + y <= b)
+        own, chunk = own[keep], chunk[keep]
+        for at in range(0, own.size, block):
+            o, j = own[at : at + block], chunk[at : at + block]
+            lam = lams[o, None]
+            d = _segment_distance(lam, pts[j], e[j]) if edges else np.abs(pts[j] - lam)
+            np.minimum.at(dist, o, d.min(axis=1))
     rescan = np.flatnonzero(np.abs(dist - reach) <= reach * _MARGIN)
-    dist[rescan] = _distance(samples, lams[rescan], edges=True)
+    if rescan.size:
+        dist[rescan] = _distance(samples, lams[rescan], edges)
     return dist <= reach, rescan.size
 
 
@@ -307,9 +337,10 @@ def _codes(on_curve, windings):
 
 
 def _classify(samples, tol, lams):
-    """Status codes for scattered lambdas: exact distances, crossing windings."""
-    lams = np.asarray(lams, dtype=complex).ravel()
-    return _codes(_distance(samples, lams) <= tol, _winding_numbers(samples, lams))
+    """Status codes for scattered lambdas: ON_CURVE within tol of a sample
+    (`_within`), windings by crossing numbers."""
+    windings = _winding_numbers(samples, lams)
+    return _codes(_within(samples, lams, tol)[0], windings)
 
 
 def _statuses(phi, lams, grid_size):
@@ -364,14 +395,14 @@ def hartman_wintner_check(phi, grid_size=512, probes=100, seed=11):
     polyline than max(2e-4, 4 sag) and winding nonzero, by crossing numbers,
     on it. The true curve stays within the sag of that polyline at each
     parameter, so the homotopy between them misses a cleared lambda and the
-    two wind alike. The fine
-    grid is sized for a sag of 1e-5 and clamped at 65536 points. Clearance is
-    tested against the edges at the fine vertices in the cells around each
-    candidate (`_within`); the candidates that needed the exact scan of every
-    fine edge are noted as clearance_fallbacks, with the fine grid's size
-    and clamp and the probes certified (as probes_kept). Certified probes must not read
-    OUTSIDE on the working grid. Symbols whose spectrum has empty interior
-    (real-valued ones, say) certify no probes and pass vacuously.
+    two wind alike. The fine grid is sized for a sag of 1e-5 and clamped at
+    65536 points. Clearance is tested against the fine edges of the chunks
+    whose boxes come near each candidate (`_within`); the candidates
+    measured again by the exact scan of every fine edge are noted as
+    clearance_fallbacks, with the fine grid's size and clamp and the probes
+    certified (as probes_kept). Certified probes must not read OUTSIDE on
+    the working grid. Symbols whose spectrum has empty interior (real-valued
+    ones, say) certify no probes and pass vacuously.
     """
     rng = np.random.default_rng(seed)
     curve = Curve(phi, grid_size)
@@ -394,7 +425,7 @@ def hartman_wintner_check(phi, grid_size=512, probes=100, seed=11):
             2j * np.pi * rng.uniform(0.0, 1.0, take)
         )
         cand = anchors + steps
-        near, rescanned = _within(fine.samples, cand, clearance)
+        near, rescanned = _within(fine.samples, cand, clearance, edges=True)
         fallbacks += rescanned
         cand = cand[~near]
         if cand.size:

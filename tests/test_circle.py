@@ -63,6 +63,75 @@ def test_correction_rejects_non_finite(bad):
         cc.ToeplitzElement(Z, np.array([[1.0, bad]]))
 
 
+def canonical_by_rows(arr):
+    """The earlier `_canonical_correction`: finiteness test, flush by
+    `np.where` and trim by one `np.any` per row and column."""
+    a = np.asarray(arr, dtype=complex)
+    if a.ndim != 2:
+        raise PreconditionError("correction must be a matrix")
+    if not np.isfinite(a).all():
+        raise PreconditionError("correction entries must be finite")
+    if a.size:
+        m = np.max(np.abs(a))
+        if m > 0.0:
+            a = np.where(np.abs(a) < cc._FLUSH * m, 0.0, a)
+        r = a.shape[0]
+        while r > 0 and not np.any(a[r - 1, :]):
+            r -= 1
+        c = a.shape[1]
+        while c > 0 and not np.any(a[:r, c - 1]):
+            c -= 1
+        a = a[:r, :c]
+    if a.size == 0:
+        a = np.zeros((0, 0), dtype=complex)
+    return np.ascontiguousarray(a)
+
+
+def correction_blocks():
+    rng = np.random.default_rng(23)
+    blocks = [np.zeros((0, 3)), np.zeros((3, 0)), np.zeros((3, 4)), -np.zeros((2, 2))]
+    for _ in range(40):
+        r, c = rng.integers(1, 7, size=2)
+        a = rng.normal(size=(r, c)) + 1j * rng.normal(size=(r, c))
+        a *= 10.0 ** rng.integers(-300, 300)
+        # zero rows and columns to trim, inside and at the end
+        a[rng.random(r) < 0.3, :] = 0.0
+        a[:, rng.random(c) < 0.3] = 0.0
+        blocks.append(a)
+    m = 2.0
+    at = cc._FLUSH * m
+    # entries on, just below and just above the flush threshold, and -0.0 parts
+    edge = np.array(
+        [
+            [m, at, np.nextafter(at, 0.0), np.nextafter(at, 1.0)],
+            [complex(-0.0, 1.0), complex(1.0, -0.0), complex(-0.0, -0.0), 0.0],
+            [complex(-0.0, at / 2), 0.0, 0.0, 0.0],
+        ]
+    )
+    blocks += [edge, edge[:, :3], edge.T, np.asfortranarray(edge)]
+    blocks.append(np.array([[1.0, -0.0j], [complex(-0.0, -0.0), 0.0]]))  # only -0.0 below
+    blocks.append(np.array([[1e308 + 1e308j, 1.0]]))  # finite, but its modulus overflows
+    blocks.append(np.array([[5e-320, 0.0], [0.0, 0.0]]))  # the threshold underflows to 0
+    return blocks
+
+
+@pytest.mark.parametrize("block", correction_blocks(), ids=lambda b: str(b.shape))
+def test_canonical_correction_matches_the_row_by_row_trim(block):
+    got, want = cc._canonical_correction(block), canonical_by_rows(block)
+    assert got.shape == want.shape and got.dtype == want.dtype
+    assert np.array_equal(got.view(np.uint64), want.view(np.uint64))
+    assert got.flags.c_contiguous
+    assert not np.shares_memory(got, block)
+
+
+@pytest.mark.parametrize("bad", [math.inf, -math.inf, math.nan, complex(math.nan, 0.0)])
+def test_canonical_correction_rejects_what_the_row_by_row_trim_rejects(bad):
+    block = np.array([[1.0, 0.0], [bad, 2.0]])
+    for canonical in (cc._canonical_correction, canonical_by_rows):
+        with pytest.raises(PreconditionError, match="finite"):
+            canonical(block)
+
+
 def test_symbol_requires_one_variable():
     with pytest.raises(PreconditionError):
         cc.make_toeplitz(LaurentPoly.variable(0, 2))

@@ -148,6 +148,18 @@ def polyline_distance(samples, lams):
     return np.abs(lam - (a[None, :] + t * e[None, :])).min(axis=1)
 
 
+def sample_distance(samples, lams):
+    """The dense scan of the samples alone."""
+    return np.abs(samples[None, :] - np.asarray(lams, dtype=complex)[:, None]).min(axis=1)
+
+
+def boxed(samples, lams, reach, edges):
+    """`_within` on its boxes, however few the lambdas."""
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(sp, "_BOX_SETUP", -math.inf)
+        return sp._within(samples, lams, reach, edges)
+
+
 coeff = st.complex_numbers(
     min_magnitude=0.05, max_magnitude=2.0, allow_nan=False, allow_infinity=False
 )
@@ -156,7 +168,7 @@ coeff = st.complex_numbers(
 @settings(max_examples=150, deadline=None)
 @given(
     coeffs=st.dictionaries(st.integers(-4, 4), coeff, min_size=1, max_size=4),
-    grid_size=st.sampled_from([64, 512]),
+    grid_size=st.sampled_from([64, 500, 512]),
     offsets=st.lists(
         st.complex_numbers(max_magnitude=0.1, allow_nan=False, allow_infinity=False),
         min_size=1,
@@ -165,66 +177,155 @@ coeff = st.complex_numbers(
     start=st.integers(0, 511),
     at=st.integers(0, 11),
     widen=st.sampled_from([1.0, 0.5, 2.0]),
+    edges=st.booleans(),
 )
-def test_pruned_distance_matches_dense_scan(coeffs, grid_size, offsets, start, at, widen):
+def test_pruned_distance_matches_dense_scan(coeffs, grid_size, offsets, start, at, widen, edges):
     # widen = 1 puts one lambda on the threshold, inside the recheck band
     phi = LaurentPoly(1, {(k,): c for k, c in coeffs.items()})
     samples = eval_grid(phi, grid_size)
     picks = (start + 37 * np.arange(len(offsets))) % grid_size
     lams = samples[picks] + np.array(offsets, dtype=complex)
-    exact = polyline_distance(samples, lams)
+    exact = (polyline_distance if edges else sample_distance)(samples, lams)
     reach = widen * exact[at % lams.size]
-    near, rescanned = sp._within(samples, lams, reach)
+    near, rescanned = boxed(samples, lams, reach, edges)
     assert np.array_equal(near, ~(exact > reach))
     assert 0 <= rescanned <= lams.size
     # one reach per lambda
     each = widen * exact[(at + np.arange(lams.size)) % lams.size]
-    near, _ = sp._within(samples, lams, each)
+    near, _ = boxed(samples, lams, each, edges)
     assert np.array_equal(near, ~(exact > each))
 
 
 def test_pruned_distance_falls_back_and_rechecks():
-    circle = eval_grid(Z, 64)  # unit circle, edges about 0.098 long
-    # every vertex is within reach of the centre, all in the centre's cell
-    # and its neighbours: decided by the cells alone
-    near, rescanned = sp._within(circle, [0j], 1.5)
-    assert near.tolist() == [True] and rescanned == 0
-    # 3 is exactly 2 from the vertex 1: on the threshold, inside the band
-    near, rescanned = sp._within(circle, [3 + 0j], 2.0)
-    assert near.tolist() == [True] and rescanned == 1
-    # no vertex within 1.9 + half an edge: decided by the cells alone
-    near, rescanned = sp._within(circle, [3 + 0j], 1.9)
-    assert near.tolist() == [False] and rescanned == 0
-    near, rescanned = sp._within(circle, [], [])
-    assert near.size == 0 and rescanned == 0
+    # unit circle on 64 points: two chunks of 32, one box per half plane
+    circle = eval_grid(Z, 64)
+    for edges in (True, False):
+        # both boxes are measured; every distance lies far from the threshold
+        near, rescanned = boxed(circle, [0j], 1.5, edges)
+        assert near.tolist() == [True] and rescanned == 0
+        # 3 is exactly 2 from the vertex 1: on the threshold, measured again
+        near, rescanned = boxed(circle, [3 + 0j], 2.0, edges)
+        assert near.tolist() == [True] and rescanned == 1
+        # both boxes lie 2 from 3: the lambda meets no box
+        near, rescanned = boxed(circle, [3 + 0j], 1.9, edges)
+        assert near.tolist() == [False] and rescanned == 0
+        # a few lambdas on few samples, an empty batch or a reach of 1e-100
+        # or less go to the dense scan whole
+        near, rescanned = sp._within(circle, [0j, 3 + 0j], 1.9, edges)
+        assert near.tolist() == [True, False] and rescanned == 2
+        near, rescanned = sp._within(circle, [], [], edges)
+        assert near.size == 0 and rescanned == 0
+        tiny = 1e-101 * circle
+        lams = 1e-101 * np.array([0.5, 1.0, 1.5, 1j])
+        near, rescanned = boxed(tiny, lams, 2e-102, edges)
+        assert rescanned == lams.size
+        assert near.tolist() == (sp._distance(tiny, lams, edges) <= 2e-102).tolist()
+        # an infinite reach prunes nothing: a NaN lambda stays far, as densely
+        lams = np.array([complex(math.nan, 0.0), 0j, complex(math.inf, 1.0)])
+        near, rescanned = boxed(circle, lams, math.inf, edges)
+        assert near.tolist() == [False, True, True] and rescanned == lams.size
 
 
+@pytest.mark.parametrize("edges", [True, False], ids=["edges", "points"])
 @pytest.mark.parametrize(
-    "text, scale",
+    "text, scale, size",
     [
-        ("z^2 + 0.5*zbar^3", 1.0),
-        ("z + zbar", 1.0),
-        ("1j*z + 1j*zbar", 1.0),
-        ("z^2 + 0.5*zbar^3", 1e100),
+        ("z^2 + 0.5*zbar^3", 1.0, 2048),
+        ("z + zbar", 1.0, 2048),
+        ("1j*z + 1j*zbar", 1.0, 2048),
+        ("z^2 + 0.5*zbar^3", 1e100, 2048),
+        ("z^3 - 0.4*zbar", 1.0, 3001),  # the last chunk padded
     ],
 )
-def test_cell_pruned_distance_matches_the_exact_scan(text, scale):
-    # a curve on a segment (z + zbar), one on a vertical segment whose
-    # vertices share one column of cells, and a curve 1e100 wide, whose keys
-    # stay small since its edges are as long
+def test_box_pruned_distance_matches_the_exact_scan(text, scale, size, edges):
+    # a curve on a segment (z + zbar), one on a vertical segment, whose boxes
+    # have no width, and a curve 1e100 wide
     phi = scale * LaurentPoly.from_text(text)
-    samples = Curve(phi, 2048).samples
+    samples = Curve(phi, size).samples
     rng = np.random.default_rng(17)
     anchors = samples[rng.integers(0, samples.size, 600)]
-    size = scale * rng.uniform(0.0, 0.02, 600) * np.exp(2j * np.pi * rng.uniform(0, 1, 600))
+    step = scale * rng.uniform(0.0, 0.02, 600) * np.exp(2j * np.pi * rng.uniform(0, 1, 600))
     far = scale * (rng.uniform(-3, 3, 50) + 1j * rng.uniform(-3, 3, 50))
-    lams = np.concatenate([anchors + size, far])
-    exact = sp._distance(samples, lams, edges=True)
-    for reach in (2e-4 * scale, 1e-2 * scale, np.roll(exact, 7)):
+    huge = 1e300 * np.exp(2j * np.pi * rng.uniform(0, 1, 4))
+    lams = np.concatenate([anchors + step, far, samples[:7], huge])
+    exact = sp._distance(samples, lams, edges)
+    assert np.array_equal(exact, (polyline_distance if edges else sample_distance)(samples, lams))
+    # the lambdas on samples have reach 0 in the last two, which sends the
+    # batch to the dense scan; in the last, each lambda lies on its threshold
+    for reach in (2e-4 * scale, 1e-2 * scale, np.roll(exact, 7), exact):
         each = np.broadcast_to(reach, lams.shape)
-        near, rescanned = sp._within(samples, lams, reach)
+        near, rescanned = sp._within(samples, lams, reach, edges)
         assert np.array_equal(near, exact <= each)
-        assert rescanned < lams.size
+        if np.ndim(reach) == 0:
+            assert rescanned < lams.size // 10
+    positive = np.maximum(exact, 1e-3 * scale)
+    near, rescanned = sp._within(samples, lams, positive, edges)
+    assert np.array_equal(near, exact <= positive)
+    assert rescanned < lams.size
+
+
+@pytest.mark.parametrize("edges", [True, False])
+def test_box_pruned_distance_measures_repeated_samples(edges):
+    # every sample three times: two edges of every three have zero length
+    samples = np.repeat(Curve(Z**2 + 0.5 * ZBAR**3, 1024).samples, 3)
+    rng = np.random.default_rng(3)
+    lams = samples[rng.integers(0, samples.size, 300)] + rng.normal(0.0, 0.01, 300)
+    exact = sp._distance(samples, lams, edges)
+    for reach in (3e-3, np.roll(exact, 1)):
+        near, _ = sp._within(samples, lams, reach, edges)
+        assert np.array_equal(near, exact <= reach)
+
+
+def random_symbol_of_band(rng, band):
+    lo = -int(rng.integers(0, band + 1))
+    coeffs = {lo: 1.0, lo + band: 1.0}
+    for k in range(lo, lo + band + 1):
+        if rng.uniform() < 0.6:
+            coeffs[k] = rng.uniform(0.1, 1.0) * np.exp(2j * np.pi * rng.uniform())
+    return LaurentPoly(1, {(k,): complex(c) for k, c in coeffs.items()})
+
+
+@pytest.mark.parametrize("grid_size", [512, 2048])
+def test_classify_matches_the_dense_scan(grid_size):
+    rng = np.random.default_rng(grid_size)
+    for band in range(1, 13):
+        curve = Curve(random_symbol_of_band(rng, band), grid_size)
+        samples, tol = curve.samples, curve.tol
+        for count in (1, 2, 7, 16, 48, 131, 400):
+            # near the curve, in its range box, on a sample and beyond the l1 bound
+            near = samples[rng.integers(0, grid_size, count)]
+            near = near + tol * rng.uniform(0.5, 1.5, count) * np.exp(2j * np.pi * rng.random(count))
+            box = rng.uniform(-1, 1, count) * np.abs(samples.real).max() + 1j * rng.uniform(
+                -1, 1, count
+            ) * np.abs(samples.imag).max()
+            lams = np.where(rng.random(count) < 0.5, near, box)
+            lams[::5] = samples[rng.integers(0, grid_size, lams[::5].size)]
+            lams[1::7] *= 3.0 * band
+            dense = sp._codes(sp._distance(samples, lams) <= tol, sp._winding_numbers(samples, lams))
+            assert np.array_equal(sp._classify(samples, tol, lams), dense)
+
+
+def test_membership_batch_scans_no_far_lambda_densely(monkeypatch):
+    # 48 lambdas farther than 10 tol from the curve meet no box and so never
+    # reach the dense scan
+    phi = Z + 0.2 * ZBAR**2
+    curve = Curve(phi, 2048)
+    rng = np.random.default_rng(8)
+    pool = 2.5 * (rng.uniform(-1, 1, 2000) + 1j * rng.uniform(-1, 1, 2000))
+    lams = pool[sp._distance(curve.samples, pool) > 10 * curve.tol][:48]
+    assert lams.size == 48
+    scanned = []
+    distance = sp._distance
+
+    def spy(samples, pts, *args, **kw):
+        scanned.append(np.size(pts))
+        return distance(samples, pts, *args, **kw)
+
+    monkeypatch.setattr(sp, "_distance", spy)
+    statuses = sp.membership_batch(phi, lams, 2048)
+    assert sum(scanned) == 0
+    assert sp.ON_CURVE not in set(statuses)
+    assert set(statuses) == {sp.OUTSIDE, sp.WINDING_NONZERO}
 
 
 # ---------------------------------------------------------------------------
