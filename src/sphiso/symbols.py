@@ -9,6 +9,15 @@ Text format: terms like ``2.5*z1^3*zbar2^1`` joined by ``+``/``-``, with
 ``z``/``zbar`` accepted in one variable and complex coefficients written in
 parentheses, e.g. ``(1.5-2j)*z^2``. `LaurentPoly.to_text` emits a canonical
 form that `from_text` parses back to the identical object, bit for bit.
+
+A symbol never changes once built, so each `LaurentPoly` keeps a small memo
+of what is computed from it: its band, l1 norm and two derivative bounds,
+and the samples of the one-variable grids of up to 2048 points that
+`eval_grid` has drawn, 40 KiB of them at most. Repeated queries on one
+symbol (a sup bracket, then windings, then memberships) then sample it once
+per grid. The memo lives on the object, never in a cache keyed by value:
+equal symbols whose coefficients come in another order sum their terms in
+another order, and each keeps its own bits.
 """
 
 from __future__ import annotations
@@ -17,7 +26,7 @@ import cmath
 import math
 import re
 from dataclasses import dataclass
-from functools import cached_property, lru_cache
+from functools import cached_property
 
 import numpy as np
 
@@ -52,7 +61,7 @@ def _finite(coeffs):
 class LaurentPoly:
     """Finitely supported coefficient map exponent-vector -> complex."""
 
-    __slots__ = ("nvars", "_coeffs")
+    __slots__ = ("nvars", "_coeffs", "_memo")
 
     def __init__(self, nvars, coeffs=None):
         if nvars < 1:
@@ -77,6 +86,7 @@ class LaurentPoly:
                     else:
                         store[e] = acc
         self._coeffs = _finite(store)
+        self._memo = {}
 
     @classmethod
     def _of(cls, nvars, coeffs):
@@ -91,7 +101,23 @@ class LaurentPoly:
         out = cls.__new__(cls)
         out.nvars = nvars
         out._coeffs = _finite(store)
+        out._memo = {}
         return out
+
+    def _memoized(self, key, compute):
+        """compute(), worked out once per symbol and kept in its memo."""
+        memo = self._memo
+        if key not in memo:
+            memo[key] = compute()
+        return memo[key]
+
+    def __getstate__(self):
+        # the memo is rebuilt on demand, so pickles carry the symbol alone
+        return None, {"nvars": self.nvars, "_coeffs": self._coeffs}
+
+    def __setstate__(self, state):
+        slots = state[1]
+        self.nvars, self._coeffs, self._memo = slots["nvars"], slots["_coeffs"], {}
 
     # ---- constructors -------------------------------------------------
 
@@ -136,9 +162,9 @@ class LaurentPoly:
 
     def band(self):
         """Largest |exponent| component over the support."""
-        if not self._coeffs:
-            return 0
-        return max(max(abs(k) for k in e) for e in self._coeffs)
+        return self._memoized(
+            "band", lambda: max((max(abs(k) for k in e) for e in self._coeffs), default=0)
+        )
 
     def deg_pos(self):
         """Largest exponent (one variable), 0 for empty support."""
@@ -154,16 +180,20 @@ class LaurentPoly:
         return all(all(k >= 0 for k in e) for e in self._coeffs)
 
     def l1_norm(self):
-        return float(sum(abs(c) for c in self._coeffs.values()))
+        return self._memoized("l1", lambda: float(sum(abs(c) for c in self._coeffs.values())))
 
     def derivative_l1_bound(self):
         """sup |d/dtheta phi(e^{i theta})| <= sum |k| |c_k| (one variable)."""
         self._require_univariate()
-        return float(sum(abs(e[0]) * abs(c) for e, c in self._coeffs.items()))
+        return self._memoized(
+            "d1", lambda: float(sum(abs(e[0]) * abs(c) for e, c in self._coeffs.items()))
+        )
 
     def second_derivative_l1_bound(self):
         self._require_univariate()
-        return float(sum(e[0] * e[0] * abs(c) for e, c in self._coeffs.items()))
+        return self._memoized(
+            "d2", lambda: float(sum(e[0] * e[0] * abs(c) for e, c in self._coeffs.items()))
+        )
 
     def _require_univariate(self):
         if self.nvars != 1:
@@ -453,23 +483,55 @@ def parse_terms(text):
 # grids, winding, sup norms
 
 
-# Unit-root power tables are cached for grids up to this many points: 32 KiB
-# a table, 2 MiB for the 64 the cache holds. Larger grids keep eval_at, and
-# from 16,384 points on they must: there its temporary ring ** k (256 KiB or
-# more) is one numpy reuses in place, which multiplies as ring ** k * c, not
-# c * ring ** k, and with FMA the two orders round apart. A cached table is
-# never a temporary, so it would move the bits.
-_TABLE_POINTS = 2048
+# Unit-root power tables serve one-variable grids of up to _TABLE_POINTS
+# points, 256 KiB a table; the cache holds _TABLE_BYTES (2 MiB) of them. A
+# symbol memoizes its own samples on grids of up to _MEMO_POINTS points,
+# _MEMO_BYTES (40 KiB) of them: the 512- and 2048-point grids of the queries.
+# Larger grids, such as `hartman_wintner`'s fine ones of up to 65,536 points,
+# do not outlive their `Curve`.
+_TABLE_POINTS = 16384
+_TABLE_BYTES = 2 * 1024**2
+_MEMO_POINTS = 2048
+_MEMO_BYTES = 40 * 1024
+# From this size on numpy reuses eval_at's temporary ring ** k in place, so
+# eval_at multiplies as ring ** k * c, not c * ring ** k, and with FMA the
+# two orders round apart. A cached table is never a temporary, so eval_grid
+# takes the order eval_at takes at each size.
+_ELIDE_BYTES = 256 * 1024
 
 
-@lru_cache(maxsize=64)
-def _unit_powers(grid_size, k):
-    """ring ** k on the uniform grid of grid_size angles, read-only; ring is
-    formed by the expression `eval_grid` uses, so the table holds its bits."""
-    ring = np.exp(1j * (2.0 * np.pi * np.arange(grid_size) / grid_size))
-    table = ring**k
-    table.setflags(write=False)
-    return table
+class _PowerTables:
+    """Cache of the read-only tables ring ** k by (grid_size, k), least
+    recently used first and dropped first past _TABLE_BYTES in all."""
+
+    def __init__(self):
+        self.clear()
+
+    def clear(self):
+        self.held, self.nbytes = {}, 0
+
+    def powers(self, grid_size, ks):
+        """The table of each k of ks on the uniform grid of grid_size angles,
+        None for k = 0. A miss forms ring once per call, by the expression
+        `eval_grid` uses, so each table holds the bits of eval_at's ring ** k."""
+        held, ring, out = self.held, None, []
+        for k in ks:
+            table = held.pop((grid_size, k), None)
+            if table is None and k:
+                if ring is None:
+                    ring = np.exp(1j * (2.0 * np.pi * np.arange(grid_size) / grid_size))
+                table = ring**k
+                table.setflags(write=False)
+                self.nbytes += table.nbytes
+                while self.nbytes > _TABLE_BYTES:
+                    self.nbytes -= held.pop(next(iter(held))).nbytes
+            if table is not None:
+                held[(grid_size, k)] = table
+            out.append(table)
+        return out
+
+
+_unit_powers = _PowerTables()
 
 
 def eval_grid(phi, grid_size):
@@ -479,21 +541,36 @@ def eval_grid(phi, grid_size):
     This is the one place the grid angles 2 pi j / grid_size are formed, so
     every caller that samples a curve gets the same bits.
 
-    A one-variable symbol on a grid of at most _TABLE_POINTS = 2048 points is
-    summed from cached tables of the unit roots' powers (`_unit_powers`,
-    which depend on the grid and the exponent only), term by term in the
-    order `LaurentPoly.eval_at` takes: the same products in the same order,
-    so the same bits. Larger grids and several variables go through
-    `eval_at`. The cut bounds the cache at 2 MiB and keeps it clear of the
-    sizes where numpy reorders eval_at's products (see _TABLE_POINTS).
+    A one-variable symbol on a grid of at most _MEMO_POINTS = 2048 points
+    returns the samples phi keeps in its memo once it has been sampled there
+    (see the module docstring); its grids stay within _MEMO_BYTES, the oldest
+    dropped first. Otherwise a one-variable symbol on a grid of at most
+    _TABLE_POINTS = 16384 points is summed from cached tables of the unit
+    roots' powers (`_unit_powers`, which depend on the grid and the exponent
+    only), term by term in the order `LaurentPoly.eval_at` takes, each
+    product in the operand order eval_at takes at that size (_ELIDE_BYTES):
+    the same products in the same order, so the same bits. Larger grids and
+    several variables go through `eval_at`.
     """
     need = 4 * (1 + phi.band())
     if grid_size < need:
         raise PreconditionError(f"grid_size {grid_size} < 4*(1+band) = {need}")
+    memo = phi.nvars == 1 and grid_size <= _MEMO_POINTS
+    if memo:
+        grids = phi._memoized("grids", dict)
+        samples = grids.get(grid_size)
+        if samples is not None:
+            return samples
     if phi.nvars == 1 and grid_size <= _TABLE_POINTS:
+        terms = phi._coeffs.items()
+        tables = _unit_powers.powers(grid_size, [k for (k,), _ in terms])
+        elided = 16 * grid_size >= _ELIDE_BYTES
         samples = np.zeros(grid_size, dtype=complex)
-        for (k,), c in phi._coeffs.items():
-            samples += c * _unit_powers(grid_size, k) if k else c
+        for (_, c), table in zip(terms, tables):
+            if table is None:
+                samples += c
+            else:
+                samples += table * c if elided else c * table
     else:
         ring = np.exp(1j * (2.0 * np.pi * np.arange(grid_size) / grid_size))
         if phi.nvars == 1:
@@ -504,6 +581,10 @@ def eval_grid(phi, grid_size):
             samples = phi.eval_at(pts)
         samples = np.ascontiguousarray(samples.ravel())
     samples.setflags(write=False)
+    if memo:
+        while 16 * (sum(grids) + grid_size) > _MEMO_BYTES:
+            del grids[next(iter(grids))]
+        grids[grid_size] = samples
     return samples
 
 
@@ -516,7 +597,10 @@ class Curve:
     """A one-variable symbol sampled on the uniform grid of size points, with
     the certified tolerances of that sampling.
 
-    samples are `eval_grid`'s, computed on first use. tol is the distance
+    samples are `eval_grid`'s, computed on first use. On grids of up to 2048
+    points they are phi's memoized samples, shared by every Curve of phi on
+    that grid: phi is immutable and keeps its own bits (see the module
+    docstring). A larger grid's samples go with its Curve. tol is the distance
     below which a lambda is ON_CURVE: 10 * spacing * (l1 bound on the first
     derivative), conservative but certifiable, since consecutive samples are
     at most spacing * bound apart. sag bounds how far the true curve strays
@@ -583,9 +667,11 @@ def winding(phi, lam, grid_size=512):
 
 
 # The dense crossing table is cheaper than the rank search up to about this
-# many entries L * (S + 1). Timed on one x86-64 core over 8 symbols of
-# full.json: the rank search first won at 4k-6k entries for S = 512 to 2048
-# samples, and at 12k-16k for S = 4096 and 8192.
+# many entries L * (S + 1) for L >= 2 scanlines. Timed on one x86-64 core
+# over 8 symbols of full.json: the rank search first won at 4k-6k entries for
+# S = 512 to 2048 samples, and at 12k-16k for S = 4096 and 8192. A single
+# scanline takes the table on any curve: 52-59 against 69-74 us at S = 8192,
+# 328 against 401-417 us at 65,536 (`BENCH_sample_once.json`).
 _DENSE_ENTRIES = 1 << 13
 
 
@@ -604,27 +690,13 @@ def _crossings(samples, ys):
     exact in any order, so the order of the crossings is left open.
 
     The crossed edges are found one of two ways, with the same result, and
-    the abscissae by one formula. The dense table (`_table_edges`) tests
-    every edge against every scanline, O(L S) for L scanlines and S samples,
-    up to _DENSE_ENTRIES entries. Past that, rank[v] counts the scanlines
-    below vertex v, and sorted scanline i lies on or above v exactly when
-    i >= rank[v]: edge e crosses the sorted scanlines from min(rank[e],
-    rank[e + 1]) up to the max, exclusive, upward when the rank steps up.
-    That is the half-open rule, in O((S + L) log L) plus one per crossing.
+    the abscissae by one formula: by the dense table (`_table_edges`) for a
+    single scanline or up to _DENSE_ENTRIES entries, else by the rank search
+    (`_rank_edges`).
     """
     ring = np.concatenate((samples, samples[:1]))
-    if ys.size * ring.size <= _DENSE_ENTRIES:
-        k, e, sign = _table_edges(ring.imag, ys)
-    else:
-        order = np.argsort(ys, kind="stable")
-        rank = np.searchsorted(ys[order], ring.imag)
-        e = np.flatnonzero(rank[1:] != rank[:-1])
-        lo, hi = rank[e], rank[e + 1]
-        count = np.abs(hi - lo)
-        # crossing j of edge e lies on sorted scanline min(lo, hi) + j
-        first = np.cumsum(count) - count
-        k = order[np.arange(count.sum()) + np.repeat(np.minimum(lo, hi) - first, count)]
-        e, sign = np.repeat(e, count), np.repeat(np.where(hi > lo, 1.0, -1.0), count)
+    dense = ys.size <= 1 or ys.size * ring.size <= _DENSE_ENTRIES
+    k, e, sign = (_table_edges if dense else _rank_edges)(ring.imag, ys)
     a, b = ring[e], ring[e + 1]
     y = ys[k]
     x = a.real + (y - a.imag) * (b.real - a.real) / (b.imag - a.imag)
@@ -633,10 +705,28 @@ def _crossings(samples, ys):
 
 def _table_edges(ring_y, ys):
     """(k, edge, sign) of every crossing, from the table of ring vertices on
-    or below each scanline."""
+    or below each scanline: O(L S) for L scanlines and S samples."""
     below = ring_y <= ys[:, None]
     k, e = np.nonzero(below[:, :-1] != below[:, 1:])
     return k, e, np.where(below[k, e], 1.0, -1.0)
+
+
+def _rank_edges(ring_y, ys):
+    """(k, edge, sign) of every crossing, by rank: rank[v] counts the
+    scanlines below vertex v, and sorted scanline i lies on or above v exactly
+    when i >= rank[v]. So edge e crosses the sorted scanlines from
+    min(rank[e], rank[e + 1]) up to the max, exclusive, upward when the rank
+    steps up. That is the half-open rule, in O((S + L) log L) plus one per
+    crossing."""
+    order = np.argsort(ys, kind="stable")
+    rank = np.searchsorted(ys[order], ring_y)
+    e = np.flatnonzero(rank[1:] != rank[:-1])
+    lo, hi = rank[e], rank[e + 1]
+    count = np.abs(hi - lo)
+    # crossing j of edge e lies on sorted scanline min(lo, hi) + j
+    first = np.cumsum(count) - count
+    k = order[np.arange(count.sum()) + np.repeat(np.minimum(lo, hi) - first, count)]
+    return k, np.repeat(e, count), np.repeat(np.where(hi > lo, 1.0, -1.0), count)
 
 
 def _finite_lambdas(lams):

@@ -290,7 +290,7 @@ def table_and_rank(samples, ys):
     sizes."""
     with mock.patch.object(sy, "_DENSE_ENTRIES", math.inf):
         table = sy._crossings(samples, ys)
-    with mock.patch.object(sy, "_DENSE_ENTRIES", -1):
+    with mock.patch.object(sy, "_table_edges", sy._rank_edges):
         rank = sy._crossings(samples, ys)
     return table, rank
 
@@ -349,13 +349,19 @@ def test_rank_crossings_on_flat_edges_wrap_and_no_scanlines():
         assert none[0].size == 0
 
 
-@pytest.mark.parametrize("lines, table_calls", [(16, 1), (17, 0)], ids=["table", "rank"])
-def test_crossings_take_each_path_on_its_side(lines, table_calls, monkeypatch):
+@pytest.mark.parametrize(
+    "lines, size, table_calls",
+    [(16, sy._DENSE_ENTRIES // 16 - 1, 1), (17, sy._DENSE_ENTRIES // 16 - 1, 0), (1, 8192, 1),
+     (1, 65536, 1), (2, 8192, 0)],
+    ids=["table", "rank", "one-line-8192", "one-line-65536", "two-lines-8192"],
+)
+def test_crossings_take_each_path_on_its_side(lines, size, table_calls, monkeypatch):
     # L * (S + 1) entries at _DENSE_ENTRIES exactly take the table, one
-    # scanline more takes the rank search
+    # scanline more takes the rank search; a single scanline takes the table
+    # on any curve
     phi = LaurentPoly.from_text("z^2 + 0.3*zbar")
-    samples = eval_grid(phi, sy._DENSE_ENTRIES // 16 - 1)
-    ys = np.linspace(-1.2, 1.2, lines)
+    samples = eval_grid(phi, size)
+    ys = np.linspace(-1.2, 1.2, lines) if lines > 1 else np.array([0.1])
     table, rank = table_and_rank(samples, ys)
     calls = []
     table_edges = sy._table_edges
@@ -365,6 +371,22 @@ def test_crossings_take_each_path_on_its_side(lines, table_calls, monkeypatch):
     assert_same_crossings(table, got)
     assert_same_crossings(rank, got)
     assert got[0].size >= 2 * lines
+
+
+@pytest.mark.parametrize("size", [8192, 65536])
+def test_one_scanline_counts_alike_by_table_and_by_rank(size):
+    # a single lambda's winding on a large grid is counted on the table; the
+    # rank search finds the same crossings, so the same count
+    rng = np.random.default_rng(size)
+    for text in ("z^2 + 0.3*zbar", "0.5*zbar + zbar^2 - 0.1*z^3", "z + zbar"):
+        samples = eval_grid(LaurentPoly.from_text(text), size)
+        for lam in (0.1 + 0.05j, -0.2 + 0.0j, complex(*rng.uniform(-1.5, 1.5, 2))):
+            ys = np.array([lam.imag])
+            table, rank = table_and_rank(samples, ys)
+            assert_same_crossings(table, rank)
+            with mock.patch.object(sy, "_table_edges", sy._rank_edges):
+                by_rank = _winding_numbers(samples, [lam])
+            assert np.array_equal(_winding_numbers(samples, [lam]), by_rank)
 
 
 def test_real_valued_symbol_on_its_noise_band():
