@@ -26,15 +26,15 @@ probes, and leaves single lambdas and small curves to the exact scan.
 
 Every check reads the curve through one `symbols.Curve`: phi sampled by
 `symbols.eval_grid` on a uniform grid, with its ON_CURVE distance `tol` and
-its chord sag `sag`. phi keeps its samples on grids of up to 2048 points
-(the 512- and 2048-point working grids of every query here), at most 40 KiB
-of them, so repeated queries on one symbol object sample it once per grid.
-The memo lives on the object, not in a cache keyed by value, because equal
+its chord sag `sag`. Grids of up to 2048 points (the 512- and 2048-point
+working grids of every query here) are summed from a bounded cache of
+unit-root power tables, and phi keeps its samples there, at most 40 KiB of
+them, so repeated queries on one symbol object sample it once per grid. The
+memo lives on the object, not in a cache keyed by value, because equal
 symbols whose coefficients come in another order sum their terms in another
-order and keep their own bits. Grids of up to 16384 points (the sup bound's
-4096-point grid, most fine grids) are summed from a bounded cache of
-unit-root power tables; larger ones and the resampled arcs are evaluated
-afresh by `LaurentPoly.eval_at`, whose bits the tables keep.
+order and keep their own bits. Larger grids (most fine grids, the sup
+bound's 4096-point grid and its resampled arcs) are evaluated afresh by
+`LaurentPoly.eval_at`, whose bits the tables keep.
 
 Tolerance bookkeeping. A sampled curve misses the true curve by at most the
 chord sag (spacing^2 * B''/8 with B'' the l1 bound on the second derivative),

@@ -26,7 +26,7 @@ import cmath
 import math
 import re
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cached_property, lru_cache
 
 import numpy as np
 
@@ -483,55 +483,28 @@ def parse_terms(text):
 # grids, winding, sup norms
 
 
-# Unit-root power tables serve one-variable grids of up to _TABLE_POINTS
-# points, 256 KiB a table; the cache holds _TABLE_BYTES (2 MiB) of them. A
-# symbol memoizes its own samples on grids of up to _MEMO_POINTS points,
-# _MEMO_BYTES (40 KiB) of them: the 512- and 2048-point grids of the queries.
-# Larger grids, such as `hartman_wintner`'s fine ones of up to 65,536 points,
-# do not outlive their `Curve`.
-_TABLE_POINTS = 16384
-_TABLE_BYTES = 2 * 1024**2
-_MEMO_POINTS = 2048
+# Unit-root power tables are cached for grids up to this many points: 32 KiB
+# a table, 2 MiB for the 64 the cache holds. Larger grids keep eval_at, and
+# from 16,384 points on they must: there its temporary ring ** k (256 KiB or
+# more) is one numpy reuses in place, which multiplies as ring ** k * c, not
+# c * ring ** k, and with FMA the two orders round apart. A cached table is
+# never a temporary, so it would move the bits.
+_TABLE_POINTS = 2048
+# A symbol memoizes its own samples on these same grids, at most this many
+# bytes of them: the 512- and 2048-point grids of the queries. Larger grids,
+# such as `hartman_wintner`'s fine ones of up to 65,536 points, do not
+# outlive their `Curve`.
 _MEMO_BYTES = 40 * 1024
-# From this size on numpy reuses eval_at's temporary ring ** k in place, so
-# eval_at multiplies as ring ** k * c, not c * ring ** k, and with FMA the
-# two orders round apart. A cached table is never a temporary, so eval_grid
-# takes the order eval_at takes at each size.
-_ELIDE_BYTES = 256 * 1024
 
 
-class _PowerTables:
-    """Cache of the read-only tables ring ** k by (grid_size, k), least
-    recently used first and dropped first past _TABLE_BYTES in all."""
-
-    def __init__(self):
-        self.clear()
-
-    def clear(self):
-        self.held, self.nbytes = {}, 0
-
-    def powers(self, grid_size, ks):
-        """The table of each k of ks on the uniform grid of grid_size angles,
-        None for k = 0. A miss forms ring once per call, by the expression
-        `eval_grid` uses, so each table holds the bits of eval_at's ring ** k."""
-        held, ring, out = self.held, None, []
-        for k in ks:
-            table = held.pop((grid_size, k), None)
-            if table is None and k:
-                if ring is None:
-                    ring = np.exp(1j * (2.0 * np.pi * np.arange(grid_size) / grid_size))
-                table = ring**k
-                table.setflags(write=False)
-                self.nbytes += table.nbytes
-                while self.nbytes > _TABLE_BYTES:
-                    self.nbytes -= held.pop(next(iter(held))).nbytes
-            if table is not None:
-                held[(grid_size, k)] = table
-            out.append(table)
-        return out
-
-
-_unit_powers = _PowerTables()
+@lru_cache(maxsize=64)
+def _unit_powers(grid_size, k):
+    """ring ** k on the uniform grid of grid_size angles, read-only; ring is
+    formed by the expression `eval_grid` uses, so the table holds its bits."""
+    ring = np.exp(1j * (2.0 * np.pi * np.arange(grid_size) / grid_size))
+    table = ring**k
+    table.setflags(write=False)
+    return table
 
 
 def eval_grid(phi, grid_size):
@@ -541,50 +514,41 @@ def eval_grid(phi, grid_size):
     This is the one place the grid angles 2 pi j / grid_size are formed, so
     every caller that samples a curve gets the same bits.
 
-    A one-variable symbol on a grid of at most _MEMO_POINTS = 2048 points
-    returns the samples phi keeps in its memo once it has been sampled there
-    (see the module docstring); its grids stay within _MEMO_BYTES, the oldest
-    dropped first. Otherwise a one-variable symbol on a grid of at most
-    _TABLE_POINTS = 16384 points is summed from cached tables of the unit
-    roots' powers (`_unit_powers`, which depend on the grid and the exponent
-    only), term by term in the order `LaurentPoly.eval_at` takes, each
-    product in the operand order eval_at takes at that size (_ELIDE_BYTES):
-    the same products in the same order, so the same bits. Larger grids and
-    several variables go through `eval_at`.
+    A one-variable symbol on a grid of at most _TABLE_POINTS = 2048 points is
+    summed from cached tables of the unit roots' powers (`_unit_powers`,
+    which depend on the grid and the exponent only), term by term in the
+    order `LaurentPoly.eval_at` takes: the same products in the same order,
+    so the same bits. phi keeps these samples in its memo (see the module
+    docstring) and returns them on every later call on that grid; its grids
+    stay within _MEMO_BYTES, the oldest dropped first. Larger grids and
+    several variables go through `eval_at`. The cut bounds the cache at
+    2 MiB and keeps it clear of the sizes where numpy reorders eval_at's
+    products (see _TABLE_POINTS).
     """
     need = 4 * (1 + phi.band())
     if grid_size < need:
         raise PreconditionError(f"grid_size {grid_size} < 4*(1+band) = {need}")
-    memo = phi.nvars == 1 and grid_size <= _MEMO_POINTS
-    if memo:
+    if phi.nvars == 1 and grid_size <= _TABLE_POINTS:
         grids = phi._memoized("grids", dict)
         samples = grids.get(grid_size)
-        if samples is not None:
-            return samples
-    if phi.nvars == 1 and grid_size <= _TABLE_POINTS:
-        terms = phi._coeffs.items()
-        tables = _unit_powers.powers(grid_size, [k for (k,), _ in terms])
-        elided = 16 * grid_size >= _ELIDE_BYTES
-        samples = np.zeros(grid_size, dtype=complex)
-        for (_, c), table in zip(terms, tables):
-            if table is None:
-                samples += c
-            else:
-                samples += table * c if elided else c * table
+        if samples is None:
+            samples = np.zeros(grid_size, dtype=complex)
+            for (k,), c in phi._coeffs.items():
+                samples += c * _unit_powers(grid_size, k) if k else c
+            samples.setflags(write=False)
+            while 16 * (sum(grids) + grid_size) > _MEMO_BYTES:
+                del grids[next(iter(grids))]
+            grids[grid_size] = samples
+        return samples
+    ring = np.exp(1j * (2.0 * np.pi * np.arange(grid_size) / grid_size))
+    if phi.nvars == 1:
+        samples = phi.eval_at(ring)
     else:
-        ring = np.exp(1j * (2.0 * np.pi * np.arange(grid_size) / grid_size))
-        if phi.nvars == 1:
-            samples = phi.eval_at(ring)
-        else:
-            mesh = np.meshgrid(*([ring] * phi.nvars), indexing="ij")
-            pts = np.stack([m.ravel() for m in mesh], axis=-1)
-            samples = phi.eval_at(pts)
-        samples = np.ascontiguousarray(samples.ravel())
+        mesh = np.meshgrid(*([ring] * phi.nvars), indexing="ij")
+        pts = np.stack([m.ravel() for m in mesh], axis=-1)
+        samples = phi.eval_at(pts)
+    samples = np.ascontiguousarray(samples.ravel())
     samples.setflags(write=False)
-    if memo:
-        while 16 * (sum(grids) + grid_size) > _MEMO_BYTES:
-            del grids[next(iter(grids))]
-        grids[grid_size] = samples
     return samples
 
 

@@ -14,8 +14,6 @@ from sphiso import symbols as sy
 from sphiso.errors import OnCurveError, PreconditionError
 from sphiso.symbols import (
     _MEMO_BYTES,
-    _MEMO_POINTS,
-    _TABLE_BYTES,
     _TABLE_POINTS,
     Curve,
     LaurentPoly,
@@ -247,14 +245,13 @@ finite_complex = st.complex_numbers(
 @st.composite
 def symbol_and_grid(draw):
     """A one-variable symbol and a legal grid: any size up to the table cut,
-    the smallest one, one at the memo's cut or one just above the table cut."""
+    the smallest one, or one just above the cut."""
     phi = LaurentPoly(1, draw(st.dictionaries(st.integers(-12, 12), finite_complex, max_size=7)))
     need = 4 * (1 + phi.band())
     g = draw(
         st.one_of(
             st.integers(need, _TABLE_POINTS),
             st.just(need),
-            st.just(_MEMO_POINTS),
             st.just(_TABLE_POINTS),
             st.integers(_TABLE_POINTS + 1, _TABLE_POINTS + 64),
         )
@@ -271,66 +268,44 @@ def symbol_and_grid(draw):
 @example((LaurentPoly.monomial(-1, 2.0), _TABLE_POINTS + 1))
 @example((LaurentPoly(1, {0: 0.5, -3: 1 - 2j, 5: 0.25j, -12: 1e-6}), 1000))
 @example((LaurentPoly.zero(), 4))
-@example((LaurentPoly(1, {0: 0.5, -3: 1 - 2j, 5: 0.25j, 7: 0.3 + 0.7j}), 2048))
-@example((LaurentPoly(1, {0: 0.5, -3: 1 - 2j, 5: 0.25j, 7: 0.3 + 0.7j}), 8192))
-@example((LaurentPoly(1, {0: 0.5, -3: 1 - 2j, 5: 0.25j, 7: 0.3 + 0.7j}), 16383))
 @example((LaurentPoly(1, {0: 0.5, -3: 1 - 2j, 5: 0.25j, 7: 0.3 + 0.7j}), 16384))
-@example((LaurentPoly(1, {0: 0.5, -3: 1 - 2j, 5: 0.25j, 7: 0.3 + 0.7j}), 32768))
 def test_eval_grid_tables_keep_the_bits(case):
     # the cached unit-root powers give eval_at's samples bit for bit, below
-    # and above the cut where eval_grid stops using them: c * table below
-    # numpy's temporary reuse (256 KiB, 16,384 points) and table * c from it
-    # on, the order eval_at's products take there. A numpy that moves that
-    # threshold fails here. An equal symbol sums the tables again, now cached
+    # and above the cut where eval_grid stops using them; at 16,384 points
+    # numpy reorders eval_at's products and a table would not keep its bits
     phi, g = case
     ring = np.exp(1j * (2.0 * np.pi * np.arange(g) / g))
-    expected = phi.eval_at(ring).view(np.uint64)
-    for sym in (phi, LaurentPoly(1, phi.coeffs)):
-        samples = eval_grid(sym, g)
-        assert samples.shape == (g,) and not samples.flags.writeable
-        assert np.array_equal(samples.view(np.uint64), expected)
+    samples = eval_grid(phi, g)
+    assert samples.shape == (g,) and not samples.flags.writeable
+    assert np.array_equal(samples.view(np.uint64), phi.eval_at(ring).view(np.uint64))
 
 
 def test_eval_grid_tables_only_for_full_one_variable_grids_to_the_cut():
     phi = Z**3 + (0.25 - 0.5j) * ZBAR**2 + 0.5
-    _unit_powers.clear()
+    _unit_powers.cache_clear()
     eval_grid(phi, _TABLE_POINTS + 1)
     eval_grid(LaurentPoly.from_text("(0.5-1j)*z1*zbar2 + 0.5"), 16)
-    assert len(_unit_powers.held) == 0
+    assert _unit_powers.cache_info().currsize == 0
     samples = eval_grid(phi, _TABLE_POINTS)
     # one table per nonzero exponent; the constant term needs none
-    tables = dict(_unit_powers.held)
-    assert sorted(tables) == [(_TABLE_POINTS, -2), (_TABLE_POINTS, 3)]
-    assert not any(np.shares_memory(samples, t) for t in tables.values())
-    # an equal symbol, memoizing nothing at this size, sums the same tables
-    again = eval_grid(LaurentPoly(1, phi.coeffs), _TABLE_POINTS)
-    assert again is not samples and np.array_equal(again, samples)
-    assert all(_unit_powers.held[key] is t for key, t in tables.items())
+    assert _unit_powers.cache_info().currsize == 2
+    for k in (3, -2):
+        table = _unit_powers(_TABLE_POINTS, k)
+        assert not np.shares_memory(samples, table)
+    assert _unit_powers.cache_info().hits == 2
 
 
 def test_unit_power_tables_are_read_only_and_bounded():
-    _unit_powers.clear()
-    (table,) = _unit_powers.powers(64, [5])
+    table = _unit_powers(64, 5)
     assert not table.flags.writeable
     with pytest.raises(ValueError):
         table[0] = 0.0
-    assert _unit_powers.powers(64, [0, 5]) == [None, table]
-    assert _TABLE_BYTES == 2 * 1024**2 and _TABLE_POINTS * 16 == 256 * 1024
-    # the least recently used tables go first, past 2 MiB in all
-    _unit_powers.powers(_TABLE_POINTS, range(1, 8))
-    assert _unit_powers.nbytes == sum(t.nbytes for t in _unit_powers.held.values())
-    assert _unit_powers.nbytes <= _TABLE_BYTES and (64, 5) in _unit_powers.held
-    _unit_powers.powers(_TABLE_POINTS, [8])
-    assert _unit_powers.nbytes == _TABLE_BYTES and (64, 5) not in _unit_powers.held
-    _unit_powers.powers(_TABLE_POINTS, [1])
-    _unit_powers.powers(4096, [3])
-    held = _unit_powers.held
-    assert (_TABLE_POINTS, 1) in held and (_TABLE_POINTS, 2) not in held
-    assert _unit_powers.nbytes == sum(t.nbytes for t in held.values()) <= _TABLE_BYTES
+    assert _unit_powers(_TABLE_POINTS, 1).nbytes == _TABLE_POINTS * 16
+    assert _unit_powers.cache_info().maxsize * _TABLE_POINTS * 16 <= 2 * 1024**2
 
 
 def test_no_table_is_built_at_import(child_env):
-    code = "import sphiso.symbols as s; print(len(s._unit_powers.held))"
+    code = "import sphiso.symbols as s; print(s._unit_powers.cache_info().currsize)"
     done = subprocess.run(
         [sys.executable, "-c", code], env=child_env, capture_output=True, text=True, timeout=60
     )
@@ -353,7 +328,7 @@ def winding_or_on_curve(phi, lam, grid_size):
 
 def test_memoized_samples_are_those_of_a_fresh_symbol():
     phi = LaurentPoly(1, ORDERED)
-    for g in (40, 512, 1000, _MEMO_POINTS):
+    for g in (40, 512, 1000, _TABLE_POINTS):
         first = eval_grid(phi, g)
         assert eval_grid(phi, g) is first
         assert not first.flags.writeable
@@ -367,7 +342,7 @@ def test_memoized_samples_are_those_of_a_fresh_symbol():
         for call in (
             lambda p: sup_norm(p, 512),
             lambda p: winding_or_on_curve(p, lam, 512),
-            lambda p: winding_or_on_curve(p, lam, _MEMO_POINTS),
+            lambda p: winding_or_on_curve(p, lam, _TABLE_POINTS),
             lambda p: spectra.spectrum_membership(p, lam),
             lambda p: spectra.membership_batch(p, [lam, 3.0, -0.4j]).tolist(),
         ):
@@ -377,7 +352,7 @@ def test_memoized_samples_are_those_of_a_fresh_symbol():
 def test_memo_keeps_each_coefficient_order_its_own_bits():
     phi, psi = LaurentPoly(1, ORDERED), LaurentPoly(1, REVERSED)
     assert phi == psi and hash(phi) == hash(psi)
-    for g in (512, _MEMO_POINTS):
+    for g in (512, _TABLE_POINTS):
         ring = np.exp(1j * (2.0 * np.pi * np.arange(g) / g))
         a, b = eval_grid(phi, g), eval_grid(psi, g)
         assert np.array_equal(a.view(np.uint64), phi.eval_at(ring).view(np.uint64))
@@ -387,16 +362,16 @@ def test_memo_keeps_each_coefficient_order_its_own_bits():
 
 def test_memo_holds_small_grids_within_its_bound():
     phi = LaurentPoly(1, ORDERED)
-    big = eval_grid(phi, _MEMO_POINTS + 1)
-    assert eval_grid(phi, _MEMO_POINTS + 1) is not big
+    big = eval_grid(phi, _TABLE_POINTS + 1)
+    assert eval_grid(phi, _TABLE_POINTS + 1) is not big
     assert "grids" not in phi._memo
     eval_grid(phi, 512)
-    eval_grid(phi, _MEMO_POINTS)
-    assert list(phi._memo["grids"]) == [512, _MEMO_POINTS]
-    assert 16 * (512 + _MEMO_POINTS) == _MEMO_BYTES == 40 * 1024
+    eval_grid(phi, _TABLE_POINTS)
+    assert list(phi._memo["grids"]) == [512, _TABLE_POINTS]
+    assert 16 * (512 + _TABLE_POINTS) == _MEMO_BYTES == 40 * 1024
     # a third grid drops the oldest until the samples fit in 40 KiB again
     eval_grid(phi, 256)
-    assert list(phi._memo["grids"]) == [_MEMO_POINTS, 256]
+    assert list(phi._memo["grids"]) == [_TABLE_POINTS, 256]
     eval_grid(phi, 1024)
     assert list(phi._memo["grids"]) == [256, 1024]
     # two-variable symbols memoize no samples
@@ -409,7 +384,7 @@ def test_memo_leaves_equality_hash_and_pickles_alone():
     fresh = LaurentPoly(1, ORDERED)
     plain = pickle.dumps(fresh)
     eval_grid(phi, 512)
-    sup_norm(phi, _MEMO_POINTS)
+    sup_norm(phi, _TABLE_POINTS)
     Curve(phi, 512).tol
     assert phi._memo
     assert phi == fresh and hash(phi) == hash(fresh)
@@ -443,10 +418,8 @@ def test_a_query_burst_samples_each_grid_once(monkeypatch):
     # 2048-point one. Each grid is summed from the tables once, and the
     # scalar bounds once
     calls = []
-    powers = sy._unit_powers.powers
-    monkeypatch.setattr(
-        sy._unit_powers, "powers", lambda g, ks: calls.append(g) or powers(g, ks)
-    )
+    powers = sy._unit_powers
+    monkeypatch.setattr(sy, "_unit_powers", lambda g, k: calls.append(g) or powers(g, k))
     sums = []
     memoized = LaurentPoly._memoized
     monkeypatch.setattr(
@@ -462,7 +435,8 @@ def test_a_query_burst_samples_each_grid_once(monkeypatch):
     for lam in lams:
         spectra.spectrum_membership(phi, lam, 2048)
     spectra.membership_batch(phi, lams * 4, 2048)
-    assert calls == [512, 2048]
+    # one table per nonzero exponent of ORDERED, per grid
+    assert calls == [512] * 3 + [2048] * 3
     assert sorted(sums) == sorted(["band", "grids", "l1", "d1", "d2"])
 
 

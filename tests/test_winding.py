@@ -373,22 +373,6 @@ def test_crossings_take_each_path_on_its_side(lines, size, table_calls, monkeypa
     assert got[0].size >= 2 * lines
 
 
-@pytest.mark.parametrize("size", [8192, 65536])
-def test_one_scanline_counts_alike_by_table_and_by_rank(size):
-    # a single lambda's winding on a large grid is counted on the table; the
-    # rank search finds the same crossings, so the same count
-    rng = np.random.default_rng(size)
-    for text in ("z^2 + 0.3*zbar", "0.5*zbar + zbar^2 - 0.1*z^3", "z + zbar"):
-        samples = eval_grid(LaurentPoly.from_text(text), size)
-        for lam in (0.1 + 0.05j, -0.2 + 0.0j, complex(*rng.uniform(-1.5, 1.5, 2))):
-            ys = np.array([lam.imag])
-            table, rank = table_and_rank(samples, ys)
-            assert_same_crossings(table, rank)
-            with mock.patch.object(sy, "_table_edges", sy._rank_edges):
-                by_rank = _winding_numbers(samples, [lam])
-            assert np.array_equal(_winding_numbers(samples, [lam]), by_rank)
-
-
 def test_real_valued_symbol_on_its_noise_band():
     # z + zbar is real, and rounding noise of up to 2.2e-16 in the imaginary
     # parts makes the scanlines through that band cross thousands of edges;
