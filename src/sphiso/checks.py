@@ -28,6 +28,7 @@ import hashlib
 import json
 import math
 from dataclasses import dataclass, field
+from functools import lru_cache
 
 import numpy as np
 
@@ -858,15 +859,16 @@ _BLAS_SETTERS = (
 )
 
 
-def _pin_blas():
-    """Pool initializer: set each OpenBLAS that numpy and scipy bundle in
-    their `<package>.libs` folder to one thread, through its own setter.
-    A library or setter it cannot find is skipped."""
+@lru_cache(maxsize=None)
+def _blas_setters():
+    """The thread setter of each OpenBLAS numpy and scipy bundle in their
+    `<package>.libs` folder, looked up once; what it cannot find is skipped."""
     import ctypes
     import glob
     import importlib
     import os
 
+    found = []
     for package, pattern, setter in _BLAS_SETTERS:
         root = os.path.dirname(os.path.dirname(importlib.import_module(package).__file__))
         for path in glob.glob(os.path.join(root, f"{package}.libs", pattern)):
@@ -875,7 +877,14 @@ def _pin_blas():
             except (OSError, AttributeError):
                 continue
             fn.argtypes, fn.restype = [ctypes.c_int], None
-            fn(1)
+            found.append(fn)
+    return tuple(found)
+
+
+def _pin_blas():
+    """Pool initializer: set each bundled OpenBLAS to one thread."""
+    for fn in _blas_setters():
+        fn(1)
 
 
 def _pool_results(ids, params, seed, workers):
@@ -886,6 +895,7 @@ def _pool_results(ids, params, seed, workers):
     from concurrent.futures.process import ProcessPoolExecutor
 
     context = multiprocessing.get_context("fork")
+    _blas_setters()  # looked up before the first pool: a worker only calls them
     with ProcessPoolExecutor(workers, mp_context=context, initializer=_pin_blas) as pool:
         # Reverse ordinal order: each suite's longest checks (numerical_range
         # on spectra, commutant_lifting on circle) come late in it. Submitted

@@ -344,7 +344,7 @@ def truncation(x, n):
     return out
 
 
-def _pure_truncation_norm(phi, n):
+def _pure_truncation_norm(phi, n, guess=math.nan):
     """Norm of the N x N compression A of a pure Toeplitz operator.
 
     sqrt of the largest eigenvalue of A*A by `linalg.band_max_eig`:
@@ -355,7 +355,8 @@ def _pure_truncation_norm(phi, n):
     itself for an analytic or co-analytic symbol, 0 for a monomial. Zero
     diagonals stored past kd would only add exact zeros to the factorization
     while raising its cost. The eigenvalue is the upper end of the bisection
-    bracket, so the norm errs upward but for the factorization's rounding.
+    bracket, so the norm errs upward but for the factorization's rounding. A
+    guess at the norm (the symbol's sup) goes in squared as a place to factor.
 
     Entry (p, p + d) of A*A sums conj(c_k) c_(k-d) over the exponents k
     whose row p + k lies inside A, in ascending k from 0j, in Python complex
@@ -390,7 +391,7 @@ def _pure_truncation_norm(phi, n):
             row[lo:hi] = entry(lo)
         for p in [*range(min(lo, row.size)), *range(max(lo, hi), row.size)]:
             row[p] = entry(p)
-    return float(np.sqrt(max(band_max_eig(band), 0.0)))
+    return float(np.sqrt(max(band_max_eig(band, guess * guess), 0.0)))
 
 
 def truncation_norm(x, n):
@@ -427,14 +428,16 @@ def _block_grid_sup(block, grid_size):
     vals = np.empty((g, k, k), dtype=complex)
     for a in range(k):
         for b in range(k):
+            block[a][b]._require_univariate()
             vals[:, a, b] = eval_grid(block[a][b], g)
     sv = np.linalg.svd(vals, compute_uv=False)
     return float(np.max(sv[:, 0]))
 
 
-def _block_truncation_norm(block, n):
-    """Norm of the kN x kN compression T of a k x k block of symbols, whose
-    block (a, b) is the N x N compression of block[a][b].
+def _block_truncation_norm(block, n, guess=math.nan):
+    """Norm of the kN x kN compression T of a k x k block of one-variable
+    symbols (`_block_grid_sup` checks that first), whose block (a, b) is the
+    N x N compression of block[a][b].
 
     For k >= 2 it is the top eigenvalue, by `linalg.band_max_eig`, of the
     Hermitian dilation H = [[0, T], [T*, 0]], whose eigenvalues are plus and
@@ -444,15 +447,12 @@ def _block_truncation_norm(block, n):
     p = k (w + 1) - 1 for symbols of band w; alternating the rows of T with
     its columns then puts row r of T at 2r and column s at 2s + 1 of H, a
     Hermitian band of half-width 2p + 1. Each coefficient fills one strided
-    run of one stored diagonal. The norm is the upper end of the bisection
-    bracket, so it errs upward but for the factorization's rounding.
+    run of one stored diagonal. The norm, the upper end of the bisection
+    bracket, errs upward but for rounding; `guess` is passed on.
     """
     k = len(block)
     if k == 1:
-        return _pure_truncation_norm(block[0][0], n)
-    for row in block:
-        for phi in row:
-            phi._require_univariate()
+        return _pure_truncation_norm(block[0][0], n, guess)
     w = min(max(phi.band() for row in block for phi in row), n - 1)
     kd = 2 * k * (w + 1) - 1
     band = np.zeros((kd + 1, 2 * k * n), dtype=complex)
@@ -470,7 +470,7 @@ def _block_truncation_norm(block, n):
                     row, col, value = kd - 2 * d + 1, 2 * (e * k + a), c.conjugate()
                 j0, j1 = max(0, -e), min(n, n - e)  # the columns j of block (a, b) holding e
                 band[row, col + 2 * k * j0 : col + 2 * k * j1 : 2 * k] = value
-    return band_max_eig(band)
+    return band_max_eig(band, guess)
 
 
 def cross_section_isometry(block, truncations):
@@ -487,9 +487,9 @@ def cross_section_isometry(block, truncations):
     k = len(block)
     if any(len(row) != k for row in block):
         raise PreconditionError("symbol block must be square")
-    lows = [_block_truncation_norm(block, n) for n in truncations]
-    monotone = all(lows[i] <= lows[i + 1] + 1e-12 for i in range(len(lows) - 1))
     sup_lo = _block_grid_sup(block, _CROSS_GRID)
+    lows = [_block_truncation_norm(block, n, sup_lo) for n in truncations]
+    monotone = all(lows[i] <= lows[i + 1] + 1e-12 for i in range(len(lows) - 1))
     gap = abs(lows[-1] - sup_lo)
     verdict = "PASS" if (gap <= _CROSS_TOL and monotone) else "INCONCLUSIVE"
     return CrossSectionReport(
@@ -560,6 +560,6 @@ def commutant_character(x, trunc=1024):
     lift = None
     if cls == ANALYTIC_TOEPLITZ:
         lo, up = sup_norm(x.symbol, grid_size=max(_SUP_GRID, 4 * (1 + x.symbol.band())))
-        tl = truncation_norm(x.symbol, trunc)
+        tl = _pure_truncation_norm(x.symbol, trunc, lo)
         lift = LiftEvidence(x.symbol, lo, up, tl, abs(tl - lo))
     return CommutantReport(cls, is_t, xstarx_t, commutes, lift)

@@ -15,10 +15,10 @@ backward error. The top of a truncated Toeplitz spectrum clusters, which
 slows Lanczos but not bisection: every step costs one factorization
 whatever the gaps. The value returned is the last sigma that factored, so
 it errs above the eigenvalue, never below by more than that backward error.
-Half the steps are settled without a factorization: a Rayleigh quotient
-from a few inverse-iteration solves through a factor already made brackets
-the eigenvalue, and the bisection is replayed with every step outside that
-bracket decided by it (see `band_max_eig`).
+Most steps are settled without a factorization: Rayleigh quotients through
+factors already made, the first at a caller's guess such as the symbol's
+maximum, bracket the eigenvalue, and the bisection is replayed with every
+step outside that bracket decided by it (see `band_max_eig`).
 """
 
 from __future__ import annotations
@@ -36,10 +36,12 @@ __all__ = ["worst", "op_norm", "band_max_eig"]
 # widenings of the upper end when sigma = ||A||_1 does not factor; one is
 # enough for rounding in the norm itself, which is all that can cause it
 _WIDENINGS = 4
-# bisection stops at a bracket this wide, relative to ||A||_1, to estimate the
-# eigenvalue by this many inverse-iteration solves through the upper end's factor
+# coarse bracket width / ||A||_1, quotient solves and product runs, ladder rungs
 _COARSE = 1e-5
-_INVERSE_STEPS = 6
+_INVERSE_STEPS = 10
+_RUN = 4
+_RUNGS = 3
+_CLOSER = 64.0
 
 
 def worst(values):
@@ -77,7 +79,7 @@ def _rayleigh_quotient(factor, negated):
     """x*Ax / x*x, where x is a fixed start after _INVERSE_STEPS solves
     through `factor`, the banded Cholesky factor of some sigma*I - A, and
     `negated` holds -A in upper band storage. Ax comes from `zhbmv`, the
-    inner products from `math.fsum` of the rounded products."""
+    inner products from `math.fsum` of numpy's sums of _RUN real products."""
     from scipy.linalg.blas import zhbmv
     from scipy.linalg.lapack import zpbtrs
 
@@ -86,12 +88,13 @@ def _rayleigh_quotient(factor, negated):
         x = zpbtrs(factor, x[:, None])[0][:, 0]
         x /= np.abs(x).max()
     y = zhbmv(negated.shape[0] - 1, -1.0, negated, x)
-    num = math.fsum(np.concatenate((x.real * y.real, x.imag * y.imag)).tolist())
-    den = math.fsum(np.concatenate((x.real * x.real, x.imag * x.imag)).tolist())
+    u, runs = x.view(float), np.arange(0, 2 * x.size, _RUN)
+    num = math.fsum(np.add.reduceat(u * y.view(float), runs).tolist())
+    den = math.fsum(np.add.reduceat(u * u, runs).tolist())
     return num / den
 
 
-def band_max_eig(ab):
+def band_max_eig(ab, guess=None):
     """Largest eigenvalue of the Hermitian N x N band matrix A stored in `ab`.
 
     `ab` has shape (kd + 1, N) with ab[kd + i - j, j] = A[i, j] for
@@ -103,17 +106,28 @@ def band_max_eig(ab):
     (kd + 1) * eps * ||A||_1 of the true eigenvalue. The factorizations
     made are noted as factorizations, one count per call.
 
-    The bisection is replayed, not shortened. It runs plainly until the
-    bracket is _COARSE * ||A||_1 wide; then _INVERSE_STEPS solves through the
-    factor of its upper end (`zpbtrs`, no new factorization) turn a fixed
-    start vector x towards the top eigenvector, and r = x*Ax / x*x is a
-    Rayleigh quotient, so r <= lambda_max in exact arithmetic. The same
-    bisection then goes on, but a midpoint below lower = r - m counts as
-    failing and one at or above upper = r + 4 (kd + 1) eps ||A||_1 as
-    factoring, once upper itself has factored; only the midpoints in
-    between are factored. The margin m = 4 (kd + 2)^2 eps ||A||_1 covers two
-    roundings, with e = eps / 2 the unit roundoff and kd the effective
-    half-bandwidth min(kd, N - 1):
+    The bisection is replayed, not shortened: a midpoint below `lower`
+    counts as failing and one at or above `upper`, the lowest sigma that
+    factored, as factoring; only those in between are factored. A Rayleigh
+    quotient r = x*Ax / x*x, x a fixed start after _INVERSE_STEPS solves
+    through a factor already made (`zpbtrs`), is at most lambda_max in exact
+    arithmetic; it raises lower to r - m, and a probe at
+    r + 4 (kd + 1) eps ||A||_1 that factors becomes upper. `guess` is only a
+    place to factor first, never a bound. If it is finite, above -||A||_1,
+    and factors (at or above the upper end, that end's factor serves), the
+    first quotient goes through its factor. After a probe that factors, r
+    itself is factored; after one that does not, a closer sigma
+    r + (U - r) / _CLOSER, U the lowest that factored, is, and its quotient
+    starts the next rung, at most _RUNGS. Each sets upper if it factors and
+    lower if it fails. From the symbol's maximum a solve takes about 10
+    factorizations. Otherwise a plain bisection to a bracket
+    _COARSE * ||A||_1 wide gives the one quotient's factor, its upper end's.
+    A failure settled below a probe that failed, like a success settled at
+    or above upper, relies on factoring succeeding at and above a single
+    threshold and failing below it. The floor r - m relies on rounding
+    alone: m = 4 (kd + 2)^2 eps ||A||_1 covers two roundings, with
+    e = eps / 2 the unit roundoff and kd the effective half-bandwidth
+    min(kd, N - 1):
     - If zpbtrf completes on H = sigma*I - A, its factor R has R*R = H + E
       with |E| <= gamma_(kd+2) |R*| |R| (Higham, *Accuracy and Stability of
       Numerical Algorithms*, 2nd ed., Thm 10.3: the inner products of a band
@@ -124,21 +138,20 @@ def band_max_eig(ab):
       first order, doubled for complex arithmetic, and forming sigma - a_ii
       adds 2 e ||A||_1. R*R is positive semidefinite, so sigma >=
       lambda_max - ||E||_2: a sigma further below lambda_max fails.
-    - Ax comes from `zhbmv`, sums of at most 2 kd + 1 products, and the two
-      inner products from `math.fsum`, correctly rounded, of rounded
-      products: r is off by at most about 2 (kd + 4) e ||A||_1, again
-      doubled for complex arithmetic.
-    Both together stay below m. So every settled failure is one zpbtrf
-    would report, and every settled success is one it would report as long
-    as factoring succeeds at and above one threshold, which upper passed.
-    The replay then visits the very midpoints of the plain bisection and
-    returns its bits. If the final upper end was settled rather than
-    factored, it is factored now, and if that fails the plain bisection
-    runs on from the coarse bracket, so the value returned is always a
-    sigma that factored. A wrong margin could only cost that fallback or
-    the bit equality, never a value below the spectrum. Below
-    ||A||_1 = tiny / eps the roundings are no longer relative, and the
-    bisection stays plain.
+    - y = Ax comes from `zhbmv`, sums of at most 2 kd + 1 products, off by
+      2 (2 kd + 3) e |A| |x| (complex arithmetic doubled). x*y and x*x each
+      sum 2N rounded real products in runs of _RUN = 4, in any order, and
+      the run sums by `math.fsum`, correctly rounded: off by (_RUN + 1) e
+      |x|*|y| (Higham, Sec. 3.1). With || |A| ||_2 <= ||A||_1, r is off by
+      at most (4 kd + 2 _RUN + 9) e ||A||_1, the division included.
+    Both together, (8 kd^2 + 24 kd + 29) e ||A||_1, stay below m. So every
+    failure the floor settles is one zpbtrf would report, and with a single
+    threshold the replay returns the plain bisection's bits. A final upper
+    end that was settled is factored now, and if that fails the plain
+    bisection runs on from where the replay began, so the value returned
+    always factored: a wrong margin or a second threshold could cost only
+    that fallback or the bit equality. Below ||A||_1 = tiny / eps the
+    roundings are no longer relative; the bisection stays plain.
     """
     from scipy.linalg.lapack import zpbtrf
 
@@ -195,6 +208,15 @@ def band_max_eig(ab):
                 lo = mid
         return lo, hi, made_hi
 
+    def narrow(sigma):
+        """Factor sigma inside (lower, upper), move that end to it: passes or None."""
+        nonlocal lower, upper
+        if not lower < sigma < upper:
+            return None
+        passes = factors(sigma)
+        lower, upper = (lower, sigma) if passes else (sigma, upper)
+        return passes
+
     hi = bound
     for _ in range(_WIDENINGS):
         if factors(hi):
@@ -203,17 +225,28 @@ def band_max_eig(ab):
     else:
         raise InvariantError(f"sigma*I - A did not factor at sigma = {hi / 2.0!r}")
     width = np.finfo(float).eps * bound
-    lo, hi, _ = bisect(-bound, hi, _COARSE * bound)
-    lower, upper = -math.inf, math.inf
+    lo, lower, upper = -bound, -math.inf, math.inf
     if width >= np.finfo(float).tiny:
-        r = _rayleigh_quotient(held, shifted)
         k = min(kd, n - 1)
-        lower = r - 4 * (k + 2) ** 2 * width
-        upper = r + 4 * (k + 1) * width
-        if not (lo < upper < hi and factors(upper)):
-            upper = math.inf
+        margin, step = 4 * (k + 2) ** 2 * width, 4 * (k + 1) * width
+        if guess is not None and lo < guess < math.inf and (guess >= hi or factors(guess)):
+            upper = min(guess, hi)
+            for _ in range(_RUNGS):
+                r = _rayleigh_quotient(held, shifted)
+                lower = max(lower, r - margin)
+                if narrow(r + step):
+                    narrow(r)
+                    break
+                if not narrow(r + (upper - r) / _CLOSER):
+                    break
+        else:
+            lo, hi, _ = bisect(lo, hi, _COARSE * bound)
+            r = _rayleigh_quotient(held, shifted)
+            lower, upper = r - margin, r + step
+            if not (lo < upper < hi and factors(upper)):
+                upper = math.inf
     _, top, made_top = bisect(lo, hi, width, lower, upper)
-    if not (made_top or factors(top)):
+    if not (made_top or top == upper or factors(top)):
         _, top, _ = bisect(lo, hi, width)
     note(factorizations=made)
     return top

@@ -622,7 +622,7 @@ def numerical_range_support(x, thetas, trunc):
     tops, sags, points = _arc_sup(x.symbol, phs)
     hs, bounds, counter = [], [], []
     for t, ph, top, sag in zip(thetas, phs, tops, sags):
-        h = band_max_eig((ph * upper + np.conj(ph) * upper_adj) / 2.0)
+        h = band_max_eig((ph * upper + np.conj(ph) * upper_adj) / 2.0, top)
         bound = top + fnorm
         hs.append(h)
         bounds.append(bound)

@@ -288,11 +288,13 @@ class LaurentPoly:
             raise PreconditionError(f"points need last axis {self.nvars}")
         out = np.zeros(pts.shape[:-1], dtype=complex)
         for e, c in self._coeffs.items():
-            # the scalar c times the first power gives the bits of a filled array
+            # term times power, written out: `term * p ** k` would turn into
+            # p ** k * term where numpy reuses a temporary of 256 KiB or more
             term = c
             for j, k in enumerate(e):
                 if k:
-                    term = term * pts[..., j] ** k
+                    p = pts[..., j] ** k
+                    term = np.multiply(term, p, out=p)
             out += term
         return out
 
@@ -484,11 +486,7 @@ def parse_terms(text):
 
 
 # Unit-root power tables are cached for grids up to this many points: 32 KiB
-# a table, 2 MiB for the 64 the cache holds. Larger grids keep eval_at, and
-# from 16,384 points on they must: there its temporary ring ** k (256 KiB or
-# more) is one numpy reuses in place, which multiplies as ring ** k * c, not
-# c * ring ** k, and with FMA the two orders round apart. A cached table is
-# never a temporary, so it would move the bits.
+# a table, 2 MiB for the 64 the cache holds. Larger grids go through eval_at.
 _TABLE_POINTS = 2048
 # A symbol memoizes its own samples on these same grids, at most this many
 # bytes of them: the 512- and 2048-point grids of the queries. Larger grids,
@@ -522,8 +520,7 @@ def eval_grid(phi, grid_size):
     docstring) and returns them on every later call on that grid; its grids
     stay within _MEMO_BYTES, the oldest dropped first. Larger grids and
     several variables go through `eval_at`. The cut bounds the cache at
-    2 MiB and keeps it clear of the sizes where numpy reorders eval_at's
-    products (see _TABLE_POINTS).
+    2 MiB.
     """
     need = 4 * (1 + phi.band())
     if grid_size < need:

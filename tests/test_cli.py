@@ -265,11 +265,12 @@ def test_run_decisions_go_to_manifest_only(tmp_path):
     assert set(nr) == {"sup_points", "sup_sag", "band", "factorizations"}
     assert len(nr["sup_points"]) == len(nr["sup_sag"]) == len(nr["band"]) == 4
     # one count per band_max_eig solve, one solve per direction; a plain
-    # bisection at truncation 128 makes about 54 factorizations per solve
+    # bisection at truncation 128 makes about 54 factorizations per solve,
+    # a solve from the symbol's maximum 9.6 on average here
     made = nr["factorizations"]
     assert len(made) == 4 * SPECTRA["parameters"]["nr_thetas"]
-    assert all(isinstance(n, int) and 0 < n <= 60 for n in made)
-    assert sum(made) <= 30 * len(made)
+    assert all(isinstance(n, int) and 0 < n <= 30 for n in made)
+    assert sum(made) <= 10 * len(made)
     # the 4096-point grid and a few resampled arcs, each within the sag target
     assert all(4096 < n < 40_000 for n in nr["sup_points"])
     assert all(0.0 <= sag <= 2e-9 for sag in nr["sup_sag"])
@@ -300,7 +301,7 @@ def test_run_notes_the_determinism_rerun_trials(tmp_path):
 
 def test_run_writes_a_nan_residual_and_exits_1(tmp_path, monkeypatch, capsys):
     # a kernel that returns NaN fails its check; the report still writes
-    monkeypatch.setattr(spectra, "band_max_eig", lambda ab: math.nan)
+    monkeypatch.setattr(spectra, "band_max_eig", lambda ab, guess=None: math.nan)
     scenario = write_scenario(tmp_path, SPECTRA)
     assert cli.main(["run", scenario, "--out", str(tmp_path / "runs")]) == 1
     assert "failing checks: numerical_range" in capsys.readouterr().err

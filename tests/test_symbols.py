@@ -209,20 +209,23 @@ def test_eval_grid_returns_read_only_samples():
 
 
 def filled_eval(phi, pts):
-    """The earlier LaurentPoly.eval_at: each term starts from a filled array."""
+    """The earlier LaurentPoly.eval_at: each term starts from a filled array
+    and multiplies it by each power, term first at every array size (an
+    explicit ufunc call, which numpy never reorders)."""
     out = np.zeros(pts.shape[:-1], dtype=complex)
     for e, c in phi.terms():
         term = np.full(pts.shape[:-1], c, dtype=complex)
         for j, k in enumerate(e):
             if k:
-                term = term * pts[..., j] ** k
+                term = np.multiply(term, pts[..., j] ** k)
         out += term
     return out
 
 
 def test_eval_at_scalar_coefficient_keeps_the_bits():
     # starting a term from the scalar coefficient gives the filled array's
-    # bits, at sizes on both sides of numpy's temporary reuse (256 KiB)
+    # bits, at sizes on both sides of 256 KiB, where numpy starts to reuse a
+    # temporary operand: eval_at keeps the order term * power there too
     symbols = checks._suite_symbols(dict(checks.DEFAULT_PARAMS), 20260815)
     assert len(symbols) == 20
     for g in (512, 2048, 65536):
