@@ -15,10 +15,11 @@ backward error. The top of a truncated Toeplitz spectrum clusters, which
 slows Lanczos but not bisection: every step costs one factorization
 whatever the gaps. The value returned is the last sigma that factored, so
 it errs above the eigenvalue, never below by more than that backward error.
-Most steps are settled without a factorization: Rayleigh quotients through
-factors already made, the first at a caller's guess such as the symbol's
-maximum, bracket the eigenvalue, and the bisection is replayed with every
-step outside that bracket decided by it (see `band_max_eig`).
+Most steps are settled without a factorization: a caller's guess such as
+the symbol's maximum, or else a coarse bisection, gives a first factor;
+Rayleigh quotients through it and the factors made after it bracket the
+eigenvalue, and the bisection is replayed with every step outside that
+bracket decided by it (see `band_max_eig`).
 """
 
 from __future__ import annotations
@@ -94,7 +95,7 @@ def _rayleigh_quotient(factor, negated):
     return num / den
 
 
-def band_max_eig(ab, guess=None):
+def band_max_eig(ab, guess=math.nan):
     """Largest eigenvalue of the Hermitian N x N band matrix A stored in `ab`.
 
     `ab` has shape (kd + 1, N) with ab[kd + i - j, j] = A[i, j] for
@@ -108,26 +109,26 @@ def band_max_eig(ab, guess=None):
 
     The bisection is replayed, not shortened: a midpoint below `lower`
     counts as failing and one at or above `upper`, the lowest sigma that
-    factored, as factoring; only those in between are factored. A Rayleigh
-    quotient r = x*Ax / x*x, x a fixed start after _INVERSE_STEPS solves
-    through a factor already made (`zpbtrs`), is at most lambda_max in exact
-    arithmetic; it raises lower to r - m, and a probe at
-    r + 4 (kd + 1) eps ||A||_1 that factors becomes upper. `guess` is only a
-    place to factor first, never a bound. If it is finite, above -||A||_1,
-    and factors (at or above the upper end, that end's factor serves), the
-    first quotient goes through its factor. After a probe that factors, r
-    itself is factored; after one that does not, a closer sigma
-    r + (U - r) / _CLOSER, U the lowest that factored, is, and its quotient
-    starts the next rung, at most _RUNGS. Each sets upper if it factors and
-    lower if it fails. From the symbol's maximum a solve takes about 10
-    factorizations. Otherwise a plain bisection to a bracket
-    _COARSE * ||A||_1 wide gives the one quotient's factor, its upper end's.
-    A failure settled below a probe that failed, like a success settled at
-    or above upper, relies on factoring succeeding at and above a single
-    threshold and failing below it. The floor r - m relies on rounding
-    alone: m = 4 (kd + 2)^2 eps ||A||_1 covers two roundings, with
-    e = eps / 2 the unit roundoff and kd the effective half-bandwidth
-    min(kd, N - 1):
+    factored, as factoring; only those in between are factored. They start
+    at -||A||_1 and U, the upper end. `guess` is a place to factor first:
+    inside (lower, upper) it becomes upper if it factors and lower if it
+    fails, and a finite one at or above U takes U's factor. When none
+    factored (NaN, the default, is no guess), a bisection to a bracket
+    _COARSE * ||A||_1 wide, its midpoints below lower settled as failing,
+    gives upper and its factor. Then a Rayleigh quotient r = x*Ax / x*x,
+    x a fixed start after _INVERSE_STEPS solves through upper's factor
+    (`zpbtrs`), is at most lambda_max in exact arithmetic; it raises lower
+    to r - m, and a probe at r + 4 (kd + 1) eps ||A||_1 is tried. After one
+    that factors, r itself is; after one that does not, a closer sigma
+    r + (upper - r) / _CLOSER is, and its quotient starts the next rung, at
+    most _RUNGS. Each is factored only inside (lower, upper), and sets upper
+    if it factors and lower if it fails. From the symbol's maximum a solve
+    takes about 10 factorizations, without a guess about 26. A failure
+    settled below a sigma that failed, like a success settled at or above
+    upper, relies on factoring succeeding at and above a single threshold
+    and failing below it. The floor r - m relies on rounding alone:
+    m = 4 (kd + 2)^2 eps ||A||_1 covers two roundings, with e = eps / 2 the
+    unit roundoff and kd the effective half-bandwidth min(kd, N - 1):
     - If zpbtrf completes on H = sigma*I - A, its factor R has R*R = H + E
       with |E| <= gamma_(kd+2) |R*| |R| (Higham, *Accuracy and Stability of
       Numerical Algorithms*, 2nd ed., Thm 10.3: the inner products of a band
@@ -225,26 +226,21 @@ def band_max_eig(ab, guess=None):
     else:
         raise InvariantError(f"sigma*I - A did not factor at sigma = {hi / 2.0!r}")
     width = np.finfo(float).eps * bound
-    lo, lower, upper = -bound, -math.inf, math.inf
+    lo, lower, upper = -bound, -bound, hi
     if width >= np.finfo(float).tiny:
         k = min(kd, n - 1)
         margin, step = 4 * (k + 2) ** 2 * width, 4 * (k + 1) * width
-        if guess is not None and lo < guess < math.inf and (guess >= hi or factors(guess)):
-            upper = min(guess, hi)
-            for _ in range(_RUNGS):
-                r = _rayleigh_quotient(held, shifted)
-                lower = max(lower, r - margin)
-                if narrow(r + step):
-                    narrow(r)
-                    break
-                if not narrow(r + (upper - r) / _CLOSER):
-                    break
-        else:
-            lo, hi, _ = bisect(lo, hi, _COARSE * bound)
+        if not (guess < math.inf and (guess >= hi or narrow(guess))):
+            lo, hi, _ = bisect(lo, hi, _COARSE * bound, lower)
+            upper = hi
+        for _ in range(_RUNGS):
             r = _rayleigh_quotient(held, shifted)
-            lower, upper = r - margin, r + step
-            if not (lo < upper < hi and factors(upper)):
-                upper = math.inf
+            lower = max(lower, r - margin)
+            if narrow(r + step):
+                narrow(r)
+                break
+            if not narrow(r + (upper - r) / _CLOSER):
+                break
     _, top, made_top = bisect(lo, hi, width, lower, upper)
     if not (made_top or top == upper or factors(top)):
         _, top, _ = bisect(lo, hi, width)

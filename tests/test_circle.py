@@ -547,7 +547,7 @@ def test_truncation_norm_band_keeps_the_sparse_product_bits(monkeypatch):
     import scipy.sparse
 
     bands = []
-    monkeypatch.setattr(cc, "band_max_eig", lambda band, guess=None: bands.append(band) or 1.0)
+    monkeypatch.setattr(cc, "band_max_eig", lambda band, guess=math.nan: bands.append(band) or 1.0)
     rng = rng_for(29)
     for _ in range(200):
         terms = list(random_symbol(rng, int(rng.integers(1, 8))).terms())
@@ -676,7 +676,7 @@ def test_commutant_check_fails_on_an_inflated_truncation_norm(monkeypatch):
     honest = checks.run_check("commutant_lifting", params, 7)
     assert honest.verdict and honest.residuals["bracket_contained"]
     inflated = cc.band_max_eig
-    monkeypatch.setattr(cc, "band_max_eig", lambda ab, guess=None: inflated(ab, guess) + 1e-6)
+    monkeypatch.setattr(cc, "band_max_eig", lambda ab, guess=math.nan: inflated(ab, guess) + 1e-6)
     rec = checks.run_check("commutant_lifting", params, 7)
     assert not rec.verdict
     assert rec.residuals["bracket_contained"] is False

@@ -301,7 +301,7 @@ def test_run_notes_the_determinism_rerun_trials(tmp_path):
 
 def test_run_writes_a_nan_residual_and_exits_1(tmp_path, monkeypatch, capsys):
     # a kernel that returns NaN fails its check; the report still writes
-    monkeypatch.setattr(spectra, "band_max_eig", lambda ab, guess=None: math.nan)
+    monkeypatch.setattr(spectra, "band_max_eig", lambda ab, guess=math.nan: math.nan)
     scenario = write_scenario(tmp_path, SPECTRA)
     assert cli.main(["run", scenario, "--out", str(tmp_path / "runs")]) == 1
     assert "failing checks: numerical_range" in capsys.readouterr().err

@@ -49,7 +49,7 @@ def random_complex(rng, shape):
     return rng.uniform(-1.0, 1.0, shape) + 1j * rng.uniform(-1.0, 1.0, shape)
 
 
-class TestCMatrix:
+class TestTruncatedToeplitzMatrix:
     """The complex matrices the checks hand to op_norm come from
     truncated_toeplitz: read-only, with every entry finite."""
 
@@ -166,12 +166,12 @@ def gram_band(psi, n):
     """The upper band of A*A, A = T_n(psi), as the truncation norm forms it."""
     bands = []
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(cc, "band_max_eig", lambda band, guess=None: bands.append(band) or 1.0)
+        mp.setattr(cc, "band_max_eig", lambda band, guess=np.nan: bands.append(band) or 1.0)
         cc.truncation_norm(psi, n)
     return bands[0]
 
 
-def solve(ab, guess=None):
+def solve(ab, guess=np.nan):
     """(band_max_eig's value, its noted factorizations)."""
     with record.collect() as (notes, _):
         got = band_max_eig(ab, guess)
@@ -182,11 +182,11 @@ class TestBandMaxEig:
     """Against the dense solver: within 8 (kd + 1) eps ||A||_1, and the value
     returned is a sigma at which sigma*I - A factors. Against the plain
     bisection: the same bits, for every guess. On the random bands a solve
-    noted 28.7 factorizations on average without a guess (at most 29
+    noted 25.7 factorizations on average without a guess (at most 26
     asserted) and 8.8 from a guess 1e-5 above the top (at most 9)."""
 
     @staticmethod
-    def assert_top(a, kd, made=None, guess=None):
+    def assert_top(a, kd, made=None, guess=np.nan):
         ab = upper_band(a, kd)
         with record.collect() as (notes, _):
             got = band_max_eig(ab, guess)
@@ -212,7 +212,7 @@ class TestBandMaxEig:
                 a -= (np.abs(a).sum(axis=0).max() + 1.0) * np.eye(n)
                 assert np.linalg.eigvalsh(a)[-1] < 0.0
             self.assert_top(a, kd, made)
-        assert np.mean(made) <= 29
+        assert np.mean(made) <= 26
 
     def test_random_bands_from_a_close_guess(self):
         rng = np.random.default_rng(29)
@@ -231,17 +231,17 @@ class TestBandMaxEig:
     def assert_guesses_keep_the_bits(ab):
         """Guesses around the top, at +-||A||_1 and non-finite ones: the
         plain bisection's bits, and a guess that fails or goes unused costs
-        at most one factorization more than none."""
+        no more factorizations than none."""
         top, bound = plain_bisection(ab), band_norm1(ab)
         _, blind = solve(ab)
         near = [top * (1.0 + s) for c in (1e-12, 1e-5, 1e-2) for s in (c, -c)]
-        for guess in [*near, bound, -bound, np.nan, np.inf, -np.inf, None]:
+        for guess in [*near, bound, -bound, np.nan, np.inf, -np.inf]:
             got, made = solve(ab, guess)
             assert got == top, guess
-            if guess is None or not np.isfinite(guess) or guess <= -bound:
+            if not np.isfinite(guess) or guess <= -bound:
                 assert made == blind, guess
             elif guess < bound and not factors(ab, guess):
-                assert made <= blind + 1, guess
+                assert made <= blind, guess
 
     def test_guesses_keep_the_bits_on_random_bands(self):
         rng = np.random.default_rng(37)
@@ -255,15 +255,30 @@ class TestBandMaxEig:
 
     def test_clustered_top_from_the_symbol_maximum(self):
         # |z + z^3| peaks at z = 1 and z = -1, so the top eigenvalues of A*A,
-        # A = T_1024(z + z^3), come in close pairs: without a guess a solve
-        # takes over 40 factorizations, from the sup squared at most 30
+        # A = T_1024(z + z^3), come in close pairs: a solve takes at most 30
+        # factorizations without a guess (27 measured) and from the sup
+        # squared (11 measured)
         ab = gram_band(Z + Z**3, 1024)
         self.assert_guesses_keep_the_bits(ab)
         top = plain_bisection(ab)
         _, blind = solve(ab)
         got, made = solve(ab, sup_norm(Z + Z**3, 16384)[0] ** 2)
         assert got == top and factors(ab, got)
-        assert blind > 40 and made <= 30
+        assert blind <= 30 and made <= 30
+
+    @pytest.mark.parametrize("text", ["2*z^3", "(0.3+0.4j)*z^5", "z^2"])
+    def test_diagonal_band_from_a_failed_guess(self, text):
+        # A*A of a monomial c z^k is diagonal with top |c|^2 = ||A||_1, so
+        # sigma = ||A||_1 does not factor, and the 16,384-point sup squared
+        # lands an ulp below the top and fails too: the failed guess bounds
+        # the bisection from below
+        phi = LaurentPoly.from_text(text)
+        ab = gram_band(phi, 1024)
+        assert ab.shape[0] == 1
+        guess, top = sup_norm(phi, 16384)[0] ** 2, plain_bisection(ab)
+        assert guess < top and not factors(ab, guess)
+        got, made = solve(ab, guess)
+        assert got == top and made <= 16
 
     def test_band_wider_than_matrix(self):
         rng = np.random.default_rng(31)
@@ -316,16 +331,16 @@ class TestBandMaxEig:
 def test_full_scenario_guesses_keep_the_records(monkeypatch):
     # a guess only moves where a solve factors: full.json's eigen checks give
     # the same records when band_max_eig drops every guess. With the guesses
-    # no solve takes more than 30 factorizations (the commutant's clustered
-    # tops took up to 54 without them) and the three take at most 3,000
+    # no solve takes more than 20 factorizations (18 measured) and the three
+    # take at most 2,000 (1,878 measured)
     _, seed, _, params = cli.validate_scenario(json.loads(FULL.read_text()))
     ids = ("commutant_lifting", "numerical_range", "cross_section")
     guided = [checks.run_check(cid, params, seed) for cid in ids]
     made = [n for rec in guided for n in rec.decisions["factorizations"]]
-    assert max(made) <= 30 and sum(made) <= 3000
+    assert max(made) <= 20 and sum(made) <= 2000
     blind = linalg.band_max_eig
-    monkeypatch.setattr(cc, "band_max_eig", lambda ab, guess=None: blind(ab))
-    monkeypatch.setattr(sp, "band_max_eig", lambda ab, guess=None: blind(ab))
+    monkeypatch.setattr(cc, "band_max_eig", lambda ab, guess=np.nan: blind(ab))
+    monkeypatch.setattr(sp, "band_max_eig", lambda ab, guess=np.nan: blind(ab))
     for cid, rec in zip(ids, guided):
         again = checks.run_check(cid, params, seed)
         assert again.to_json() == rec.to_json()

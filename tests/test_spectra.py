@@ -752,7 +752,7 @@ def test_numerical_range_check_fails_on_an_inflated_support(monkeypatch):
     assert honest.verdict and honest.residuals["violations"] == 0
     assert honest.residuals["support_margin_worst"] > -1e-9
     inflated = sp.band_max_eig
-    monkeypatch.setattr(sp, "band_max_eig", lambda ab, guess=None: inflated(ab, guess) + 1e-6)
+    monkeypatch.setattr(sp, "band_max_eig", lambda ab, guess=math.nan: inflated(ab, guess) + 1e-6)
     rec = checks.run_check("numerical_range", params, 7)
     assert not rec.verdict
     assert rec.residuals["violations"] > 0
@@ -760,7 +760,7 @@ def test_numerical_range_check_fails_on_an_inflated_support(monkeypatch):
 
 def test_numerical_range_counts_a_nan_support_as_a_violation(monkeypatch):
     # h > bound is False for a NaN h; every NaN direction must still count
-    monkeypatch.setattr(sp, "band_max_eig", lambda ab, guess=None: math.nan)
+    monkeypatch.setattr(sp, "band_max_eig", lambda ab, guess=math.nan: math.nan)
     thetas = [0.0, 1.0, 2.0]
     rep = sp.numerical_range_support(cc.make_toeplitz(Z + 0.5 * ZBAR), thetas, 64)
     assert rep.counterexamples == thetas and not rep.verdict
