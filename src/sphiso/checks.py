@@ -2,11 +2,12 @@
 
 Each check exercises one theorem-level claim on seeded random inputs and
 returns a record with residual magnitudes, never a bare boolean. Randomness
-is split per (seed, check ordinal, trial) so records are independent of
-execution order and thread count; reports built from them serialize to
-canonical JSON, byte-stable for a fixed seed. A runner returns (residuals,
-verdict); the choices its kernels note and the CSV tables it writes reach
-the record through `record.collect`. Residuals are folded by `linalg.worst`;
+is split per (seed, stream, trial), each runner drawing from its own fixed
+stream numbers, so records are independent of execution order and thread
+count; reports built from them serialize to canonical JSON, byte-stable for
+a fixed seed. A runner returns (residuals, verdict); the choices its
+kernels note and the CSV tables it writes reach the record through
+`record.collect`. Residuals are folded by `linalg.worst`;
 a record holding a NaN or an infinity fails, and reads it as a string.
 
 `run_checks` runs a suite's checks concurrently on forked worker processes,
@@ -16,7 +17,7 @@ a module a check imports lazily is imported afresh in each worker, which is
 why no spectra check imports `scipy.spatial`. Each worker first pins every
 bundled OpenBLAS it can find to one thread (`_pin_blas`), so that the
 workers' BLAS pools do not oversubscribe the CPUs. Checks are submitted in
-reverse ordinal order and come back in ordinal order, each with its wall
+reverse registry order and come back in registry order, each with its wall
 time inside its worker. A run stays in this process when there is one check
 or one CPU, when `fork` is not a start method here, or when a profiler or
 tracer is set.
@@ -32,6 +33,7 @@ from functools import lru_cache
 
 import numpy as np
 
+from . import __version__
 from . import circle_calculus as circle
 from . import hardy_measures as hardy
 from . import polydisc
@@ -60,9 +62,6 @@ __all__ = [
     "spectra_suite_symbols",
 ]
 
-VERSION = "0.1.0"
-
-
 def canonical_json(obj):
     """Deterministic serialization: sorted keys, tight separators, no NaN."""
     return json.dumps(obj, sort_keys=True, separators=(",", ":"), allow_nan=False)
@@ -72,8 +71,8 @@ def _digest(obj):
     return hashlib.sha256(canonical_json(obj).encode()).hexdigest()[:16]
 
 
-def _rng(seed, ordinal, trial):
-    return np.random.default_rng([int(seed), int(ordinal), int(trial)])
+def _rng(seed, stream, trial):
+    return np.random.default_rng([int(seed), int(stream), int(trial)])
 
 
 @dataclass
@@ -310,12 +309,16 @@ def _check_commutant(params, seed):
     }, verdict
 
 
+def cross_section_sizes(cap):
+    """The truncations cross_section compares: 64, 128, ... <= cap."""
+    return [64 << k for k in range((cap // 64).bit_length())]
+
+
 def _check_cross_section(params, seed):
-    cap = params["cross_section_truncation"]
     tol_closed = params["tolerances"]["closed_form"]
     tol_block = params["tolerances"]["block"]
     phi = LaurentPoly.from_text("z + zbar")
-    sizes = [64 << k for k in range((cap // 64).bit_length())]  # 64, 128, ... <= cap
+    sizes = cross_section_sizes(params["cross_section_truncation"])
     scalar = circle.cross_section_isometry(phi, truncations=sizes)
     norms = scalar.lower_bounds
     worst_closed = worst(
@@ -593,7 +596,6 @@ def _check_determinism(params, seed):
 class CheckSpec:
     check_id: str
     tag: str
-    ordinal: int
     suites: tuple
     model: str
     criterion: str
@@ -606,7 +608,6 @@ REGISTRY = {
         CheckSpec(
             "algebra_closure",
             "Thm3.1(3-4)",
-            1,
             ("circle",),
             "exact product of symbol-plus-correction elements on the circle",
             "symbol map multiplicative and *-preserving within the identity "
@@ -617,7 +618,6 @@ REGISTRY = {
         CheckSpec(
             "thm2_1_identities",
             "Thm2.1, Thm2.3",
-            2,
             ("circle",),
             "averaging projection onto Toeplitz elements via shift compressions",
             "Phi(Phi(X)Y), Phi(X Phi(Y)), Phi(Phi(X)Phi(Y)) agree within the "
@@ -628,7 +628,6 @@ REGISTRY = {
         CheckSpec(
             "brown_halmos",
             "Thm3.1(1)",
-            3,
             ("circle",),
             "fixed-point test X = T_z* X T_z against the structural correction",
             "zero false verdicts on planted pure and planted corrected "
@@ -638,7 +637,6 @@ REGISTRY = {
         CheckSpec(
             "commutant_lifting",
             "Thm2.9(3f), Thm3.1(2)",
-            4,
             ("circle",),
             "commutant of the shift: X and X*X Toeplitz vs commutation, with "
             "norm evidence for the symbol lift",
@@ -650,7 +648,6 @@ REGISTRY = {
         CheckSpec(
             "cross_section",
             "Thm2.9(3d)",
-            5,
             ("circle",),
             "compression norms against the sup of the symbol, scalar and 2x2: "
             "the scalar norm from the band of A*A, the block norm as the top "
@@ -664,22 +661,20 @@ REGISTRY = {
         CheckSpec(
             "hartman_wintner",
             "Thm3.1(3)",
-            6,
             ("spectra",),
             "essential-range inclusion in the spectrum by winding certificates: "
             "random probes near the sampled curve are certified inside it on a "
             "fine grid (sag <= 1e-5, at most 65536 points), by "
             "integer crossing numbers found on large inputs from the rank of "
-            "each vertex among the sorted scanlines, and clear of the fine "
-            "polyline by the edges at the vertices of nearby square cells, "
-            "with an exact scan where rounding could decide",
+            "each vertex among the sorted scanlines, and farther than "
+            "max(2e-4, 4 sag) from the fine polyline, bit for bit as a scan "
+            "of all its edges measures it",
             "no certified probe reads OUTSIDE on the working grid",
             _check_hartman_wintner,
         ),
         CheckSpec(
             "convex_bound",
             "Thm3.1(3)",
-            7,
             ("spectra",),
             "spectrum inside the convex hull of the essential range: the "
             "working curve is sampled once; crossing numbers per row of the "
@@ -697,7 +692,6 @@ REGISTRY = {
         CheckSpec(
             "numerical_range",
             "Thm3.1(3)",
-            8,
             ("spectra",),
             "support function of the truncated numerical range: the top "
             "eigenvalue of each hermitian part, a band matrix (the symbol's "
@@ -713,7 +707,6 @@ REGISTRY = {
         CheckSpec(
             "szego_model",
             "Def2.5, Thm3.1(1), Ex3.2",
-            9,
             ("szego",),
             "graded shifts on the sphere monomial basis with exact moments, "
             "recomputed in rationals as stick-breaking Beta integrals",
@@ -725,7 +718,6 @@ REGISTRY = {
         CheckSpec(
             "gamma_equation",
             "Ex4.3",
-            10,
             ("polydisc",),
             "gamma^2 fixed-point equation for the bidisc coordinate pair",
             "pure tensor sums cancel to the empty sum exactly; the rank-one "
@@ -735,7 +727,6 @@ REGISTRY = {
         CheckSpec(
             "scaled_isometry",
             "Def2.5, Ex4.3",
-            11,
             ("polydisc",),
             "gamma-scaled coordinates form a spherical isometry on the torus",
             "scaled sum collapses to the identity exactly; the unscaled "
@@ -745,7 +736,6 @@ REGISTRY = {
         CheckSpec(
             "weighted_hardy",
             "Thm3.1",
-            12,
             ("measures",),
             "orthonormal polynomial model of H^2 for trig-polynomial weights",
             "interior shift isometry within tolerance, windowed fixed-point "
@@ -757,7 +747,6 @@ REGISTRY = {
         CheckSpec(
             "determinism",
             "plumbing",
-            13,
             ("circle",),
             "rerun of seeded checks inside one process",
             "identical canonical JSON for identical seeds",
@@ -808,10 +797,8 @@ DEFAULT_PARAMS = {
 
 def suite_check_ids(suite):
     if suite == "all":
-        ids = list(REGISTRY)
-    else:
-        ids = [cid for cid, s in REGISTRY.items() if suite in s.suites]
-    return sorted(ids, key=lambda cid: REGISTRY[cid].ordinal)
+        return list(REGISTRY)
+    return [cid for cid, s in REGISTRY.items() if suite in s.suites]
 
 
 def run_check(check_id, params, seed):
@@ -897,7 +884,7 @@ def _pool_results(ids, params, seed, workers):
     context = multiprocessing.get_context("fork")
     _blas_setters()  # looked up before the first pool: a worker only calls them
     with ProcessPoolExecutor(workers, mp_context=context, initializer=_pin_blas) as pool:
-        # Reverse ordinal order: each suite's longest checks (numerical_range
+        # Reverse registry order: each suite's longest checks (numerical_range
         # on spectra, commutant_lifting on circle) come late in it. Submitted
         # last, numerical_range would start only after hartman_wintner and
         # then run alone on one CPU while the other idles.
@@ -912,7 +899,7 @@ def _pool_results(ids, params, seed, workers):
 def run_checks(suite, params, seed, scenario_echo=None):
     """Run a suite's checks, on forked workers when more than one CPU is
     available (see the module docstring); records and timing come in
-    ordinal order."""
+    registry order."""
     import sys
 
     ids = suite_check_ids(suite)
@@ -930,7 +917,7 @@ def run_checks(suite, params, seed, scenario_echo=None):
         results = [_timed_check(cid, params, seed) for cid in ids]
     timing = {rec.check_id: seconds for rec, seconds in results}
     records = [rec for rec, _ in results]
-    return RunReport(scenario_echo or {}, records, VERSION, timing, workers)
+    return RunReport(scenario_echo or {}, records, __version__, timing, workers)
 
 
 def explain(check_id):

@@ -99,8 +99,6 @@ def validate_scenario(obj, origin="scenario"):
             if isinstance(value, bool) or not isinstance(value, int) or value < 1:
                 raise UsageError(f"{where}: expected an integer >= 1")
             params[key] = value
-        else:
-            raise UsageError(f"{where}: unknown parameter")
     for i, text in enumerate(params["symbols"]):
         phi = LaurentPoly.from_text(text)
         band = phi.band()
@@ -132,8 +130,7 @@ def validate_scenario(obj, origin="scenario"):
     # cross_section compares z + zbar's truncations with the norm 2 of its
     # Toeplitz operator; at size n the truncation's norm is 2 cos(pi / (n + 1)),
     # so a last size missing 2 by more than the gap tolerance fails every seed
-    cap = params["cross_section_truncation"]
-    n = 64 << ((cap // 64).bit_length() - 1)  # the largest truncation compared
+    n = checks.cross_section_sizes(params["cross_section_truncation"])[-1]
     miss = 2.0 - 2.0 * math.cos(math.pi / (n + 1))
     if miss > params["tolerances"]["gap"]:
         raise UsageError(

@@ -7,8 +7,10 @@ coefficient dict; zbar_j on the torus is z_j^(-1).
 
 Text format: terms like ``2.5*z1^3*zbar2^1`` joined by ``+``/``-``, with
 ``z``/``zbar`` accepted in one variable and complex coefficients written in
-parentheses, e.g. ``(1.5-2j)*z^2``. `LaurentPoly.to_text` emits a canonical
-form that `from_text` parses back to the identical object, bit for bit.
+parentheses, e.g. ``(1.5-2j)*z^2``. The factors of a term are joined by
+``*``; two factors side by side (``2z``, ``z1 z2``) are an error, not a sum.
+`LaurentPoly.to_text` emits a canonical form that `from_text` parses back
+to the identical object, bit for bit.
 
 A symbol never changes once built, so each `LaurentPoly` keeps a small memo
 of what is computed from it: its band, l1 norm and two derivative bounds,
@@ -327,22 +329,12 @@ class LaurentPoly:
 
     @classmethod
     def from_text(cls, text, nvars=None):
-        terms = parse_terms(text)
-        seen = max((t.nvars for t in terms), default=1)
-        if nvars is None:
-            nvars = seen
-        elif seen > nvars:
-            raise PreconditionError(f"text uses {seen} variables, nvars={nvars} given")
+        terms = parse_terms(text, nvars)
         coeffs = {}
         for t in terms:
-            # terms widen only to the arity the text mentions; pad the rest
-            e = tuple(
-                (t.zpow[j] if j < len(t.zpow) else 0)
-                - (t.zbarpow[j] if j < len(t.zbarpow) else 0)
-                for j in range(nvars)
-            )
+            e = tuple(a - b for a, b in zip(t.zpow, t.zbarpow))
             coeffs[e] = coeffs.get(e, 0j) + t.coeff
-        return cls(nvars, coeffs)
+        return cls(terms[0].nvars, coeffs)
 
     def __repr__(self):
         return f"LaurentPoly({self.to_text()!r})"
@@ -372,113 +364,79 @@ class RawTerm:
         return len(self.zpow)
 
 
+# one token: a parenthesised complex literal, a number, a variable with its
+# index and exponent, or an operator; whitespace around it is skipped
 _TOKEN = re.compile(
     r"\s*(?:"
     r"(?P<cplx>\([^()]*\))"
     r"|(?P<num>(?:\d+\.?\d*|\.\d+)(?:[eE][+-]?\d+)?[jJ]?)"
-    r"|(?P<var>zbar\d*|z\d*)"
-    r"|(?P<op>[*^+\-])"
-    r")"
+    r"|(?P<var>z(?P<bar>bar)?(?P<idx>\d*)(?:\s*\^\s*(?P<neg>-?)\s*(?P<exp>\d+))?)"
+    r"|(?P<op>[*+\-])"
+    r")\s*"
 )
 
 
-def _tokenize(text):
-    pos, out = 0, []
-    while pos < len(text):
-        m = _TOKEN.match(text, pos)
-        if not m or m.end() == pos:
-            raise PreconditionError(f"cannot tokenize symbol text at position {pos}: {text[pos:pos+12]!r}")
-        pos = m.end()
-        for kind in ("cplx", "num", "var", "op"):
-            v = m.group(kind)
-            if v is not None:
-                out.append((kind, v))
-                break
-    return out
-
-
-def parse_terms(text):
+def parse_terms(text, nvars=None):
     """Parse symbol text into RawTerm list, keeping z and zbar powers apart.
 
-    The torus interpretation (`LaurentPoly.from_text`) nets them out; the
+    Every term is widened to the arity of the text, or to nvars when given;
+    a text with more variables than nvars is refused. The torus
+    interpretation (`LaurentPoly.from_text`) nets the powers out; the
     sphere models keep both sides.
     """
-    toks = _tokenize(text)
-    if not toks:
-        raise PreconditionError("empty symbol text")
-    terms, i, n = [], 0, len(toks)
-
-    def parse_int(i):
-        sign = 1
-        if i < n and toks[i] == ("op", "-"):
-            sign, i = -1, i + 1
-        if i >= n or toks[i][0] != "num" or not re.fullmatch(r"\d+", toks[i][1]):
-            raise PreconditionError("expected integer exponent after '^'")
-        return sign * int(toks[i][1]), i + 1
-
-    while i < n:
-        sign = 1.0
-        while i < n and toks[i][0] == "op" and toks[i][1] in "+-":
-            if toks[i][1] == "-":
-                sign = -sign
-            i += 1
-        if i >= n:
-            raise PreconditionError("dangling sign in symbol text")
-        coeff = complex(sign)
-        zpow, zbarpow = {}, {}
-        expect_factor = True
-        while True:
-            if expect_factor:
-                kind, val = toks[i] if i < n else (None, None)
-                if kind == "num":
-                    coeff *= complex(val) if val[-1] in "jJ" else float(val)
-                    i += 1
-                elif kind == "cplx":
-                    try:
-                        coeff *= complex(val)
-                    except ValueError:
-                        raise PreconditionError(f"bad complex literal {val!r}") from None
-                    i += 1
-                elif kind == "var":
-                    bar = val.startswith("zbar")
-                    idx_s = val[4:] if bar else val[1:]
-                    idx = int(idx_s) - 1 if idx_s else 0
-                    if idx < 0:
-                        raise PreconditionError(f"variable index in {val!r} must be >= 1")
-                    p = 1
-                    if i + 1 < n and toks[i + 1] == ("op", "^"):
-                        p, i = parse_int(i + 2)
-                        i -= 1
-                    tgt = zbarpow if bar else zpow
-                    tgt[idx] = tgt.get(idx, 0) + p
-                    i += 1
-                else:
-                    raise PreconditionError("expected a coefficient or variable")
-                expect_factor = False
-            elif i < n and toks[i] == ("op", "*"):
-                i += 1
-                expect_factor = True
-            else:
-                break
-        arity = max([k + 1 for k in zpow] + [k + 1 for k in zbarpow] + [1])
-        terms.append(
-            RawTerm(
-                _clean_complex(coeff),
-                tuple(zpow.get(j, 0) for j in range(arity)),
-                tuple(zbarpow.get(j, 0) for j in range(arity)),
-            )
-        )
-    # widen all terms to common arity
-    arity = max(t.nvars for t in terms)
-    widened = [
+    # raw holds each term as [coefficient, z powers, zbar powers], the powers
+    # by variable index; term is the open one, None before its first factor
+    raw, sign, term, due, pos = [], 1.0, None, True, 0
+    while pos < len(text):
+        m = _TOKEN.match(text, pos)
+        if not m:
+            raise PreconditionError(f"cannot tokenize symbol text at position {pos}: {text[pos:pos+12]!r}")
+        pos, kind = m.end(), m.lastgroup
+        tok = m[kind]
+        if not due:  # a factor has just come: only '*', '+', '-' or the end may follow
+            if kind != "op":
+                raise PreconditionError(f"expected '*', '+' or '-' before position {m.start(kind)}")
+            due = True
+            if tok == "*":
+                continue
+            term = None
+        if kind == "op":  # a factor is due; a sign run may only open a term
+            if tok == "*" or term is not None:
+                raise PreconditionError(f"expected a coefficient or variable at position {m.start(kind)}")
+            sign = -sign if tok == "-" else sign
+            continue
+        if term is None:
+            term, sign = [complex(sign), {}, {}], 1.0
+            raw.append(term)
+        if kind == "num":
+            term[0] *= complex(tok) if tok[-1] in "jJ" else float(tok)
+        elif kind == "cplx":
+            try:
+                term[0] *= complex(tok)
+            except ValueError:
+                raise PreconditionError(f"bad complex literal {tok!r}") from None
+        else:
+            idx = int(m["idx"] or 1) - 1
+            if idx < 0:
+                raise PreconditionError(f"variable index in {tok!r} must be >= 1")
+            pows = term[2] if m["bar"] else term[1]
+            pows[idx] = pows.get(idx, 0) + (int(m["neg"] + m["exp"]) if m["exp"] else 1)
+        due = False
+    if due:
+        raise PreconditionError(f"expected a coefficient or variable at position {len(text)}")
+    seen = 1 + max((k for _, zpow, zbarpow in raw for k in (*zpow, *zbarpow)), default=0)
+    if nvars is None:
+        nvars = seen
+    elif seen > nvars:
+        raise PreconditionError(f"text uses {seen} variables, nvars={nvars} given")
+    return [
         RawTerm(
-            t.coeff,
-            t.zpow + (0,) * (arity - t.nvars),
-            t.zbarpow + (0,) * (arity - t.nvars),
+            _clean_complex(c),
+            tuple(zpow.get(j, 0) for j in range(nvars)),
+            tuple(zbarpow.get(j, 0) for j in range(nvars)),
         )
-        for t in terms
+        for c, zpow, zbarpow in raw
     ]
-    return widened
 
 
 # ---------------------------------------------------------------------------

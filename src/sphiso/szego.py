@@ -120,20 +120,14 @@ class SphereSymbol:
 
     @classmethod
     def from_text(cls, text, nvars=None):
-        raw = parse_terms(text)
-        arity = max((t.nvars for t in raw), default=1)
-        if nvars is None:
-            nvars = arity
-        elif arity > nvars:
-            raise PreconditionError(f"text uses {arity} variables, nvars={nvars} given")
+        raw = parse_terms(text, nvars)
         terms = {}
         for t in raw:
             if any(p < 0 for p in t.zpow + t.zbarpow):
                 raise PreconditionError("negative powers are undefined on the sphere")
-            g = t.zpow + (0,) * (nvars - len(t.zpow))
-            d = t.zbarpow + (0,) * (nvars - len(t.zbarpow))
-            terms[(g, d)] = terms.get((g, d), 0j) + t.coeff
-        return cls(nvars, terms)
+            key = (t.zpow, t.zbarpow)
+            terms[key] = terms.get(key, 0j) + t.coeff
+        return cls(raw[0].nvars, terms)
 
     def terms(self):
         return self._terms.items()

@@ -233,7 +233,7 @@ def test_reports_do_not_depend_on_the_table_cache(tmp_path, monkeypatch):
 
 
 # prints one canonical record per line: each check of the scenario in argv[1],
-# in reverse ordinal order, in an interpreter that has run nothing before
+# in reverse registry order, in an interpreter that has run nothing before
 REVERSE_RUN = """
 import json, sys
 from sphiso import checks, cli
@@ -245,12 +245,12 @@ for cid in reversed(checks.suite_check_ids(suite)):
 
 
 def test_records_do_not_depend_on_check_order(child_env, monkeypatch):
-    # the suite in ordinal order in this process, the suite on two forked
+    # the suite in registry order in this process, the suite on two forked
     # workers, each check alone from a cleared table cache, and the suite in
     # reverse order in a fresh interpreter give the same records bit for
     # bit, with the same notes and tables: no cache carries state from one
     # check, or from an earlier test, to the next. Both suite runs time
-    # every check, in ordinal order
+    # every check, in registry order
     _, seed, suite, params = cli.validate_scenario(REDUCED)
     ids = checks.suite_check_ids(suite)
     assert len(ids) == len(checks.REGISTRY)

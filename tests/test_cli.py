@@ -60,6 +60,8 @@ def test_validate_rejects(tmp_path, capsys):
         ({"parameters": {"elements": 10, "planted": 8}}, ".parameters.elements"),
         ({"parameters": {"grid_size": 8}}, ".parameters.grid_size"),
         ({"parameters": {"symbols": ["z +"]}}, ".parameters.symbols[0]"),
+        # two factors side by side are not read as a sum
+        ({"parameters": {"symbols": ["2z"]}}, ".parameters.symbols[0]: expected '*', '+' or '-'"),
         ({"parameters": {"symbols": ["z1*z2"]}}, "one-variable"),
         ({"parameters": {"symbols": ["z^40"]}}, "band too large"),
         # the band rule reads the run's nr_truncation wherever the key stands
@@ -446,6 +448,8 @@ def test_symbol_eval_two_variables(capsys):
 def test_symbol_eval_errors(capsys):
     assert cli.main(["symbol-eval", "z +"]) == 2
     assert "cannot parse" in capsys.readouterr().err
+    assert cli.main(["symbol-eval", "2z"]) == 2
+    assert "expected '*', '+' or '-' before position 1" in capsys.readouterr().err
     assert cli.main(["symbol-eval", "1e400*z"]) == 2
     assert "coefficients must be finite" in capsys.readouterr().err
     assert cli.main(["symbol-eval", "z^3", "--grid", "8"]) == 2

@@ -727,12 +727,101 @@ def test_parse_errors():
     for bad in ("", "z0", "2*", "z^", "z^x", "(1+2j", "@", "+"):
         with pytest.raises(PreconditionError):
             LaurentPoly.from_text(bad)
+    # two factors side by side are not a sum
+    for bad, at in (("2z", 1), ("2 z", 2), ("z z", 2), ("z1z2", 2), ("z^2 3", 4), ("(1+2j) zbar", 7)):
+        with pytest.raises(PreconditionError, match=f"expected '\\*', '\\+' or '-' before position {at}$"):
+            parse_terms(bad)
+        with pytest.raises(PreconditionError):
+            LaurentPoly.from_text(bad)
+
+
+def test_parse_reads_a_trailing_space_like_a_leading_one():
+    for text in (" z", "z ", "z\t", " (1-2j)*zbar^2 - 3 \n"):
+        assert parse_terms(text) == parse_terms(text.strip())
+        assert LaurentPoly.from_text(text) == LaurentPoly.from_text(text.strip())
 
 
 def test_from_text_arity_checks():
     with pytest.raises(PreconditionError):
         LaurentPoly.from_text("z1*z2", nvars=1)
     assert LaurentPoly.from_text("3.0", nvars=2).nvars == 2
+    # parse_terms widens every term to nvars, or to the arity of the text
+    assert [t.zpow for t in parse_terms("z + 2*zbar3^0")] == [(1, 0, 0), (0, 0, 0)]
+    assert [t.zbarpow for t in parse_terms("zbar", nvars=3)] == [(1, 0, 0)]
+    with pytest.raises(PreconditionError, match="text uses 2 variables, nvars=1 given"):
+        parse_terms("z1*z2", nvars=1)
+
+
+_WS = st.sampled_from(["", "", " ", "  ", "\t"])
+_FLOATS = st.floats(min_value=0.0, allow_nan=False, allow_infinity=False)
+
+
+@st.composite
+def factor_text(draw):
+    """(text, coefficient factor or None, variable (bar, index, power) or None)."""
+    kind = draw(st.sampled_from(["int", "real", "imag", "paren", "var"]))
+    if kind == "int":
+        text = str(draw(st.integers(0, 10**6)))
+        return text, float(text), None
+    if kind == "real":
+        text = repr(draw(_FLOATS))
+        return text, float(text), None
+    if kind == "imag":
+        text = repr(draw(_FLOATS)) + draw(st.sampled_from("jJ"))
+        return text, complex(text), None
+    if kind == "paren":
+        c = draw(st.complex_numbers(allow_nan=False, allow_infinity=False))
+        return "(" + repr(c).strip("()") + ")", c, None
+    bar = draw(st.booleans())
+    index = draw(st.integers(0, 3))  # 0 writes the bare z or zbar
+    text = ("zbar" if bar else "z") + (str(index) if index else "")
+    power = 1
+    if draw(st.booleans()):
+        power = draw(st.integers(-12, 12))
+        neg = "-" if power < 0 else ""
+        text += draw(_WS) + "^" + draw(_WS) + neg + draw(_WS) + str(abs(power))
+    return text, None, (bar, max(index, 1) - 1, power)
+
+
+@st.composite
+def symbol_text(draw):
+    """Text built from the grammar, with the RawTerm fields it must parse to."""
+    text, terms = draw(_WS), []
+    for k in range(draw(st.integers(1, 4))):
+        signs = draw(st.lists(st.sampled_from("+-"), min_size=1 if k else 0, max_size=3))
+        text += "".join(sg + draw(_WS) for sg in signs)
+        coeff = complex(-1.0 if signs.count("-") % 2 else 1.0)
+        pows = ({}, {})
+        for j in range(draw(st.integers(1, 4))):
+            if j:
+                text += draw(_WS) + "*" + draw(_WS)
+            ftext, value, var = draw(factor_text())
+            text += ftext
+            if var is None:
+                coeff *= value
+            else:
+                bar, index, power = var
+                pows[bar][index] = pows[bar].get(index, 0) + power
+        terms.append((complex(coeff.real + 0.0, coeff.imag + 0.0), pows))
+        text += draw(_WS)
+    arity = 1 + max((i for _, pows in terms for side in pows for i in side), default=0)
+    expected = [
+        (repr(c), *(tuple(side.get(i, 0) for i in range(arity)) for side in pows))
+        for c, pows in terms
+    ]
+    return text, expected
+
+
+@settings(max_examples=400, deadline=None)
+@given(symbol_text())
+def test_parse_terms_follows_the_grammar(case):
+    text, expected = case
+    got = [(repr(t.coeff), t.zpow, t.zbarpow) for t in parse_terms(text)]
+    assert got == expected
+    # a '*' turned into a space leaves two factors side by side
+    for at in (i for i, ch in enumerate(text) if ch == "*"):
+        with pytest.raises(PreconditionError, match="expected '\\*', '\\+' or '-'"):
+            parse_terms(text[:at] + " " + text[at + 1 :])
 
 
 @settings(max_examples=200, deadline=None)

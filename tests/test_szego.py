@@ -25,6 +25,16 @@ def test_sphere_symbol_rejects_non_finite():
             sz.SphereSymbol(2, {key: bad})
 
 
+def test_sphere_symbol_from_text_keeps_both_sides():
+    phi = sz.SphereSymbol.from_text("2*z1*zbar2 + z1*zbar2 - 0.5", nvars=3)
+    assert phi.nvars == 3
+    assert dict(phi.terms()) == {((1, 0, 0), (0, 1, 0)): 3.0, ((0, 0, 0), (0, 0, 0)): -0.5}
+    assert sz.SphereSymbol.from_text("z*zbar").nvars == 1
+    for bad, nvars in (("zbar^-1", None), ("z1*z2", 1), ("2z1", None)):
+        with pytest.raises(PreconditionError):
+            sz.SphereSymbol.from_text(bad, nvars=nvars)
+
+
 # ---------------------------------------------------------------------------
 # moments
 
