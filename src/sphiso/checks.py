@@ -335,7 +335,7 @@ def _check_cross_section(params, seed):
     verdict = (
         worst_closed <= tol_closed
         and final_gap <= params["tolerances"]["gap"]
-        and scalar.verdict == "PASS"
+        and scalar.monotone
         and abs(block_low - 1.0) <= tol_block
         and abs(block_sup - 1.0) <= tol_block
     )
@@ -654,8 +654,8 @@ REGISTRY = {
             "eigenvalue of the banded Hermitian dilation [[0, T], [T*, 0]], "
             "both by the banded Cholesky bisection",
             "z + zbar reproduces 2cos(pi/(N+1)) within the closed-form "
-            "tolerance and closes on 2; the diagonal block gives both sides "
-            "1 within the block tolerance",
+            "tolerance and closes on 2 within the gap tolerance; the diagonal "
+            "block gives both sides 1 within the block tolerance",
             _check_cross_section,
         ),
         CheckSpec(
@@ -678,13 +678,13 @@ REGISTRY = {
             ("spectra",),
             "spectrum inside the convex hull of the essential range: the "
             "working curve is sampled once; crossing numbers per row of the "
-            "grid covering its range box; a lambda is accepted on an upper "
-            "bound of its distance to the hull of the working samples, at a "
-            "tolerance of 1e-8 for winding lambdas and the working curve "
-            "tolerance on top for ON_CURVE ones; the distance to a convex set "
-            "is convex, so only the outermost lambda of each status on each "
-            "row is measured, and a row with an end that fails is measured "
-            "lambda by lambda",
+            "grid covering its range box; a lambda is accepted inside the "
+            "hull of the working samples by crossing number, or near it by "
+            "boundary distance at a tolerance of 1e-8 for winding lambdas and "
+            "the working curve tolerance on top for ON_CURVE ones; the "
+            "distance to a convex set is convex, so only the outermost lambda "
+            "of each status on each row is measured, and a row with an end "
+            "that fails is measured lambda by lambda",
             "every non-OUTSIDE lambda on the covering grid passes hull "
             "membership at the certified tolerance; no counterexamples",
             _check_convex_bound,

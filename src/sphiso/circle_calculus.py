@@ -104,8 +104,7 @@ class ToeplitzElement:
     __slots__ = ("symbol", "_corr")
 
     def __init__(self, symbol, correction=None):
-        if symbol.nvars != 1:
-            raise PreconditionError("circle elements take one-variable symbols")
+        symbol._require_univariate()
         self.symbol = symbol
         if correction is None:
             a = np.zeros((0, 0), dtype=complex)

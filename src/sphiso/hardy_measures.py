@@ -139,8 +139,7 @@ def truncated_toeplitz(phi, m, d):
 
     Returns a read-only array; PreconditionError if an entry is not finite.
     """
-    if phi.nvars != 1:
-        raise PreconditionError("weighted truncations take one-variable symbols")
+    phi._require_univariate()
     band = phi.band()
     if band > d // 2:
         raise PreconditionError(f"band {band} exceeds d/2 = {d // 2}")

@@ -44,9 +44,11 @@ the arcs that can hold the maximum (`_arc_sup`), so the slack handed to
 each test is an actual certificate, not a guess; a cap that clamps a size
 is noted. The convex bound samples phi once: its covering grid, its
 statuses and its hull all come from the working samples, so no sag enters
-it. On a correct hull no lambda needs more than rounding: each ON_CURVE
-lambda lies within tol of a working sample, a point of the hull, and each
-lambda of nonzero winding lies inside the working polygon.
+it. A lambda passes inside the hull polygon by crossing number, or within
+its tolerance of the hull's boundary by distance. On a correct hull no
+lambda needs more than rounding: each ON_CURVE lambda lies within tol of a
+working sample, a point of the hull, and each lambda of nonzero winding
+lies inside the working polygon.
 """
 
 from __future__ import annotations
@@ -483,23 +485,23 @@ def convex_bound_check(phi, n=200, grid_size=512):
     lambdas at the working curve tolerance on top, since that is how far they
     may sit from their anchoring sample.
 
-    A lambda is accepted on an upper bound of its distance to the hull of
-    the working samples that stays 1e-12 below its tolerance: first
-    `Hull.distance_bound`, then, for the lambdas it leaves, the exact
-    distance to the hull's boundary. On a correct hull they accept every
-    tested lambda:
+    A lambda is accepted when it lies inside the hull polygon of the working
+    samples by crossing number (exact off the boundary), or when its
+    distance to the hull's boundary stays 1e-12 below its tolerance (a
+    lambda within rounding of the boundary passes so). On a correct hull
+    every tested lambda is accepted:
     - an ON_CURVE lambda lies within tol of a working sample, and every
       working sample is a point of the working hull;
     - a lambda of nonzero winding lies inside the working polygon, so inside
       that polygon's hull;
-    and _TOL_WINDING and the 1e-12 margin absorb the rounding of the two
-    bounds. Every lambda left is a counterexample.
+    and _TOL_WINDING and the 1e-12 margin absorb the rounding. Every lambda
+    left is a counterexample.
 
     Only the row ends are measured. The distance to a convex set is a
     convex function, so on a segment it is at most its larger value at the
     two ends. The lambdas of one status on one grid row lie on the segment
     between the leftmost and the rightmost of them, so they all pass when
-    those two pass: at most 4 lambdas per row go through the two bounds.
+    those two pass: at most 4 lambdas per row are tested.
     A row with an end that fails is measured lambda by lambda, so the
     counterexamples, in row-major order (winding ones first), are those a
     test of every lambda finds.
@@ -514,10 +516,8 @@ def convex_bound_check(phi, n=200, grid_size=512):
     hull = conv_hull(samples)
 
     def accepted(at):
-        ok = hull.distance_bound(lams[at]) <= limit[at]
-        rest = at[~ok]
-        ok[~ok] = _distance(hull.vertices, lams[rest], edges=True) <= limit[rest]
-        return ok
+        inside = _winding_numbers(hull.vertices, lams[at]) != 0
+        return inside | (_distance(hull.vertices, lams[at], edges=True) <= limit[at])
 
     grid = codes.reshape(n, n)
     ends = np.union1d(_row_ends(grid == 0), _row_ends(grid == 1))

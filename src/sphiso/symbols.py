@@ -739,16 +739,6 @@ class Hull:
         _, _, signed = self._sector_edge(q)
         return np.maximum(0.0, -signed)
 
-    def distance_bound(self, lams):
-        """An upper bound on the distance to the hull, up to rounding: 0 where
-        q lies inside its sector's triangle, else the distance to the sector
-        edge, a segment of the hull (exact for point/segment hulls)."""
-        q = np.atleast_1d(np.asarray(lams, dtype=complex))
-        if self.kind != "polygon":
-            return self.outside_distance(q)
-        a, e, signed = self._sector_edge(q)
-        return np.where(signed >= 0.0, 0.0, _segment_distance(q, a, e))
-
     def membership_batch(self, lams, tol):
         return self.outside_distance(lams) <= tol
 

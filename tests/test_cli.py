@@ -2,6 +2,7 @@ import csv
 import io
 import json
 import math
+import tracemalloc
 
 import pytest
 
@@ -62,14 +63,15 @@ def test_validate_rejects(tmp_path, capsys):
         ({"parameters": {"symbols": ["z +"]}}, ".parameters.symbols[0]"),
         # two factors side by side are not read as a sum
         ({"parameters": {"symbols": ["2z"]}}, ".parameters.symbols[0]: expected '*', '+' or '-'"),
-        ({"parameters": {"symbols": ["z1*z2"]}}, "one-variable"),
-        ({"parameters": {"symbols": ["z^40"]}}, "band too large"),
+        ({"parameters": {"symbols": ["z1*z2"]}}, "text uses 2 variables, nvars=1 given"),
+        # numerical_range's rule for a symbol without correction: 4 * band <= nr_truncation
+        ({"parameters": {"symbols": ["z^70"]}}, "band too large"),
         # the band rule reads the run's nr_truncation wherever the key stands
         ({"parameters": {"symbols": ["z^30"], "nr_truncation": 64}}, ".symbols[0]: band too large"),
         # and the grid rule the run's grid_size
         (
             {"parameters": {"symbols": ["z", "z^128"], "nr_truncation": 1024}},
-            ".parameters.symbols[1]: band 128 needs grid_size >= 516",
+            ".parameters.symbols[1]: grid_size 512 < 4*(1+band) = 516",
         ),
         # the sampled curve or its sag bound would overflow
         ({"parameters": {"symbols": ["z", "1e308*z + 1e308*z^2"]}}, ".symbols[1]: coefficients too large"),
@@ -121,6 +123,31 @@ def test_run_rejects_an_overflowing_symbol(tmp_path, capsys):
     assert not (tmp_path / "runs").exists()
 
 
+def test_validate_takes_every_band_numerical_range_takes():
+    # numerical_range needs 4 * band <= nr_truncation (256 by default) of a
+    # symbol without correction; every spectra check runs what validation takes
+    small = {"spectra_symbols": 1, "lambda_points": 20, "probes": 5}
+    symbols = ["z^64", "0.5*z^64 + zbar^3 + (0.2-1j)*z"]
+    _, _, _, params = cli.validate_scenario({"parameters": dict(small, symbols=symbols)})
+    for check_id in ("numerical_range", "hartman_wintner", "convex_bound"):
+        assert checks.run_check(check_id, params, 1).verdict, check_id
+    with pytest.raises(UsageError, match=r"\.parameters\.symbols\[0\]: band too large"):
+        cli.validate_scenario({"parameters": dict(small, symbols=["z^65"])})
+
+
+def test_validate_refuses_a_huge_variable_index_before_widening_it():
+    # the parser's arity rule refuses z1000000 before it builds exponent
+    # tuples a million entries long (about 30 MB)
+    tracemalloc.start()
+    try:
+        with pytest.raises(UsageError, match=r"symbols\[0\]: text uses 1000000 variables"):
+            cli.validate_scenario({"parameters": {"symbols": ["z1000000"]}})
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 20, peak
+
+
 def test_validate_parameter_kinds():
     # a parameter's kind follows the type of its default
     counts = [k for k, v in checks.DEFAULT_PARAMS.items() if isinstance(v, int)]
@@ -156,12 +183,15 @@ def test_validate_cross_section_cap_meets_the_gap():
     tight = {"cross_section_truncation": 256, "tolerances": {"gap": 1e-9}}
     with pytest.raises(UsageError, match="cross_section_truncation: .*, 256, misses"):
         cli.validate_scenario({"parameters": tight})
-    # and each cap passes or fails its check as validation said, on seed 1
-    for cap in (127, 128):
-        record = checks.run_check(
-            "cross_section", dict(checks.DEFAULT_PARAMS, cross_section_truncation=cap), 1
-        )
-        assert record.verdict == (cap == 128)
+    # and each scenario passes or fails its check as validation said: the
+    # check gates on the run's gap, not on a gap of its own
+    for parameters in ({"cross_section_truncation": 127}, {"cross_section_truncation": 128}, loose):
+        try:
+            params, valid = cli.validate_scenario({"parameters": parameters})[3], True
+        except UsageError:
+            params, valid = dict(checks.DEFAULT_PARAMS, **parameters), False
+        for seed in (1, 2, 3):
+            assert checks.run_check("cross_section", params, seed).verdict == valid, (parameters, seed)
 
 
 def test_validate_tolerance_override():
@@ -453,7 +483,9 @@ def test_symbol_eval_errors(capsys):
     assert cli.main(["symbol-eval", "1e400*z"]) == 2
     assert "coefficients must be finite" in capsys.readouterr().err
     assert cli.main(["symbol-eval", "z^3", "--grid", "8"]) == 2
-    assert "--grid must be >=" in capsys.readouterr().err
+    captured = capsys.readouterr()
+    assert "cannot evaluate symbol: grid_size 8 < 4*(1+band) = 16" in captured.err
+    assert captured.out == ""  # refused before anything is printed
 
 
 def _refuse_to_sample(*args, **kwargs):
@@ -467,6 +499,7 @@ def _refuse_to_sample(*args, **kwargs):
         ["z1 + z2 + z3 + z4 + z5"],  # 512^5 points at the default grid
         ["z1 + z2 + z3"],  # 512^3
         ["z1 + z2", "--grid", "2049"],
+        ["z5000"],  # 512^5000 has more digits than int to str converts
     ],
 )
 def test_symbol_eval_refuses_a_grid_too_large_to_sample(argv, capsys, monkeypatch):

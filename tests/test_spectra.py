@@ -503,18 +503,11 @@ def row_ends(statuses, n):
 
 def test_convex_bound_measures_only_the_row_ends(monkeypatch):
     # on a passing symbol the hull stage measures the outermost lambda of
-    # each status on each row and nothing else, at most 4 per row; the exact
-    # boundary scan measures exactly what Hull.distance_bound leaves there.
-    # z + 0.3 zbar^2 gives both statuses, and ON_CURVE ends outside their
-    # sector triangles. No refined grid is sized
+    # each status on each row and nothing else, at most 4 per row.
+    # z + 0.3 zbar^2 gives both statuses. No refined grid is sized
     phi = Z + 0.3 * ZBAR**2
-    bounded, scanned = [], []
-    bound, distance = Hull.distance_bound, sp._distance
-
-    def spy_bound(hull, pts):
-        d = bound(hull, pts)
-        bounded.append((np.array(pts), d))
-        return d
+    scanned = []
+    distance = sp._distance
 
     def spy_distance(samples, pts, edges=False):
         if edges:
@@ -524,32 +517,32 @@ def test_convex_bound_measures_only_the_row_ends(monkeypatch):
     def forbidden(*args, **kwargs):
         raise AssertionError("no refined grid")
 
-    monkeypatch.setattr(Hull, "distance_bound", spy_bound)
     monkeypatch.setattr(sp, "_distance", spy_distance)
     monkeypatch.setattr(Curve, "refine", forbidden)
     n = 200
     rep = sp.convex_bound_check(phi, n)
     assert rep.verdict
-    [(pts, d)], [leftovers] = bounded, scanned
+    [pts] = scanned
     ends = row_ends(rep.statuses, n)
     assert np.array_equal(pts, rep.lams[ends])
     assert np.bincount(ends // n, minlength=n).max() <= 4
     assert set(rep.statuses[ends]) == {sp.ON_CURVE, sp.WINDING_NONZERO}
     assert pts.size < np.count_nonzero(rep.statuses != sp.OUTSIDE) / 10
-    tol = np.where(rep.statuses[ends] == sp.WINDING_NONZERO, sp._TOL_WINDING, rep.tol_on_curve)
-    assert np.array_equal(leftovers, pts[~(d <= tol - 1e-12)])
-    assert 0 < leftovers.size < pts.size
 
 
 def every_lambda_counterexamples(rep, hull):
     """The counterexamples of a test of every lambda that is not OUTSIDE, in
-    the report's order: winding ones, then ON_CURVE ones, row-major."""
+    the report's order: winding ones, then ON_CURVE ones, row-major. A
+    lambda passes strictly left of every counterclockwise edge of a polygon
+    hull (a point or segment hull has no inside), or within its limit of
+    the hull's boundary."""
     tested = rep.statuses != sp.OUTSIDE
     pts, status = rep.lams[tested], rep.statuses[tested]
     limit = np.where(status == sp.WINDING_NONZERO, sp._TOL_WINDING, rep.tol_on_curve) - 1e-12
-    ok = hull.distance_bound(pts) <= limit
-    rest = np.flatnonzero(~ok)
-    ok[rest] = sp._distance(hull.vertices, pts[rest], edges=True) <= limit[rest]
+    verts = hull.vertices
+    cross = (np.conj(np.roll(verts, -1) - verts) * (pts[:, None] - verts)).imag
+    inside = (cross > 0).all(axis=1) & (verts.size > 2)
+    ok = inside | (sp._distance(verts, pts, edges=True) <= limit)
     counter = [complex(v) for v in pts[~ok & (status == sp.WINDING_NONZERO)]]
     return counter + [complex(v) for v in pts[~ok & (status == sp.ON_CURVE)]]
 

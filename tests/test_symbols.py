@@ -625,10 +625,9 @@ def test_hull_membership_one_sided_safety():
     assert h.membership_batch((1 - t) * 1.0 + t * 1j, 1e-9).all()
 
 
-def test_hull_distance_bound_brackets_the_distance():
+def test_hull_outside_distance_bounds_the_distance():
     # the exact distance to a convex polygon: 0 inside, else the distance to
-    # its boundary; distance_bound never falls below it, outside_distance never
-    # rises above it
+    # its boundary; outside_distance never rises above it
     rng = np.random.default_rng(61)
     pts = rng.uniform(-1, 1, 40) + 1j * rng.uniform(-1, 1, 40)
     h = conv_hull(pts)
@@ -641,14 +640,12 @@ def test_hull_distance_bound_brackets_the_distance():
     boundary = np.abs(q[:, None] - (v + t * e)).min(axis=1)
     exact = np.where(inside, 0.0, boundary)
     assert inside.any() and (~inside).any()
-    upper = h.distance_bound(q)
-    assert np.all(upper >= exact - 1e-15)
     assert np.all(h.outside_distance(q) <= exact + 1e-15)
-    assert np.all(upper[inside] == 0.0)
-    # point and segment hulls are exact both ways
-    for small in ([2.0 + 1j], [0.0, 1.0, 0.5]):
-        hs = conv_hull(small)
-        assert np.array_equal(hs.distance_bound(q), hs.outside_distance(q))
+    assert np.all(h.outside_distance(q)[inside] == 0.0)
+    # point and segment hulls are exact
+    assert np.array_equal(conv_hull([2.0 + 1j]).outside_distance(q), np.abs(q - (2.0 + 1j)))
+    nearest = np.clip(q.real, 0.0, 1.0)
+    assert np.array_equal(conv_hull([0.0, 1.0, 0.5]).outside_distance(q), np.abs(q - nearest))
 
 
 def brute_hull(points):
