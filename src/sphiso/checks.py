@@ -14,13 +14,14 @@ a record holding a NaN or an infinity fails, and reads it as a string.
 one per check up to the CPUs this process may run on. Forked workers inherit
 the modules imported so far, any patched kernel and the warm table caches;
 a module a check imports lazily is imported afresh in each worker, which is
-why no spectra check imports `scipy.spatial`. Each worker first pins every
-bundled OpenBLAS it can find to one thread (`_pin_blas`), so that the
-workers' BLAS pools do not oversubscribe the CPUs. Checks are submitted in
-reverse registry order and come back in registry order, each with its wall
-time inside its worker. A run stays in this process when there is one check
-or one CPU, when `fork` is not a start method here, or when a profiler or
-tracer is set.
+why no spectra check imports `scipy.spatial` and why the pool imports, before
+it forks, the numpy submodules that numpy loads on first use. Each worker
+first pins every bundled OpenBLAS it can find to one thread (`_pin_blas`),
+so that the workers' BLAS pools do not oversubscribe the CPUs. Checks are
+submitted in reverse registry order and come back in registry order, each
+with its wall time inside its worker. A run stays in this process when there
+is one check or one CPU, when `fork` is not a start method here, or when a
+profiler or tracer is set.
 """
 
 from __future__ import annotations
@@ -41,7 +42,7 @@ from . import record
 from . import spectra
 from . import szego
 from .errors import UsageError
-from .linalg import worst
+from .linalg import _package_dir, worst
 from .symbols import LaurentPoly
 
 __all__ = [
@@ -849,15 +850,15 @@ _BLAS_SETTERS = (
 @lru_cache(maxsize=None)
 def _blas_setters():
     """The thread setter of each OpenBLAS numpy and scipy bundle in their
-    `<package>.libs` folder, looked up once; what it cannot find is skipped."""
+    `<package>.libs` folder, looked up once without importing either
+    package; what it cannot find is skipped."""
     import ctypes
     import glob
-    import importlib
     import os
 
     found = []
     for package, pattern, setter in _BLAS_SETTERS:
-        root = os.path.dirname(os.path.dirname(importlib.import_module(package).__file__))
+        root = os.path.dirname(_package_dir(package))
         for path in glob.glob(os.path.join(root, f"{package}.libs", pattern)):
             try:
                 fn = getattr(ctypes.CDLL(path), setter)
@@ -883,6 +884,10 @@ def _pool_results(ids, params, seed, workers):
 
     context = multiprocessing.get_context("fork")
     _blas_setters()  # looked up before the first pool: a worker only calls them
+    # numpy imports these on first use (np.random, and numpy.ma for np.unique);
+    # imported here, once, so that no forked worker imports them afresh
+    import numpy.ma
+    import numpy.random
     with ProcessPoolExecutor(workers, mp_context=context, initializer=_pin_blas) as pool:
         # Reverse registry order: each suite's longest checks (numerical_range
         # on spectra, commutant_lifting on circle) come late in it. Submitted

@@ -19,8 +19,8 @@ import time
 from pathlib import Path
 
 from . import checks
-from .errors import OnCurveError, PreconditionError, UsageError
-from .symbols import Curve, LaurentPoly, sup_norm, winding
+from .errors import ArityError, OnCurveError, PreconditionError, UsageError
+from .symbols import Curve, LaurentPoly, parse_terms, sup_norm, winding
 
 _SUITE_NAMES = checks.SUITES
 
@@ -210,8 +210,18 @@ def cmd_explain(args):
 
 
 def cmd_symbol_eval(args):
+    # eval_grid takes at least 4 points a variable, so no text of more than
+    # `most` variables can be sampled; the parser refuses one before it widens
+    # any term to the text's largest variable index
+    most = (_EVAL_POINTS.bit_length() - 1) // 2
     try:
+        parse_terms(args.expr, most)
         phi = LaurentPoly.from_text(args.expr)
+    except ArityError as exc:
+        raise UsageError(
+            f"text uses {exc.used} variables: any grid samples at least 4^{exc.used} "
+            f"torus points, more than {_EVAL_POINTS}"
+        ) from exc
     except (PreconditionError, ValueError) as exc:
         raise UsageError(f"cannot parse symbol: {exc}") from exc
     grid = args.grid

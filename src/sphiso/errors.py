@@ -5,6 +5,18 @@ class PreconditionError(ValueError):
     """An operation was called outside its stated domain."""
 
 
+class ArityError(PreconditionError):
+    """Symbol text names more variables than the caller allows."""
+
+    def __init__(self, used, nvars):
+        self.used = used
+        self.nvars = nvars
+        super().__init__(f"text uses {used} variables, nvars={nvars} given")
+
+    def __reduce__(self):
+        return type(self), (self.used, self.nvars)
+
+
 class OnCurveError(ValueError):
     """Winding number is undefined: the point sits too close to the sampled curve."""
 

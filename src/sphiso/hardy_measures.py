@@ -5,7 +5,9 @@ held by its Fourier coefficients what(k), what(0) = 1. Monomials have
 Gram matrix G[a, b] = what(a - b); a Cholesky factorization G = L L* turns
 {1, z, ..., z^d} into the orthonormal basis p_0..p_d, and compressions
 <phi p_j, p_i>_m are assembled by exact coefficient convolution against the
-(finitely supported) density coefficients. No quadrature anywhere.
+(finitely supported) density coefficients. No quadrature anywhere. L is
+inverted by LAPACK's `ztrtrs` from scipy's compiled wrappers, called as
+`scipy.linalg.solve_triangular` would call it (see `sphiso.linalg`).
 """
 
 from __future__ import annotations
@@ -13,9 +15,9 @@ from __future__ import annotations
 import cmath
 
 import numpy as np
-from scipy.linalg import solve_triangular
 
-from .errors import ConditioningError, PreconditionError
+from .errors import ConditioningError, InvariantError, PreconditionError
+from .linalg import _flapack
 from .symbols import LaurentPoly, eval_grid
 
 __all__ = [
@@ -115,7 +117,7 @@ def _cholesky_with_pivots(g):
     low = np.zeros_like(g)
     for j in range(n):
         pivot = (g[j, j] - np.vdot(low[j, :j], low[j, :j])).real
-        if pivot < 1e-12:
+        if not pivot >= 1e-12:  # a NaN pivot breaks down too
             raise ConditioningError(j, pivot)
         low[j, j] = np.sqrt(pivot)
         if j + 1 < n:
@@ -129,7 +131,11 @@ def onb(m, d):
         raise PreconditionError("degree must be >= 0")
     g = moment_matrix(m, d)
     low = _cholesky_with_pivots(g)
-    inv = solve_triangular(low, np.eye(d + 1, dtype=complex), lower=True)
+    # low is C-ordered, so low.T is the Fortran-ordered upper triangle U and
+    # L^-1 solves U^T X = I: solve_triangular(low, I, lower=True)'s own call
+    inv, info = _flapack.ztrtrs(low.T, np.eye(d + 1, dtype=complex), lower=0, trans=1)
+    if info != 0:
+        raise InvariantError(f"ztrtrs returned info {info} on a pivoted Cholesky factor")
     coeff = inv.conj()  # row i: coefficients of p_i, leading entry positive
     return HardyBasis(m, d, coeff)
 

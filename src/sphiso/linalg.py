@@ -20,11 +20,24 @@ the symbol's maximum, or else a coarse bisection, gives a first factor;
 Rayleigh quotients through it and the factors made after it bracket the
 eigenvalue, and the bisection is replayed with every step outside that
 bracket decided by it (see `band_max_eig`).
+
+The LAPACK and BLAS routines are scipy's own compiled f2py wrappers, the
+extension modules `scipy.linalg._flapack` and `_fblas`, loaded from their
+files (`_wrappers`). Importing the `scipy.linalg` package would run its
+`__init__`, which pulls in scipy's array-API layer and through it
+`numpy.f2py`, `numpy.testing` and `numpy.ma`: about half of the import of
+`sphiso.cli`, for none of which sphiso has a use. The routines and the
+OpenBLAS under them are the very ones `scipy.linalg.lapack` and
+`scipy.linalg.blas` hand out, so the bits are the same.
 """
 
 from __future__ import annotations
 
+import importlib.machinery
+import importlib.util
 import math
+import os
+import sys
 from functools import lru_cache
 
 import numpy as np
@@ -43,6 +56,45 @@ _INVERSE_STEPS = 10
 _RUN = 4
 _RUNGS = 3
 _CLOSER = 64.0
+
+
+def _package_dir(name):
+    """Folder of the installed top-level package `name`, found without
+    importing it."""
+    spec = importlib.util.find_spec(name)
+    if spec is None or not spec.submodule_search_locations:
+        raise ImportError(f"package {name!r} is not installed")
+    return spec.submodule_search_locations[0]
+
+
+def _wrappers(name):
+    """scipy's compiled extension module `scipy.linalg.<name>`, loaded from
+    its file so that scipy/linalg/__init__.py never runs.
+
+    It is registered in `sys.modules` under its real name, as an import
+    would, so a later `import scipy.linalg` takes this same module; one that
+    is already there is returned. There is no second route: a missing file
+    raises ImportError naming it.
+    """
+    full = f"scipy.linalg.{name}"
+    if full in sys.modules:
+        return sys.modules[full]
+    folder = os.path.join(_package_dir("scipy"), "linalg")
+    finder = importlib.machinery.FileFinder(
+        folder,
+        (importlib.machinery.ExtensionFileLoader, importlib.machinery.EXTENSION_SUFFIXES),
+    )
+    spec = finder.find_spec(full)
+    if spec is None:
+        raise ImportError(f"no compiled {full} in {folder}", name=full)
+    module = importlib.util.module_from_spec(spec)
+    sys.modules[full] = module
+    spec.loader.exec_module(module)
+    return module
+
+
+_flapack = _wrappers("_flapack")
+_fblas = _wrappers("_fblas")
 
 
 def worst(values):
@@ -81,14 +133,11 @@ def _rayleigh_quotient(factor, negated):
     through `factor`, the banded Cholesky factor of some sigma*I - A, and
     `negated` holds -A in upper band storage. Ax comes from `zhbmv`, the
     inner products from `math.fsum` of numpy's sums of _RUN real products."""
-    from scipy.linalg.blas import zhbmv
-    from scipy.linalg.lapack import zpbtrs
-
     x = _start_vector(negated.shape[1])
     for _ in range(_INVERSE_STEPS):
-        x = zpbtrs(factor, x[:, None])[0][:, 0]
+        x = _flapack.zpbtrs(factor, x[:, None])[0][:, 0]
         x /= np.abs(x).max()
-    y = zhbmv(negated.shape[0] - 1, -1.0, negated, x)
+    y = _fblas.zhbmv(negated.shape[0] - 1, -1.0, negated, x)
     u, runs = x.view(float), np.arange(0, 2 * x.size, _RUN)
     num = math.fsum(np.add.reduceat(u * y.view(float), runs).tolist())
     den = math.fsum(np.add.reduceat(u * u, runs).tolist())
@@ -154,8 +203,6 @@ def band_max_eig(ab, guess=math.nan):
     that fallback or the bit equality. Below ||A||_1 = tiny / eps the
     roundings are no longer relative; the bisection stays plain.
     """
-    from scipy.linalg.lapack import zpbtrf
-
     ab = np.asarray(ab, dtype=complex)
     if ab.ndim != 2 or ab.size == 0:
         raise PreconditionError("expected a nonempty band in upper storage")
@@ -183,7 +230,7 @@ def band_max_eig(ab, guess=math.nan):
         nonlocal work, held, made
         work[...] = shifted
         work[kd] += sigma
-        info = zpbtrf(work, lower=0, overwrite_ab=1)[1]
+        info = _flapack.zpbtrf(work, lower=0, overwrite_ab=1)[1]
         made += 1
         if info < 0:
             raise InvariantError(f"zpbtrf rejected argument {-info}")

@@ -32,7 +32,7 @@ from functools import cached_property, lru_cache
 
 import numpy as np
 
-from .errors import OnCurveError, PreconditionError
+from .errors import ArityError, OnCurveError, PreconditionError
 from .record import note
 
 __all__ = [
@@ -428,7 +428,7 @@ def parse_terms(text, nvars=None):
     if nvars is None:
         nvars = seen
     elif seen > nvars:
-        raise PreconditionError(f"text uses {seen} variables, nvars={nvars} given")
+        raise ArityError(seen, nvars)
     return [
         RawTerm(
             _clean_complex(c),

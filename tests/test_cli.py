@@ -510,6 +510,22 @@ def test_symbol_eval_refuses_a_grid_too_large_to_sample(argv, capsys, monkeypatc
     assert "torus points, more than 4194304" in capsys.readouterr().err
 
 
+def test_symbol_eval_refuses_a_huge_variable_index_before_widening_it(capsys):
+    # eval_grid's 4 points a variable allow at most 11 variables under 2^22
+    # points; a text naming more is refused before its terms are widened to
+    # a billion variables
+    tracemalloc.start()
+    try:
+        assert cli.main(["symbol-eval", "z1000000000"]) == 2
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 20, peak
+    err = capsys.readouterr().err
+    assert "text uses 1000000000 variables" in err
+    assert "torus points, more than 4194304" in err
+
+
 def test_symbol_eval_takes_a_grid_at_the_sample_bound(capsys, monkeypatch):
     # 2048^2 = 2^22 points pass; a stub bracket spares the test sampling them
     monkeypatch.setattr(cli, "sup_norm", lambda phi, grid_size: (2.0, 2.0))

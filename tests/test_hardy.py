@@ -91,6 +91,22 @@ def test_onb_complex_measure_gram():
     assert basis.gram_residual() <= 1e-10
 
 
+def test_onb_inverts_as_solve_triangular_does():
+    # onb calls ztrtrs as scipy.linalg.solve_triangular does for a C-ordered
+    # lower factor, so the coefficients are the same bits
+    from scipy.linalg import solve_triangular
+
+    m = hm.CircleMeasure({0: 1.0, 1: 0.25 + 0.15j, 2: 0.1})
+    low = hm._cholesky_with_pivots(hm.moment_matrix(m, 20))
+    want = solve_triangular(low, np.eye(21, dtype=complex), lower=True).conj()
+    assert np.array_equal(hm.onb(m, 20).coeff, want)
+
+
+def test_cholesky_breaks_down_on_a_nan_pivot():
+    with pytest.raises(ConditioningError):
+        hm._cholesky_with_pivots(np.array([[1.0, 0.5], [0.5, math.nan]], dtype=complex))
+
+
 def test_onb_degree_guard():
     with pytest.raises(PreconditionError):
         hm.onb(LEB, -1)

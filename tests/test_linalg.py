@@ -323,7 +323,7 @@ class TestBandMaxEig:
                 band_max_eig(ab)
 
     def test_raises_when_no_shift_factors(self, monkeypatch):
-        monkeypatch.setattr(lapack, "zpbtrf", lambda ab, lower, overwrite_ab: (ab, 1))
+        monkeypatch.setattr(linalg._flapack, "zpbtrf", lambda ab, lower, overwrite_ab: (ab, 1))
         with pytest.raises(InvariantError, match="did not factor"):
             band_max_eig(np.ones((2, 6), dtype=complex))
 

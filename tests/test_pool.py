@@ -22,6 +22,7 @@ SEED = 5
 
 INSTANCES = [
     errors.PreconditionError("symbol must be univariate"),
+    errors.ArityError(3, 1),
     errors.OnCurveError(1.25e-9, 3.5e-8),
     errors.ConditioningError(3, 1e-20),
     errors.ResourceLimitError("too many terms"),
@@ -106,6 +107,32 @@ def test_import_does_not_load_multiprocessing(child_env):
     )
     assert done.returncode == 0, done.stderr
     assert done.stdout.strip() == "False"
+
+
+def test_no_worker_imports_a_module(child_env):
+    # a module first imported in a forked worker is imported afresh in every
+    # worker of every run, so the parent imports all that the checks use
+    code = (
+        "import sys\n"
+        "from sphiso import checks\n"
+        "checks._worker_count = lambda n: min(n, 2)\n"
+        "timed = checks._timed_check\n"
+        "def watched(cid, params, seed):\n"
+        "    before = set(sys.modules)\n"
+        "    out = timed(cid, params, seed)\n"
+        "    print(cid, sorted(set(sys.modules) - before), flush=True)\n"
+        "    return out\n"
+        "checks._timed_check = watched\n"
+        "params = dict(checks.DEFAULT_PARAMS, tensor_trials=2, spectra_symbols=2, lambda_points=40)\n"
+        f"assert checks.run_checks('all', params, {SEED}).workers == 2\n"
+    )
+    done = subprocess.run(
+        [sys.executable, "-c", code], env=child_env, capture_output=True, text=True, timeout=120
+    )
+    assert done.returncode == 0, done.stderr
+    lines = done.stdout.splitlines()
+    assert sorted(line.split()[0] for line in lines) == sorted(checks.suite_check_ids("all"))
+    assert [line for line in lines if not line.endswith(" []")] == []
 
 
 def test_a_pinned_worker_runs_one_blas_thread(child_env):

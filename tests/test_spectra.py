@@ -3,6 +3,7 @@ import io
 import math
 import subprocess
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -608,6 +609,30 @@ def test_spectra_checks_never_import_scipy_spatial(child_env):
     )
     assert done.returncode == 0, done.stderr
     assert done.stdout.strip() == "[]"
+
+
+def test_a_run_never_imports_the_scipy_linalg_package(child_env, tmp_path):
+    # sphiso loads scipy's compiled LAPACK/BLAS wrappers alone; a later
+    # import of scipy.linalg hands out the very routines sphiso calls
+    smoke = Path(__file__).resolve().parent.parent / "scenarios" / "smoke.json"
+    code = (
+        "import sys; import sphiso.cli\n"
+        "print('scipy.linalg' in sys.modules)\n"
+        f"argv = ['run', {str(smoke)!r}, '--suite', 'all', '--out', {str(tmp_path)!r}]\n"
+        "assert sphiso.cli.main(argv) == 0\n"
+        "print('scipy.linalg' in sys.modules)\n"
+        "import scipy.linalg.blas, scipy.linalg.lapack\n"
+        "from sphiso import linalg\n"
+        "print(scipy.linalg.lapack.zpbtrf is linalg._flapack.zpbtrf,"
+        " scipy.linalg.lapack.ztrtrs is linalg._flapack.ztrtrs,"
+        " scipy.linalg.blas.zhbmv is linalg._fblas.zhbmv)\n"
+    )
+    done = subprocess.run(
+        [sys.executable, "-c", code], env=child_env, capture_output=True, text=True, timeout=120
+    )
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.splitlines()[0] == "False"
+    assert done.stdout.splitlines()[-2:] == ["False", "True True True"]
 
 
 def test_hartman_wintner_flags_a_planted_outside(monkeypatch):
