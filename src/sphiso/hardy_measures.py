@@ -1,11 +1,13 @@
 """Weighted Hardy spaces on the circle for trig-polynomial densities.
 
 A measure is dm = w dtheta/2pi with w a strictly positive trig polynomial,
-held by its Fourier coefficients what(k), what(0) = 1. Monomials have
-Gram matrix G[a, b] = what(a - b); a Cholesky factorization G = L L* turns
-{1, z, ..., z^d} into the orthonormal basis p_0..p_d, and compressions
-<phi p_j, p_i>_m are assembled by exact coefficient convolution against the
-(finitely supported) density coefficients. No quadrature anywhere. L is
+held once as the Hermitian `LaurentPoly` `density`, what(0) = 1. Monomials
+have Gram matrix G[a, b] = what(a - b), the Toeplitz matrix of w; a
+Cholesky factorization G = L L* turns {1, z, ..., z^d} into the orthonormal
+basis p_0..p_d, with coefficient rows C. Since <phi z^b, z^a>_m =
+(w phi)^(a - b), the compression <phi p_j, p_i>_m is conj(C) T(w phi) C^T,
+on `circle_calculus`'s Toeplitz builder, with w phi the exact product of
+the two symbols. No quadrature anywhere. L is
 inverted by LAPACK's `ztrtrs` from scipy's compiled wrappers, called as
 `scipy.linalg.solve_triangular` would call it (see `sphiso.linalg`).
 """
@@ -16,6 +18,7 @@ import cmath
 
 import numpy as np
 
+from .circle_calculus import toeplitz_matrix
 from .errors import ConditioningError, InvariantError, PreconditionError
 from .linalg import _flapack
 from .symbols import LaurentPoly, eval_grid
@@ -45,14 +48,14 @@ class CircleMeasure:
             c = complex(c)
             if not cmath.isfinite(c):
                 raise PreconditionError("density coefficients must be finite")
-            if c != 0 or k == 0:
-                store[k] = c
+            store[k] = c
         if abs(store.get(0, 0j) - 1.0) > 1e-14:
             raise PreconditionError("density must be normalized: what(0) = 1")
-        if store.get(0) is not None and store[0].imag != 0.0:
+        if store[0].imag != 0.0:
             raise PreconditionError("what(0) must be real")
-        self.coeffs = store
-        self.degree = max(store) if store else 0
+        store.update({-k: c.conjugate() for k, c in store.items() if k})
+        self.density = LaurentPoly(1, store)
+        self.degree = self.density.deg_pos()
         self.min_density = float(min_density)
         n = max(_GRID, 4 * (1 + self.degree))
         lo = float(np.min(self.density_grid(n)))
@@ -62,17 +65,9 @@ class CircleMeasure:
             )
         self._density_min = lo
 
-    def w_hat(self, k):
-        k = int(k)
-        if k >= 0:
-            return self.coeffs.get(k, 0j)
-        return self.coeffs.get(-k, 0j).conjugate()
-
     def density_grid(self, n=_GRID):
         """w on the n-point grid of `symbols.eval_grid` (n >= 4 (1 + degree))."""
-        w = dict(self.coeffs)
-        w.update({-k: c.conjugate() for k, c in self.coeffs.items() if k})
-        vals = eval_grid(LaurentPoly(1, w), n)
+        vals = eval_grid(self.density, n)
         if float(np.max(np.abs(vals.imag))) > 1e-12:
             raise PreconditionError("density failed to be real on the grid")
         return vals.real
@@ -81,19 +76,9 @@ class CircleMeasure:
         return f"CircleMeasure(degree={self.degree}, min={self._density_min:.3g})"
 
 
-def _density_matrix(m, rows, cols):
-    """what(row - col) for each row and col, filled one diagonal at a time."""
-    diff = rows[:, None] - cols[None, :]
-    out = np.zeros(diff.shape, dtype=complex)
-    for k in range(-m.degree, m.degree + 1):
-        out[diff == k] = m.w_hat(k)
-    return out
-
-
 def moment_matrix(m, d):
     """Gram matrix of 1, z, ..., z^d: G[a, b] = what(a - b)."""
-    idx = np.arange(d + 1)
-    return _density_matrix(m, idx, idx)
+    return toeplitz_matrix(m.density, d + 1)
 
 
 class HardyBasis:
@@ -141,7 +126,9 @@ def onb(m, d):
 
 
 def truncated_toeplitz(phi, m, d):
-    """Matrix <phi p_j, p_i>_m on the orthonormal basis, exact convolutions.
+    """Matrix <phi p_j, p_i>_m on the orthonormal basis, exact in the
+    coefficients: <phi z^b, z^a>_m = (w phi)^(a - b), so it is
+    conj(C) T(w phi) C^T with C = onb(m, d).coeff.
 
     Returns a read-only array; PreconditionError if an entry is not finite.
     """
@@ -149,18 +136,12 @@ def truncated_toeplitz(phi, m, d):
     band = phi.band()
     if band > d // 2:
         raise PreconditionError(f"band {band} exceeds d/2 = {d // 2}")
-    basis = onb(m, d)
-    c = basis.coeff
-    lo_e, hi_e = -phi.deg_neg(), d + phi.deg_pos()
-    exps = np.arange(lo_e, hi_e + 1)
-    # U[e, j] = coefficient of z^e in phi * p_j
-    u = np.zeros((exps.size, d + 1), dtype=complex)
-    for (k,), cv in phi.terms():
-        for j in range(d + 1):
-            u[(np.arange(j + 1) + k) - lo_e, j] += cv * c[j, : j + 1]
-    # W[b, e] = what(b - e), b = 0..d
-    w = _density_matrix(m, np.arange(d + 1), exps)
-    out = c.conj() @ (w @ u)
+    c = onb(m, d).coeff
+    try:
+        weighted = m.density * phi
+    except PreconditionError as exc:  # a product coefficient overflowed
+        raise PreconditionError("weighted truncation has non-finite entries") from exc
+    out = c.conj() @ toeplitz_matrix(weighted, d + 1) @ c.T
     if not np.isfinite(out).all():
         raise PreconditionError("weighted truncation has non-finite entries")
     out.setflags(write=False)

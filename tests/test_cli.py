@@ -395,6 +395,23 @@ def test_run_failing_tolerance_exits_one(tmp_path, capsys):
     assert "failing checks:" in captured.err
 
 
+def test_run_scalar_verdict_follows_the_run_gap(tmp_path):
+    # at truncation 64 z + zbar's norm misses 2 by 2.3e-3: within a gap of
+    # 0.01, so the scalar comparison the report names passes with the check
+    obj = dict(SMALL, seed=1)
+    obj["parameters"] = dict(
+        SMALL["parameters"], cross_section_truncation=64, tolerances={"gap": 0.01}
+    )
+    scenario = write_scenario(tmp_path, obj)
+    assert cli.main(["run", scenario, "--out", str(tmp_path / "runs")]) == 0
+    [rundir] = run_dirs(tmp_path)
+    report = json.loads((rundir / "report.json").read_text())
+    [cross] = [c for c in report["checks"] if c["id"] == "cross_section"]
+    assert cross["verdict"] == "pass"
+    assert 1e-3 < cross["residuals"]["final_gap"] <= 0.01
+    assert cross["residuals"]["scalar_verdict"] == "PASS"
+
+
 def test_run_usage_errors(tmp_path, capsys):
     missing = str(tmp_path / "absent.json")
     assert cli.main(["run", missing]) == 2

@@ -21,9 +21,9 @@ COSINE = hm.CircleMeasure({0: 1.0, 1: 0.4})  # w = 1 + 0.8 cos(theta)
 
 def test_measure_coefficients():
     m = hm.CircleMeasure({0: 1.0, 1: 0.25 + 0.15j, 3: 0.05})
-    assert m.w_hat(1) == 0.25 + 0.15j
-    assert m.w_hat(-1) == 0.25 - 0.15j
-    assert m.w_hat(2) == 0
+    assert m.density.coeff(1) == 0.25 + 0.15j
+    assert m.density.coeff(-1) == 0.25 - 0.15j
+    assert m.density.coeff(2) == 0
     assert m.degree == 3
 
 
@@ -133,6 +133,21 @@ def test_lebesgue_reproduces_circle_matrices():
         got = hm.truncated_toeplitz(phi, LEB, 16)
         want = cc.toeplitz_matrix(phi, 17)
         assert np.array_equal(got, want)
+
+
+@pytest.mark.parametrize("d", [8, 32, 64])
+def test_truncated_toeplitz_matches_quadrature(d):
+    # <phi p_j, p_i>_m on N points, exact once N exceeds the trig degree
+    # 2d + band + deg w of p_j conj(p_i) w phi: V^H diag(w phi) V / N with
+    # V[t, j] = p_j(z_t); no Toeplitz matrix on this side
+    m = hm.CircleMeasure({0: 1.0, 1: 0.25 + 0.15j, 2: 0.1})
+    phi = (2.0 + 1.0j) * Z**2 + ZBAR
+    n = 2 * d + phi.band() + m.degree + 1
+    z = np.exp(2j * math.pi * np.arange(n) / n)
+    v = z[:, None] ** np.arange(d + 1) @ hm.onb(m, d).coeff.T
+    weight = m.density.eval_at(z) * phi.eval_at(z)
+    want = v.conj().T @ (weight[:, None] * v) / n
+    assert np.max(np.abs(hm.truncated_toeplitz(phi, m, d) - want)) <= 1e-13
 
 
 def test_truncated_toeplitz_identity():

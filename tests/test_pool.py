@@ -111,16 +111,18 @@ def test_import_does_not_load_multiprocessing(child_env):
 
 def test_no_worker_imports_a_module(child_env):
     # a module first imported in a forked worker is imported afresh in every
-    # worker of every run, so the parent imports all that the checks use
+    # worker of every run, so the parent imports all that the checks use;
+    # each worker writes its line with one os.write, atomic on a pipe below
+    # PIPE_BUF bytes, so the two workers' lines never interleave
     code = (
-        "import sys\n"
+        "import os, sys\n"
         "from sphiso import checks\n"
         "checks._worker_count = lambda n: min(n, 2)\n"
         "timed = checks._timed_check\n"
         "def watched(cid, params, seed):\n"
         "    before = set(sys.modules)\n"
         "    out = timed(cid, params, seed)\n"
-        "    print(cid, sorted(set(sys.modules) - before), flush=True)\n"
+        "    os.write(1, f'{cid} {sorted(set(sys.modules) - before)}\\n'.encode())\n"
         "    return out\n"
         "checks._timed_check = watched\n"
         "params = dict(checks.DEFAULT_PARAMS, tensor_trials=2, spectra_symbols=2, lambda_points=40)\n"
