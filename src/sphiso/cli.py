@@ -11,8 +11,10 @@ the checks wrote.
 from __future__ import annotations
 
 import argparse
+import importlib.util
 import json
 import math
+import os
 import platform
 import sys
 import time
@@ -20,6 +22,7 @@ from pathlib import Path
 
 from . import checks
 from .errors import ArityError, OnCurveError, PreconditionError, UsageError
+from .linalg import _package_dir
 from .symbols import Curve, LaurentPoly, parse_terms, sup_norm, winding
 
 _SUITE_NAMES = checks.SUITES
@@ -27,6 +30,21 @@ _SUITE_NAMES = checks.SUITES
 # symbol-eval samples grid ** nvars torus points; past this many (64 MiB of
 # complex samples) it refuses rather than run out of memory
 _EVAL_POINTS = 1 << 22
+
+
+def _scipy_version():
+    """scipy.__version__, read from scipy/version.py, the module scipy's
+    `__init__` takes it from, found through `linalg._package_dir` as
+    `linalg._wrappers` finds `_flapack`. It is not registered in
+    `sys.modules`, so a later `import scipy` runs as it would. Importing the
+    scipy package for one string would cost about 10 ms (it loads
+    scipy._lib._testutils, subprocess and sysconfig); importlib.metadata
+    costs more."""
+    path = os.path.join(_package_dir("scipy"), "version.py")
+    spec = importlib.util.spec_from_file_location("scipy.version", path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module.version
 
 
 def validate_scenario(obj, origin="scenario"):
@@ -173,7 +191,6 @@ def cmd_run(args):
     outdir = _run_dir(args.out, name)
     (outdir / "report.json").write_text(checks.canonical_json(checks.report_json(report)))
     import numpy
-    import scipy
 
     manifest = {
         "name": name,
@@ -184,7 +201,7 @@ def cmd_run(args):
         "decisions": {r.check_id: r.decisions for r in report.checks if r.decisions},
         "python": platform.python_version(),
         "numpy": numpy.__version__,
-        "scipy": scipy.__version__,
+        "scipy": _scipy_version(),
         "version": report.version,
         "report": "report.json",
     }

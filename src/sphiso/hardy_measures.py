@@ -64,6 +64,8 @@ class CircleMeasure:
                 f"density dips to {lo:.3e} on the {n}-point grid, below floor {self.min_density:.3e}"
             )
         self._density_min = lo
+        # the orthonormal basis of each degree, factored once (`onb`)
+        self._bases = {}
 
     def density_grid(self, n=_GRID):
         """w on the n-point grid of `symbols.eval_grid` (n >= 4 (1 + degree))."""
@@ -111,18 +113,26 @@ def _cholesky_with_pivots(g):
 
 
 def onb(m, d):
-    """Orthonormalize the monomials through degree d in L^2(m)."""
+    """Orthonormalize the monomials through degree d in L^2(m).
+
+    A measure never changes once built, so it keeps the basis of each degree
+    it has been asked for, with read-only coefficients: the Gram matrix of a
+    degree is factored once however many compressions use it."""
     if d < 0:
         raise PreconditionError("degree must be >= 0")
-    g = moment_matrix(m, d)
-    low = _cholesky_with_pivots(g)
-    # low is C-ordered, so low.T is the Fortran-ordered upper triangle U and
-    # L^-1 solves U^T X = I: solve_triangular(low, I, lower=True)'s own call
-    inv, info = _flapack.ztrtrs(low.T, np.eye(d + 1, dtype=complex), lower=0, trans=1)
-    if info != 0:
-        raise InvariantError(f"ztrtrs returned info {info} on a pivoted Cholesky factor")
-    coeff = inv.conj()  # row i: coefficients of p_i, leading entry positive
-    return HardyBasis(m, d, coeff)
+    basis = m._bases.get(d)
+    if basis is None:
+        g = moment_matrix(m, d)
+        low = _cholesky_with_pivots(g)
+        # low is C-ordered, so low.T is the Fortran-ordered upper triangle U and
+        # L^-1 solves U^T X = I: solve_triangular(low, I, lower=True)'s own call
+        inv, info = _flapack.ztrtrs(low.T, np.eye(d + 1, dtype=complex), lower=0, trans=1)
+        if info != 0:
+            raise InvariantError(f"ztrtrs returned info {info} on a pivoted Cholesky factor")
+        coeff = inv.conj()  # row i: coefficients of p_i, leading entry positive
+        coeff.setflags(write=False)
+        basis = m._bases[d] = HardyBasis(m, d, coeff)
+    return basis
 
 
 def truncated_toeplitz(phi, m, d):

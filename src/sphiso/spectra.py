@@ -18,18 +18,26 @@ fronts that agree with it bit for bit: each settles what a relative _MARGIN
 between to the exact scan. On a covering grid, each row is one scanline:
 each crossing counts its sign on the run of columns left of it, and each
 sample covers one run of columns within tol (`_near_grid`); a difference
-array per row counts the runs over every lambda. For scattered lambdas,
-`_within` bounds chunks of consecutive samples by boxes and measures only
-the chunks whose boxes come within reach of each lambda; it settles
-ON_CURVE for batches of lambdas and the clearance of the near-range
-probes, and leaves single lambdas and small curves to the exact scan.
+array per row counts the runs over every lambda. Scattered lambdas are
+classified on the curve's coarse ring (`Curve.coarse`): every m-th sample,
+m the number of the longest steps between samples that fit in tol, so that
+a straight-line homotopy carries the polyline onto the ring without
+crossing any lambda that is not ON_CURVE. The ring's crossings give the
+windings; its distances settle ON_CURVE for every lambda but those at most
+(m // 2) longest steps beyond tol, which are measured on all samples
+(`_classify`). Distances to scattered lambdas come from `_front`: it bounds
+chunks of consecutive samples by boxes and measures only the chunks whose
+boxes come within reach of each lambda, and leaves single lambdas, small
+batches and small curves to the exact scan. `_within` settles a threshold
+on it: ON_CURVE on all samples and the clearance of the near-range probes.
 
 Every check reads the curve through one `symbols.Curve`: phi sampled by
 `symbols.eval_grid` on a uniform grid, with its ON_CURVE distance `tol` and
 its chord sag `sag`. Grids of up to 2048 points (the 512- and 2048-point
 working grids of every query here) are summed from a bounded cache of
 unit-root power tables, and phi keeps its samples there, at most 40 KiB of
-them, so repeated queries on one symbol object sample it once per grid. The
+them, each grid's with its coarse ring, so repeated queries on one symbol
+object sample it and measure its steps once per grid. The
 memo lives on the object, not in a cache keyed by value, because equal
 symbols whose coefficients come in another order sum their terms in another
 order and keep their own bits. Larger grids (most fine grids, the sup
@@ -63,6 +71,7 @@ from .errors import PreconditionError
 from .linalg import band_max_eig, op_norm
 from .record import note
 from .symbols import (
+    _MARGIN,
     Curve,
     _crossings,
     _segment_distance,
@@ -101,16 +110,14 @@ _INFLATE = 1.2
 # the convex bound's hull tolerance for lambdas of nonzero winding: these lie
 # inside the hull of the very samples, so it only absorbs rounding
 _TOL_WINDING = 1e-8
-# the pruned distance fronts widen or narrow a reach by this relative margin,
-# far beyond their own rounding, and measure what falls in between exactly
-_MARGIN = 1e-9
 _SCAN_ENTRIES = 1_000_000
-# `_within`'s chunks hold at least _CHUNK samples. Its boxes cost about as
+# `_front`'s chunks hold at least _CHUNK samples. Its boxes cost about as
 # much as a dense scan of _BOX_SETUP + S + _BOX_LAMBDA L (lambda, sample)
-# pairs, an edge as much as _EDGE_COST samples (`BENCH_scattered_boxes.json`)
+# pairs, an edge as much as _EDGE_COST samples (`BENCH_scattered_boxes.json`;
+# _BOX_LAMBDA re-measured on coarse rings in `BENCH_coarse_polyline.json`)
 _CHUNK = 8
 _BOX_SETUP = 16384
-_BOX_LAMBDA = 512
+_BOX_LAMBDA = 128
 _EDGE_COST = 4
 
 
@@ -133,12 +140,15 @@ def _padded(a, size):
     return a if a.size == size else np.concatenate((a, np.repeat(a[-1:], size - a.size)))
 
 
-def _within(samples, lams, reach, edges=False):
-    """(near, rescanned): `_distance(samples, lams, edges) <= reach` bit for
-    bit, reach one float or one per lam, pruned by the boxes of chunks of
-    samples; rescanned counts the lambdas measured again by `_distance`
-    itself. For scattered lambdas; a covering grid goes through
-    `_near_grid`.
+def _front(samples, lams, reach, edges=False):
+    """(dist, exact): for each lam, its distance to the samples, or with
+    edges to the closed polyline through them, where that is at most
+    bar = reach (1 + _MARGIN), and some value above bar where it is not;
+    reach one float or one per lam. exact tells that dist is
+    `_distance(samples, lams, edges)` itself; otherwise a distance within
+    bar may differ from it by ulps, since arrays of other shapes may round
+    apart, and callers settle the lambdas near a threshold by a margin. For
+    scattered lambdas; a covering grid goes through `_near_grid`.
 
     The S samples are cut into chunks of c consecutive ones, c a power of
     two near sqrt(S) (a quarter of that for edges, which cost more to
@@ -148,26 +158,23 @@ def _within(samples, lams, reach, edges=False):
     lies in the hull of its end points. Widened by 8 ulps of the largest
     coordinate, it also holds every point that the exact scan's rounded
     formula places on those edges. A rounded difference never shrinks as
-    its operand moves away, so where a side of the box lies beyond
-    bar = reach (1 + _MARGIN) from a lambda, rounded, so does every sample
-    and edge of the chunk, as the exact scan measures them. Such a pair
-    (lambda, chunk) is dropped, the pairs left are measured by the exact
-    scan's formulas, and a lambda that meets no box is far. The pairs to
-    test come from the lambdas sorted by Re: each box takes the run of them
-    within 2 max(bar) of its span in Re, which holds every lambda within bar
-    of it. Arrays of other shapes may round a distance apart by ulps, so
-    lambdas within a relative _MARGIN of reach are measured again by
-    `_distance`.
+    its operand moves away, so where a side of the box lies beyond bar from
+    a lambda, rounded, so does every sample and edge of the chunk, as the
+    exact scan measures them. Such a pair (lambda, chunk) is dropped, the
+    pairs left are measured by the exact scan's formulas, and a lambda that
+    meets no box is far (inf). The pairs to test come from the lambdas
+    sorted by Re: each box takes the run of them within 2 max(bar) of its
+    span in Re, which holds every lambda within bar of it.
 
     The dense scan serves the whole batch where the crossover sweep finds
-    it cheaper (`BENCH_scattered_boxes.json`): L lambdas cost w L S entries
+    it cheaper (`BENCH_coarse_polyline.json`): L lambdas cost w L S entries
     densely, w = _EDGE_COST for edges and 1 for samples, and the boxes
-    about _BOX_SETUP + S + _BOX_LAMBDA L. So single lambdas and small
-    curves, whose tol covers much of their range, keep the dense scan. It
-    also serves an infinite reach, which no box can prune, and a reach of
-    1e-100 or less: the exact scan's formula squares lengths near reach,
-    and a subnormal square rounds too coarsely for the relative _MARGIN to
-    cover.
+    about _BOX_SETUP + S + _BOX_LAMBDA L. So single lambdas, small batches
+    and small curves, whose tol covers much of their range, keep the dense
+    scan. It also serves an infinite reach, which no box can prune, and a
+    reach of 1e-100 or less: the exact scan's formula squares lengths near
+    reach, and a subnormal square rounds too coarsely for the relative
+    _MARGIN to cover.
     """
     lams = np.asarray(lams, dtype=complex).ravel()
     reach = np.zeros(lams.shape) + reach
@@ -175,7 +182,7 @@ def _within(samples, lams, reach, edges=False):
     w = _EDGE_COST if edges else 1
     dense = w * lams.size * n <= _BOX_SETUP + n + _BOX_LAMBDA * lams.size
     if dense or not 1e-100 < reach.min() <= reach.max() < np.inf:
-        return _distance(samples, lams, edges) <= reach, lams.size
+        return _distance(samples, lams, edges), True
     c = max(_CHUNK, (1 << (n.bit_length() // 2)) // w)
     k = -(-n // c)
     pts = _padded(samples, k * c).reshape(k, c)
@@ -212,6 +219,19 @@ def _within(samples, lams, reach, edges=False):
             lam = lams[o, None]
             d = _segment_distance(lam, pts[j], e[j]) if edges else np.abs(pts[j] - lam)
             np.minimum.at(dist, o, d.min(axis=1))
+    return dist, False
+
+
+def _within(samples, lams, reach, edges=False):
+    """(near, rescanned): `_distance(samples, lams, edges) <= reach` bit for
+    bit, reach one float or one per lam, from `_front`; rescanned counts the
+    lambdas measured by `_distance` itself: every one where the front
+    scanned densely, else those within a relative _MARGIN of reach."""
+    lams = np.asarray(lams, dtype=complex).ravel()
+    reach = np.zeros(lams.shape) + reach
+    dist, exact = _front(samples, lams, reach, edges)
+    if exact:
+        return dist <= reach, lams.size
     rescan = np.flatnonzero(np.abs(dist - reach) <= reach * _MARGIN)
     if rescan.size:
         dist[rescan] = _distance(samples, lams[rescan], edges)
@@ -342,17 +362,53 @@ def _codes(on_curve, windings):
     return np.where(on_curve, 0, np.where(windings != 0, 1, 2)).astype(np.int8)
 
 
-def _classify(samples, tol, lams):
-    """Status codes for scattered lambdas: ON_CURVE within tol of a sample
-    (`_within`), windings by crossing numbers."""
-    windings = _winding_numbers(samples, lams)
-    return _codes(_within(samples, lams, tol)[0], windings)
+def _classify(curve, lams):
+    """Status codes for scattered lambdas against a Curve, on its coarse
+    ring: every m-th sample, m g (1 + _MARGIN) < tol for the longest step g
+    between samples (`Curve.coarse`).
+
+    Windings are crossing numbers of the ring. Block k of the polyline
+    runs from c_k = s_(km) along m steps to c_(k+1) (the last one, closing
+    at c_0 = s_S, along at most m). Every point of it, and of the chord
+    c_k -> c_(k+1), lies within m g of c_k, and so does every point of the
+    straight-line homotopy between the two polylines. So the homotopy
+    misses every lambda farther than m g from all c_k, and every lambda
+    that is not ON_CURVE is one: it lies farther than tol > m g from every
+    sample. The ring winds about it as the polyline does. The counts stay
+    exact through rounding: with u = 2^-53, a crossing's abscissa x
+    (`_crossings`) rounds by under u (6 |dx| + |x|), where |x| <= l1 and
+    an edge's |dx| <= m g < tol, while distances and steps round by a few
+    u relative. A lambda that the exact scan puts farther than tol from
+    every sample lies farther from both polylines than
+    tol - m g (1 + 3u) - 2u tol > 27u (l1 + tol), by the room that
+    `Curve.coarse` leaves, so neither count rounds.
+
+    ON_CURVE stays `_distance(samples, lams) <= tol`, bit for bit. `_front`
+    measures the distance d from each lambda to the ring up to
+    reach = tol + (m // 2) g. d <= tol (1 - _MARGIN) is ON_CURVE, since the
+    ring's samples are samples; d > reach (1 + _MARGIN) is not, since every
+    sample is at most m // 2 steps from c_k or c_(k+1), so within
+    (m // 2) g of the ring; the margins cover the ulps
+    by which the front may round. Only the lambdas in between are measured
+    on all samples (`_within`). With m = 1 the ring is the samples, and only
+    the margins' band is measured again.
+    """
+    ring, m, g = curve.coarse
+    windings = _winding_numbers(ring, lams)
+    lams = np.asarray(lams, dtype=complex).ravel()
+    tol = curve.tol
+    reach = tol + (m // 2) * g
+    dist = _front(ring, lams, reach)[0]
+    on = dist <= tol * (1.0 - _MARGIN)
+    between = np.flatnonzero(~on & (dist <= reach * (1.0 + _MARGIN)))
+    if between.size:
+        on[between] = _within(curve.samples, lams[between], tol)[0]
+    return _codes(on, windings)
 
 
 def _statuses(phi, lams, grid_size):
     """Status codes of lambdas against phi sampled on grid_size points."""
-    curve = Curve(phi, grid_size)
-    return _classify(curve.samples, curve.tol, lams)
+    return _classify(Curve(phi, grid_size), lams)
 
 
 def spectrum_membership(phi, lam, grid_size=2048):
@@ -442,7 +498,7 @@ def hartman_wintner_check(phi, grid_size=512, probes=100, seed=11):
     counter = []
     probe_pass = True
     if certified:
-        work = _classify(samples, tol, certified)
+        work = _classify(curve, certified)
         bad = np.asarray(certified)[work == 2]
         counter = [complex(b) for b in bad]
         probe_pass = not counter

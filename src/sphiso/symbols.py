@@ -15,10 +15,11 @@ to the identical object, bit for bit.
 A symbol never changes once built, so each `LaurentPoly` keeps a small memo
 of what is computed from it: its band, l1 norm and two derivative bounds,
 and the samples of the one-variable grids of up to 2048 points that
-`eval_grid` has drawn, 40 KiB of them at most. Repeated queries on one
-symbol (a sup bracket, then windings, then memberships) then sample it once
-per grid. The memo lives on the object, never in a cache keyed by value:
-equal symbols whose coefficients come in another order sum their terms in
+`eval_grid` has drawn, 40 KiB of them at most, each with its coarse ring
+once `Curve.coarse` has measured it. Repeated queries on one symbol (a sup
+bracket, then windings, then memberships) then sample it once per grid.
+The memo lives on the object, never in a cache keyed by value: equal
+symbols whose coefficients come in another order sum their terms in
 another order, and each keeps its own bits.
 """
 
@@ -484,17 +485,18 @@ def eval_grid(phi, grid_size):
     if grid_size < need:
         raise PreconditionError(f"grid_size {grid_size} < 4*(1+band) = {need}")
     if phi.nvars == 1 and grid_size <= _TABLE_POINTS:
+        # each entry is [samples, coarse], coarse None until `Curve.coarse`
         grids = phi._memoized("grids", dict)
-        samples = grids.get(grid_size)
-        if samples is None:
+        entry = grids.get(grid_size)
+        if entry is None:
             samples = np.zeros(grid_size, dtype=complex)
             for (k,), c in phi._coeffs.items():
                 samples += c * _unit_powers(grid_size, k) if k else c
             samples.setflags(write=False)
             while 16 * (sum(grids) + grid_size) > _MEMO_BYTES:
                 del grids[next(iter(grids))]
-            grids[grid_size] = samples
-        return samples
+            entry = grids[grid_size] = [samples, None]
+        return entry[0]
     ring = np.exp(1j * (2.0 * np.pi * np.arange(grid_size) / grid_size))
     if phi.nvars == 1:
         samples = phi.eval_at(ring)
@@ -509,6 +511,9 @@ def eval_grid(phi, grid_size):
 
 # past it samples may overflow, and their squared distances do from ~1.3e154
 _MAX_L1 = 1e150
+# distance tests widen or narrow a threshold by this relative margin, far
+# beyond their own rounding, and measure what falls in between exactly
+_MARGIN = 1e-9
 
 
 @dataclass(frozen=True)
@@ -524,8 +529,11 @@ class Curve:
     derivative), conservative but certifiable, since consecutive samples are
     at most spacing * bound apart. sag bounds how far the true curve strays
     from the chord between two samples, spacing^2 * (l1 bound on the second
-    derivative) / 8; a sampled sup misses the true sup by as much. phi's l1
-    norm must not exceed _MAX_L1, nor its second-derivative bound overflow.
+    derivative) / 8; a sampled sup misses the true sup by as much. coarse is
+    the ring of every m-th sample on which scattered queries count
+    crossings, m being how many of the longest steps between samples fit in
+    tol. phi's l1 norm must not exceed _MAX_L1, nor its second-derivative
+    bound overflow.
     """
 
     phi: LaurentPoly
@@ -552,6 +560,40 @@ class Curve:
     def sag(self):
         return (2.0 * np.pi / self.size) ** 2 * self.phi.second_derivative_l1_bound() / 8.0
 
+    @cached_property
+    def coarse(self):
+        """(ring, m, g): the samples c_k = s_(km), k = 0, 1, ..., as a closed
+        ring, where g is the longest step |s_(j+1) - s_j| of the closed
+        polyline through the S samples and m, at most S, the largest integer
+        below room / (g (1 + _MARGIN)), room = tol - 2^-48 (l1 + tol), so that
+        m g (1 + _MARGIN) < room but for rounding; m = 1, the ring being the
+        samples, when there is none. Since tol = 10 spacing B' and
+        g <= spacing B', m is 9 or more unless l1 dwarfs tol.
+
+        The ring winds as the polyline does about every lambda farther than
+        tol from every sample, and every sample lies within (m // 2) g of
+        it; `spectra._classify` gives both arguments and the rounding.
+
+        On grids of up to 2048 points the ring, m and g are kept in phi's
+        memo with the samples and go with them; a larger grid's go with its
+        Curve.
+        """
+        samples = self.samples
+        entry = [samples, None]
+        if self.size <= _TABLE_POINTS:
+            entry = self.phi._memo["grids"].get(self.size, entry)
+        if entry[1] is None:
+            g = float(np.max(np.abs(np.diff(samples, append=samples[:1]))))
+            m = 1
+            if g > 0.0:
+                room = self.tol - 2.0**-48 * (self.phi.l1_norm() + self.tol)
+                # past S steps the ring is s_0 alone; the cap keeps ceil finite
+                m = max(1, math.ceil(min(room / (g * (1.0 + _MARGIN)), self.size + 1)) - 1)
+            ring = samples if m == 1 else np.ascontiguousarray(samples[::m])
+            ring.setflags(write=False)
+            entry[1] = ring, m, g
+        return entry[1]
+
     def refine(self, target, floor, step, cap, name):
         """The curve on the least multiple of step, at least floor, whose sag
         is below target; past cap, on the largest multiple of step within it.
@@ -573,16 +615,17 @@ def winding(phi, lam, grid_size=512):
 
     The curve is sampled on the uniform grid and the winding number of the
     closed polyline through the samples is counted exactly by
-    `_winding_numbers`. Raises OnCurveError when lam is within the curve's
-    tol of a sample; farther away the polyline and the curve wind alike,
-    since consecutive samples are at most that far apart.
+    `_winding_numbers` on its coarse ring (`Curve.coarse`). Raises
+    OnCurveError when lam is within the curve's tol of a sample; farther
+    away the polyline, the ring and the curve wind alike, since consecutive
+    samples are at most that far apart.
     """
     curve = Curve(phi, grid_size)
     lam = complex(lam)
     dist = float(np.min(np.abs(curve.samples - lam)))
     if dist <= curve.tol:
         raise OnCurveError(dist, curve.tol)
-    return int(_winding_numbers(curve.samples, [lam])[0])
+    return int(_winding_numbers(curve.coarse[0], [lam])[0])
 
 
 # The dense crossing table is cheaper than the rank search up to about this

@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+from sphiso import checks
 from sphiso import circle_calculus as cc
 from sphiso import hardy_measures as hm
 from sphiso.errors import ConditioningError, PreconditionError
@@ -100,6 +101,24 @@ def test_onb_inverts_as_solve_triangular_does():
     low = hm._cholesky_with_pivots(hm.moment_matrix(m, 20))
     want = solve_triangular(low, np.eye(21, dtype=complex), lower=True).conj()
     assert np.array_equal(hm.onb(m, 20).coeff, want)
+
+
+def test_onb_factors_each_degree_of_a_measure_once(monkeypatch):
+    # a measure keeps its bases: the weighted-Hardy check factors one Gram
+    # matrix per (measure, degree), with the bits of a fresh factorization
+    calls = []
+    honest = hm._cholesky_with_pivots
+    monkeypatch.setattr(hm, "_cholesky_with_pivots", lambda g: calls.append(len(g)) or honest(g))
+    params = dict(checks.DEFAULT_PARAMS)
+    checks._check_weighted_hardy(params, 1)
+    # the weighted measure at each degree, Lebesgue measure at 24, one more at 20
+    assert sorted(calls) == sorted([d + 1 for d in params["hardy_degrees"]] + [25, 21])
+    m = hm.CircleMeasure({0: 1.0, 1: 0.25 + 0.15j, 2: 0.1})
+    basis = hm.onb(m, 20)
+    assert hm.onb(m, 20) is basis and not basis.coeff.flags.writeable
+    fresh = hm.onb(hm.CircleMeasure({0: 1.0, 1: 0.25 + 0.15j, 2: 0.1}), 20)
+    assert fresh is not basis
+    assert fresh.coeff.tobytes() == basis.coeff.tobytes()
 
 
 def test_cholesky_breaks_down_on_a_nan_pivot():

@@ -72,8 +72,8 @@ def _nan_for_runner(mp):
 def _outside_probe(mp):
     honest = sp._classify
 
-    def planted(samples, tol, lams):
-        codes = honest(samples, tol, lams)
+    def planted(curve, lams):
+        codes = honest(curve, lams)
         codes[0] = 2
         return codes
 

@@ -1,5 +1,6 @@
 import csv
 import io
+import json
 import math
 import subprocess
 import sys
@@ -286,12 +287,29 @@ def random_symbol_of_band(rng, band):
     return LaurentPoly(1, {(k,): complex(c) for k, c in coeffs.items()})
 
 
-@pytest.mark.parametrize("grid_size", [512, 2048])
+@pytest.mark.parametrize("grid_size", [512, 1000, 2048, 8192])
 def test_classify_matches_the_dense_scan(grid_size):
+    # a constant symbol (tol = 0, so m = 1), bands 1-12, and curves with small
+    # loops (z + a z^n with a n > 1), where a ring too coarse would cut corners
     rng = np.random.default_rng(grid_size)
-    for band in range(1, 13):
-        curve = Curve(random_symbol_of_band(rng, band), grid_size)
+    symbols = [LaurentPoly.constant(0.5 - 0.25j)]
+    symbols += [random_symbol_of_band(rng, band) for band in range(1, 13)]
+    symbols += [Z + (1.2 / n) * (Z**n if n > 0 else ZBAR**-n) for n in (-7, -3, 4, 9)]
+    strides = []
+    for phi in symbols:
+        curve = Curve(phi, grid_size)
         samples, tol = curve.samples, curve.tol
+        ring, m, g = curve.coarse
+        assert np.array_equal(ring, samples[::m])
+        assert g == np.abs(np.diff(samples, append=samples[:1])).max()
+        # m is the largest stride whose homotopy radius m g stays inside tol,
+        # with room for rounding (or 1, or the whole grid)
+        room = tol - 2.0**-48 * (phi.l1_norm() + tol)
+        ratio = room / (g * (1.0 + sp._MARGIN)) if g else 0.0
+        assert m == 1 or m < ratio
+        assert m == grid_size or m + 1 >= ratio
+        strides.append(m)
+        size = max(1.0, phi.l1_norm())
         for count in (1, 2, 7, 16, 48, 131, 400):
             # near the curve, in its range box, on a sample and beyond the l1 bound
             near = samples[rng.integers(0, grid_size, count)]
@@ -301,28 +319,56 @@ def test_classify_matches_the_dense_scan(grid_size):
             ) * np.abs(samples.imag).max()
             lams = np.where(rng.random(count) < 0.5, near, box)
             lams[::5] = samples[rng.integers(0, grid_size, lams[::5].size)]
-            lams[1::7] *= 3.0 * band
+            # on the ring, and in the band (tol, tol + (m // 2) g] about it
+            lams[2::5] = ring[rng.integers(0, ring.size, lams[2::5].size)]
+            band = lams[3::5].size
+            lams[3::5] = ring[rng.integers(0, ring.size, band)] + (
+                tol + (1.0 - rng.random(band)) * (m // 2) * g
+            ) * np.exp(2j * np.pi * rng.random(band))
+            # off a sample (half of them on the ring) along the normal, either
+            # side, 0.9 to 2 tol away or within 5e-10 tol of tol
+            off = lams[4::5].size
+            j = np.where(
+                rng.random(off) < 0.5, m * rng.integers(0, ring.size, off), rng.integers(0, grid_size, off)
+            )
+            chord = samples[(j + 1) % grid_size] - samples[j - 1]
+            normal = 1j * chord / np.maximum(np.abs(chord), 1e-300)
+            side = np.where(
+                rng.random(off) < 0.5, rng.uniform(0.9, 2.0, off), 1.0 + rng.choice([-5e-10, 5e-10], off)
+            )
+            side *= np.where(rng.random(off) < 0.5, 1.0, -1.0)
+            lams[4::5] = samples[j] + tol * side * normal
+            lams[1::7] *= 3.0 * size
             dense = sp._codes(sp._distance(samples, lams) <= tol, sp._winding_numbers(samples, lams))
-            assert np.array_equal(sp._classify(samples, tol, lams), dense)
+            assert np.array_equal(sp._classify(curve, lams), dense)
+    assert strides[0] == 1 and min(strides[1:]) >= 9
 
 
 def test_membership_batch_scans_no_far_lambda_densely(monkeypatch):
-    # 48 lambdas farther than 10 tol from the curve meet no box and so never
-    # reach the dense scan
+    # 48 lambdas farther than 10 tol from the curve are settled on the
+    # coarse ring, so none reaches a scan of the full samples, dense or boxed
     phi = Z + 0.2 * ZBAR**2
     curve = Curve(phi, 2048)
+    ring, m, _ = curve.coarse
+    assert m >= 8 and ring.size == -(-2048 // m)
     rng = np.random.default_rng(8)
     pool = 2.5 * (rng.uniform(-1, 1, 2000) + 1j * rng.uniform(-1, 1, 2000))
     lams = pool[sp._distance(curve.samples, pool) > 10 * curve.tol][:48]
     assert lams.size == 48
     scanned = []
-    distance = sp._distance
 
-    def spy(samples, pts, *args, **kw):
-        scanned.append(np.size(pts))
-        return distance(samples, pts, *args, **kw)
+    def spy(name):
+        honest = getattr(sp, name)
 
-    monkeypatch.setattr(sp, "_distance", spy)
+        def measured(samples, pts, *args, **kw):
+            if samples.size == curve.samples.size:
+                scanned.append(np.size(pts))
+            return honest(samples, pts, *args, **kw)
+
+        monkeypatch.setattr(sp, name, measured)
+
+    spy("_distance")
+    spy("_front")
     statuses = sp.membership_batch(phi, lams, 2048)
     assert sum(scanned) == 0
     assert sp.ON_CURVE not in set(statuses)
@@ -612,15 +658,19 @@ def test_spectra_checks_never_import_scipy_spatial(child_env):
 
 
 def test_a_run_never_imports_the_scipy_linalg_package(child_env, tmp_path):
-    # sphiso loads scipy's compiled LAPACK/BLAS wrappers alone; a later
-    # import of scipy.linalg hands out the very routines sphiso calls
+    # sphiso loads scipy's compiled LAPACK/BLAS wrappers alone, and the run
+    # reads scipy's version from its file, so not even the scipy package is
+    # imported; a later import of scipy.linalg hands out the very routines
+    # sphiso calls
+    import scipy
+
     smoke = Path(__file__).resolve().parent.parent / "scenarios" / "smoke.json"
     code = (
         "import sys; import sphiso.cli\n"
         "print('scipy.linalg' in sys.modules)\n"
         f"argv = ['run', {str(smoke)!r}, '--suite', 'all', '--out', {str(tmp_path)!r}]\n"
         "assert sphiso.cli.main(argv) == 0\n"
-        "print('scipy.linalg' in sys.modules)\n"
+        "print('scipy.linalg' in sys.modules, 'scipy' in sys.modules)\n"
         "import scipy.linalg.blas, scipy.linalg.lapack\n"
         "from sphiso import linalg\n"
         "print(scipy.linalg.lapack.zpbtrf is linalg._flapack.zpbtrf,"
@@ -632,14 +682,16 @@ def test_a_run_never_imports_the_scipy_linalg_package(child_env, tmp_path):
     )
     assert done.returncode == 0, done.stderr
     assert done.stdout.splitlines()[0] == "False"
-    assert done.stdout.splitlines()[-2:] == ["False", "True True True"]
+    assert done.stdout.splitlines()[-2:] == ["False False", "True True True"]
+    (manifest,) = tmp_path.glob("*/manifest.json")
+    assert json.loads(manifest.read_text())["scipy"] == scipy.__version__
 
 
 def test_hartman_wintner_flags_a_planted_outside(monkeypatch):
     honest = sp._classify
 
-    def planted(samples, tol, lams):
-        codes = honest(samples, tol, lams)
+    def planted(curve, lams):
+        codes = honest(curve, lams)
         codes[0] = 2
         return codes
 

@@ -3,8 +3,9 @@
 The library counts winding numbers by crossing numbers (`_winding_numbers`
 for scattered lambdas, `spectra._grid_windings` by rows for covering grids)
 and decides ON_CURVE by distance: on covering grids from the runs each
-sample covers on the rows (`_near_grid`), for scattered lambdas by the exact
-scan (`_classify`). The oracle below is the earlier implementation: it sums
+sample covers on the rows (`_near_grid`), for scattered lambdas on the
+curve's coarse ring, with the exact scan near tol (`_classify`). The oracle
+below is the earlier implementation: it sums
 the principal argument of each step of samples - lam, rounds the total to a
 multiple of 2 pi and refuses to answer when the total drifts. Off the
 sampled polyline both count the same integer, so every status and every
@@ -122,7 +123,7 @@ def test_scattered_and_near_curve_match_oracle(grid_size):
         samples, tol = curve.samples, curve.tol
         lams = scattered_lambdas(phi, grid_size, rng, 300)
         want = status_codes(samples, tol, lams)
-        assert np.array_equal(sp._classify(samples, tol, lams), want)
+        assert np.array_equal(sp._classify(curve, lams), want)
         names = sp.membership_batch(phi, lams, grid_size)
         assert list(names) == [sp._STATUS_NAMES[c] for c in want]
         assert sp.spectrum_membership(phi, lams[0], grid_size) == names[0]
@@ -176,7 +177,7 @@ def test_ties_on_symbol_sample_ordinates():
         for ys in (rows, np.sort(rows)):
             lams = product(xs, ys)
             want = status_codes(samples, tol, lams)
-            assert np.array_equal(sp._classify(samples, tol, lams), want)
+            assert np.array_equal(sp._classify(curve, lams), want)
         assert np.array_equal(grid_codes(samples, tol, xs, ys), want)
 
 
@@ -257,7 +258,7 @@ def test_crossing_matches_oracle_property(coeffs, lams, grid_size):
     curve = Curve(phi, grid_size)
     samples, tol = curve.samples, curve.tol
     want = status_codes(samples, tol, lams)
-    assert np.array_equal(sp._classify(samples, tol, lams), want)
+    assert np.array_equal(sp._classify(curve, lams), want)
     dist, w, _ = dense_winding(samples, lams)
     for lam, d, wi in zip(lams, dist, w):
         if d > tol:
