@@ -280,6 +280,9 @@ def _check_commutant(params, seed):
                 and lift.sup_lower <= lift.sup_upper + 1e-12
             )
     rejected = 0
+    # rejections are classified at a capped truncation, noted apart
+    classify = min(trunc, 256)
+    record.note(classify_truncation=classify)
     for t in range(count):
         rng = _rng(seed, 41, t)
         if t % 2 == 0:
@@ -293,7 +296,7 @@ def _check_commutant(params, seed):
             x = circle.ToeplitzElement(
                 random_symbol(rng, deg), random_correction(rng, corr)
             )
-        rep = circle.commutant_character(x, trunc=min(trunc, 256))
+        rep = circle.commutant_character(x, trunc=classify)
         if rep.classification != circle.ANALYTIC_TOEPLITZ:
             rejected += 1
     worst_gap = worst(gaps)
@@ -392,6 +395,7 @@ def _check_convex_bound(params, seed):
 def _check_numerical_range(params, seed):
     symbols = _suite_symbols(params, seed)
     take = symbols[: min(8, len(symbols))]
+    record.note(symbols_taken=len(take))
     thetas = [2.0 * math.pi * k / params["nr_thetas"] for k in range(params["nr_thetas"])]
     trunc = params["nr_truncation"]
     violations = 0
@@ -433,6 +437,9 @@ def _check_szego(params, seed):
     tol_int = params["tolerances"]["interior"]
     tol_id = params["tolerances"]["identity"]
     interior, shell, fixed, planted, ext = [], [], [], [], []
+    # the normal extension and the drawn symbols' band are capped, noted apart
+    ext_degree, band = min(d, 6), min(2, d // 2)
+    record.note(extension_degree=ext_degree, symbol_band=band)
     support_ok = True
     mismatches = 0
     for n in params["sphere_dims"]:
@@ -449,7 +456,7 @@ def _check_szego(params, seed):
 
         for t in range(params["sphere_symbols"]):
             rng = _rng(seed, 75 + n, t)
-            phi = _random_sphere_symbol(rng, n, max_band=min(2, d // 2))
+            phi = _random_sphere_symbol(rng, n, max_band=band)
             op = szego.toeplitz_graded(phi, n, d)
             frep = szego.fixed_point_residual(op, tup)
             fixed.append(frep.interior_max)
@@ -460,7 +467,7 @@ def _check_szego(params, seed):
         prep = szego.fixed_point_residual(base + plant, tup)
         planted.append(prep.interior_max)
 
-        ext.append(szego.normal_extension_defect(n, min(d, 6)))
+        ext.append(szego.normal_extension_defect(n, ext_degree))
     interior_worst, top_dev, fixed_worst = worst(interior), worst(shell), worst(fixed)
     planted_min, ext_worst = float(np.min(planted)), worst(ext)
     verdict = (

@@ -20,16 +20,18 @@ each crossing counts its sign on the run of columns left of it, and each
 sample covers one run of columns within tol (`_near_grid`); a difference
 array per row counts the runs over every lambda. Scattered lambdas are
 classified on the curve's coarse ring (`Curve.coarse`): every m-th sample,
-m the number of the longest steps between samples that fit in tol, so that
-a straight-line homotopy carries the polyline onto the ring without
-crossing any lambda that is not ON_CURVE. The ring's crossings give the
-windings; its distances settle ON_CURVE for every lambda but those at most
-(m // 2) longest steps beyond tol, which are measured on all samples
-(`_classify`). Distances to scattered lambdas come from `_front`: it bounds
-chunks of consecutive samples by boxes and measures only the chunks whose
-boxes come within reach of each lambda, and leaves single lambdas, small
-batches and small curves to the exact scan. `_within` settles a threshold
-on it: ON_CURVE on all samples and the clearance of the near-range probes.
+m the number of the longest steps between samples that fit in tol. The
+ring's distances settle ON_CURVE first, for every lambda but those at most
+(m // 2) longest steps beyond tol, which are measured on all samples; a
+point of the curve is in the spectrum whatever its winding. Only the
+lambdas left are counted, by the ring's crossings: a straight-line homotopy
+carries the polyline onto the ring without crossing any lambda that is not
+ON_CURVE (`_classify`). Distances to scattered lambdas come from `_front`:
+it bounds chunks of consecutive samples by boxes and measures only the
+chunks whose boxes come within reach of each lambda, and leaves single
+lambdas, small batches and small curves to the exact scan. `_within`
+settles a threshold on it: ON_CURVE on all samples and the clearance of the
+near-range probes.
 
 Every check reads the curve through one `symbols.Curve`: phi sampled by
 `symbols.eval_grid` on a uniform grid, with its ON_CURVE distance `tol` and
@@ -74,6 +76,7 @@ from .symbols import (
     _MARGIN,
     Curve,
     _crossings,
+    _finite_lambdas,
     _segment_distance,
     _winding_numbers,
     conv_hull,
@@ -365,37 +368,40 @@ def _codes(on_curve, windings):
 def _classify(curve, lams):
     """Status codes for scattered lambdas against a Curve, on its coarse
     ring: every m-th sample, m g (1 + _MARGIN) < tol for the longest step g
-    between samples (`Curve.coarse`).
+    between samples (`Curve.coarse`). ON_CURVE is settled first, and
+    crossings are counted only for the lambdas it leaves: a point of the
+    curve is in the spectrum whatever its winding.
 
-    Windings are crossing numbers of the ring. Block k of the polyline
-    runs from c_k = s_(km) along m steps to c_(k+1) (the last one, closing
-    at c_0 = s_S, along at most m). Every point of it, and of the chord
-    c_k -> c_(k+1), lies within m g of c_k, and so does every point of the
-    straight-line homotopy between the two polylines. So the homotopy
-    misses every lambda farther than m g from all c_k, and every lambda
-    that is not ON_CURVE is one: it lies farther than tol > m g from every
-    sample. The ring winds about it as the polyline does. The counts stay
-    exact through rounding: with u = 2^-53, a crossing's abscissa x
-    (`_crossings`) rounds by under u (6 |dx| + |x|), where |x| <= l1 and
-    an edge's |dx| <= m g < tol, while distances and steps round by a few
-    u relative. A lambda that the exact scan puts farther than tol from
-    every sample lies farther from both polylines than
-    tol - m g (1 + 3u) - 2u tol > 27u (l1 + tol), by the room that
-    `Curve.coarse` leaves, so neither count rounds.
-
-    ON_CURVE stays `_distance(samples, lams) <= tol`, bit for bit. `_front`
+    ON_CURVE is `_distance(samples, lams) <= tol`, bit for bit. `_front`
     measures the distance d from each lambda to the ring up to
     reach = tol + (m // 2) g. d <= tol (1 - _MARGIN) is ON_CURVE, since the
     ring's samples are samples; d > reach (1 + _MARGIN) is not, since every
     sample is at most m // 2 steps from c_k or c_(k+1), so within
-    (m // 2) g of the ring; the margins cover the ulps
-    by which the front may round. Only the lambdas in between are measured
-    on all samples (`_within`). With m = 1 the ring is the samples, and only
-    the margins' band is measured again.
+    (m // 2) g of the ring; the margins cover the ulps by which the front
+    may round. Only the lambdas in between are measured on all samples
+    (`_within`). With m = 1 the ring is the samples, and only the margins'
+    band is measured again.
+
+    The windings of the lambdas left are crossing numbers of the ring.
+    Block k of the polyline runs from c_k = s_(km) along m steps to
+    c_(k+1) (the last one, closing at c_0 = s_S, along at most m). Every
+    point of it, and of the chord c_k -> c_(k+1), lies within m g of c_k,
+    and so does every point of the straight-line homotopy between the two
+    polylines. So the homotopy misses every lambda farther than m g from
+    all c_k, and each lambda counted is one: it lies farther than
+    tol > m g from every sample. The ring winds about it as the polyline
+    does. The counts stay exact through rounding: with u = 2^-53, a
+    crossing's abscissa x (`_crossings`) rounds by under u (6 |dx| + |x|),
+    where |x| <= l1 and an edge's |dx| <= m g < tol, while distances and
+    steps round by a few u relative. A lambda farther than tol from every
+    sample by the exact scan lies farther from both polylines than
+    tol - m g (1 + 3u) - 2u tol > 27u (l1 + tol), by the room that
+    `Curve.coarse` leaves, so neither count rounds. A lambda's count does
+    not depend on the others in the call, so counting a subset gives each
+    the same integer.
     """
+    lams = _finite_lambdas(lams)
     ring, m, g = curve.coarse
-    windings = _winding_numbers(ring, lams)
-    lams = np.asarray(lams, dtype=complex).ravel()
     tol = curve.tol
     reach = tol + (m // 2) * g
     dist = _front(ring, lams, reach)[0]
@@ -403,7 +409,11 @@ def _classify(curve, lams):
     between = np.flatnonzero(~on & (dist <= reach * (1.0 + _MARGIN)))
     if between.size:
         on[between] = _within(curve.samples, lams[between], tol)[0]
-    return _codes(on, windings)
+    codes = np.zeros(lams.size, dtype=np.int8)
+    off = np.flatnonzero(~on)
+    if off.size:
+        codes[off] = np.where(_winding_numbers(ring, lams[off]) != 0, 1, 2)
+    return codes
 
 
 def _statuses(phi, lams, grid_size):

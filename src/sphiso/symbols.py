@@ -583,7 +583,9 @@ class Curve:
         if self.size <= _TABLE_POINTS:
             entry = self.phi._memo["grids"].get(self.size, entry)
         if entry[1] is None:
-            g = float(np.max(np.abs(np.diff(samples, append=samples[:1]))))
+            # the closing step by numpy's abs too: Python's may round apart
+            close = np.abs(samples[0] - samples[-1])
+            g = float(max(np.abs(samples[1:] - samples[:-1]).max(), close))
             m = 1
             if g > 0.0:
                 room = self.tol - 2.0**-48 * (self.phi.l1_norm() + self.tol)

@@ -294,7 +294,8 @@ def test_run_decisions_go_to_manifest_only(tmp_path):
     assert all(2048 <= n <= 65536 for n in hw["fine_size"])
     assert hw["probes_kept"] == [20, 20, 20]
     nr = decisions["numerical_range"]
-    assert set(nr) == {"sup_points", "sup_sag", "band", "factorizations"}
+    assert set(nr) == {"sup_points", "sup_sag", "band", "factorizations", "symbols_taken"}
+    assert nr["symbols_taken"] == [3]
     assert len(nr["sup_points"]) == len(nr["sup_sag"]) == len(nr["band"]) == 4
     # one count per band_max_eig solve, one solve per direction; a plain
     # bisection at truncation 128 makes about 54 factorizations per solve,
@@ -314,6 +315,32 @@ def test_run_decisions_go_to_manifest_only(tmp_path):
     symbol, corner = checks.random_symbol(rng, 3), checks.random_correction(rng, 3)
     widened = max(symbol.band(), max(corner.shape) - 1)
     assert nr["band"] == [phi.band() for phi in drawn] + [widened]
+
+
+def test_run_notes_the_fixed_caps_in_the_manifest_only(tmp_path):
+    # commutant_lifting classifies its rejections at min(trunc, 256), and
+    # szego_model runs the normal extension at min(d, 6) and draws symbols of
+    # band min(2, d // 2); numerical_range's min(8, symbols) is noted above
+    circle_run = dict(SMALL, parameters=dict(SMALL["parameters"], commutant_truncation=512))
+    szego_run = {
+        "name": "small-szego",
+        "seed": 5,
+        "suite": "szego",
+        "parameters": {"sphere_dims": [2], "sphere_degree": 8, "sphere_symbols": 2},
+    }
+    caps = {
+        "commutant_lifting": {"classify_truncation": [256]},
+        "szego_model": {"extension_degree": [6], "symbol_band": [2]},
+    }
+    for (check, noted), obj in zip(caps.items(), (circle_run, szego_run)):
+        out = tmp_path / check
+        assert cli.main(["run", write_scenario(tmp_path, obj), "--out", str(out)]) == 0
+        (rundir,) = sorted(out.iterdir())
+        raw = (rundir / "report.json").read_text()
+        decisions = json.loads((rundir / "manifest.json").read_text())["decisions"]
+        assert {key: decisions[check][key] for key in noted} == noted
+        for key in noted:
+            assert key not in raw
 
 
 def test_run_notes_the_determinism_rerun_trials(tmp_path):

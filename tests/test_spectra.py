@@ -125,10 +125,11 @@ def test_hartman_wintner_fine_windings_match_the_doubled_grid(monkeypatch):
     for phi in suite(4) + [Z**3 + 0.5 * ZBAR]:
         calls.clear()
         assert sp.hartman_wintner_check(phi, grid_size=512).verdict
-        # fine grids have at least 4 * grid_size points; the working grid's
-        # call classifies the certified probes
+        # fine grids have at least 4 * grid_size points; the certified probes
+        # lie within tol / 2 of a working sample, so ON_CURVE settles them on
+        # the working grid without a crossing count
         fine = [(s, lams) for s, lams in calls if s.size > 512]
-        assert fine
+        assert fine and len(fine) == len(calls)
         for samples, lams in fine:
             doubled = eval_grid(phi, 2 * samples.size)
             assert np.array_equal(honest(samples, lams), honest(doubled, lams))
@@ -373,6 +374,82 @@ def test_membership_batch_scans_no_far_lambda_densely(monkeypatch):
     assert sum(scanned) == 0
     assert sp.ON_CURVE not in set(statuses)
     assert set(statuses) == {sp.OUTSIDE, sp.WINDING_NONZERO}
+
+
+def dense_codes(samples, tol, lams):
+    """Status codes by the exact distance and the full polyline's windings."""
+    return sp._codes(sp._distance(samples, lams) <= tol, sp._winding_numbers(samples, lams))
+
+
+def test_classify_band_bound_holds_on_a_hairpin():
+    # z + 0.034 z^35 folds back within each block of the ring, so a sample in
+    # the middle of a block lies nearly (m // 2) g from the ring: lambdas just
+    # beyond tol of it sit deep in the band that only all samples settle
+    curve = Curve(Z + 0.034 * Z**35, 512)
+    samples, tol = curve.samples, curve.tol
+    _, m, _ = curve.coarse
+    assert m == 10
+    mid = samples[m // 2 :: m]
+    lams = (mid[:, None] + tol * (1.0 + 1e-7) * np.exp(2j * np.pi * np.arange(64) / 64)).ravel()
+    assert lams.size == 3264
+    dense = dense_codes(samples, tol, lams)
+    assert set(dense.tolist()) == {0, 1, 2}
+    assert np.array_equal(sp._classify(curve, lams), dense)
+
+
+class CrossingSpy:
+    """Records the lambdas of every `spectra._winding_numbers` call."""
+
+    def __init__(self, monkeypatch):
+        self.calls = []
+        honest = sp._winding_numbers
+
+        def counted(samples, lams):
+            self.calls.append(np.array(lams, dtype=complex))
+            return honest(samples, lams)
+
+        monkeypatch.setattr(sp, "_winding_numbers", counted)
+
+
+def test_classify_counts_crossings_only_off_the_curve(monkeypatch):
+    spy = CrossingSpy(monkeypatch)
+    rng = np.random.default_rng(34)
+    for phi in [Z**2 + 0.5 * ZBAR, Z + 0.034 * Z**35, random_symbol_of_band(rng, 7)]:
+        for grid_size in (512, 2048):
+            curve = Curve(phi, grid_size)
+            samples, tol = curve.samples, curve.tol
+            near = samples[rng.integers(0, grid_size, 150)]
+            near = near + tol * rng.uniform(0.0, 2.0, 150) * np.exp(2j * np.pi * rng.random(150))
+            far = 2.0 * phi.l1_norm() * (rng.uniform(-1, 1, 50) + 1j * rng.uniform(-1, 1, 50))
+            lams = np.concatenate((near, far))
+            dense = dense_codes(samples, tol, lams)
+            spy.calls.clear()
+            assert np.array_equal(sp._classify(curve, lams), dense)
+            (counted,) = spy.calls
+            off = lams[sp._distance(samples, lams) > tol]
+            assert 0 < off.size < lams.size
+            assert np.array_equal(counted, off)
+
+
+def test_membership_on_the_curve_counts_no_crossing(monkeypatch):
+    spy = CrossingSpy(monkeypatch)
+    phi = Z**2 + 0.5 * ZBAR
+    lam = Curve(phi, 2048).samples[100]
+    assert sp.spectrum_membership(phi, lam) == sp.ON_CURVE
+    assert sp.spectrum_membership(phi, 0.1 + 0.05j) == sp.WINDING_NONZERO
+    assert len(spy.calls) == 1 and spy.calls[0].tolist() == [0.1 + 0.05j]
+
+
+def test_classify_empty_and_non_finite_batches():
+    phi = Z**2 + 0.5 * ZBAR
+    assert sp.membership_batch(phi, []).shape == (0,)
+    assert sp._classify(Curve(phi, 2048), np.array([], dtype=complex)).shape == (0,)
+    on = list(Curve(phi, 2048).samples[:5])
+    for bad in (math.nan, complex(0.0, math.inf), -math.inf):
+        with pytest.raises(PreconditionError, match="finite lambdas"):
+            sp.membership_batch(phi, on + [bad])
+        with pytest.raises(PreconditionError, match="finite lambdas"):
+            sp.spectrum_membership(phi, bad)
 
 
 # ---------------------------------------------------------------------------
