@@ -416,22 +416,17 @@ def _classify(curve, lams):
     return codes
 
 
-def _statuses(phi, lams, grid_size):
-    """Status codes of lambdas against phi sampled on grid_size points."""
-    return _classify(Curve(phi, grid_size), lams)
-
-
 def spectrum_membership(phi, lam, grid_size=2048):
     """ON_CURVE / WINDING_NONZERO / OUTSIDE for a single lambda.
 
     lam belongs to sigma(T_phi) exactly when the answer is not OUTSIDE.
     """
-    return _STATUS_NAMES[_statuses(phi, [lam], grid_size)[0]]
+    return _STATUS_NAMES[_classify(Curve(phi, grid_size), [lam])[0]]
 
 
 def membership_batch(phi, lams, grid_size=2048):
     """Status name array for a batch of lambdas on one shared sample grid."""
-    return _NAMES[_statuses(phi, lams, grid_size)]
+    return _NAMES[_classify(Curve(phi, grid_size), lams)]
 
 
 def lambda_grid(samples, n):
@@ -473,8 +468,12 @@ def hartman_wintner_check(phi, grid_size=512, probes=100, seed=11):
     measured again by the exact scan of every fine edge are noted as
     clearance_fallbacks, with the fine grid's size and clamp and the probes
     certified (as probes_kept). Certified probes must not read OUTSIDE on
-    the working grid. Symbols whose spectrum has empty interior (real-valued
-    ones, say) certify no probes and pass vacuously.
+    the working grid, but that comparison cannot fail: every probe lies
+    within hi <= tol / 2 of a working sample, so `_classify` reads it
+    ON_CURVE there. What the check establishes is the fine grid's
+    certificate; a gate that can fail needs an independent count of the
+    windings (by roots, not yet made). Symbols whose spectrum has empty
+    interior (real-valued ones, say) certify no probes and pass vacuously.
     """
     rng = np.random.default_rng(seed)
     curve = Curve(phi, grid_size)

@@ -7,11 +7,13 @@ monomials z^alpha with
 
 kept here as exact big-integer rationals (Rudin 1980, Prop. 1.4.9);
 `stick_breaking_moment` reaches them by a second exact route. The coordinate
-multiplications compress to weighted shifts T_j e_alpha =
-sqrt((alpha_j+1)/(n+|alpha|)) e_{alpha+e_j}; the tuple satisfies
-sum_j T_j* T_j = 1. Operators are stored degree-truncated at d with images
-beyond degree d zeroed, so every entry is the exact compression entry and
-the defect of the sum identity is -1 exactly on the top shell.
+multiplications compress to weighted shifts T_j e_alpha = w_j(alpha)
+e_{alpha+e_j}, w_j(alpha) = sqrt((alpha_j+1)/(n+|alpha|)), the weights that
+`SzegoTuple` holds. The Toeplitz operators are the fixed points of
+Phi(X) = sum_j T_j* X T_j (Davie-Jewell), and Phi(1) = 1; both residuals
+form Phi in one place, from the weights. Operators are stored degree-truncated
+at d with images beyond degree d zeroed, so every entry is the exact
+compression entry and the defect of Phi(1) = 1 is -1 exactly on the top shell.
 
 Symbols on the sphere keep analytic and conjugate exponents separate
 (zbar_j is not z_j^{-1} off the torus); see `SphereSymbol`.
@@ -188,59 +190,8 @@ class GradedOperator:
                 store[(b, a)] = c
         self.entries = store
 
-    @classmethod
-    def zero(cls, n, d):
-        return cls(n, d, {})
-
-    @classmethod
-    def identity_op(cls, n, d):
-        return cls(n, d, {(a, a): 1.0 for a in multiindices(n, d)})
-
     def entry(self, beta, alpha):
         return self.entries.get((tuple(beta), tuple(alpha)), 0j)
-
-    def adjoint(self):
-        return GradedOperator(
-            self.n,
-            self.d,
-            {(a, b): c.conjugate() for (b, a), c in self.entries.items()},
-            safe_degree=self.safe_degree,
-        )
-
-    def compose(self, other):
-        """self @ other, contracted over the shared middle index."""
-        if (self.n, self.d) != (other.n, other.d):
-            raise PreconditionError("graded shapes disagree")
-        by_row = {}
-        for (b, g), u in self.entries.items():
-            by_row.setdefault(g, []).append((b, u))
-        acc = {}
-        for (g, a), v in other.entries.items():
-            for b, u in by_row.get(g, ()):
-                key = (b, a)
-                acc[key] = acc.get(key, 0j) + u * v
-        return GradedOperator(
-            self.n, self.d, acc, safe_degree=min(self.safe_degree, other.safe_degree)
-        )
-
-    def __add__(self, other):
-        out = dict(self.entries)
-        for k, c in other.entries.items():
-            out[k] = out.get(k, 0j) + c
-        return GradedOperator(
-            self.n, self.d, out, safe_degree=min(self.safe_degree, other.safe_degree)
-        )
-
-    def __sub__(self, other):
-        return self + other.scale(-1.0)
-
-    def scale(self, c):
-        return GradedOperator(
-            self.n,
-            self.d,
-            {k: v * c for k, v in self.entries.items()},
-            safe_degree=self.safe_degree,
-        )
 
     def max_abs(self, degree_limit=None):
         return worst(
@@ -255,9 +206,12 @@ class GradedOperator:
 
 @dataclass(frozen=True)
 class SzegoTuple:
+    """The compressed coordinate shifts by their weights:
+    T_j e_alpha = weights[j][alpha] e_{alpha+e_j} for |alpha| < d."""
+
     n: int
     d: int
-    shifts: tuple
+    weights: tuple
 
 
 def szego_tuple(n, d):
@@ -266,17 +220,11 @@ def szego_tuple(n, d):
         raise PreconditionError("need n >= 1 and d >= 1")
     if d > _MAX_TOTAL_DEGREE:
         raise ResourceLimitError(f"degree {d} exceeds the exact-moment cap")
-    shifts = []
     idx = multiindices(n, d - 1)
-    for j in range(n):
-        entries = {}
-        for a in idx:
-            w = Fraction(a[j] + 1, n + sum(a))
-            b = list(a)
-            b[j] += 1
-            entries[(tuple(b), a)] = math.sqrt(w)
-        shifts.append(GradedOperator(n, d, entries))
-    return SzegoTuple(n, d, tuple(shifts))
+    weights = tuple(
+        {a: math.sqrt(Fraction(a[j] + 1, n + sum(a))) for a in idx} for j in range(n)
+    )
+    return SzegoTuple(n, d, weights)
 
 
 def toeplitz_graded(phi, n, d):
@@ -284,8 +232,6 @@ def toeplitz_graded(phi, n, d):
 
     Every entry is the exact rational moment ratio rounded once to float.
     """
-    if isinstance(phi, str):
-        phi = SphereSymbol.from_text(phi, nvars=n)
     if phi.nvars != n:
         raise PreconditionError("symbol arity disagrees with n")
     if phi.band() > d // 2:
@@ -306,6 +252,24 @@ def toeplitz_graded(phi, n, d):
     return GradedOperator(n, d, entries, safe_degree=d - phi.band())
 
 
+def _average(entries, tup):
+    """sum_j T_j* X T_j for the operator X with these entries, as entries.
+
+    The term of j at (beta, alpha) is w_j(beta) X[beta+e_j, alpha+e_j]
+    w_j(alpha), multiplied in the order of T_j* (X T_j); the terms of an
+    entry are added in ascending j.
+    """
+    out = {}
+    for j, w in enumerate(tup.weights):
+        for (b, a), c in entries.items():
+            if b[j] and a[j]:
+                beta = b[:j] + (b[j] - 1,) + b[j + 1 :]
+                alpha = a[:j] + (a[j] - 1,) + a[j + 1 :]
+                key = (beta, alpha)
+                out[key] = out.get(key, 0j) + w[beta] * (c * w[alpha])
+    return out
+
+
 @dataclass(frozen=True)
 class FixedPointReport:
     interior_max: float
@@ -318,10 +282,10 @@ def fixed_point_residual(x, tup):
     truncated computation is exact (degrees < safe) and the boundary."""
     if (x.n, x.d) != (tup.n, tup.d):
         raise PreconditionError("operator and tuple shapes disagree")
-    acc = GradedOperator.zero(x.n, x.d)
-    for t in tup.shifts:
-        acc = acc + t.adjoint().compose(x.compose(t))
-    r = acc - x
+    r = _average(x.entries, tup)
+    for k, c in x.entries.items():
+        r[k] = r.get(k, 0j) - c
+    r = GradedOperator(x.n, x.d, r)
     safe = min(x.safe_degree, x.d)
     interior = safe - 1
     inner = r.max_abs(degree_limit=interior)
@@ -344,10 +308,11 @@ def defect_report(tup):
     """Structure of sum_j T_j* T_j - 1 under the degree truncation: zero on
     degrees < d (the weights telescope), exactly -1 on the top shell."""
     n, d = tup.n, tup.d
-    acc = GradedOperator.zero(n, d)
-    for t in tup.shifts:
-        acc = acc + t.adjoint().compose(t)
-    diff = acc - GradedOperator.identity_op(n, d)
+    ident = {(a, a): 1.0 for a in multiindices(n, d)}
+    diff = _average(ident, tup)
+    for k in ident:
+        diff[k] = diff.get(k, 0j) - 1.0
+    diff = GradedOperator(n, d, diff)
     interior = diff.max_abs(degree_limit=d - 1)
     entries = diff.entries.items()
     off = [abs(c) for (b, a), c in entries if b != a]
@@ -368,13 +333,11 @@ def normal_extension_defect(n, degree):
     """
     t = szego_tuple(n, degree)
     devs = []
-    for j in range(n):
-        for a in multiindices(n, degree - 1):
-            b = list(a)
-            b[j] += 1
-            b = tuple(b)
+    for j, w in enumerate(t.weights):
+        for a, wa in w.items():
+            b = a[:j] + (a[j] + 1,) + a[j + 1 :]
             # <z_j z^a, z^b> = moment(b) since z_j z^a = z^b; normalize.
             g = sphere_moment(n, b)
             val = float(g) / math.sqrt(float(sphere_moment(n, a)) * float(g))
-            devs.append(abs(val - t.shifts[j].entry(b, a)))
+            devs.append(abs(val - wa))
     return worst(devs)

@@ -11,11 +11,17 @@ from sphiso import szego as sz
 from sphiso.errors import PreconditionError, ResourceLimitError
 
 
-def defect_operator(tup):
-    acc = sz.GradedOperator.zero(tup.n, tup.d)
-    for s in tup.shifts:
-        acc = acc + s.adjoint().compose(s)
-    return acc - sz.GradedOperator.identity_op(tup.n, tup.d)
+def graded(text, n, d):
+    return sz.toeplitz_graded(sz.SphereSymbol.from_text(text, nvars=n), n, d)
+
+
+def identity(n, d):
+    return sz.GradedOperator(n, d, {(a, a): 1.0 for a in sz.multiindices(n, d)})
+
+
+def up(alpha, j):
+    """alpha + e_j"""
+    return alpha[:j] + (alpha[j] + 1,) + alpha[j + 1 :]
 
 
 def test_sphere_symbol_rejects_non_finite():
@@ -109,17 +115,15 @@ def test_stick_breaking_moment_equals_the_closed_form():
 
 def test_tuple_circle_case():
     t = sz.szego_tuple(1, 6)
-    assert len(t.shifts) == 1
-    for (b, a), c in t.shifts[0].entries.items():
-        assert c == 1.0
-        assert b == (a[0] + 1,)
+    assert t.weights == ({(k,): 1.0 for k in range(6)},)
 
 
 def test_tuple_first_weight():
     t = sz.szego_tuple(2, 4)
-    assert t.shifts[0].entry((1, 0), (0, 0)) == math.sqrt(0.5)
-    assert t.shifts[1].entry((0, 1), (0, 0)) == math.sqrt(0.5)
-    assert t.shifts[0].entry((2, 0), (0, 0)) == 0
+    assert t.weights[0][(0, 0)] == math.sqrt(0.5)
+    assert t.weights[1][(0, 0)] == math.sqrt(0.5)
+    # T_j e_alpha = w_j(alpha) e_(alpha+e_j) is defined on degrees < d only
+    assert all(set(w) == set(sz.multiindices(2, 3)) for w in t.weights)
 
 
 def test_tuple_guards():
@@ -132,24 +136,20 @@ def test_tuple_guards():
 
 
 def test_tuple_isometry_interior():
-    diff = defect_operator(sz.szego_tuple(2, 10))
-    worst = 0.0
-    for (b, a), c in diff.entries.items():
-        if sum(a) <= 9 and sum(b) <= 9:
-            worst = max(worst, abs(c))
-    assert worst <= 1e-14
+    t = sz.szego_tuple(2, 10)
+    for a in sz.multiindices(2, 9):
+        assert abs(sum(w[a] ** 2 for w in t.weights) - 1.0) <= 1e-14
+    assert sz.defect_report(t).interior_max <= 1e-14
 
 
 def test_shifts_commute_below_top():
+    # T_i T_j e_a = w_j(a) w_i(a+e_j) e_(a+e_i+e_j), defined for |a| <= d - 2
     t = sz.szego_tuple(3, 8)
+    w = t.weights
     for i in range(3):
         for j in range(i + 1, 3):
-            diff = t.shifts[i].compose(t.shifts[j]) - t.shifts[j].compose(t.shifts[i])
-            worst = max(
-                (abs(c) for (b, a), c in diff.entries.items() if sum(a) <= 6),
-                default=0.0,
-            )
-            assert worst <= 1e-14
+            for a in sz.multiindices(3, 6):
+                assert abs(w[i][a] * w[j][up(a, i)] - w[j][a] * w[i][up(a, j)]) <= 1e-14
 
 
 def test_defect_circle_is_top_projection():
@@ -158,8 +158,9 @@ def test_defect_circle_is_top_projection():
     assert rep.top_shell_min == rep.top_shell_max == -1.0
     assert rep.off_diagonal_max == 0.0
     assert rep.support_ok
-    diff = defect_operator(sz.szego_tuple(1, 8))
-    assert diff.entries == {((8,), (8,)): (-1 + 0j)}
+    # sum_j T_j* T_j is exactly the identity below the top shell and 0 on it
+    avg = sz._average(identity(1, 8).entries, sz.szego_tuple(1, 8))
+    assert avg == {((k,), (k,)): 1.0 for k in range(8)}
 
 
 def test_defect_sphere_shell():
@@ -167,10 +168,35 @@ def test_defect_sphere_shell():
     assert rep.interior_max <= 1e-14
     assert rep.top_shell_min == rep.top_shell_max == -1.0
     assert rep.support_ok
-    diff = defect_operator(sz.szego_tuple(2, 6))
-    shell = {k for k, c in diff.entries.items() if sum(k[1]) == 6}
-    assert len(shell) == 7
-    assert all(b == a for b, a in shell)
+    # sum_j T_j* T_j lives on the diagonal below the top shell, so the defect
+    # on the shell is -1 on its 7 diagonal entries and nothing else
+    ident = identity(2, 6).entries
+    avg = sz._average(ident, sz.szego_tuple(2, 6))
+    assert set(avg) == {(a, a) for a in sz.multiindices(2, 5)}
+    shell = {k: avg.get(k, 0j) - c for k, c in ident.items() if sum(k[1]) == 6}
+    assert len(shell) == 7 and set(shell.values()) == {-1.0}
+
+
+@pytest.mark.parametrize("n", [1, 2, 3])
+def test_average_matches_dense_products(n):
+    # sum_j T_j^H X T_j with each T_j built densely from the closed-form weights
+    d = 6
+    idx = sz.multiindices(n, d)
+    pos = {a: i for i, a in enumerate(idx)}
+    rng = np.random.default_rng(40 + n)
+    x = rng.standard_normal((len(idx), len(idx))) + 1j * rng.standard_normal((len(idx), len(idx)))
+    want = np.zeros_like(x)
+    for j in range(n):
+        t = np.zeros_like(x)
+        for a in idx:
+            if sum(a) < d:
+                t[pos[up(a, j)], pos[a]] = math.sqrt((a[j] + 1) / (n + sum(a)))
+        want += t.conj().T @ x @ t
+    entries = {(b, a): x[pos[b], pos[a]] for b in idx for a in idx}
+    got = np.zeros_like(x)
+    for (b, a), c in sz._average(entries, sz.szego_tuple(n, d)).items():
+        got[pos[b], pos[a]] = c
+    assert np.max(np.abs(got - want)) <= 1e-12
 
 
 # ---------------------------------------------------------------------------
@@ -184,34 +210,34 @@ def test_graded_max_abs_keeps_nan():
 
 
 def test_toeplitz_graded_constant_is_identity():
-    x = sz.toeplitz_graded("1", 2, 6)
-    assert (x - sz.GradedOperator.identity_op(2, 6)).max_abs() == 0.0
+    assert graded("1", 2, 6).entries == identity(2, 6).entries
 
 
 def test_toeplitz_graded_matches_shift():
     t = sz.szego_tuple(2, 10)
-    x = sz.toeplitz_graded("z1", 2, 10)
-    assert (x - t.shifts[0]).max_abs() == 0.0
+    x = graded("z1", 2, 10)
+    assert x.entries == {(up(a, 0), a): w for a, w in t.weights[0].items()}
     assert x.safe_degree == 9
 
 
 def test_toeplitz_graded_mixed_diagonal():
-    x = sz.toeplitz_graded("z1*zbar1", 2, 8)
+    x = graded("z1*zbar1", 2, 8)
     assert x.entry((0, 0), (0, 0)) == 0.5
     assert x.safe_degree == 8
 
 
 def test_toeplitz_graded_hermitian():
     for text in ("z1*zbar1 + 2", "z1*zbar2 + zbar1*z2", "z1^2*zbar1^2"):
-        x = sz.toeplitz_graded(text, 2, 8)
-        assert (x - x.adjoint()).max_abs() <= 1e-14
+        x = graded(text, 2, 8)
+        for (b, a), c in x.entries.items():
+            assert abs(x.entry(a, b) - c.conjugate()) <= 1e-14
 
 
 def test_toeplitz_graded_band_guard():
     with pytest.raises(PreconditionError):
-        sz.toeplitz_graded("z1^4", 2, 6)
+        graded("z1^4", 2, 6)
     with pytest.raises(PreconditionError):
-        sz.toeplitz_graded("z1^2*z2^2", 3, 6)
+        graded("z1^2*z2^2", 3, 6)
 
 
 def test_multiindex_order():
@@ -227,14 +253,14 @@ def test_multiindex_order():
 
 def test_fixed_point_identity_circle():
     t = sz.szego_tuple(1, 8)
-    rep = sz.fixed_point_residual(sz.GradedOperator.identity_op(1, 8), t)
+    rep = sz.fixed_point_residual(identity(1, 8), t)
     assert rep.interior_max == 0.0
     assert rep.boundary_max == 1.0
 
 
 def test_fixed_point_identity_sphere():
     t = sz.szego_tuple(2, 10)
-    rep = sz.fixed_point_residual(sz.GradedOperator.identity_op(2, 10), t)
+    rep = sz.fixed_point_residual(identity(2, 10), t)
     assert rep.interior_max <= 1e-14
     assert rep.boundary_max == 1.0
     assert rep.safe_degree == 10
@@ -243,7 +269,7 @@ def test_fixed_point_identity_sphere():
 def test_fixed_point_toeplitz_symbols():
     t = sz.szego_tuple(2, 10)
     for text in ("z1*zbar2 + zbar1*z2", "z1*zbar1", "1 + z2 + zbar2"):
-        x = sz.toeplitz_graded(text, 2, 10)
+        x = graded(text, 2, 10)
         rep = sz.fixed_point_residual(x, t)
         assert rep.interior_max <= 1e-10
 
@@ -258,7 +284,7 @@ def test_fixed_point_flags_rank_one():
 def test_fixed_point_shape_guard():
     t = sz.szego_tuple(2, 10)
     with pytest.raises(PreconditionError):
-        sz.fixed_point_residual(sz.GradedOperator.identity_op(2, 8), t)
+        sz.fixed_point_residual(identity(2, 8), t)
 
 
 def test_normal_extension_consistency():
